@@ -95,6 +95,18 @@ def _parse_inits(pairs):
     return theta
 
 
+def _calibration_config(args, data, mode: ObjectiveMode) -> CalibrationConfig:
+    """Calibration settings shared by the calibrate and robustness commands."""
+    return CalibrationConfig(
+        base_params=_subsystem_params(_load_lel_params(args), args.subsystem),
+        bounds=_parse_bounds(args.bound), subsystem=args.subsystem,
+        mode=mode, max_evals=args.max_evals,
+        horizon=len(data) * data.sample_period, dt=data.sample_period,
+        sim_seed=args.seed, encoder_seed=args.seed + 1,
+        optimizer_seed=args.seed + 2, window_length=args.window_length,
+        train=TrainConfig(epochs=args.epochs), n_repeats=args.repeats)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -110,19 +122,11 @@ def cmd_simulate_load(args) -> int:
 
 def cmd_calibrate(args) -> int:
     data = read_trace(args.data)
-    bounds = _parse_bounds(args.bound)
-    base = _subsystem_params(_load_lel_params(args), args.subsystem)
-    cfg = CalibrationConfig(
-        base_params=base, bounds=bounds, subsystem=args.subsystem,
-        mode=ObjectiveMode(args.mode), max_evals=args.max_evals,
-        horizon=len(data) * data.sample_period, dt=data.sample_period,
-        sim_seed=args.seed, encoder_seed=args.seed + 1,
-        optimizer_seed=args.seed + 2, window_length=args.window_length,
-        train=TrainConfig(epochs=args.epochs), n_repeats=args.repeats)
+    cfg = _calibration_config(args, data, ObjectiveMode(args.mode))
     if args.init:
         theta0 = _parse_inits(args.init)
     else:
-        theta0 = {k: 0.5 * (lo + hi) for k, (lo, hi) in bounds.items()}
+        theta0 = {k: 0.5 * (lo + hi) for k, (lo, hi) in cfg.bounds.items()}
     result = calibrate(theta0, data, cfg)
     with open(args.out, "w") as fh:
         fh.write(dump_calibration_result(result))
@@ -217,23 +221,15 @@ def cmd_sweep_tcl(args) -> int:
 
 def cmd_robustness(args) -> int:
     data = read_trace(args.data)
-    bounds = _parse_bounds(args.bound)
-    base = _subsystem_params(_load_lel_params(args), args.subsystem)
-    cfg = CalibrationConfig(
-        base_params=base, bounds=bounds, subsystem=args.subsystem,
-        mode=ObjectiveMode.PATTERN, max_evals=args.max_evals,
-        horizon=len(data) * data.sample_period, dt=data.sample_period,
-        sim_seed=args.seed, encoder_seed=args.seed + 1,
-        optimizer_seed=args.seed + 2, window_length=args.window_length,
-        train=TrainConfig(epochs=args.epochs), n_repeats=args.repeats)
+    cfg = _calibration_config(args, data, ObjectiveMode.PATTERN)
     rng = np.random.default_rng(args.seed)
-    names = sorted(bounds)
+    names = sorted(cfg.bounds)
     lines = ["run," + ",".join(f"init_{n}" for n in names) + ","
              + ",".join(f"star_{n}" for n in names)
              + ",initial_distance,final_distance"]
     cal_patterns, unc_patterns = [], []
     for run in range(args.inits):
-        theta0 = {k: rng.uniform(lo, hi) for k, (lo, hi) in bounds.items()}
+        theta0 = {k: rng.uniform(lo, hi) for k, (lo, hi) in cfg.bounds.items()}
         result = calibrate(theta0, data,
                            replace(cfg, optimizer_seed=args.seed + 2 + run))
         cal_patterns.append(model_pattern(result.theta_star, result.encoder, cfg))

@@ -37,7 +37,3 @@ class SimulationCollapse(RuntimeError):
         self.time = time
         self.residual = residual
         self.partial = partial
-
-
-class LowVoltageGuard(RuntimeError):
-    """Terminal voltage below the constant-power validity floor."""

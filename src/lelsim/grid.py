@@ -14,7 +14,7 @@ Newton with an analytic Jacobian (simultaneous-implicit scheme).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -26,12 +26,16 @@ from lelsim.errors import (
     SimulationCollapse,
     ValidationError,
 )
-from lelsim.lel import V_FLOOR, Archetype, LelParams, archetype_defaults
+from lelsim.lel import Archetype, LelParams, archetype_defaults
 from lelsim.protection import ProtectionMode, ProtectionState, protection_step
-from lelsim.thermal_aux import MotorMode, MotorState, motor_init, stall_update
+from lelsim.thermal_aux import OMEGA_SYNC, MotorMode, MotorState, motor_init, stall_update
 from lelsim.workload import WorkloadState, ou_step, workload_power
 
 FAULT_ADMITTANCE = -1e4j  # near-bolted three-phase fault shunt, pu
+
+# below this terminal voltage, constant-power behavior is replaced by the
+# equivalent admittance computed at the floor
+V_FLOOR = 0.05
 
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 20
@@ -123,10 +127,15 @@ PROT_MODE_ORD = {m: i for i, m in enumerate(ProtectionMode)}
 
 def build_ybus(case: GridCase) -> np.ndarray:
     """Bus admittance matrix with off-nominal taps on the from side."""
+    return _stamp(case, case.branches)
+
+
+def _stamp(case: GridCase, branches) -> np.ndarray:
+    """Admittance matrix of the given branches of the case."""
     idx = case.bus_index()
     n = case.n_bus
     Y = np.zeros((n, n), dtype=complex)
-    for br in case.branches:
+    for br in branches:
         if br.r == 0 and br.x == 0:
             raise InvalidArgument(f"zero-impedance branch {br.from_bus}-{br.to_bus}")
         f, t = idx[br.from_bus], idx[br.to_bus]
@@ -138,6 +147,11 @@ def build_ybus(case: GridCase) -> np.ndarray:
         Y[f, t] += -y / a
         Y[t, f] += -y / a
     return Y
+
+
+def _parallel_branches(case: GridCase, ends) -> list:
+    """Every branch of the case that joins the two buses in ends."""
+    return [br for br in case.branches if {br.from_bus, br.to_bus} == set(ends)]
 
 
 def power_flow(case: GridCase, tol: float = 1e-8, max_iter: int = 50) -> np.ndarray:
@@ -227,7 +241,6 @@ class _LelRuntime:
     motor: MotorState
     prot: ProtectionState
     nearest_gen: int
-    rng: np.random.Generator = None
 
 
 @dataclass
@@ -354,7 +367,7 @@ def init_dynamics(case: GridCase, V: np.ndarray) -> DynamicSystem:
     # compensation shunts absorb the residual injection (power-flow
     # tolerance plus the LEL reactive allocation) so t=0 is exact
     eng = _Engine(dyn, SimConfig(dt=1e-3, horizon=1.0, seed=0))
-    I_mis = eng.network_mismatch(V)
+    I_mis = eng.current_mismatch(V, dyn.E * np.exp(1j * dyn.delta0), eng._em_array())
     comp = -I_mis / V
     dyn.Y_dyn[np.arange(n), np.arange(n)] += comp
     return dyn
@@ -389,7 +402,10 @@ class _Engine:
         self.m_z = np.array([complex(l.params.cool.R_s, l.params.cool.x_trans)
                              for l in ls]) if K else np.zeros(0, complex)
         self.m_c = np.array([l.params.cool.x_open - l.params.cool.x_trans for l in ls])
-        self.m_t0 = np.array([l.params.cool.t0_prime for l in ls])
+        # T0' rescaled to the case's own synchronous speed, so the slip
+        # term and the rotor time constant agree at any f_base
+        self.m_t0 = np.array([l.params.cool.t0_prime * (OMEGA_SYNC / self.wb)
+                              for l in ls])
         self.m_h = np.array([l.params.cool.H_m for l in ls])
         self.m_ratio = np.array([l.params.cool.mva_base / self.s_base for l in ls])
         self.aux_p0 = np.array([l.params.aux.p_aux0 for l in ls])
@@ -407,9 +423,7 @@ class _Engine:
         self.eta = np.array([l.work.eta for l in ls])
         self.kappa = np.array([l.prot.kappa for l in ls])
 
-        self.Y = dyn.Y_dyn.copy()
-        self._yblk = None
-        self._lu = None
+        self.set_network(dyn.Y_dyn.copy())
 
     # -- device functions -------------------------------------------------
 
@@ -459,14 +473,10 @@ class _Engine:
         _, i_m = self.motor_f(em, Vl)
         return self.kappa * (self.pe_injection(Vl) + i_m * self.m_ratio)
 
-    def network_mismatch(self, V, delta=None, em=None):
-        """Complex current mismatch Y V - I_gen + I_lel at every bus."""
-        if delta is None:
-            delta = self.dyn.delta0
-        if em is None:
-            em = self._em_array()
+    def current_mismatch(self, V, Eg, em):
+        """Complex current mismatch Y V - I_gen + I_lel at every bus, for
+        generator EMF phasors Eg and motor states em."""
         I = self.Y @ V
-        Eg = self.dyn.E * np.exp(1j * delta)
         np.add.at(I, self.dyn.gbus, -Eg * self.dyn.yg)
         if self.K:
             np.add.at(I, self.lbus, self.lel_injection(V[self.lbus], em))
@@ -493,13 +503,17 @@ class _Engine:
         R[self.od:self.od + ng] = delta - xk["delta"] - 0.5 * dt * (fd + f0["fd"])
         R[self.oo:self.oo + ng] = omega - xk["omega"] - 0.5 * dt * (fo + f0["fo"])
         R[self.om:self.om + 3 * K] = (em - xk["em"] - 0.5 * dt * (fm + f0["fm"])).ravel()
-        I = self.Y @ V
-        np.add.at(I, self.dyn.gbus, -Eg * self.dyn.yg)
-        if K:
-            np.add.at(I, self.lbus, self.lel_injection(V[self.lbus], em))
+        I = self.current_mismatch(V, Eg, em)
         R[self.ovr:self.ovr + n] = I.real
         R[self.ovi:self.ovi + n] = I.imag
         return R
+
+    def set_network(self, Y):
+        """Install a new network admittance matrix; the G/B blocks and the
+        LU factorization derived from the old one are dropped."""
+        self.Y = Y
+        self._yblk = None
+        self._lu = None
 
     def _yblk_mat(self):
         if self._yblk is None:
@@ -574,7 +588,6 @@ class _Engine:
             out[1] = (c * d_i.real) / t0
             dte = edp * d_i.real + eqp * d_i.imag
             if var == "edp":
-                out[0] += np.zeros(K)
                 out[1] += -wb * slip
                 dte = dte + i.real
             elif var == "eqp":
@@ -611,11 +624,7 @@ class _Engine:
             col = col_base + kk
             np.add.at(J, (ovr + self.lbus, col), dI.real)
             np.add.at(J, (ovi + self.lbus, col), dI.imag)
-        for var, off in (("vre", ovr), ("vim", ovi)):
-            dI = di[var] * ratio
-            col = off + self.lbus
-            np.add.at(J, (ovr + self.lbus, col), dI.real)
-            np.add.at(J, (ovi + self.lbus, col), dI.imag)
+        self._motor_current_jacobian(J, ovr, ovi, ovr, ovi)
 
     def _pe_jacobian(self, J, V, ro_re, ro_im, co_re, co_im):
         """Add d(I_pe)/dV blocks into J at the given row/column offsets."""
@@ -658,16 +667,8 @@ class _Engine:
         """Damped Newton on the algebraic network equations with frozen
         differential states."""
         n = self.n
-
-        def mismatch(Vc):
-            I = self.Y @ Vc
-            Eg = self.dyn.E * np.exp(1j * delta)
-            np.add.at(I, self.dyn.gbus, -Eg * self.dyn.yg)
-            if self.K:
-                np.add.at(I, self.lbus, self.lel_injection(Vc[self.lbus], em))
-            return I
-
-        I = mismatch(V)
+        Eg = self.dyn.E * np.exp(1j * delta)
+        I = self.current_mismatch(V, Eg, em)
         rmax = np.max(np.abs(I))
         for _ in range(2 * NEWTON_MAX_ITER):
             if rmax < tol:
@@ -687,7 +688,7 @@ class _Engine:
             alpha = 1.0
             for _bt in range(10):
                 V_try = V - alpha * dV
-                I_try = mismatch(V_try)
+                I_try = self.current_mismatch(V_try, Eg, em)
                 r_try = np.max(np.abs(I_try))
                 if r_try < rmax or r_try < tol:
                     break
@@ -711,38 +712,33 @@ class _Engine:
 # time-domain driver
 # ---------------------------------------------------------------------------
 
-def _branch_stamp(case: GridCase, from_bus: int, to_bus: int) -> np.ndarray:
-    idx = case.bus_index()
-    n = case.n_bus
-    S = np.zeros((n, n), dtype=complex)
-    found = False
-    for br in case.branches:
-        if {br.from_bus, br.to_bus} == {from_bus, to_bus}:
-            f, t = idx[br.from_bus], idx[br.to_bus]
-            y = 1.0 / complex(br.r, br.x)
-            bsh = 1j * br.b_shunt / 2.0
-            a = br.tap if br.tap else 1.0
-            S[f, f] += (y + bsh) / (a * a)
-            S[t, t] += y + bsh
-            S[f, t] += -y / a
-            S[t, f] += -y / a
-            found = True
-    if not found:
-        raise InvalidArgument(f"no branch {from_bus}-{to_bus} in case")
-    return S
+def _check_trips(case: GridCase, schedule: list[Event]) -> None:
+    """Reject trips of branches the case lacks, and repeated trips: one
+    trip removes every parallel copy, so a second would subtract the
+    stamp again and leave a negative-admittance line."""
+    tripped = []
+    for ev in schedule:
+        if ev.kind != "branch_trip":
+            continue
+        ends = set(ev.branch)
+        if not _parallel_branches(case, ends):
+            raise InvalidArgument(f"no branch {ev.branch[0]}-{ev.branch[1]} in case")
+        if ends in tripped:
+            raise InvalidArgument(
+                f"branch {ev.branch[0]}-{ev.branch[1]} tripped more than once")
+        tripped.append(ends)
 
 
-def run_simulation(case: GridCase, events, cfg: SimConfig,
-                   dyn: DynamicSystem | None = None) -> SimResult:
+def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     """Integrate the full system and return trajectories plus an event log.
 
     Raises SimulationCollapse (with the truncated result attached) on
     Newton failure or sustained generator angle separation.
     """
     schedule = make_schedule(events, cfg.horizon)
-    if dyn is None:
-        V0 = power_flow(case)
-        dyn = init_dynamics(case, V0)
+    _check_trips(case, schedule)
+    V0 = power_flow(case)
+    dyn = init_dynamics(case, V0)
     eng = _Engine(dyn, cfg)
     n, ng, K = eng.n, eng.ng, eng.K
     dt = cfg.dt
@@ -801,25 +797,25 @@ def run_simulation(case: GridCase, events, cfg: SimConfig,
 
     for step in range(n_steps):
         t = step * dt
-        # discrete network changes scheduled at or before this instant
-        net_changed = False
-        Y_before = eng.Y.copy()
+        # discrete network changes scheduled at or before this instant;
+        # each installs a new matrix, so Y_before keeps the old one
+        Y_before = eng.Y
         while ev_i < len(schedule) and schedule[ev_i].time <= t + dt * 1e-6:
             ev = schedule[ev_i]
             bidx = case.bus_index()[ev.bus] if ev.bus is not None else None
+            Y = eng.Y.copy()
             if ev.kind == "fault":
-                eng.Y[bidx, bidx] += ev.admittance
+                Y[bidx, bidx] += ev.admittance
                 log.append(EventRecord(t, None, "fault_applied"))
             elif ev.kind == "clear_fault":
-                eng.Y[bidx, bidx] -= ev.admittance
+                Y[bidx, bidx] -= ev.admittance
                 log.append(EventRecord(t, None, "fault_cleared"))
             else:
-                eng.Y -= _branch_stamp(case, *ev.branch)
+                Y -= _stamp(case, _parallel_branches(case, ev.branch))
                 log.append(EventRecord(t, None, "branch_tripped"))
-            eng._yblk = None
-            eng._lu = None
-            net_changed = True
+            eng.set_network(Y)
             ev_i += 1
+        net_changed = eng.Y is not Y_before
 
         # workload stochastic update (held constant across the step)
         for k in range(K):
@@ -828,21 +824,17 @@ def run_simulation(case: GridCase, events, cfg: SimConfig,
             eng.eta[k] = st.eta
         if net_changed:
             V, ok = eng.solve_network(V, delta, em)
-            if not ok and net_changed:
+            if not ok:
                 # ramp the network change in; recovers solvable cases where
                 # Newton fails from the pre-event start point
-                Y_after = eng.Y.copy()
+                Y_after = eng.Y
                 V = rec_vm[step] * np.exp(1j * rec_va[step])
                 for frac in (0.03, 0.1, 0.3, 1.0):
-                    eng.Y = Y_before + frac * (Y_after - Y_before)
-                    eng._yblk = None
-                    eng._lu = None
+                    eng.set_network(Y_before + frac * (Y_after - Y_before))
                     V, ok = eng.solve_network(V, delta, em)
                     if not ok:
                         break
-                eng.Y = Y_after
-                eng._yblk = None
-                eng._lu = None
+                eng.set_network(Y_after)
             if not ok:
                 raise SimulationCollapse(step, t, math.inf,
                                          make_result(step + 1, True, "network_solve"))

@@ -1,43 +1,23 @@
-"""One LEL instance: workload + cooling + auxiliary behind protection.
+"""LEL parameter bundles: archetype presets and parameter exchange.
 
-Composes the subsystem models into the grid-facing (p, q) demand and
-owns the parameter-exchange file format used to ship calibrated
-parameter bundles between a facility and the utility.
+An LEL is workload + cooling + auxiliary behind protection; the grid
+engine (lelsim.grid) integrates it.  This module holds the bundle that
+parameterizes one instance, the documented archetype presets, and the
+parameter-exchange file format used to ship calibrated bundles between
+a facility and the utility.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-import numpy as np
-
-from lelsim.errors import InvalidArgument, LowVoltageGuard, ValidationError
-from lelsim.protection import (
-    ProtectionParams,
-    ProtectionState,
-    apply_retention,
-    parse_kv_document,
-    protection_step,
-)
-from lelsim.thermal_aux import (
-    AuxParams,
-    CoolingParams,
-    MotorMode,
-    MotorState,
-    aux_power,
-    motor_derivatives,
-    motor_init,
-    motor_terminal_power,
-    stall_update,
-)
-from lelsim.workload import WorkloadParams, WorkloadState, ou_step, workload_power
+from lelsim.errors import InvalidArgument, ValidationError
+from lelsim.protection import ProtectionParams, parse_kv_document
+from lelsim.thermal_aux import AuxParams, CoolingParams
+from lelsim.workload import WorkloadParams
 
 EXCHANGE_SCHEMA_VERSION = 1
-
-# below this terminal voltage, constant-power behavior is replaced by the
-# equivalent admittance computed at the floor
-V_FLOOR = 0.05
 
 
 class Archetype(enum.Enum):
@@ -57,85 +37,6 @@ class LelParams:
     def __post_init__(self):
         if self.work.p_base + self.aux.p_aux0 <= 0 and self.cool.mva_base <= 0:
             raise InvalidArgument("combined nominal demand must be positive")
-
-
-@dataclass(frozen=True)
-class LelState:
-    work: WorkloadState
-    motor: MotorState
-    prot: ProtectionState
-
-
-def lel_step(state: LelState, v_mag: float, v_angle: float, omega: float,
-             dt: float, rng: np.random.Generator, params: LelParams
-             ) -> tuple[LelState, float, float]:
-    """Advance one LEL by dt and return (state', p_MW, q_MVAr) drawn.
-
-    Sub-step order: workload, motor, protection, retention.  The motor
-    here is integrated with a single trapezoidal step against a frozen
-    terminal voltage; the grid simulator instead integrates the motor
-    states inside its network Newton solve and uses the component
-    functions directly.
-    """
-    work = ou_step(state.work, params.work, dt, rng)
-    motor = _motor_trapezoid(state.motor, v_mag, v_angle, dt, params.cool)
-    motor = stall_update(motor, v_mag, dt, params.cool)
-    prot = protection_step(state.prot, v_mag, omega, dt, params.prot)
-
-    p_work = workload_power(work.eta, params.work)
-    if motor.mode is MotorMode.RUNNING:
-        v = v_mag * complex(np.cos(v_angle), np.sin(v_angle))
-        p_pu, q_pu = motor_terminal_power(motor, v.real, v.imag, params.cool)
-        p_cool = p_pu * params.cool.mva_base
-        q_cool = q_pu * params.cool.mva_base
-    else:
-        p_cool = q_cool = 0.0
-    p_aux, q_aux = aux_power(v_mag, params.aux)
-
-    p_load = p_work + p_cool + p_aux
-    q_load = q_cool + q_aux
-    p_t, q_t = apply_retention(prot.kappa, p_load, q_load)
-    return LelState(work=work, motor=motor, prot=prot), p_t, q_t
-
-
-def _motor_trapezoid(motor: MotorState, v_mag: float, v_angle: float, dt: float,
-                     cool: CoolingParams) -> MotorState:
-    """One fixed-voltage trapezoidal step of the motor differential states."""
-    if motor.mode is not MotorMode.RUNNING:
-        return motor
-    v = v_mag * complex(np.cos(v_angle), np.sin(v_angle))
-    f0 = np.array(motor_derivatives(motor, v.real, v.imag, cool))
-    x0 = np.array([motor.ed_p, motor.eq_p, motor.slip])
-
-    def residual(x):
-        trial = replace(motor, ed_p=x[0], eq_p=x[1], slip=min(max(x[2], 0.0), 1.0))
-        f1 = np.array(motor_derivatives(trial, v.real, v.imag, cool))
-        return x - x0 - 0.5 * dt * (f0 + f1)
-
-    x = x0 + dt * f0  # predictor
-    for _ in range(20):
-        r = residual(x)
-        if np.max(np.abs(r)) < 1e-12:
-            break
-        # numerical Jacobian of a 3x3 system
-        jac = np.empty((3, 3))
-        h = 1e-7
-        for j in range(3):
-            xp = x.copy()
-            xp[j] += h
-            jac[:, j] = (residual(xp) - r) / h
-        x = x - np.linalg.solve(jac, r)
-    return replace(motor, ed_p=float(x[0]), eq_p=float(x[1]),
-                   slip=float(min(max(x[2], 0.0), 1.0)))
-
-
-def lel_current_injection(p_mw: float, q_mvar: float, v: complex,
-                          s_base: float) -> complex:
-    """Load-convention current drawn from the bus, pu on s_base."""
-    if abs(v) <= V_FLOOR:
-        raise LowVoltageGuard(f"|V|={abs(v):.4f} pu at or below floor {V_FLOOR}")
-    s = complex(p_mw, q_mvar) / s_base
-    return (s / v).conjugate()
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +142,3 @@ def parse_lel_params(document: str) -> LelParams:
         prot=block("prot", _PROT_FIELDS, ProtectionParams),
         archetype=archetype,
     )
-
-
-def init_lel_state(params: LelParams, v_mag: float, eta0: float | None = None,
-                   p_cool_pu: float | None = None) -> LelState:
-    """Equilibrium state for one LEL at a given terminal voltage."""
-    eta = params.work.mu_eta if eta0 is None else eta0
-    target = params.cool.load_factor if p_cool_pu is None else p_cool_pu
-    motor = motor_init(target, v_mag, params.cool)
-    return LelState(work=WorkloadState(eta=eta), motor=motor, prot=ProtectionState())

@@ -135,9 +135,7 @@ def protection_step(state: ProtectionState, v_mag: float, omega: float,
     kappa = min(state.kappa + params.r_kappa * dt, target)
     if kappa >= 1.0:
         return ProtectionState()  # fully reconnected
-    if kappa >= target:
-        # capped below unity by kappa_max: hold at the cap
-        return replace(state, kappa=kappa, since_trip_timer=since)
+    # a kappa_max below unity caps the ramp: kappa then holds at the cap
     return replace(state, kappa=kappa, since_trip_timer=since)
 
 
@@ -151,13 +149,6 @@ def _tick_violation(state: ProtectionState, dt: float, params: ProtectionParams,
                                since_trip_timer=0.0)
     return replace(state, mode=ProtectionMode.VIOLATION_TIMING,
                    violation_timer=timer, kappa=kappa, since_trip_timer=since)
-
-
-def apply_retention(kappa: float, p_load: float, q_load: float) -> tuple[float, float]:
-    """Scale the aggregate demand by the retained-load fraction."""
-    if not (0.0 <= kappa <= 1.0):
-        raise InvalidArgument("kappa must lie in [0, 1]")
-    return kappa * p_load, kappa * q_load
 
 
 _FIELD_MAP = {

@@ -19,7 +19,9 @@ from scipy.optimize import brentq
 
 from lelsim.errors import InvalidArgument, NoEquilibrium
 
-OMEGA_SYNC = 2 * math.pi * 60.0  # rad/s, used only inside T0' (cancels in pu)
+# rad/s; the equilibrium uses only the product OMEGA_SYNC * T0', where it
+# cancels.  The grid engine forms T0' from the case's own f_base.
+OMEGA_SYNC = 2 * math.pi * 60.0
 
 
 class MotorMode(enum.Enum):
@@ -86,37 +88,6 @@ class MotorState:
             raise InvalidArgument("timers must be >= 0")
 
 
-def stator_currents(ed_p: float, eq_p: float, v_ds: float, v_qs: float,
-                    params: CoolingParams) -> tuple[float, float]:
-    """Solve (v - e') = (Rs + jX') i for the stator current components."""
-    z = complex(params.R_s, params.x_trans)
-    i = (complex(v_ds, v_qs) - complex(ed_p, eq_p)) / z
-    return i.real, i.imag
-
-
-def motor_derivatives(state: MotorState, v_ds: float, v_qs: float,
-                      params: CoolingParams) -> tuple[float, float, float]:
-    """(d/dt ed', d/dt eq', d/dt slip) at the given terminal voltage."""
-    if params.X_m + params.X_r == 0:
-        raise InvalidArgument("degenerate rotor circuit: X_m + X_r = 0")
-    x0 = params.x_open
-    xp = params.x_trans
-    t0p = params.t0_prime
-    i_ds, i_qs = stator_currents(state.ed_p, state.eq_p, v_ds, v_qs, params)
-    d_edp = OMEGA_SYNC * state.slip * state.eq_p - (state.ed_p + (x0 - xp) * i_qs) / t0p
-    d_eqp = -OMEGA_SYNC * state.slip * state.ed_p - (state.eq_p - (x0 - xp) * i_ds) / t0p
-    t_elec = state.ed_p * i_ds + state.eq_p * i_qs
-    d_slip = (state.t_mech - t_elec) / (2 * params.H_m)
-    return d_edp, d_eqp, d_slip
-
-
-def motor_power(v_ds: float, v_qs: float, i_ds: float, i_qs: float) -> tuple[float, float]:
-    """Active/reactive power absorbed by the motor (pu on motor base)."""
-    p = v_ds * i_ds + v_qs * i_qs
-    q = v_qs * i_ds - v_ds * i_qs
-    return p, q
-
-
 def _steady_state_at_slip(slip: float, v: complex, params: CoolingParams):
     """Closed-form transient-EMF equilibrium at a given slip.
 
@@ -138,6 +109,32 @@ def _power_at_slip(slip: float, v: complex, params: CoolingParams) -> float:
     return (v * i.conjugate()).real
 
 
+def _torque_at_slip(slip: float, v: complex, params: CoolingParams) -> float:
+    e, i = _steady_state_at_slip(slip, v, params)
+    return e.real * i.real + e.imag * i.imag
+
+
+def _stable_slip(curve, target: float, v: complex, params: CoolingParams,
+                 what: str) -> float:
+    """Slip on the stable (low-slip) branch where curve(slip) equals target.
+
+    A 400-point scan locates the pull-out peak of the power or torque
+    curve; the root is bracketed between zero slip and that peak.
+    Raises NoEquilibrium if target exceeds the pull-out value.
+    """
+    s_grid = np.linspace(1e-9, 0.999, 400)
+    c_grid = np.array([curve(s, v, params) for s in s_grid])
+    k_peak = int(np.argmax(c_grid))
+    if target > c_grid[k_peak]:
+        raise NoEquilibrium(
+            f"{what}={target:.4f} pu above pull-out {c_grid[k_peak]:.4f} pu at V={v.real:.3f}"
+        )
+    if target <= c_grid[0]:
+        return s_grid[0]
+    return brentq(lambda s: curve(s, v, params) - target,
+                  s_grid[0], s_grid[k_peak], xtol=1e-14)
+
+
 def motor_init(p_target: float, v_mag: float, params: CoolingParams) -> MotorState:
     """Steady-state motor state drawing p_target pu at terminal voltage v_mag.
 
@@ -148,33 +145,26 @@ def motor_init(p_target: float, v_mag: float, params: CoolingParams) -> MotorSta
     """
     if v_mag <= 0:
         raise InvalidArgument("v_mag must be > 0")
-    v = complex(v_mag, 0.0)
     if p_target < 0:
         raise InvalidArgument("p_target must be >= 0")
-    # locate the peak of p(s) to stay on the stable branch
-    s_grid = np.linspace(1e-9, 0.999, 400)
-    p_grid = np.array([_power_at_slip(s, v, params) for s in s_grid])
-    k_peak = int(np.argmax(p_grid))
-    p_max = p_grid[k_peak]
-    if p_target > p_max:
-        raise NoEquilibrium(
-            f"p_target={p_target:.4f} pu above pull-out power {p_max:.4f} pu at V={v_mag:.3f}"
-        )
-    if p_target <= _power_at_slip(s_grid[0], v, params):
-        slip = s_grid[0]
-    else:
-        slip = brentq(lambda s: _power_at_slip(s, v, params) - p_target,
-                      s_grid[0], s_grid[k_peak], xtol=1e-14)
+    v = complex(v_mag, 0.0)
+    slip = _stable_slip(_power_at_slip, p_target, v, params, "p_target")
     e, i = _steady_state_at_slip(slip, v, params)
     t_elec = e.real * i.real + e.imag * i.imag
     return MotorState(ed_p=e.real, eq_p=e.imag, slip=float(slip), t_mech=t_elec)
 
 
-def motor_terminal_power(state: MotorState, v_ds: float, v_qs: float,
-                         params: CoolingParams) -> tuple[float, float]:
-    """(p, q) absorbed at the terminal for the current state (pu on motor base)."""
-    i_ds, i_qs = stator_currents(state.ed_p, state.eq_p, v_ds, v_qs, params)
-    return motor_power(v_ds, v_qs, i_ds, i_qs)
+def init_for_torque(t_mech: float, v_mag: float, params: CoolingParams) -> MotorState:
+    """Equilibrium state at the slip where electrical torque equals t_mech.
+
+    Used at reconnection: the mechanical load is unchanged, so the motor
+    re-enters at the operating point its own torque demands at the
+    present voltage.
+    """
+    v = complex(v_mag, 0.0)
+    slip = _stable_slip(_torque_at_slip, t_mech, v, params, "t_mech")
+    e, i = _steady_state_at_slip(slip, v, params)
+    return MotorState(ed_p=e.real, eq_p=e.imag, slip=float(slip), t_mech=t_mech)
 
 
 def stall_update(state: MotorState, v_mag: float, dt: float,
@@ -208,35 +198,6 @@ def stall_update(state: MotorState, v_mag: float, dt: float,
             return replace(state, recovery_timer=dt)
         return fresh
     return replace(state, recovery_timer=timer)
-
-
-def _torque_at_slip(slip: float, v: complex, params: CoolingParams) -> float:
-    e, i = _steady_state_at_slip(slip, v, params)
-    return e.real * i.real + e.imag * i.imag
-
-
-def init_for_torque(t_mech: float, v_mag: float, params: CoolingParams) -> MotorState:
-    """Equilibrium state at the slip where electrical torque equals t_mech.
-
-    Used at reconnection: the mechanical load is unchanged, so the motor
-    re-enters at the operating point its own torque demands at the
-    present voltage.
-    """
-    v = complex(v_mag, 0.0)
-    s_grid = np.linspace(1e-9, 0.999, 400)
-    t_grid = np.array([_torque_at_slip(s, v, params) for s in s_grid])
-    k_peak = int(np.argmax(t_grid))
-    if t_mech > t_grid[k_peak]:
-        raise NoEquilibrium(
-            f"t_mech={t_mech:.4f} pu above pull-out torque {t_grid[k_peak]:.4f} at V={v_mag:.3f}"
-        )
-    if t_mech <= t_grid[0]:
-        slip = s_grid[0]
-    else:
-        slip = brentq(lambda s: _torque_at_slip(s, v, params) - t_mech,
-                      s_grid[0], s_grid[k_peak], xtol=1e-14)
-    e, i = _steady_state_at_slip(slip, v, params)
-    return MotorState(ed_p=e.real, eq_p=e.imag, slip=float(slip), t_mech=t_mech)
 
 
 @dataclass(frozen=True)

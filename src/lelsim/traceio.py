@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,9 +118,3 @@ def write_trace(trace: Trace, path_or_file) -> None:
     finally:
         if own:
             fh.close()
-
-
-def trace_to_string(trace: Trace) -> str:
-    buf = io.StringIO()
-    write_trace(trace, buf)
-    return buf.getvalue()

@@ -8,7 +8,9 @@ between idle and full-duty draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,60 +89,62 @@ def workload_power(eta: float, params: WorkloadParams) -> float:
     return params.p_base + eta * (params.p_full - params.p_base)
 
 
-def _eta_path(params: WorkloadParams, n_steps: int, dt: float,
-              rng: np.random.Generator, eta0: float) -> np.ndarray:
-    """Inlined ou_step loop; draws the rng in exactly ou_step's order."""
-    if dt <= 0:
-        raise InvalidArgument("dt must be > 0")
-    if params.lambda_burst * dt > 0.5:
-        raise InvalidArgument("lambda_burst * dt > 0.5: step too coarse for Bernoulli thinning")
-    tau = params.tau_eta
-    mu = params.mu_eta
-    decay = math.exp(-dt / tau)
-    noise_amp = (params.sigma_xi / tau) * math.sqrt(dt)
-    p_burst = params.lambda_burst * dt
-    has_noise = params.sigma_xi > 0
-    has_burst = params.lambda_burst > 0
+@lru_cache(maxsize=16)
+def _draw_noise(seed: int, n_steps: int, has_noise: bool, lambda_burst: float,
+                dt: float, lnA_mu: float, lnA_sigma: float):
+    """Unit normals and a read-only {step: burst amplitude} map of n_steps
+    OU steps, drawn in ou_step's order.  The draws do not depend on mu_eta,
+    tau_eta or the size of sigma_xi, so calibration candidates that differ
+    only in those replay one cached stream."""
+    rng = np.random.default_rng(seed)
+    p_burst = lambda_burst * dt
+    has_burst = lambda_burst > 0
     standard_normal = rng.standard_normal
     uniform = rng.random
-    lognormal = rng.lognormal
-    out = np.empty(n_steps)
-    eta = eta0
+    normals, bursts = [], {}
     for i in range(n_steps):
-        eta = mu + (eta - mu) * decay
         if has_noise:
-            eta += noise_amp * standard_normal()
+            normals.append(standard_normal())
         if has_burst and uniform() < p_burst:
-            eta += lognormal(params.lnA_mu, params.lnA_sigma) / tau
-        if eta < 0.0:
-            eta = 0.0
-        elif eta > 1.0:
-            eta = 1.0
-        out[i] = eta
-    return out
+            bursts[i] = rng.lognormal(lnA_mu, lnA_sigma)
+    return tuple(normals), MappingProxyType(bursts)
 
 
 def simulate_workload(params: WorkloadParams, horizon: float, dt: float,
                       seed: int, eta0: float | None = None) -> Trace:
     """Generate an active-power trace of length floor(horizon/dt).
 
-    Bit-reproducible for a fixed seed.  eta0 defaults to mu_eta.
+    Bit-reproducible for a fixed seed.  eta0 defaults to mu_eta.  The loop
+    is ou_step inlined over the draws of _draw_noise.
     """
     if dt <= 0 or horizon <= dt:
         raise InvalidArgument("need horizon > dt > 0")
+    if params.lambda_burst * dt > 0.5:
+        raise InvalidArgument("lambda_burst * dt > 0.5: step too coarse for Bernoulli thinning")
     n = int(horizon / dt)
-    rng = np.random.default_rng(seed)
-    eta = _eta_path(params, n, dt, rng, params.mu_eta if eta0 is None else eta0)
-    p = params.p_base + eta * (params.p_full - params.p_base)
+    has_noise = params.sigma_xi > 0
+    normals, bursts = _draw_noise(seed, n, has_noise, params.lambda_burst, dt,
+                                  params.lnA_mu, params.lnA_sigma)
+    tau = params.tau_eta
+    mu = params.mu_eta
+    decay = math.exp(-dt / tau)
+    noise_amp = (params.sigma_xi / tau) * math.sqrt(dt)
+    eta_path = []
+    eta = params.mu_eta if eta0 is None else eta0
+    for i in range(n):
+        eta = mu + (eta - mu) * decay
+        if has_noise:
+            eta += noise_amp * normals[i]
+        if i in bursts:
+            eta += bursts[i] / tau
+        if eta < 0.0:
+            eta = 0.0
+        elif eta > 1.0:
+            eta = 1.0
+        eta_path.append(eta)
+    p = params.p_base + np.array(eta_path) * (params.p_full - params.p_base)
     return Trace(sample_period=dt, channels={"p_work": p},
                  meta={"seed": seed, "model": "workload"})
-
-
-def simulate_eta(params: WorkloadParams, n_steps: int, dt: float,
-                 seed: int, eta0: float | None = None) -> np.ndarray:
-    """Raw utilization path over n_steps (same kernel as simulate_workload)."""
-    rng = np.random.default_rng(seed)
-    return _eta_path(params, n_steps, dt, rng, params.mu_eta if eta0 is None else eta0)
 
 
 def poisson_log_likelihood(event_count: int, horizon: float, lam: float) -> float:
@@ -158,12 +162,3 @@ def poisson_log_likelihood(event_count: int, horizon: float, lam: float) -> floa
     n = int(event_count)
     lt = lam * horizon
     return -lt + n * math.log(lt) - math.lgamma(n + 1)
-
-
-def stationary_mean(params: WorkloadParams) -> float:
-    """Clipping-free stationary mean of eta: mu + lambda * E[A]."""
-    return params.mu_eta + params.lambda_burst * params.mean_burst_amplitude()
-
-
-def with_updates(params: WorkloadParams, **kwargs) -> WorkloadParams:
-    return replace(params, **kwargs)

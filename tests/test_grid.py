@@ -129,6 +129,20 @@ class TestSchedule:
         with pytest.raises(InvalidArgument):
             make_schedule([Event(time=9.0, kind="fault")], horizon=5.0)
 
+    def test_trip_of_missing_branch_rejected_before_integration(self, monkeypatch):
+        def integration_started(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr("lelsim.grid.power_flow", integration_started)
+        trip = Event(time=0.5, kind="branch_trip", branch=(5, 9))
+        with pytest.raises(InvalidArgument, match="no branch 5-9"):
+            run_simulation(bundled_case("toy9"), [trip], SimConfig(dt=0.01, horizon=1.0))
+
+    def test_repeated_trip_rejected(self):
+        trips = [Event(time=t, kind="branch_trip", branch=(5, 7)) for t in (0.2, 0.4)]
+        with pytest.raises(InvalidArgument, match="more than once"):
+            run_simulation(bundled_case("toy9"), trips, SimConfig(dt=0.01, horizon=1.0))
+
     def test_fault_events_pair(self):
         fault, clear = fault_events(3, 1.0, 0.1, admittance=-30j)
         assert fault.kind == "fault" and clear.kind == "clear_fault"
@@ -137,8 +151,10 @@ class TestSchedule:
 
 
 class TestNoEventInvariance:
-    def test_deterministic_equilibrium_is_exact(self):
+    @pytest.mark.parametrize("f_base", [60.0, 50.0])
+    def test_deterministic_equilibrium_is_exact(self, f_base):
         case = deterministic_lels(place_lels(bundled_case("toy9"), 2, seed=1))
+        case = replace(case, f_base=f_base)
         cfg = SimConfig(dt=0.005, horizon=1.0, seed=0)
         result = run_simulation(case, [], cfg)
         assert np.max(np.abs(result.gen_omega - 1.0)) < 1e-9

@@ -8,7 +8,6 @@ from lelsim.protection import (
     ProtectionMode,
     ProtectionParams,
     ProtectionState,
-    apply_retention,
     dump_protection_disclosure,
     in_band,
     load_protection_disclosure,
@@ -134,12 +133,16 @@ class TestTripAndRecovery:
 
 
 class TestRetention:
-    def test_scales_both_components(self):
-        assert apply_retention(0.5, 10.0, 4.0) == (5.0, 2.0)
-
-    def test_rejects_kappa_outside_unit_interval(self):
-        with pytest.raises(InvalidArgument):
-            apply_retention(1.5, 1.0, 1.0)
+    def test_scales_both_components(self, toy2_engine):
+        # the grid engine applies kappa to the LEL's whole current draw
+        eng = toy2_engine()
+        v = eng.dyn.V0[eng.lbus]
+        em = eng._em_array()
+        s_full = v * np.conj(eng.lel_injection(v, em))
+        eng.kappa[:] = 0.5
+        s_half = v * np.conj(eng.lel_injection(v, em))
+        assert s_half.real == pytest.approx(0.5 * s_full.real, rel=1e-12)
+        assert s_half.imag == pytest.approx(0.5 * s_full.imag, rel=1e-12)
 
 
 class TestDisclosureForm:

@@ -1,4 +1,8 @@
-"""Unit tests for the induction-motor cooling block and ZIP auxiliaries."""
+"""Unit tests for the induction-motor cooling block and ZIP auxiliaries.
+
+Motor equilibria are checked through the grid engine's motor model, the
+one that integrates the motor in every simulation.
+"""
 
 import numpy as np
 import pytest
@@ -10,11 +14,8 @@ from lelsim.thermal_aux import (
     MotorMode,
     aux_power,
     init_for_torque,
-    motor_derivatives,
     motor_init,
-    motor_power,
     stall_update,
-    stator_currents,
 )
 
 
@@ -31,6 +32,15 @@ def make_aux(**overrides):
                 beta_aux=0.3)
     base.update(overrides)
     return AuxParams(**base)
+
+
+def engine_motor(toy2_engine, params, motor, v=1.0):
+    """(derivatives, p, q) of `motor` under the grid engine's motor model
+    at a real terminal voltage v; p and q are pu on the motor base."""
+    eng = toy2_engine(cool=params, motor=motor)
+    f, i = eng.motor_f(eng._em_array(), np.array([complex(v, 0.0)]))
+    s = v * np.conj(i[0])
+    return f[:, 0], s.real, s.imag
 
 
 class TestCoolingValidation:
@@ -52,17 +62,14 @@ class TestCoolingValidation:
 
 
 class TestMotorEquilibrium:
-    def test_init_zeroes_derivatives(self):
+    def test_init_zeroes_derivatives(self, toy2_engine):
         params = make_cooling()
-        motor = motor_init(0.7, 1.0, params)
-        d = motor_derivatives(motor, 1.0, 0.0, params)
-        assert max(abs(x) for x in d) < 1e-7
+        d, _, _ = engine_motor(toy2_engine, params, motor_init(0.7, 1.0, params))
+        assert np.max(np.abs(d)) < 1e-7
 
-    def test_init_matches_target_power(self):
+    def test_init_matches_target_power(self, toy2_engine):
         params = make_cooling()
-        motor = motor_init(0.6, 1.0, params)
-        i_ds, i_qs = stator_currents(motor.ed_p, motor.eq_p, 1.0, 0.0, params)
-        p, _ = motor_power(1.0, 0.0, i_ds, i_qs)
+        _, p, _ = engine_motor(toy2_engine, params, motor_init(0.6, 1.0, params))
         assert p == pytest.approx(0.6, rel=1e-6)
 
     def test_equilibrium_slip_positive_and_small(self):
@@ -83,11 +90,9 @@ class TestMotorEquilibrium:
         s_lo = init_for_torque(0.6, 0.9, params).slip
         assert s_lo > s_hi
 
-    def test_motor_absorbs_reactive_power(self):
+    def test_motor_absorbs_reactive_power(self, toy2_engine):
         params = make_cooling()
-        motor = motor_init(0.6, 1.0, params)
-        i_ds, i_qs = stator_currents(motor.ed_p, motor.eq_p, 1.0, 0.0, params)
-        _, q = motor_power(1.0, 0.0, i_ds, i_qs)
+        _, _, q = engine_motor(toy2_engine, params, motor_init(0.6, 1.0, params))
         assert q > 0.0
 
 
@@ -108,7 +113,7 @@ class TestStall:
         assert motor.mode is MotorMode.RUNNING
         assert motor.stall_timer == 0.0
 
-    def test_restart_after_cooldown_restores_equilibrium(self):
+    def test_restart_after_cooldown_restores_equilibrium(self, toy2_engine):
         params = make_cooling(T_cool=0.1)
         motor = motor_init(0.6, 1.0, params)
         t_mech = motor.t_mech
@@ -119,8 +124,8 @@ class TestStall:
             motor = stall_update(motor, 1.0, 0.01, params)
         assert motor.mode is MotorMode.RUNNING
         assert motor.t_mech == pytest.approx(t_mech)
-        d = motor_derivatives(motor, 1.0, 0.0, params)
-        assert max(abs(x) for x in d) < 1e-7
+        d, _, _ = engine_motor(toy2_engine, params, motor)
+        assert np.max(np.abs(d)) < 1e-7
 
     def test_no_restart_while_voltage_depressed(self):
         params = make_cooling(T_cool=0.05)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lelsim.errors import InvalidArgument
+from lelsim import workload
 from lelsim.workload import (
     WorkloadParams,
     WorkloadState,
@@ -20,6 +21,17 @@ def make_params(**overrides):
                 sigma_xi=0.05, lambda_burst=0.002, lnA_mu=-3.0, lnA_sigma=0.3)
     base.update(overrides)
     return WorkloadParams(**base)
+
+
+def ou_step_powers(params, n_steps, seed):
+    """Power of n_steps ou_step calls on one fresh generator."""
+    rng = np.random.default_rng(seed)
+    state = WorkloadState(eta=params.mu_eta)
+    powers = []
+    for _ in range(n_steps):
+        state = ou_step(state, params, 1.0, rng)
+        powers.append(workload_power(state.eta, params))
+    return powers
 
 
 class TestValidation:
@@ -128,6 +140,30 @@ class TestSimulateWorkload:
         p = trace.first_channel()
         assert p.min() >= 2.0 - 1e-12
         assert p.max() <= 10.0 + 1e-12
+
+    def test_matches_ou_step_loop_bitwise(self):
+        params = make_params(lambda_burst=0.2)
+        trace = simulate_workload(params, 400.0, 1.0, seed=8)
+        assert np.array_equal(trace.first_channel(), ou_step_powers(params, 400, 8))
+
+
+class TestCommonRandomNumbers:
+    def test_replayed_noise_matches_fresh_draws(self):
+        workload._draw_noise.cache_clear()
+        first, second = make_params(lambda_burst=0.2), make_params(
+            lambda_burst=0.2, mu_eta=0.6, tau_eta=25.0, sigma_xi=0.2)
+        for p in (first, second):
+            trace = simulate_workload(p, 300.0, 1.0, seed=4)
+            assert np.array_equal(trace.first_channel(), ou_step_powers(p, 300, 4))
+        assert workload._draw_noise.cache_info().hits == 1
+
+    def test_streams_differ_by_burst_settings(self):
+        workload._draw_noise.cache_clear()
+        for p in (make_params(), make_params(lambda_burst=0.0),
+                  make_params(sigma_xi=0.0)):
+            trace = simulate_workload(p, 50.0, 1.0, seed=4)
+            assert np.array_equal(trace.first_channel(), ou_step_powers(p, 50, 4))
+        assert workload._draw_noise.cache_info().misses == 3
 
 
 class TestStationaryMean:
