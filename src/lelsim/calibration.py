@@ -85,7 +85,7 @@ class CalibrationResult:
 # subsystem simulators
 # ---------------------------------------------------------------------------
 
-def _voltage_excitation(n: int, dt: float, seed: int) -> np.ndarray:
+def _voltage_excitation(n: int, seed: int) -> np.ndarray:
     """Band-limited seeded voltage ride in [0.85, 1.05] used to excite the
     voltage-dependent subsystems."""
     rng = np.random.default_rng([seed, 0xE0])
@@ -105,7 +105,7 @@ def simulate_subsystem(params, subsystem: str, horizon: float, dt: float,
     if subsystem not in ("cooling", "aux"):
         raise InvalidArgument(f"unknown subsystem {subsystem!r}")
     n = int(horizon / dt)
-    v = _voltage_excitation(n, dt, seed)
+    v = _voltage_excitation(n, seed)
     if subsystem == "aux":
         p = np.array([aux_power(vi, params)[0] for vi in v])
     else:
@@ -144,8 +144,8 @@ def model_pattern(theta: dict, encoder: Encoder, cfg: CalibrationConfig) -> np.n
     acc = None
     for rep in range(cfg.n_repeats):
         trace = _simulate_theta(theta, cfg, rep)
-        windows = segment_windows(trace, cfg.window_length, cfg.stride)
-        s = pattern_vector(encode_windows(encoder, windows)).as_array()
+        X = segment_windows(trace, cfg.window_length, cfg.stride)
+        s = pattern_vector(encode_windows(encoder, X)).as_array()
         acc = s if acc is None else acc + s
     return acc / cfg.n_repeats
 
@@ -203,9 +203,10 @@ def calibrate(theta_init: dict, data_trace: Trace,
     """Bound-constrained simplex search with common random numbers.
 
     The encoder is trained once on the data windows and frozen; s_data is
-    computed once.  Simplex restarts (around the incumbent, with a
-    reseeded spread) continue until the evaluation budget is spent or the
-    search converges.  Budget exhaustion returns best-so-far with a flag.
+    computed once.  One Nelder-Mead pass, from a simplex drawn around
+    theta_init with cfg.optimizer_seed, runs until it converges or the
+    evaluation budget is spent.  Budget exhaustion returns best-so-far
+    with a flag.
     """
     data = data_trace.first_channel()
     if len(data) < 4 * cfg.window_length:
@@ -216,9 +217,9 @@ def calibrate(theta_init: dict, data_trace: Trace,
     encoder = None
     data_pattern = None
     if cfg.mode is ObjectiveMode.PATTERN:
-        windows = segment_windows(data_trace, cfg.window_length, cfg.stride)
-        encoder = train_encoder(windows, cfg.train, seed=cfg.encoder_seed)
-        data_pattern = pattern_vector(encode_windows(encoder, windows)).as_array()
+        X = segment_windows(data_trace, cfg.window_length, cfg.stride)
+        encoder = train_encoder(X, cfg.train, seed=cfg.encoder_seed)
+        data_pattern = pattern_vector(encode_windows(encoder, X)).as_array()
 
     evals = {"n": 0}
     best = {"u": to_unconstrained(theta_init, cfg.bounds), "f": math.inf}
@@ -241,24 +242,15 @@ def calibrate(theta_init: dict, data_trace: Trace,
         return f
 
     rng = np.random.default_rng(cfg.optimizer_seed)
-    u = best["u"].copy()
-    spread = 0.5
-    while evals["n"] < cfg.max_evals:
-        n_free = len(cfg.bounds)
-        simplex = np.vstack([u] + [u + spread * rng.standard_normal(n_free)
-                                   for _ in range(n_free)])
-        res = minimize(objective_u, u, method="Nelder-Mead",
-                       options={"maxfev": cfg.max_evals - evals["n"] + 1,
-                                "initial_simplex": simplex,
-                                "xatol": 1e-8, "fatol": 1e-12})
-        if np.allclose(res.x, u, atol=1e-10) or evals["n"] >= cfg.max_evals:
-            if res.success or evals["n"] >= cfg.max_evals:
-                break
-        # restart around the incumbent with a fresh simplex spread
-        u = best["u"].copy()
-        spread = max(spread * 0.5, 0.05)
-        if res.success:
-            break
+    u = best["u"]
+    n_free = len(cfg.bounds)
+    simplex = np.vstack([u] + [u + 0.5 * rng.standard_normal(n_free)
+                               for _ in range(n_free)])
+    # maxfev stops the search at the first call past the budget, which
+    # objective_u answers with a value that cannot be accepted
+    minimize(objective_u, u, method="Nelder-Mead",
+             options={"maxfev": cfg.max_evals + 1, "initial_simplex": simplex,
+                      "xatol": 1e-8, "fatol": 1e-12})
 
     theta_star = from_unconstrained(best["u"], cfg.bounds)
     if cfg.mode is ObjectiveMode.PATTERN:

@@ -202,10 +202,10 @@ def cmd_sweep_tcl(args) -> int:
     half = len(x) // 2
     lines = ["L,d,split_half_distance"]
     for L in l_values:
-        windows = segment_windows(data, L)
+        X = segment_windows(x, L)
         for d in d_values:
             cfg = TrainConfig(d=d, h=max(2 * d, 32), epochs=args.epochs)
-            enc = train_encoder(windows, cfg, seed=args.seed)
+            enc = train_encoder(X, cfg, seed=args.seed)
             s1 = pattern_vector(encode_windows(
                 enc, segment_windows(x[:half], L))).as_array()
             s2 = pattern_vector(encode_windows(

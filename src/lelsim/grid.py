@@ -712,14 +712,19 @@ class _Engine:
 # time-domain driver
 # ---------------------------------------------------------------------------
 
-def _check_trips(case: GridCase, schedule: list[Event]) -> None:
-    """Reject trips of branches the case lacks, and repeated trips: one
-    trip removes every parallel copy, so a second would subtract the
-    stamp again and leave a negative-admittance line."""
+def _check_events(case: GridCase, schedule: list[Event]) -> None:
+    """Reject events whose bus or branch the case lacks, and repeated
+    trips: one trip removes every parallel copy, so a second would
+    subtract the stamp again and leave a negative-admittance line."""
+    buses = case.bus_index()
     tripped = []
     for ev in schedule:
         if ev.kind != "branch_trip":
+            if ev.bus not in buses:
+                raise InvalidArgument(f"{ev.kind} at t={ev.time}: no bus {ev.bus} in case")
             continue
+        if ev.branch is None:
+            raise InvalidArgument(f"branch_trip at t={ev.time} names no branch")
         ends = set(ev.branch)
         if not _parallel_branches(case, ends):
             raise InvalidArgument(f"no branch {ev.branch[0]}-{ev.branch[1]} in case")
@@ -736,7 +741,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     Newton failure or sustained generator angle separation.
     """
     schedule = make_schedule(events, cfg.horizon)
-    _check_trips(case, schedule)
+    _check_events(case, schedule)
     V0 = power_flow(case)
     dyn = init_dynamics(case, V0)
     eng = _Engine(dyn, cfg)

@@ -1,11 +1,11 @@
 """Contrastive window embeddings and the pattern statistic they induce.
 
-A trace is cut into overlapping windows; two stochastically augmented
-views of each window form a positive pair and a two-layer tanh network
-is trained with an InfoNCE loss over cosine similarities.  The trained
-encoder maps windows to d-dimensional embeddings whose elementwise mean
-and population variance form the 2d-dimensional pattern vector used as
-the calibration target.
+A trace is cut into an (N, L) block of overlapping windows, one window
+per row; two stochastically augmented views of each row form a positive
+pair and a two-layer tanh network is trained with an InfoNCE loss over
+cosine similarities.  The trained encoder maps windows to d-dimensional
+embeddings whose elementwise mean and population variance form the
+2d-dimensional pattern vector used as the calibration target.
 
 The network is small enough that backpropagation is written out by hand
 (no autodiff dependency), which keeps the gradient exactly checkable
@@ -22,15 +22,6 @@ from lelsim.errors import InvalidArgument
 from lelsim.traceio import Trace
 
 
-@dataclass(frozen=True)
-class Window:
-    samples: np.ndarray  # (L,) or (L, C)
-    origin_index: int
-
-    def flat(self) -> np.ndarray:
-        return np.asarray(self.samples, dtype=float).ravel()
-
-
 @dataclass
 class Encoder:
     """Two-layer fully connected network: input -> tanh(h) -> d."""
@@ -40,21 +31,11 @@ class Encoder:
     W2: np.ndarray  # (d, h)
     b2: np.ndarray  # (d,)
     window_length: int
-    n_channels: int = 1
-    activation: str = "tanh"
     loss_history: list = field(default_factory=list)
 
     @property
     def in_dim(self) -> int:
         return self.W1.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W1.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.W2.shape[0]
 
 
 @dataclass(frozen=True)
@@ -94,44 +75,40 @@ def default_stride(L: int) -> int:
     return max(1, L // 2)
 
 
-def segment_windows(trace: Trace | np.ndarray, L: int, stride: int | None = None
-                    ) -> list[Window]:
-    """Overlapping windows at origins 0, stride, 2*stride, ..."""
-    if isinstance(trace, Trace):
-        data = np.column_stack([trace.channels[c] for c in trace.channels])
-        if data.shape[1] == 1:
-            data = data[:, 0]
-    else:
-        data = np.asarray(trace, dtype=float)
+def segment_windows(series: Trace | np.ndarray, L: int, stride: int | None = None
+                    ) -> np.ndarray:
+    """(N, L) block whose row i is the window at origin i * stride.
+
+    A Trace is cut along its first channel.  The block is a fresh
+    C-contiguous array; it shares no memory with the series.
+    """
+    x = np.asarray(series.first_channel() if isinstance(series, Trace) else series,
+                   dtype=float)
+    if x.ndim != 1:
+        raise InvalidArgument(f"series must be 1-D, got {x.ndim} dimensions")
     if L < 2:
         raise InvalidArgument("L must be >= 2")
     if stride is None:
         stride = default_stride(L)
     if not (1 <= stride <= L):
         raise InvalidArgument("stride must lie in [1, L]")
-    n = data.shape[0]
+    n = x.shape[0]
     if n < L:
         raise InvalidArgument(f"trace length {n} shorter than window length {L}")
-    return [Window(samples=data[o:o + L].copy(), origin_index=o)
-            for o in range(0, n - L + 1, stride)]
+    origins = np.arange(0, n - L + 1, stride)
+    return x[origins[:, None] + np.arange(L)]
 
 
-def augment(window: Window, scale_range: tuple[float, float], noise_frac: float,
-            rng: np.random.Generator) -> tuple[Window, Window]:
-    """Two independent views: random amplitude scaling plus additive noise."""
-    lo, hi = scale_range
-    if not (0 < lo <= hi):
-        raise InvalidArgument("scale_range must satisfy 0 < lo <= hi")
-    if noise_frac < 0:
-        raise InvalidArgument("noise_frac must be >= 0")
-    x = np.asarray(window.samples, dtype=float)
-    sd = float(np.std(x))
+def augment(X: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
+    """Two independent views of each row: random amplitude scaling in
+    cfg.scale_range plus noise of cfg.noise_frac times the row's std."""
+    lo, hi = cfg.scale_range
+    sd = X.std(axis=1, keepdims=True)
     views = []
     for _ in range(2):
-        s = rng.uniform(lo, hi)
-        eps = rng.normal(0.0, noise_frac * sd, size=x.shape) if noise_frac > 0 and sd > 0 \
-            else np.zeros_like(x)
-        views.append(Window(samples=s * x + eps, origin_index=window.origin_index))
+        s = rng.uniform(lo, hi, size=(X.shape[0], 1))
+        eps = rng.standard_normal(X.shape) * (cfg.noise_frac * sd)
+        views.append(s * X + eps)
     return views[0], views[1]
 
 
@@ -141,22 +118,11 @@ def _forward(encoder: Encoder, X: np.ndarray):
     return H, Z
 
 
-def encode(encoder: Encoder, window: Window) -> np.ndarray:
-    """Embedding of one window; deterministic."""
-    x = window.flat()
-    if x.shape[0] != encoder.in_dim:
+def encode_windows(encoder: Encoder, X: np.ndarray) -> np.ndarray:
+    """(N, d) embeddings of an (N, L) window block; deterministic."""
+    if X.ndim != 2 or X.shape[1] != encoder.in_dim:
         raise InvalidArgument(
-            f"window size {x.shape[0]} does not match encoder input {encoder.in_dim}")
-    _, z = _forward(encoder, x[None, :])
-    return z[0]
-
-
-def encode_windows(encoder: Encoder, windows: list[Window]) -> np.ndarray:
-    """(N, d) embeddings of a window list."""
-    X = np.stack([w.flat() for w in windows])
-    if X.shape[1] != encoder.in_dim:
-        raise InvalidArgument(
-            f"window size {X.shape[1]} does not match encoder input {encoder.in_dim}")
+            f"window block of shape {X.shape} does not match encoder input {encoder.in_dim}")
     _, Z = _forward(encoder, X)
     return Z
 
@@ -166,13 +132,6 @@ def _normalize_rows(Z: np.ndarray):
     if np.any(norms == 0):
         raise InvalidArgument("zero-norm embedding in contrastive loss")
     return Z / norms[:, None], norms
-
-
-def contrastive_loss(z1: np.ndarray, z2: np.ndarray, temperature: float) -> float:
-    """InfoNCE over cosine similarities; >= 0, and 0 for N = 1."""
-    loss, _, _ = _loss_and_embedding_grads(np.asarray(z1, float), np.asarray(z2, float),
-                                           temperature)
-    return loss
 
 
 def _loss_and_embedding_grads(z1: np.ndarray, z2: np.ndarray, temperature: float):
@@ -203,7 +162,7 @@ def loss_and_gradients(encoder: Encoder, X1: np.ndarray, X2: np.ndarray,
                        temperature: float):
     """Contrastive loss on two view batches and exact weight gradients.
 
-    X1, X2 are (N, in_dim) flattened views; the encoder is shared between
+    X1, X2 are (N, in_dim) view blocks; the encoder is shared between
     views, so gradients from both branches add.
     """
     H1, Z1 = _forward(encoder, X1)
@@ -222,29 +181,27 @@ def loss_and_gradients(encoder: Encoder, X1: np.ndarray, X2: np.ndarray,
 
 
 def init_encoder(in_dim: int, h: int, d: int, rng: np.random.Generator,
-                 window_length: int, n_channels: int = 1) -> Encoder:
+                 window_length: int) -> Encoder:
     """Glorot-scaled random initialization."""
     W1 = rng.normal(0.0, np.sqrt(2.0 / (in_dim + h)), size=(h, in_dim))
     W2 = rng.normal(0.0, np.sqrt(2.0 / (h + d)), size=(d, h))
     return Encoder(W1=W1, b1=np.zeros(h), W2=W2, b2=np.zeros(d),
-                   window_length=window_length, n_channels=n_channels)
+                   window_length=window_length)
 
 
-def train_encoder(windows: list[Window], cfg: TrainConfig, seed: int) -> Encoder:
-    """SGD on the contrastive loss; deterministic for a fixed seed.
+def train_encoder(X: np.ndarray, cfg: TrainConfig, seed: int) -> Encoder:
+    """SGD on the contrastive loss over the rows of an (N, L) window
+    block; deterministic for a fixed seed.
 
     Returns the encoder after cfg.epochs epochs.  The per-epoch mean loss
     history is attached as encoder.loss_history.
     """
-    if len(windows) < 2:
-        raise InvalidArgument("need at least 2 windows (no negatives otherwise)")
+    if X.ndim != 2 or X.shape[0] < 2:
+        raise InvalidArgument("need an (N, L) window block with N >= 2 "
+                              "(no negatives otherwise)")
     rng = np.random.default_rng(seed)
-    flat = np.stack([w.flat() for w in windows])
-    n, in_dim = flat.shape
-    L = np.asarray(windows[0].samples).shape[0]
-    n_channels = in_dim // L
-    encoder = init_encoder(in_dim, cfg.h, cfg.d, rng, window_length=L,
-                           n_channels=n_channels)
+    n, L = X.shape
+    encoder = init_encoder(L, cfg.h, cfg.d, rng, window_length=L)
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -254,7 +211,7 @@ def train_encoder(windows: list[Window], cfg: TrainConfig, seed: int) -> Encoder
             idx = order[start:start + cfg.batch]
             if len(idx) < 2:
                 continue
-            X1, X2 = _augment_batch(flat[idx], cfg, rng)
+            X1, X2 = augment(X[idx], cfg, rng)
             loss, grads = loss_and_gradients(encoder, X1, X2, cfg.temperature)
             scale = cfg.step_size / len(idx)
             encoder.W1 -= scale * grads["W1"]
@@ -268,17 +225,6 @@ def train_encoder(windows: list[Window], cfg: TrainConfig, seed: int) -> Encoder
     return encoder
 
 
-def _augment_batch(X: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
-    lo, hi = cfg.scale_range
-    sd = X.std(axis=1, keepdims=True)
-    views = []
-    for _ in range(2):
-        s = rng.uniform(lo, hi, size=(X.shape[0], 1))
-        eps = rng.standard_normal(X.shape) * (cfg.noise_frac * sd)
-        views.append(s * X + eps)
-    return views[0], views[1]
-
-
 def pattern_vector(embeddings: np.ndarray) -> PatternVector:
     """Elementwise mean and population variance (1/N) of the embeddings."""
     Z = np.asarray(embeddings, dtype=float)
@@ -289,24 +235,13 @@ def pattern_vector(embeddings: np.ndarray) -> PatternVector:
     return PatternVector(mean_block=mean, var_block=var)
 
 
-def trace_pattern(encoder: Encoder, trace, L: int, stride: int | None = None
-                  ) -> PatternVector:
-    """Windows -> embeddings -> pattern vector, in one call."""
-    windows = segment_windows(trace, L, stride)
-    return pattern_vector(encode_windows(encoder, windows))
-
-
 def save_encoder(encoder: Encoder, path) -> None:
-    """Flat npz record with a shape/activation header."""
+    """Flat npz record of the weights; header[0] is the window length."""
     np.savez(path, W1=encoder.W1, b1=encoder.b1, W2=encoder.W2, b2=encoder.b2,
-             header=np.array([encoder.window_length, encoder.n_channels,
-                              encoder.hidden_dim, encoder.out_dim]),
-             activation=np.array(encoder.activation))
+             header=np.array([encoder.window_length]))
 
 
 def load_encoder(path) -> Encoder:
     with np.load(path, allow_pickle=False) as data:
-        header = data["header"]
         return Encoder(W1=data["W1"], b1=data["b1"], W2=data["W2"], b2=data["b2"],
-                       window_length=int(header[0]), n_channels=int(header[1]),
-                       activation=str(data["activation"]))
+                       window_length=int(data["header"][0]))

@@ -84,9 +84,9 @@ def read_trace(path_or_file, expected_channels=None) -> Trace:
             data[i - 2] = [float(x) for x in row]
         except ValueError as exc:
             raise ValidationError(f"row {i}: {exc}") from exc
-    if np.isnan(data).any():
-        bad = int(np.argwhere(np.isnan(data))[0, 0]) + 2
-        raise ValidationError(f"row {bad}: NaN value")
+    if not np.isfinite(data).all():
+        bad = int(np.argwhere(~np.isfinite(data))[0, 0]) + 2
+        raise ValidationError(f"row {bad}: non-finite value")
     t = data[:, 0]
     if len(t) < 2:
         dt = 1.0

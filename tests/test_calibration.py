@@ -20,6 +20,7 @@ from lelsim.calibration import (
 from lelsim.errors import InvalidArgument
 from lelsim.lel import Archetype, archetype_defaults
 from lelsim.tcl import TrainConfig, encode_windows, pattern_vector, segment_windows, train_encoder
+from lelsim.traceio import Trace
 from lelsim.workload import WorkloadParams, simulate_workload
 
 TRUE = WorkloadParams(p_base=2.0, p_full=10.0, tau_eta=300.0, mu_eta=0.55,
@@ -174,6 +175,15 @@ class TestCalibrate:
         assert a.theta_star == b.theta_star
         assert a.objective_trace == b.objective_trace
         assert dump_calibration_result(a) == dump_calibration_result(b)
+
+    def test_multichannel_data_calibrates_on_first_channel(self):
+        cfg = make_cfg(max_evals=8)
+        data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
+        p = data.first_channel()
+        two = Trace(sample_period=data.sample_period, channels={"p": p, "q": 0.3 * p})
+        init = {"mu_eta": 0.4, "sigma_xi": 0.4}
+        assert dump_calibration_result(calibrate(init, two, cfg)) == \
+            dump_calibration_result(calibrate(init, data, cfg))
 
     def test_out_of_bounds_init_rejected(self):
         cfg = make_cfg()

@@ -138,6 +138,22 @@ class TestSchedule:
         with pytest.raises(InvalidArgument, match="no branch 5-9"):
             run_simulation(bundled_case("toy9"), [trip], SimConfig(dt=0.01, horizon=1.0))
 
+    @pytest.mark.parametrize("event", [
+        Event(time=0.1, kind="fault"),
+        Event(time=0.2, kind="clear_fault"),
+        Event(time=0.1, kind="fault", bus=42),
+        Event(time=0.2, kind="clear_fault", bus=42),
+        Event(time=0.5, kind="branch_trip"),
+    ], ids=["fault_no_bus", "clear_no_bus", "fault_unknown_bus", "clear_unknown_bus",
+            "trip_no_branch"])
+    def test_event_without_target_rejected_before_integration(self, event, monkeypatch):
+        def integration_started(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr("lelsim.grid.power_flow", integration_started)
+        with pytest.raises(InvalidArgument, match="no bus 42|no bus None|names no branch"):
+            run_simulation(bundled_case("toy9"), [event], SimConfig(dt=0.01, horizon=1.0))
+
     def test_repeated_trip_rejected(self):
         trips = [Event(time=t, kind="branch_trip", branch=(5, 7)) for t in (0.2, 0.4)]
         with pytest.raises(InvalidArgument, match="more than once"):

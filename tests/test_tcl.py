@@ -3,15 +3,14 @@ pattern vectors."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lelsim.errors import InvalidArgument
 from lelsim.tcl import (
     TrainConfig,
-    Window,
     augment,
-    contrastive_loss,
     default_stride,
-    encode,
     encode_windows,
     init_encoder,
     load_encoder,
@@ -19,7 +18,6 @@ from lelsim.tcl import (
     pattern_vector,
     save_encoder,
     segment_windows,
-    trace_pattern,
     train_encoder,
 )
 from lelsim.traceio import Trace
@@ -28,22 +26,24 @@ from lelsim.traceio import Trace
 class TestSegmentation:
     def test_origins_and_shapes(self):
         x = np.arange(20.0)
-        windows = segment_windows(x, 6, stride=3)
-        assert [w.origin_index for w in windows] == [0, 3, 6, 9, 12]
-        assert all(w.samples.shape == (6,) for w in windows)
-        assert np.array_equal(windows[1].samples, x[3:9])
+        X = segment_windows(x, 6, stride=3)
+        assert X.shape == (5, 6)
+        for i, o in enumerate([0, 3, 6, 9, 12]):
+            assert np.array_equal(X[i], x[o:o + 6])
 
     def test_default_stride_is_half_window(self):
         assert default_stride(5) == 2
         assert default_stride(2) == 1
-        windows = segment_windows(np.arange(10.0), 4)
-        assert [w.origin_index for w in windows] == [0, 2, 4, 6]
+        X = segment_windows(np.arange(10.0), 4)
+        assert np.array_equal(X[:, 0], [0.0, 2.0, 4.0, 6.0])
 
     def test_windows_are_copies(self):
         x = np.arange(10.0)
-        windows = segment_windows(x, 4, stride=2)
+        X = segment_windows(x, 4, stride=2)
         x[0] = 99.0
-        assert windows[0].samples[0] == 0.0
+        assert X[0, 0] == 0.0
+        X[1, 0] = -1.0
+        assert x[2] == 2.0
 
     def test_rejects_short_trace(self):
         with pytest.raises(InvalidArgument):
@@ -53,33 +53,54 @@ class TestSegmentation:
         with pytest.raises(InvalidArgument):
             segment_windows(np.arange(10.0), 4, stride=5)
 
+    def test_rejects_multidimensional_series(self):
+        with pytest.raises(InvalidArgument, match="1-D"):
+            segment_windows(np.zeros((12, 2)), 4)
+
     def test_accepts_trace_object(self):
-        trace = Trace(sample_period=1.0, channels={"p": np.arange(12.0)})
-        windows = segment_windows(trace, 4)
-        assert len(windows) == 5
+        trace = Trace(sample_period=1.0, channels={"p": np.arange(12.0),
+                                                   "q": -np.arange(12.0)})
+        X = segment_windows(trace, 4)
+        assert np.array_equal(X, segment_windows(np.arange(12.0), 4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_block_matches_slices(self, data):
+        L = data.draw(st.integers(2, 12), label="L")
+        n = data.draw(st.integers(L, 60), label="n")
+        stride = data.draw(st.integers(1, L), label="stride")
+        x = np.random.default_rng(n * 100 + L).standard_normal(n)
+        X = segment_windows(x, L, stride)
+        assert X.shape == ((n - L) // stride + 1, L)
+        assert X.flags.c_contiguous
+        assert not np.shares_memory(X, x)
+        for i in range(X.shape[0]):
+            assert np.array_equal(X[i], x[i * stride:i * stride + L])
 
 
 class TestEncoder:
     def test_encode_deterministic(self):
         rng = np.random.default_rng(0)
         enc = init_encoder(5, 8, 4, rng, window_length=5)
-        w = Window(samples=np.arange(5.0), origin_index=0)
-        assert np.array_equal(encode(enc, w), encode(enc, w))
+        X = np.arange(5.0)[None, :]
+        assert np.array_equal(encode_windows(enc, X), encode_windows(enc, X))
 
     def test_encode_windows_matches_single(self):
         rng = np.random.default_rng(1)
         enc = init_encoder(5, 8, 4, rng, window_length=5)
-        windows = segment_windows(np.sin(np.arange(30.0)), 5, stride=2)
-        Z = encode_windows(enc, windows)
-        assert Z.shape == (len(windows), 4)
-        for i, w in enumerate(windows):
-            assert np.allclose(Z[i], encode(enc, w))
+        X = segment_windows(np.sin(np.arange(30.0)), 5, stride=2)
+        Z = encode_windows(enc, X)
+        assert Z.shape == (X.shape[0], 4)
+        for i in range(X.shape[0]):
+            assert np.allclose(Z[i], encode_windows(enc, X[i:i + 1])[0])
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(2)
         enc = init_encoder(5, 8, 4, rng, window_length=5)
         with pytest.raises(InvalidArgument):
-            encode(enc, Window(samples=np.arange(7.0), origin_index=0))
+            encode_windows(enc, np.arange(7.0)[None, :])
+        with pytest.raises(InvalidArgument):
+            encode_windows(enc, np.arange(5.0))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -106,24 +127,21 @@ class TestEncoder:
         path = tmp_path / "enc.npz"
         save_encoder(enc, path)
         loaded = load_encoder(path)
-        w = Window(samples=np.arange(5.0), origin_index=0)
-        assert np.array_equal(encode(enc, w), encode(loaded, w))
+        assert loaded.window_length == 5
+        X = np.arange(10.0).reshape(2, 5)
+        assert np.array_equal(encode_windows(enc, X), encode_windows(loaded, X))
 
 
 class TestTraining:
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(5)
         x = np.sin(0.3 * np.arange(300)) + 0.1 * rng.standard_normal(300)
-        windows = segment_windows(x, 5)
+        X = segment_windows(x, 5)
         cfg = TrainConfig(d=8, h=16, epochs=30, batch=16)
-        enc = train_encoder(windows, cfg, seed=0)
+        enc = train_encoder(X, cfg, seed=0)
         # compare contrastive loss of trained vs untrained weights on a
         # fixed augmented batch
-        views = [augment(w, cfg.scale_range, cfg.noise_frac,
-                         np.random.default_rng(100 + i))
-                 for i, w in enumerate(windows[:16])]
-        X1 = np.stack([v[0].flat() for v in views])
-        X2 = np.stack([v[1].flat() for v in views])
+        X1, X2 = augment(X[:16], cfg, np.random.default_rng(100))
         raw = init_encoder(5, 16, 8, np.random.default_rng(0), window_length=5)
         loss_raw, _ = loss_and_gradients(raw, X1, X2, cfg.temperature)
         loss_trained, _ = loss_and_gradients(enc, X1, X2, cfg.temperature)
@@ -131,10 +149,10 @@ class TestTraining:
 
     def test_training_deterministic_given_seed(self):
         x = np.sin(0.3 * np.arange(100))
-        windows = segment_windows(x, 5)
+        X = segment_windows(x, 5)
         cfg = TrainConfig(d=4, h=8, epochs=5, batch=8)
-        a = train_encoder(windows, cfg, seed=3)
-        b = train_encoder(windows, cfg, seed=3)
+        a = train_encoder(X, cfg, seed=3)
+        b = train_encoder(X, cfg, seed=3)
         assert np.array_equal(a.W1, b.W1)
         assert np.array_equal(a.W2, b.W2)
 
@@ -159,24 +177,12 @@ class TestPatternVector:
         with pytest.raises(InvalidArgument):
             pattern_vector(np.empty((0, 3)))
 
-    def test_trace_pattern_self_consistent(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(60)
-        enc = init_encoder(5, 8, 4, np.random.default_rng(0), window_length=5)
-        pv = trace_pattern(enc, x, 5)
-        manual = pattern_vector(encode_windows(enc, segment_windows(x, 5)))
-        assert np.allclose(pv.as_array(), manual.as_array())
-
 
 class TestAugment:
-    def test_views_preserve_origin(self):
-        w = Window(samples=np.arange(5.0), origin_index=7)
-        v1, v2 = augment(w, (0.8, 1.2), 0.05, np.random.default_rng(0))
-        assert v1.origin_index == 7 and v2.origin_index == 7
-
     def test_zero_noise_pure_scaling(self):
-        w = Window(samples=np.arange(1.0, 6.0), origin_index=0)
-        v1, _ = augment(w, (0.5, 2.0), 0.0, np.random.default_rng(1))
-        ratio = v1.samples / w.samples
-        assert np.allclose(ratio, ratio[0])
-        assert 0.5 <= ratio[0] <= 2.0
+        X = np.arange(1.0, 11.0).reshape(2, 5)
+        cfg = TrainConfig(scale_range=(0.5, 2.0), noise_frac=0.0)
+        for view in augment(X, cfg, np.random.default_rng(1)):
+            ratio = view / X
+            assert np.allclose(ratio, ratio[:, :1])
+            assert np.all((0.5 <= ratio) & (ratio <= 2.0))
