@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from lelsim.errors import InvalidArgument
-from lelsim.thermal_aux import AuxParams, CoolingParams, _power_at_slip, aux_power, init_for_torque
+from lelsim.thermal_aux import _equilibrium, aux_power
 from lelsim.tcl import (
     Encoder,
     TrainConfig,
@@ -104,16 +104,14 @@ def simulate_subsystem(params, subsystem: str, horizon: float, dt: float,
         return simulate_workload(params, horizon, dt, seed)
     if subsystem not in ("cooling", "aux"):
         raise InvalidArgument(f"unknown subsystem {subsystem!r}")
-    n = int(horizon / dt)
-    v = _voltage_excitation(n, seed)
+    v = _voltage_excitation(int(horizon / dt), seed)
     if subsystem == "aux":
-        p = np.array([aux_power(vi, params)[0] for vi in v])
+        p = aux_power(v, params)[0]
     else:
-        # quasi-steady motor electrical power along the voltage ride
-        p = np.empty(n)
-        for i, vi in enumerate(v):
-            st = init_for_torque(params.load_factor, vi, params)
-            p[i] = _power_at_slip(st.slip, complex(vi, 0.0), params) * params.mva_base
+        # quasi-steady motor power along the voltage ride, at the
+        # equilibrium that carries the load torque at every sample
+        _, _, i = _equilibrium(params.load_factor, v, params, power=False)
+        p = v * i.real * params.mva_base
     return Trace(sample_period=dt, channels={"p": p},
                  meta={"seed": seed, "model": subsystem})
 

@@ -26,9 +26,12 @@ split of the bus demand.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from lelsim.errors import ValidationError
 from lelsim.lel import Archetype, LelParams, archetype_defaults
@@ -134,26 +137,28 @@ def validate_case(case: GridCase) -> None:
             raise ValidationError(f"LEL bus {p.bus} must be PQ")
         if abs(sum(p.shares) - 1.0) > 1e-9 or min(p.shares) < 0:
             raise ValidationError(f"LEL bus {p.bus}: shares must be >= 0 and sum to 1")
-    # connectivity
-    if case.branches or len(case.buses) > 1:
-        idx = {bid: k for k, bid in enumerate(ids)}
-        n = len(ids)
-        seen = np.zeros(n, dtype=bool)
-        adj = [[] for _ in range(n)]
-        for br in case.branches:
-            adj[idx[br.from_bus]].append(idx[br.to_bus])
-            adj[idx[br.to_bus]].append(idx[br.from_bus])
-        stack = [0]
-        seen[0] = True
-        while stack:
-            k = stack.pop()
-            for j in adj[k]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        if not seen.all():
-            missing = [ids[k] for k in np.flatnonzero(~seen)]
-            raise ValidationError(f"disconnected bus(es): {missing}")
+    labels = bus_islands(case, case.branches)
+    if labels.max() > 0:
+        missing = [ids[k] for k in np.flatnonzero(labels != labels[0])]
+        raise ValidationError(f"disconnected bus(es): {missing}")
+
+
+def bus_islands(case: GridCase, branches) -> np.ndarray:
+    """Island label (0, 1, ...) of every bus, in case order, over the
+    given branches."""
+    idx = case.bus_index()
+    ends = np.array([(idx[br.from_bus], idx[br.to_bus]) for br in branches],
+                    dtype=int).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                       shape=(case.n_bus, case.n_bus))
+    return connected_components(graph, directed=False)[1]
+
+
+def _non_finite(tok: str) -> bool:
+    try:
+        return not math.isfinite(float(tok))
+    except ValueError:
+        return False
 
 
 def load_case(path_or_text, name: str = "") -> GridCase:
@@ -179,7 +184,12 @@ def load_case(path_or_text, name: str = "") -> GridCase:
             continue
         if current is None:
             raise ValidationError(f"line {lineno}: data before any section header")
-        sections[current].append([tok.strip() for tok in line.split(",")])
+        row = [tok.strip() for tok in line.split(",")]
+        bad = [tok for tok in row if _non_finite(tok)]
+        if bad:
+            raise ValidationError(
+                f"line {lineno}: [{current}] row {row} has non-finite {bad[0]!r}")
+        sections[current].append(row)
 
     for required in ("BUS", "GEN"):
         if required not in sections or not sections[required]:

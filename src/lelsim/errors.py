@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-value
+check on parameter dataclasses that raises them."""
+
+import math
+from dataclasses import fields
 
 
 class InvalidArgument(ValueError):
@@ -7,6 +11,14 @@ class InvalidArgument(ValueError):
 
 class ValidationError(ValueError):
     """A parsed document or parameter set violates its invariants."""
+
+
+def require_finite(params, error=InvalidArgument) -> None:
+    """Raise `error` naming the first field of the parameter dataclass
+    that is NaN or infinite."""
+    for f in fields(params):
+        if not math.isfinite(getattr(params, f.name)):
+            raise error(f"{f.name} must be finite")
 
 
 class NoEquilibrium(RuntimeError):

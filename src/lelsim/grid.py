@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from lelsim.cases import GridCase, LelPlacement
+from lelsim.cases import GridCase, LelPlacement, bus_islands
 from lelsim.errors import (
     InvalidArgument,
     NoEquilibrium,
@@ -28,7 +28,8 @@ from lelsim.errors import (
 )
 from lelsim.lel import Archetype, LelParams, archetype_defaults
 from lelsim.protection import ProtectionMode, ProtectionState, protection_step
-from lelsim.thermal_aux import OMEGA_SYNC, MotorMode, MotorState, motor_init, stall_update
+from lelsim.thermal_aux import (OMEGA_SYNC, MotorMode, MotorState, aux_power,
+                                motor_init, stall_update)
 from lelsim.workload import WorkloadState, ou_step, workload_power
 
 FAULT_ADMITTANCE = -1e4j  # near-bolted three-phase fault shunt, pu
@@ -71,6 +72,12 @@ def fault_events(bus: int, t_fault: float, duration: float = 0.1,
                   admittance=admittance)]
 
 
+def _off_grid(t: float, dt: float) -> bool:
+    """Whether t misses the step grid k*dt by more than the dt*1e-6 the
+    step loop allows when it applies an event."""
+    return abs(t - round(t / dt) * dt) > dt * 1e-6
+
+
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 1e-3
@@ -80,6 +87,9 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= self.dt:
             raise InvalidArgument("need horizon > dt > 0")
+        if _off_grid(self.horizon, self.dt):
+            raise InvalidArgument(
+                f"horizon {self.horizon} is not a whole number of steps dt={self.dt}")
 
 
 @dataclass
@@ -258,14 +268,6 @@ class DynamicSystem:
     lels: list[_LelRuntime]
     omega_base: float
 
-    @property
-    def n_bus(self):
-        return len(self.V0)
-
-    @property
-    def n_gen(self):
-        return len(self.E)
-
 
 def _scaled_lel_params(placement: LelPlacement, p_mw: float, q_mvar: float,
                        v_mag: float) -> tuple[LelParams, float]:
@@ -284,10 +286,8 @@ def _scaled_lel_params(placement: LelPlacement, p_mw: float, q_mvar: float,
     scale = sw * p_mw / p0 if p0 > 0 else 0.0
     work = replace(w, p_base=w.p_base * scale, p_full=w.p_full * scale)
     # auxiliary block scaled at the operating voltage
-    a = base.aux
-    r = v_mag / a.V0
-    zipf = a.alpha_Z * r * r + a.alpha_I * r + a.alpha_P
-    aux = replace(a, p_aux0=sa * p_mw / zipf)
+    zipf = aux_power(v_mag, replace(base.aux, p_aux0=1.0))[0]
+    aux = replace(base.aux, p_aux0=sa * p_mw / zipf)
     # cooling block: motor MVA base sized so load_factor pu equals the share
     c = base.cool
     p_cool = sc * p_mw
@@ -310,49 +310,29 @@ def init_dynamics(case: GridCase, V: np.ndarray) -> DynamicSystem:
     lel_bus_pos = {idx[p.bus] for p in case.lels}
     near = nearest_generator(case)
 
-    # machines
+    # classical machines: Pe equals the injected power (lossless Xd')
     gbus = np.array([idx[g.bus] for g in case.generators])
-    S_bus = V * np.conj(Y @ V)  # net injection at solution
-    E = np.empty(len(case.generators))
-    delta0 = np.empty(len(case.generators))
-    Pm = np.empty(len(case.generators))
-    yg = np.empty(len(case.generators), dtype=complex)
-    for k, g in enumerate(case.generators):
-        b = gbus[k]
-        bus = case.buses[b]
-        S_load = complex(bus.p_load, bus.q_load) / s_base
-        S_gen = S_bus[b] + S_load
-        Ig = np.conj(S_gen / V[b])
-        Ephasor = V[b] + 1j * g.xd_p * Ig
-        E[k] = abs(Ephasor)
-        delta0[k] = np.angle(Ephasor)
-        yg[k] = 1.0 / (1j * g.xd_p)
-        # classical machine: Pe equals the injected power (lossless Xd')
-        Pm[k] = (Ephasor * np.conj(Ig)).real
+    xd = np.array([g.xd_p for g in case.generators])
+    S_load = np.array([complex(b.p_load, b.q_load) for b in case.buses]) / s_base
+    Ig = np.conj((V * np.conj(Y @ V) + S_load)[gbus] / V[gbus])
+    Ephasor = V[gbus] + 1j * xd * Ig
+    E, delta0 = np.abs(Ephasor), np.angle(Ephasor)
+    Pm = (Ephasor * np.conj(Ig)).real
+    yg = 1.0 / (1j * xd)
 
+    # non-LEL loads become constant admittances; fold generator Nortons
     Y_dyn = Y.copy()
-    # constant-admittance conversion of non-LEL loads
-    for b_i, bus in enumerate(case.buses):
-        if b_i in lel_bus_pos:
-            continue
-        if bus.p_load or bus.q_load:
-            S = complex(bus.p_load, bus.q_load) / s_base
-            Y_dyn[b_i, b_i] += np.conj(S) / abs(V[b_i]) ** 2
-    # fold generator Norton admittances
-    for k in range(len(case.generators)):
-        Y_dyn[gbus[k], gbus[k]] += yg[k]
+    other = np.array([b not in lel_bus_pos for b in range(n)])
+    Y_dyn[other, other] += np.conj(S_load[other]) / np.abs(V[other]) ** 2
+    Y_dyn[gbus, gbus] += yg
 
     # LEL subsystems at their bus demand
     lels: list[_LelRuntime] = []
     for p in case.lels:
         b = idx[p.bus]
         bus = case.buses[b]
-        vmag = abs(V[b])
-        params, q_case = _scaled_lel_params(p, bus.p_load, bus.q_load, vmag)
-        motor = motor_init(params.cool.load_factor, vmag, params.cool)
-        # rotate the equilibrium EMF from the local frame to the bus angle
-        e_rot = complex(motor.ed_p, motor.eq_p) * V[b] / vmag
-        motor = replace(motor, ed_p=e_rot.real, eq_p=e_rot.imag)
+        params, q_case = _scaled_lel_params(p, bus.p_load, bus.q_load, abs(V[b]))
+        motor = motor_init(params.cool.load_factor, V[b], params.cool)
         lels.append(_LelRuntime(bus=b, bus_id=p.bus, params=params,
                                 work=WorkloadState(eta=params.work.mu_eta),
                                 motor=motor, prot=ProtectionState(),
@@ -381,8 +361,8 @@ class _Engine:
     def __init__(self, dyn: DynamicSystem, cfg: SimConfig):
         self.dyn = dyn
         self.cfg = cfg
-        self.n = dyn.n_bus
-        self.ng = dyn.n_gen
+        self.n = len(dyn.V0)
+        self.ng = len(dyn.E)
         self.K = len(dyn.lels)
         self.wb = dyn.omega_base
         self.s_base = dyn.case.s_base
@@ -509,17 +489,10 @@ class _Engine:
         return R
 
     def set_network(self, Y):
-        """Install a new network admittance matrix; the G/B blocks and the
-        LU factorization derived from the old one are dropped."""
+        """Install a new network admittance matrix; the LU factorization
+        derived from the old one is dropped."""
         self.Y = Y
-        self._yblk = None
         self._lu = None
-
-    def _yblk_mat(self):
-        if self._yblk is None:
-            G, B = self.Y.real, self.Y.imag
-            self._yblk = (G, B)
-        return self._yblk
 
     def jacobian(self, z, dt):
         ng, K, n = self.ng, self.K, self.n
@@ -551,7 +524,7 @@ class _Engine:
 
         # network rows: linear admittance part (added, the motor block
         # already wrote its couplings into these rows)
-        G, B = self._yblk_mat()
+        G, B = self.Y.real, self.Y.imag
         J[ovr:ovr + n, ovr:ovr + n] += G
         J[ovr:ovr + n, ovi:ovi + n] += -B
         J[ovi:ovi + n, ovr:ovr + n] += B
@@ -674,7 +647,7 @@ class _Engine:
             if rmax < tol:
                 return V, True
             Jn = np.zeros((2 * n, 2 * n))
-            G, B = self._yblk_mat()
+            G, B = self.Y.real, self.Y.imag
             Jn[:n, :n] = G
             Jn[:n, n:] = -B
             Jn[n:, :n] = B
@@ -712,13 +685,16 @@ class _Engine:
 # time-domain driver
 # ---------------------------------------------------------------------------
 
-def _check_events(case: GridCase, schedule: list[Event]) -> None:
-    """Reject events whose bus or branch the case lacks, and repeated
-    trips: one trip removes every parallel copy, so a second would
-    subtract the stamp again and leave a negative-admittance line."""
+def _check_events(case: GridCase, schedule: list[Event], dt: float) -> None:
+    """Reject events off the step grid, events whose bus or branch the
+    case lacks, and repeated trips: one trip removes every parallel copy,
+    so a second would subtract the stamp again and leave a
+    negative-admittance line."""
     buses = case.bus_index()
     tripped = []
     for ev in schedule:
+        if _off_grid(ev.time, dt):
+            raise InvalidArgument(f"{ev.kind} at t={ev.time} is off the step grid dt={dt}")
         if ev.kind != "branch_trip":
             if ev.bus not in buses:
                 raise InvalidArgument(f"{ev.kind} at t={ev.time}: no bus {ev.bus} in case")
@@ -738,10 +714,11 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     """Integrate the full system and return trajectories plus an event log.
 
     Raises SimulationCollapse (with the truncated result attached) on
-    Newton failure or sustained generator angle separation.
+    Newton failure, sustained generator angle separation, or a branch
+    trip that splits the network into islands.
     """
     schedule = make_schedule(events, cfg.horizon)
-    _check_events(case, schedule)
+    _check_events(case, schedule, cfg.dt)
     V0 = power_flow(case)
     dyn = init_dynamics(case, V0)
     eng = _Engine(dyn, cfg)
@@ -797,6 +774,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                          collapsed=collapsed, collapse_reason=reason)
 
     ev_i = 0
+    tripped = []
     spread_since = None
     record(0, 0.0)
 
@@ -818,6 +796,11 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
             else:
                 Y -= _stamp(case, _parallel_branches(case, ev.branch))
                 log.append(EventRecord(t, None, "branch_tripped"))
+                tripped.append(set(ev.branch))
+                live = [br for br in case.branches if {br.from_bus, br.to_bus} not in tripped]
+                if bus_islands(case, live).max() > 0:
+                    raise SimulationCollapse(step, t, 0.0,
+                                             make_result(step + 1, True, "islanding"))
             eng.set_network(Y)
             ev_i += 1
         net_changed = eng.Y is not Y_before
@@ -895,18 +878,13 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         vm_l = np.abs(V[eng.lbus]) if K else np.zeros(0)
         for k, l in enumerate(dyn.lels):
             was_running = l.motor.mode is MotorMode.RUNNING
-            l.motor = stall_update(l.motor, vm_l[k], dt, l.params.cool)
+            l.motor = stall_update(l.motor, V[eng.lbus[k]], dt, l.params.cool)
             now_running = l.motor.mode is MotorMode.RUNNING
             if was_running and not now_running:
                 eng.running[k] = False
                 log.append(EventRecord(t_new, l.bus_id, "motor_stall_trip"))
             elif not was_running and now_running:
-                vk = V[eng.lbus[k]]
-                rot = vk / abs(vk) if abs(vk) > 0 else 1.0
-                e_rot = complex(l.motor.ed_p, l.motor.eq_p) * rot
-                em[0, k] = e_rot.real
-                em[1, k] = e_rot.imag
-                em[2, k] = l.motor.slip
+                em[:, k] = l.motor.ed_p, l.motor.eq_p, l.motor.slip
                 eng.tmech[k] = l.motor.t_mech
                 eng.running[k] = True
                 log.append(EventRecord(t_new, l.bus_id, "motor_restart"))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from lelsim.errors import InvalidArgument, ValidationError
+from lelsim.errors import InvalidArgument, ValidationError, require_finite
 
 
 class ProtectionMode(enum.Enum):
@@ -44,6 +44,7 @@ class ProtectionParams:
     r_kappa: float        # 1/s restoration ramp rate
 
     def __post_init__(self):
+        require_finite(self, ValidationError)
         if not (0 < self.kappa_min <= self.kappa_max <= 1):
             raise ValidationError("need 0 < kappa_min <= kappa_max <= 1")
         for name in ("t_delay_trip", "t_wait_recon", "t_delay_recon"):

@@ -6,6 +6,17 @@ network reference frame: the transient EMF e' = ed' + j*eq' evolves with
 open-circuit time constant T0', and the stator obeys the algebraic
 relation (v - e') = (Rs + j*X') * i.  Quantities are per-unit on the
 motor MVA base; torque and power coincide at synchronous speed.
+
+The steady state has a closed form.  With b = ws*s*T0', c = X0 - X' and
+u = 1 + b^2, the torque and power drawn at terminal voltage v are
+
+    torque(b) = |v|^2 c b u / D,   power(b) = |v|^2 (Rs u + c b) u / D,
+    D = (Rs u + c b)^2 + (X' u + c)^2,
+
+so an equilibrium at a torque or power target is a root of the quartic
+target*D - numerator.  The stable (low-slip) operating point is its
+smallest real non-negative root with s <= 1; without one, the target is
+past pull-out and there is no equilibrium.
 """
 
 from __future__ import annotations
@@ -15,9 +26,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from lelsim.errors import InvalidArgument, NoEquilibrium
+from lelsim.errors import InvalidArgument, NoEquilibrium, require_finite
 
 # rad/s; the equilibrium uses only the product OMEGA_SYNC * T0', where it
 # cancels.  The grid engine forms T0' from the case's own f_base.
@@ -44,17 +54,14 @@ class CoolingParams:
     load_factor: float = 0.8  # mechanical torque fraction in (0, 1]
 
     def __post_init__(self):
-        for name in ("R_s", "X_s", "X_m", "R_r", "X_r"):
+        require_finite(self)
+        for name in ("R_s", "X_s", "X_m", "R_r", "X_r", "H_m", "mva_base"):
             if getattr(self, name) <= 0:
                 raise InvalidArgument(f"{name} must be > 0")
-        if self.H_m <= 0:
-            raise InvalidArgument("H_m must be > 0")
         if not (0 < self.V_stall < 1):
             raise InvalidArgument("V_stall must lie in (0, 1)")
         if self.tau_stall < 0 or self.T_cool < 0:
             raise InvalidArgument("timers must be >= 0")
-        if self.mva_base <= 0:
-            raise InvalidArgument("mva_base must be > 0")
         if not (0 < self.load_factor <= 1):
             raise InvalidArgument("load_factor must lie in (0, 1]")
 
@@ -88,98 +95,87 @@ class MotorState:
             raise InvalidArgument("timers must be >= 0")
 
 
-def _steady_state_at_slip(slip: float, v: complex, params: CoolingParams):
-    """Closed-form transient-EMF equilibrium at a given slip.
+def _equilibrium(target, v, params: CoolingParams, power: bool):
+    """Stable-branch (slip, e', i) where the torque, or with power=True
+    the power, at terminal phasor v equals target; e' and i are in the
+    frame of v, and target and v broadcast over a whole voltage ride.
 
-    From de'/dt = 0:  e' = j (X0 - X') i / (1 + j ws s T0'),
-    combined with the stator relation.  Returns (e', i).
+    The quartic is solved in y = 1/b through batched companion matrices.
+    Its leading coefficient, target*D - numerator at b = 0, is positive
+    exactly when the target lies above the zero-slip value (zero: slip
+    0), and the stable root is the largest real y with slip <= 1.
     """
-    x0 = params.x_open
-    xp = params.x_trans
-    t0p = params.t0_prime
-    z = complex(params.R_s, xp)
-    a = 1j * (x0 - xp) / (1 + 1j * OMEGA_SYNC * slip * t0p)
-    # i = (v - e')/z and e' = a i  =>  i = v / (z + a)
-    i = v / (z + a)
-    return a * i, i
+    target, v = np.broadcast_arrays(np.asarray(target, dtype=float),
+                                    np.asarray(v, dtype=complex))
+    r, xp, x0 = params.R_s, params.x_trans, params.x_open
+    c = x0 - xp
+    # coefficients of D and the numerator in ascending powers of b
+    d = np.array([r * r + x0 * x0, 2 * r * c, c * c + 2 * r * r + 2 * xp * x0,
+                  2 * r * c, r * r + xp * xp])
+    num = np.array([r, c, 2 * r, c, r]) if power else np.array([0.0, c, 0.0, c, 0.0])
+    coef = target[..., None] * d - (np.abs(v) ** 2)[..., None] * num
+    lead = coef[..., 0]
+    comp = np.zeros(target.shape + (4, 4))
+    comp[..., 0, :] = -coef[..., 1:] / np.where(lead > 0, lead, 1.0)[..., None]
+    comp[..., [1, 2, 3], [0, 1, 2]] = 1.0
+    y = np.linalg.eigvals(comp)
+    wt0 = OMEGA_SYNC * params.t0_prime
+    # eigvals of a real matrix gives its real eigenvalues a zero imaginary part
+    y_stable = np.where((y.imag == 0) & (y.real * wt0 >= 1), y.real, 0.0).max(axis=-1)
+    missing = (lead < 0) | ((lead > 0) & (y_stable == 0))
+    if missing.any():
+        k = np.flatnonzero(missing)[0]
+        side = "below its zero-slip value" if lead.flat[k] < 0 else "above pull-out"
+        raise NoEquilibrium(f"{'power' if power else 'torque'} {target.flat[k]:.4f} pu "
+                            f"{side} at |V|={abs(v.flat[k]):.3f} pu")
+    b = np.divide(1.0, y_stable, out=np.zeros(lead.shape), where=lead > 0)
+    # de'/dt = 0 gives e' = a i with a = j c / (1 + j b); the stator
+    # relation then gives i = v / (Rs + j X' + a)
+    a = 1j * c / (1 + 1j * b)
+    i = v / (complex(r, xp) + a)
+    return b / wt0, a * i, i
 
 
-def _power_at_slip(slip: float, v: complex, params: CoolingParams) -> float:
-    e, i = _steady_state_at_slip(slip, v, params)
-    return (v * i.conjugate()).real
-
-
-def _torque_at_slip(slip: float, v: complex, params: CoolingParams) -> float:
-    e, i = _steady_state_at_slip(slip, v, params)
-    return e.real * i.real + e.imag * i.imag
-
-
-def _stable_slip(curve, target: float, v: complex, params: CoolingParams,
-                 what: str) -> float:
-    """Slip on the stable (low-slip) branch where curve(slip) equals target.
-
-    A 400-point scan locates the pull-out peak of the power or torque
-    curve; the root is bracketed between zero slip and that peak.
-    Raises NoEquilibrium if target exceeds the pull-out value.
+def motor_init(p_target: float, v: complex, params: CoolingParams) -> MotorState:
+    """Steady-state motor state drawing p_target pu at terminal phasor v,
+    at the stable root of the power quartic, with e' in the frame of v;
+    the mechanical torque that holds the equilibrium is pinned on the
+    returned state.  Raises NoEquilibrium if p_target lies above the
+    pull-out power at |v| or below the no-load (zero-slip) power.
     """
-    s_grid = np.linspace(1e-9, 0.999, 400)
-    c_grid = np.array([curve(s, v, params) for s in s_grid])
-    k_peak = int(np.argmax(c_grid))
-    if target > c_grid[k_peak]:
-        raise NoEquilibrium(
-            f"{what}={target:.4f} pu above pull-out {c_grid[k_peak]:.4f} pu at V={v.real:.3f}"
-        )
-    if target <= c_grid[0]:
-        return s_grid[0]
-    return brentq(lambda s: curve(s, v, params) - target,
-                  s_grid[0], s_grid[k_peak], xtol=1e-14)
-
-
-def motor_init(p_target: float, v_mag: float, params: CoolingParams) -> MotorState:
-    """Steady-state motor state drawing p_target pu at terminal voltage v_mag.
-
-    Solves the torque-slip curve on the stable (low-slip) branch; the
-    mechanical torque that holds the equilibrium is pinned on the
-    returned state.  Raises NoEquilibrium if p_target exceeds the
-    pull-out power at this voltage.
-    """
-    if v_mag <= 0:
-        raise InvalidArgument("v_mag must be > 0")
     if p_target < 0:
         raise InvalidArgument("p_target must be >= 0")
-    v = complex(v_mag, 0.0)
-    slip = _stable_slip(_power_at_slip, p_target, v, params, "p_target")
-    e, i = _steady_state_at_slip(slip, v, params)
-    t_elec = e.real * i.real + e.imag * i.imag
-    return MotorState(ed_p=e.real, eq_p=e.imag, slip=float(slip), t_mech=t_elec)
+    slip, e, i = _equilibrium(p_target, v, params, power=True)
+    return MotorState(ed_p=float(e.real), eq_p=float(e.imag), slip=float(slip),
+                      t_mech=float((e * np.conj(i)).real))
 
 
-def init_for_torque(t_mech: float, v_mag: float, params: CoolingParams) -> MotorState:
-    """Equilibrium state at the slip where electrical torque equals t_mech.
-
-    Used at reconnection: the mechanical load is unchanged, so the motor
-    re-enters at the operating point its own torque demands at the
-    present voltage.
+def init_for_torque(t_mech: float, v: complex, params: CoolingParams) -> MotorState:
+    """Equilibrium state at the slip where electrical torque equals t_mech,
+    the stable root of the torque quartic, with e' in the frame of the
+    terminal phasor v.  Used at reconnection: the mechanical load is
+    unchanged, so the motor re-enters at the operating point its own
+    torque demands at the present voltage.  Raises NoEquilibrium past
+    pull-out, which includes every positive t_mech at v = 0.
     """
-    v = complex(v_mag, 0.0)
-    slip = _stable_slip(_torque_at_slip, t_mech, v, params, "t_mech")
-    e, i = _steady_state_at_slip(slip, v, params)
-    return MotorState(ed_p=e.real, eq_p=e.imag, slip=float(slip), t_mech=t_mech)
+    slip, e, _ = _equilibrium(t_mech, v, params, power=False)
+    return MotorState(ed_p=float(e.real), eq_p=float(e.imag), slip=float(slip),
+                      t_mech=t_mech)
 
 
-def stall_update(state: MotorState, v_mag: float, dt: float,
+def stall_update(state: MotorState, v: complex, dt: float,
                  params: CoolingParams) -> MotorState:
-    """Advance the stall/recovery state machine by dt.
+    """Advance the stall/recovery state machine by dt at terminal phasor v.
 
     RUNNING: undervoltage accumulates stall_timer (reset when voltage
     recovers); at tau_stall the block trips and stays off for T_cool.
     STALL_TRIPPED: counts down, then reconnects at the equilibrium for
-    the present terminal voltage.
+    the present terminal voltage, in its frame.
     """
     if dt <= 0:
         raise InvalidArgument("dt must be > 0")
     if state.mode is MotorMode.RUNNING:
-        if v_mag < params.V_stall:
+        if abs(v) < params.V_stall:
             timer = state.stall_timer + dt
             if timer >= params.tau_stall:
                 return replace(state, stall_timer=0.0, mode=MotorMode.STALL_TRIPPED,
@@ -192,7 +188,7 @@ def stall_update(state: MotorState, v_mag: float, dt: float,
     timer = state.recovery_timer - dt
     if timer <= 0.0:
         try:
-            fresh = init_for_torque(state.t_mech, max(v_mag, 0.05), params)
+            fresh = init_for_torque(state.t_mech, v, params)
         except NoEquilibrium:
             # voltage still too low to restart; retry next step
             return replace(state, recovery_timer=dt)
@@ -210,6 +206,7 @@ class AuxParams:
     V0: float = 1.0  # pu reference voltage
 
     def __post_init__(self):
+        require_finite(self)
         if abs(self.alpha_Z + self.alpha_I + self.alpha_P - 1.0) > 1e-9:
             raise InvalidArgument("ZIP coefficients must sum to 1")
         if self.p_aux0 < 0:
@@ -218,9 +215,10 @@ class AuxParams:
             raise InvalidArgument("V0 must be > 0")
 
 
-def aux_power(v_mag: float, params: AuxParams) -> tuple[float, float]:
-    """ZIP active power and proportional reactive power at voltage v_mag."""
-    if v_mag < 0:
+def aux_power(v_mag, params: AuxParams):
+    """ZIP active power and proportional reactive power at voltage v_mag,
+    a scalar or an array."""
+    if np.any(np.asarray(v_mag) < 0):
         raise InvalidArgument("v_mag must be >= 0")
     r = v_mag / params.V0
     p = params.p_aux0 * (params.alpha_Z * r * r + params.alpha_I * r + params.alpha_P)

@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from lelsim.errors import InvalidArgument
+from lelsim.errors import InvalidArgument, require_finite
 from lelsim.traceio import Trace
 
 
@@ -30,6 +30,7 @@ class WorkloadParams:
     lnA_sigma: float    # log-normal burst amplitude, log-std
 
     def __post_init__(self):
+        require_finite(self)
         if not (self.p_full >= self.p_base >= 0):
             raise InvalidArgument("need p_full >= p_base >= 0")
         if self.tau_eta <= 0:

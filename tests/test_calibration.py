@@ -8,6 +8,7 @@ import pytest
 from lelsim.calibration import (
     CalibrationConfig,
     ObjectiveMode,
+    _voltage_excitation,
     calibrate,
     calibration_objective,
     dump_calibration_result,
@@ -20,6 +21,7 @@ from lelsim.calibration import (
 from lelsim.errors import InvalidArgument
 from lelsim.lel import Archetype, archetype_defaults
 from lelsim.tcl import TrainConfig, encode_windows, pattern_vector, segment_windows, train_encoder
+from lelsim.thermal_aux import aux_power, init_for_torque
 from lelsim.traceio import Trace
 from lelsim.workload import WorkloadParams, simulate_workload
 
@@ -134,6 +136,21 @@ class TestSubsystemSimulators:
         params = archetype_defaults(Archetype.DATACENTER).cool
         trace = simulate_subsystem(params, "cooling", 60.0, 1.0, seed=0)
         assert np.all(trace.first_channel() > 0.0)
+
+    def test_cooling_trace_is_the_equilibrium_power_at_each_sample(self):
+        params = archetype_defaults(Archetype.DATACENTER).cool
+        trace = simulate_subsystem(params, "cooling", 120.0, 1.0, seed=3)
+        v = _voltage_excitation(120, 3)
+        for vk, pk in zip(v, trace.first_channel()):
+            m = init_for_torque(params.load_factor, vk, params)
+            i = (vk - complex(m.ed_p, m.eq_p)) / complex(params.R_s, params.x_trans)
+            assert pk == pytest.approx(vk * i.real * params.mva_base, rel=1e-12)
+
+    def test_aux_trace_is_zip_power_at_each_sample(self):
+        params = archetype_defaults(Archetype.DATACENTER).aux
+        trace = simulate_subsystem(params, "aux", 120.0, 1.0, seed=3)
+        expected = [aux_power(vk, params)[0] for vk in _voltage_excitation(120, 3)]
+        assert np.array_equal(trace.first_channel(), expected)
 
     def test_aux_trace_tracks_voltage(self):
         params = archetype_defaults(Archetype.DATACENTER).aux

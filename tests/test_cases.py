@@ -1,5 +1,7 @@
 """Unit tests for the sectioned-CSV case format and bundled systems."""
 
+import re
+
 import pytest
 
 from lelsim.cases import bundled_case, load_case, validate_case
@@ -40,6 +42,17 @@ class TestLoadCase:
     def test_data_before_header_rejected(self):
         with pytest.raises(ValidationError):
             load_case("1,slack,1.04,0,0\n[BUS]\n")
+
+    @pytest.mark.parametrize("old,new,where", [
+        ("1,2,0.01,0.1,0.02", "1,2,0.01,nan,0.02", "[BRANCH]"),
+        ("2,pq,1.0,50,20", "2,pq,1.0,inf,20", "[BUS]"),
+        ("1,5.0,50.0,0.2,0,1.04", "1,5.0,50.0,0.2,-1e999,1.04", "[GEN]"),
+        ("s_base,100.0", "s_base,NaN", "[SYSTEM]"),
+    ], ids=["branch_nan", "bus_inf", "gen_overflow", "system_nan"])
+    def test_non_finite_number_rejected_naming_section_and_row(self, old, new, where):
+        with pytest.raises(ValidationError,
+                           match=rf"line \d+: {re.escape(where)} row .*non-finite"):
+            load_case(MINIMAL.replace(old, new))
 
     def test_lel_section_attaches_archetype(self):
         text = MINIMAL + "[LEL]\n2,datacenter,0.6,0.3,0.1\n"

@@ -136,6 +136,18 @@ class TestSweepK:
         assert [row.split(",")[0] for row in lines[1:]] == ["1", "2"]
 
 
+class TestParamsFile:
+    def test_non_finite_parameter_exits_1(self, tmp_path):
+        from lelsim.lel import Archetype, archetype_defaults, dump_lel_params
+
+        doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
+        params = tmp_path / "p.lel"
+        params.write_text(doc.replace("cool.R_s = 0.02", "cool.R_s = nan"))
+        assert run(["simulate-load", "--model", "cooling", "--horizon", "60",
+                    "--params", str(params), "--out", str(tmp_path / "c.csv")]) == 1
+        assert not (tmp_path / "c.csv").exists()
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_1(self):
         assert run(["frobnicate"]) == 1

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import fsolve
 
 from lelsim.cases import LelPlacement, bundled_case
-from lelsim.errors import InvalidArgument
+from lelsim.errors import InvalidArgument, SimulationCollapse
 from lelsim.grid import (
     Event,
     SimConfig,
@@ -159,11 +159,53 @@ class TestSchedule:
         with pytest.raises(InvalidArgument, match="more than once"):
             run_simulation(bundled_case("toy9"), trips, SimConfig(dt=0.01, horizon=1.0))
 
+    def test_horizon_off_the_step_grid_rejected(self):
+        with pytest.raises(InvalidArgument, match="whole number of steps"):
+            SimConfig(dt=0.01, horizon=0.105)
+
+    def test_event_off_the_step_grid_rejected_before_integration(self, monkeypatch):
+        def integration_started(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr("lelsim.grid.power_flow", integration_started)
+        with pytest.raises(InvalidArgument, match="off the step grid"):
+            run_simulation(bundled_case("toy9"), fault_events(5, 0.2037, 0.1),
+                           SimConfig(dt=0.01, horizon=1.0))
+
+    def test_event_sum_within_rounding_is_on_the_grid(self, monkeypatch):
+        # 5.0 + 0.1 is 5.1000000000000005, within dt*1e-6 of step 1020
+        def integration_started(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr("lelsim.grid.power_flow", integration_started)
+        with pytest.raises(AssertionError, match="integration started"):
+            run_simulation(bundled_case("toy9"), fault_events(5, 5.0, 0.1),
+                           SimConfig(dt=0.005, horizon=6.0))
+
     def test_fault_events_pair(self):
         fault, clear = fault_events(3, 1.0, 0.1, admittance=-30j)
         assert fault.kind == "fault" and clear.kind == "clear_fault"
         assert clear.time == pytest.approx(1.1)
         assert clear.admittance == fault.admittance
+
+
+class TestIslanding:
+    def test_trip_that_islands_a_generator_collapses(self):
+        trip = Event(time=0.1, kind="branch_trip", branch=(1, 4))
+        with pytest.raises(SimulationCollapse) as exc:
+            run_simulation(bundled_case("toy9"), [trip], SimConfig(dt=0.01, horizon=0.5))
+        partial = exc.value.partial
+        assert partial.collapsed and partial.collapse_reason == "islanding"
+        assert partial.time[-1] == pytest.approx(0.1)
+        assert [e.kind for e in partial.events] == ["branch_tripped"]
+
+    @pytest.mark.parametrize("branch", [(4, 5), (5, 7)])
+    def test_trip_inside_the_ring_runs_to_the_horizon(self, branch):
+        trip = Event(time=0.1, kind="branch_trip", branch=branch)
+        result = run_simulation(bundled_case("toy9"), [trip],
+                                SimConfig(dt=0.01, horizon=0.5))
+        assert not result.collapsed
+        assert result.time[-1] == pytest.approx(0.5)
 
 
 class TestNoEventInvariance:

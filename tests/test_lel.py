@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lelsim.cases import bundled_case
-from lelsim.errors import ValidationError
+from lelsim.errors import InvalidArgument, ValidationError
 from lelsim.grid import (
     PROT_MODE_ORD,
     V_FLOOR,
@@ -147,6 +147,18 @@ class TestParameterExchange:
         doc = doc.replace("schema_version = 1", "schema_version = 99")
         with pytest.raises(ValidationError):
             parse_lel_params(doc)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [
+        line.split(" = ")[0]
+        for line in dump_lel_params(archetype_defaults(Archetype.DATACENTER)).splitlines()
+        if "." in line.split(" = ")[0]])
+    def test_non_finite_value_rejected(self, key, bad):
+        doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
+        lines = [f"{key} = {bad}" if line.startswith(key + " ") else line
+                 for line in doc.splitlines()]
+        with pytest.raises((InvalidArgument, ValidationError), match="must be finite"):
+            parse_lel_params("\n".join(lines))
 
     def test_unknown_archetype_rejected(self):
         doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))

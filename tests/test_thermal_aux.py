@@ -1,17 +1,26 @@
 """Unit tests for the induction-motor cooling block and ZIP auxiliaries.
 
 Motor equilibria are checked through the grid engine's motor model, the
-one that integrates the motor in every simulation.
+one that integrates the motor in every simulation, and against the
+steady-state torque and power curves written out from the motor
+equations.
 """
+
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lelsim.errors import InvalidArgument, NoEquilibrium
 from lelsim.thermal_aux import (
+    OMEGA_SYNC,
     AuxParams,
     CoolingParams,
     MotorMode,
+    _equilibrium,
     aux_power,
     init_for_torque,
     motor_init,
@@ -36,11 +45,33 @@ def make_aux(**overrides):
 
 def engine_motor(toy2_engine, params, motor, v=1.0):
     """(derivatives, p, q) of `motor` under the grid engine's motor model
-    at a real terminal voltage v; p and q are pu on the motor base."""
+    at terminal phasor v; p and q are pu on the motor base."""
     eng = toy2_engine(cool=params, motor=motor)
-    f, i = eng.motor_f(eng._em_array(), np.array([complex(v, 0.0)]))
+    f, i = eng.motor_f(eng._em_array(), np.array([v], dtype=complex))
     s = v * np.conj(i[0])
     return f[:, 0], s.real, s.imag
+
+
+def curve(slip, v, params, power):
+    """Steady-state torque (or power) at a given slip, from de'/dt = 0
+    and the stator relation, evaluated directly."""
+    a = 1j * (params.x_open - params.x_trans) / (
+        1 + 1j * OMEGA_SYNC * slip * params.t0_prime)
+    i = v / (complex(params.R_s, params.x_trans) + a)
+    return (v * np.conj(i)).real if power else (a * i * np.conj(i)).real
+
+
+def pull_out(v, params, power):
+    """Largest value of the curve over slip in [0, 1] on a fine grid; it
+    lies at or below the true pull-out value."""
+    return float(np.max(curve(np.linspace(0.0, 1.0, 20001), v, params, power)))
+
+
+cooling_params = st.builds(
+    make_cooling,
+    R_s=st.floats(0.002, 0.08), X_s=st.floats(0.03, 0.25),
+    X_m=st.floats(1.5, 5.0), R_r=st.floats(0.005, 0.08),
+    X_r=st.floats(0.03, 0.25))
 
 
 class TestCoolingValidation:
@@ -96,6 +127,78 @@ class TestMotorEquilibrium:
         assert q > 0.0
 
 
+class TestClosedFormEquilibrium:
+    @settings(max_examples=150, deadline=None)
+    @given(params=cooling_params, v_mag=st.floats(0.3, 1.2),
+           angle=st.floats(-math.pi, math.pi), frac=st.floats(0.02, 0.95),
+           power=st.booleans())
+    def test_root_meets_target_on_stable_branch(self, params, v_mag, angle, frac,
+                                                power):
+        v = v_mag * np.exp(1j * angle)
+        low = curve(0.0, v, params, power)
+        target = low + frac * (pull_out(v, params, power) - low)
+        slip, _, _ = _equilibrium(target, v, params, power)
+        slip = float(slip)
+        assert curve(slip, v, params, power) == pytest.approx(target, rel=1e-10)
+        h = 1e-6 * max(slip, 1e-6)
+        assert curve(slip + h, v, params, power) > curve(max(slip - h, 0.0), v,
+                                                          params, power)
+
+    @settings(max_examples=50, deadline=None)
+    @given(params=cooling_params,
+           v_mag=st.lists(st.floats(0.3, 1.2), min_size=1, max_size=12),
+           frac=st.floats(0.02, 0.95))
+    def test_vectorized_call_equals_scalar_calls(self, params, v_mag, frac):
+        v = np.array(v_mag)
+        t_mech = frac * pull_out(0.3, params, power=False)
+        slip, e, i = _equilibrium(t_mech, v, params, power=False)
+        for k, vk in enumerate(v):
+            s_k, e_k, i_k = _equilibrium(t_mech, vk, params, power=False)
+            assert slip[k] == pytest.approx(float(s_k), rel=1e-14, abs=0.0)
+            assert e[k] == pytest.approx(complex(e_k), rel=1e-14, abs=0.0)
+            assert i[k] == pytest.approx(complex(i_k), rel=1e-14, abs=0.0)
+
+    def test_equilibrium_follows_the_terminal_phasor_frame(self, toy2_engine):
+        params = make_cooling()
+        real = motor_init(0.6, 0.95, params)
+        v = 0.95 * np.exp(0.7j)
+        turned = motor_init(0.6, v, params)
+        assert complex(turned.ed_p, turned.eq_p) == pytest.approx(
+            complex(real.ed_p, real.eq_p) * np.exp(0.7j), rel=1e-12)
+        d, p, _ = engine_motor(toy2_engine, params, turned, v)
+        assert np.max(np.abs(d)) < 1e-7
+        assert p == pytest.approx(0.6, rel=1e-9)
+
+    def test_target_just_above_pull_out_raises(self):
+        params = make_cooling()
+        with pytest.raises(NoEquilibrium, match="above pull-out"):
+            init_for_torque(1.001 * pull_out(1.0, params, power=False), 1.0, params)
+
+    def test_target_reachable_only_above_unit_slip_raises(self):
+        params = make_cooling(R_r=0.6)  # the torque still rises past s = 1
+        at_standstill = curve(1.0, 1.0, params, power=False)
+        assert curve(2.0, 1.0, params, power=False) > 1.1 * at_standstill
+        with pytest.raises(NoEquilibrium, match="above pull-out"):
+            init_for_torque(1.05 * at_standstill, 1.0, params)
+
+    def test_zero_torque_gives_zero_slip(self):
+        params = make_cooling()
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            motor = init_for_torque(0.0, 1.0, params)
+        assert motor.slip == 0.0
+
+    def test_power_below_no_load_raises(self):
+        params = make_cooling()
+        no_load = curve(0.0, 1.0, params, power=True)
+        with pytest.raises(NoEquilibrium, match="below its zero-slip value"):
+            motor_init(0.5 * no_load, 1.0, params)
+
+    def test_zero_voltage_has_no_torque_equilibrium(self):
+        with pytest.raises(NoEquilibrium):
+            init_for_torque(0.6, 0.0, make_cooling())
+
+
 class TestStall:
     def test_sustained_low_voltage_trips(self):
         params = make_cooling()
@@ -136,6 +239,30 @@ class TestStall:
         for _ in range(50):
             motor = stall_update(motor, 0.4, 0.01, params)
         assert motor.mode is MotorMode.STALL_TRIPPED
+
+    def test_restart_at_zero_voltage_is_retried(self):
+        params = make_cooling(T_cool=0.02)
+        motor = motor_init(0.6, 1.0, params)
+        for _ in range(int(params.tau_stall / 0.01) + 2):
+            motor = stall_update(motor, 0.0, 0.01, params)
+        for _ in range(5):
+            motor = stall_update(motor, 0.0, 0.01, params)
+        assert motor.mode is MotorMode.STALL_TRIPPED
+        assert motor.recovery_timer == 0.01
+        motor = stall_update(motor, 1.0, 0.01, params)
+        assert motor.mode is MotorMode.RUNNING
+
+    def test_restart_lands_in_the_frame_of_the_bus(self, toy2_engine):
+        params = make_cooling(T_cool=0.05)
+        v = 1.0 * np.exp(-0.5j)
+        motor = motor_init(0.6, v, params)
+        for _ in range(int(params.tau_stall / 0.01) + 2):
+            motor = stall_update(motor, 0.4 * v, 0.01, params)
+        for _ in range(int(params.T_cool / 0.01) + 2):
+            motor = stall_update(motor, v, 0.01, params)
+        assert motor.mode is MotorMode.RUNNING
+        d, _, _ = engine_motor(toy2_engine, params, motor, v)
+        assert np.max(np.abs(d)) < 1e-7
 
     def test_rejects_nonpositive_dt(self):
         params = make_cooling()
