@@ -30,21 +30,24 @@ class UndefinedMetric(ValueError):
 
 
 class SimulationCollapse(RuntimeError):
-    """Time-domain solve failed to converge; carries the partial result.
+    """Time-domain solve failed.  Carries `reason` (a key of CAUSES, named
+    by the message), the failed `step` and its `time`, the final Newton
+    `residual` (0 where no Newton solve failed) and `partial`, the
+    SimResult truncated at the last converged step, or None."""
 
-    Attributes
-    ----------
-    step : index of the failed step
-    time : simulation time of the failed step
-    residual : final Newton residual norm
-    partial : SimResult truncated at the last converged step, or None
-    """
+    CAUSES = {
+        "newton": "Newton failed to converge",
+        "non_finite": "the step residual is not finite",
+        "network_solve": "the network re-solve after an event failed",
+        "islanding": "a branch trip split the network into islands",
+        "angle_separation": "generator angles stayed more than pi apart",
+    }
 
-    def __init__(self, step, time, residual, partial=None):
-        super().__init__(
-            f"Newton failed to converge at step {step} (t={time:.4f} s), "
-            f"residual {residual:.3e}"
-        )
+    def __init__(self, reason, step, time, residual=0.0, partial=None):
+        detail = f", residual {residual:.3e}" if reason == "newton" else ""
+        super().__init__(f"{self.CAUSES.get(reason, reason)} ({reason}) at step "
+                         f"{step} (t={time:.4f} s){detail}")
+        self.reason = reason
         self.step = step
         self.time = time
         self.residual = residual

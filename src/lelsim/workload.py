@@ -91,7 +91,7 @@ def workload_power(eta: float, params: WorkloadParams) -> float:
 
 
 @lru_cache(maxsize=16)
-def _draw_noise(seed: int, n_steps: int, has_noise: bool, lambda_burst: float,
+def _draw_noise(seed, n_steps: int, has_noise: bool, lambda_burst: float,
                 dt: float, lnA_mu: float, lnA_sigma: float):
     """Unit normals and a read-only {step: burst amplitude} map of n_steps
     OU steps, drawn in ou_step's order.  The draws do not depend on mu_eta,
@@ -111,28 +111,24 @@ def _draw_noise(seed: int, n_steps: int, has_noise: bool, lambda_burst: float,
     return tuple(normals), MappingProxyType(bursts)
 
 
-def simulate_workload(params: WorkloadParams, horizon: float, dt: float,
-                      seed: int, eta0: float | None = None) -> Trace:
-    """Generate an active-power trace of length floor(horizon/dt).
-
-    Bit-reproducible for a fixed seed.  eta0 defaults to mu_eta.  The loop
-    is ou_step inlined over the draws of _draw_noise.
-    """
-    if dt <= 0 or horizon <= dt:
-        raise InvalidArgument("need horizon > dt > 0")
+def workload_path(params: WorkloadParams, n_steps: int, dt: float,
+                  seed) -> np.ndarray:
+    """Active power after each of n_steps OU steps from mu_eta, on
+    np.random.default_rng(seed).  Bit-identical to n_steps
+    ou_step calls on that generator: the loop is ou_step inlined over the
+    draws of _draw_noise."""
     if params.lambda_burst * dt > 0.5:
         raise InvalidArgument("lambda_burst * dt > 0.5: step too coarse for Bernoulli thinning")
-    n = int(horizon / dt)
     has_noise = params.sigma_xi > 0
-    normals, bursts = _draw_noise(seed, n, has_noise, params.lambda_burst, dt,
+    normals, bursts = _draw_noise(seed, n_steps, has_noise, params.lambda_burst, dt,
                                   params.lnA_mu, params.lnA_sigma)
     tau = params.tau_eta
     mu = params.mu_eta
     decay = math.exp(-dt / tau)
     noise_amp = (params.sigma_xi / tau) * math.sqrt(dt)
     eta_path = []
-    eta = params.mu_eta if eta0 is None else eta0
-    for i in range(n):
+    eta = mu
+    for i in range(n_steps):
         eta = mu + (eta - mu) * decay
         if has_noise:
             eta += noise_amp * normals[i]
@@ -143,7 +139,16 @@ def simulate_workload(params: WorkloadParams, horizon: float, dt: float,
         elif eta > 1.0:
             eta = 1.0
         eta_path.append(eta)
-    p = params.p_base + np.array(eta_path) * (params.p_full - params.p_base)
+    return params.p_base + np.array(eta_path) * (params.p_full - params.p_base)
+
+
+def simulate_workload(params: WorkloadParams, horizon: float, dt: float,
+                      seed: int) -> Trace:
+    """Generate an active-power trace of length floor(horizon/dt), starting
+    from mu_eta.  Bit-reproducible for a fixed seed."""
+    if dt <= 0 or horizon <= dt:
+        raise InvalidArgument("need horizon > dt > 0")
+    p = workload_path(params, int(horizon / dt), dt, seed)
     return Trace(sample_period=dt, channels={"p_work": p},
                  meta={"seed": seed, "model": "workload"})
 

@@ -80,6 +80,30 @@ class TestGridSim:
         assert (tmp_path / "col_result.csv").exists()
         assert (tmp_path / "col_events.csv").exists()
 
+    def test_fault_cleared_at_the_horizon_exits_1(self, tmp_path, capsys):
+        rc = run(["grid-sim", "toy9", "--fault-bus", "5", "--t-fault", "0.4",
+                  "--duration", "0.1", "--horizon", "0.5", "--dt", "0.01",
+                  "--out-prefix", str(tmp_path / "late")])
+        assert rc == 1
+        assert "clear_fault at t=0.5 is at the horizon" in capsys.readouterr().err
+
+    def test_non_finite_residual_exits_2_naming_the_cause(self, tmp_path, monkeypatch,
+                                                          capsys):
+        from lelsim.grid import _Engine
+
+        residual = _Engine.residual
+
+        def nan_residual(self, z, xk, f0, dt):
+            return residual(self, z, xk, f0, dt) * np.nan
+
+        monkeypatch.setattr(_Engine, "residual", nan_residual)
+        rc = run(["grid-sim", "toy9", "--k", "2", "--no-events", "--horizon", "0.5",
+                  "--out-prefix", str(tmp_path / "nan")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "residual is not finite (non_finite)" in err
+        assert "Traceback" not in err
+
     def test_byte_identical_reruns(self, tmp_path):
         pa, pb = str(tmp_path / "a"), str(tmp_path / "b")
         for prefix in (pa, pb):

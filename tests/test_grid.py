@@ -1,5 +1,6 @@
 """Unit tests for the network builder, power flow, and transient engine."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +12,12 @@ from lelsim.errors import InvalidArgument, SimulationCollapse
 from lelsim.grid import (
     Event,
     SimConfig,
+    _Engine,
     build_ybus,
     eligible_lel_buses,
     events_to_csv,
     fault_events,
+    init_dynamics,
     make_schedule,
     pick_fault_bus,
     place_lels,
@@ -24,6 +27,7 @@ from lelsim.grid import (
     run_simulation,
     sample_scenario,
 )
+from lelsim.workload import WorkloadState, ou_step, workload_power
 
 
 def deterministic_lels(case):
@@ -122,12 +126,19 @@ class TestPowerFlow:
 class TestSchedule:
     def test_events_sorted_and_bounded(self):
         events = [Event(time=3.0, kind="fault"), Event(time=1.0, kind="fault")]
-        sched = make_schedule(events, horizon=5.0)
+        sched = make_schedule(events)
         assert [e.time for e in sched] == [1.0, 3.0]
+        with pytest.raises(InvalidArgument, match="before t=0"):
+            make_schedule([Event(time=-1.0, kind="fault")])
 
-    def test_event_past_horizon_rejected(self):
-        with pytest.raises(InvalidArgument):
-            make_schedule([Event(time=9.0, kind="fault")], horizon=5.0)
+    def test_event_past_horizon_rejected(self, monkeypatch):
+        def integration_started(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr("lelsim.grid.power_flow", integration_started)
+        with pytest.raises(InvalidArgument, match="past it"):
+            run_simulation(bundled_case("toy9"), [Event(time=9.0, kind="fault", bus=5)],
+                           SimConfig(dt=0.01, horizon=5.0))
 
     def test_trip_of_missing_branch_rejected_before_integration(self, monkeypatch):
         def integration_started(*args):
@@ -182,6 +193,29 @@ class TestSchedule:
             run_simulation(bundled_case("toy9"), fault_events(5, 5.0, 0.1),
                            SimConfig(dt=0.005, horizon=6.0))
 
+    def test_event_at_the_horizon_rejected_before_integration(self, monkeypatch):
+        # the last step starts at horizon - dt, so the loop would never
+        # apply an event at the horizon itself
+        def integration_started(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr("lelsim.grid.power_flow", integration_started)
+        fault = Event(time=0.5, kind="fault", bus=5)
+        with pytest.raises(InvalidArgument, match="at the horizon"):
+            run_simulation(bundled_case("toy9"), [fault], SimConfig(dt=0.01, horizon=0.5))
+
+    @pytest.mark.parametrize("admittance", [complex(math.nan, 0.0), complex(0.0, -math.inf)],
+                             ids=["nan", "inf"])
+    def test_non_finite_fault_admittance_rejected_before_integration(
+            self, admittance, monkeypatch):
+        def integration_started(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr("lelsim.grid.power_flow", integration_started)
+        with pytest.raises(InvalidArgument, match="non-finite admittance"):
+            run_simulation(bundled_case("toy9"), fault_events(5, 0.1, 0.1, admittance),
+                           SimConfig(dt=0.01, horizon=0.5))
+
     def test_fault_events_pair(self):
         fault, clear = fault_events(3, 1.0, 0.1, admittance=-30j)
         assert fault.kind == "fault" and clear.kind == "clear_fault"
@@ -198,6 +232,8 @@ class TestIslanding:
         assert partial.collapsed and partial.collapse_reason == "islanding"
         assert partial.time[-1] == pytest.approx(0.1)
         assert [e.kind for e in partial.events] == ["branch_tripped"]
+        assert exc.value.reason == "islanding"
+        assert "islands" in str(exc.value) and "Newton" not in str(exc.value)
 
     @pytest.mark.parametrize("branch", [(4, 5), (5, 7)])
     def test_trip_inside_the_ring_runs_to_the_horizon(self, branch):
@@ -306,3 +342,113 @@ class TestRegimeFlags:
         assert set(flags) == {"ride_through", "mass_disconnection",
                               "staggered_interaction", "delayed_or_collapse"}
         assert flags["ride_through"] is True
+
+
+class TestCollapseReasons:
+    """Each collapse carries its reason, and its message names the cause."""
+
+    def collapse(self, events=()):
+        case = place_lels(bundled_case("toy9"), 2, seed=3)
+        with pytest.raises(SimulationCollapse) as exc:
+            run_simulation(case, list(events), SimConfig(dt=0.01, horizon=0.5))
+        assert exc.value.partial.collapse_reason == exc.value.reason
+        return exc.value
+
+    def test_newton(self, monkeypatch):
+        monkeypatch.setattr("lelsim.grid.NEWTON_TOL", -1.0)   # never met
+        exc = self.collapse()
+        assert exc.reason == "newton" and exc.step == 0
+        assert str(exc).startswith("Newton failed to converge")
+        assert f"residual {exc.residual:.3e}" in str(exc)
+
+    def test_network_solve(self, monkeypatch):
+        monkeypatch.setattr(_Engine, "solve_network",
+                            lambda self, V, delta, em: (V, False))
+        exc = self.collapse(fault_events(5, 0.2, 0.1))
+        assert exc.reason == "network_solve"
+        assert "network re-solve" in str(exc) and "Newton" not in str(exc)
+        assert exc.time == pytest.approx(0.2)
+
+    def test_non_finite_residual(self, monkeypatch):
+        residual = _Engine.residual
+        calls = []
+
+        def nan_at_one_step(self, z, xk, f0, dt):
+            calls.append(xk)
+            R = residual(self, z, xk, f0, dt)
+            if len({id(x) for x in calls}) == 4:       # the fourth step
+                R[:] = math.nan
+            return R
+
+        monkeypatch.setattr(_Engine, "residual", nan_at_one_step)
+        exc = self.collapse()
+        assert exc.reason == "non_finite" and exc.step == 3
+        assert "not finite" in str(exc)
+        assert len(exc.partial.time) == 4 and np.all(np.isfinite(exc.partial.v_mag))
+
+
+def noisy_toy9():
+    """toy9 with three LELs: one archetype default, one with frequent
+    bursts, one with bursts and no diffusion, so every draw order of the
+    OU kernel is exercised."""
+    case = place_lels(bundled_case("toy9"), 3, seed=1)
+    first, second, third = case.lels
+
+    def work(p, **kw):
+        return replace(p, params=replace(p.params, work=replace(p.params.work, **kw)))
+
+    return case.with_lels((first, work(second, lambda_burst=20.0),
+                           work(third, lambda_burst=20.0, sigma_xi=0.0)))
+
+
+class TestEngineOracles:
+    def test_workload_power_matches_ou_step_loop_bitwise(self, monkeypatch):
+        case = noisy_toy9()
+        cfg = SimConfig(dt=0.01, horizon=1.0, seed=11)
+        residual = _Engine.residual
+        per_step = {}              # id(xk) -> (xk, p_work): one entry a step
+
+        def spy(self, z, xk, f0, dt):
+            per_step.setdefault(id(xk), (xk, self.p_work.copy()))
+            return residual(self, z, xk, f0, dt)
+
+        monkeypatch.setattr(_Engine, "residual", spy)
+        run_simulation(case, [], cfg)
+        seen = np.array([p for _, p in per_step.values()])
+        assert seen.shape == (100, 3)
+
+        lels = init_dynamics(case, power_flow(case)).lels
+        for k, lel in enumerate(lels):
+            work = lel.params.work
+            rng = np.random.default_rng([cfg.seed, k])
+            state = WorkloadState(eta=work.mu_eta)
+            expected = []
+            for _ in range(100):
+                state = ou_step(state, work, cfg.dt, rng)
+                expected.append(workload_power(state.eta, work))
+            assert np.array_equal(seen[:, k], expected)
+        assert len(np.unique(seen[:, 2])) > 1       # bursts alone moved it
+
+    @pytest.mark.parametrize("stalled", [False, True], ids=["running", "stall_tripped"])
+    def test_residual_network_rows_equal_current_mismatch(self, stalled):
+        case = noisy_toy9()
+        dyn = init_dynamics(case, power_flow(case))
+        eng = _Engine(dyn, SimConfig(dt=0.01, horizon=1.0))
+        if stalled:
+            eng.running[1] = False
+        ng, K, n = eng.ng, eng.K, eng.n
+        rng = np.random.default_rng(5)
+        delta = dyn.delta0 + 0.02 * rng.standard_normal(ng)
+        omega = 1.0 + 1e-3 * rng.standard_normal(ng)
+        em = eng._em_array() * (1.0 + 0.05 * rng.standard_normal((3, K)))
+        V = dyn.V0 * (0.95 + 0.05 * rng.random(n)) * np.exp(0.03j * rng.standard_normal(n))
+        z = np.concatenate([delta, omega, em.ravel(), V.real, V.imag])
+        # the previous step's states differ from z's, so a motor current
+        # taken at the wrong states would show in the network rows
+        xk = {"delta": dyn.delta0, "omega": np.ones(ng), "em": eng._em_array()}
+        f0 = {"fd": np.zeros(ng), "fo": np.zeros(ng), "fm": np.zeros((3, K))}
+
+        R = eng.residual(z, xk, f0, 0.01)
+        I = eng.current_mismatch(V, dyn.E * np.exp(1j * delta), em)
+        assert np.array_equal(R[eng.ovr:eng.ovr + n], I.real)
+        assert np.array_equal(R[eng.ovi:eng.ovi + n], I.imag)

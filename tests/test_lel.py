@@ -114,7 +114,7 @@ class TestCurrentInjection:
         i = eng.pe_injection(np.array([v]))[0]
         s = v * i.conjugate() * eng.s_base
         p_aux, q_aux = aux_power(abs(v), params.aux)
-        assert s.real == pytest.approx(workload_power(eng.eta[0], params.work) + p_aux)
+        assert s.real == pytest.approx(workload_power(params.work.mu_eta, params.work) + p_aux)
         assert s.imag == pytest.approx(q_aux)
 
     def test_low_voltage_guard(self, toy2_engine):
