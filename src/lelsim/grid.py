@@ -27,14 +27,13 @@ from scipy.linalg.lapack import dgetrs
 from lelsim.cases import GridCase, LelPlacement, bus_islands
 from lelsim.errors import (
     InvalidArgument,
-    NoEquilibrium,
     SimulationCollapse,
     ValidationError,
 )
 from lelsim.lel import Archetype, LelParams, archetype_defaults
 from lelsim.protection import ProtectionMode, ProtectionState, protection_step
-from lelsim.thermal_aux import (OMEGA_SYNC, MotorMode, MotorState, aux_power,
-                                motor_init, stall_update)
+from lelsim.thermal_aux import (OMEGA_SYNC, MotorMode, aux_power, motor_init,
+                                stall_update)
 # ou_step is not called (load paths come from workload_path); the name
 # stays bound because the benchmark's tracer counts OU steps here.
 from lelsim.workload import ou_step, workload_path, workload_power  # noqa: F401
@@ -256,105 +255,43 @@ def nearest_generator(case: GridCase) -> np.ndarray:
 # dynamic initialization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _LelRuntime:
-    bus: int                      # position index
-    bus_id: int
-    params: LelParams             # demand-scaled bundle
-    motor: MotorState
-    prot: ProtectionState
-    nearest_gen: int
-
-
-@dataclass
-class DynamicSystem:
-    case: GridCase
-    V0: np.ndarray
-    Y_dyn: np.ndarray             # network + loads + Norton + compensation
-    gbus: np.ndarray
-    E: np.ndarray
-    delta0: np.ndarray
-    Pm: np.ndarray
-    H: np.ndarray
-    D: np.ndarray
-    yg: np.ndarray
-    lels: list[_LelRuntime]
-    omega_base: float
-
-
 def _scaled_lel_params(placement: LelPlacement, p_mw: float, v_mag: float) -> LelParams:
     """Rescale an archetype bundle so the LEL draws p_mw at voltage v_mag
-    (init_dynamics' compensation shunts keep the t=0 Q balance exact)."""
+    (the engine's compensation shunts keep the t=0 Q balance exact).
+
+    Raises InvalidArgument when the bus has no demand or a block cannot
+    carry its share: the cooling motor always draws power, so its share
+    must be positive, and a workload block that draws nothing at mu_eta
+    cannot be scaled up."""
     base = placement.params
     sw, sc, sa = placement.shares
+    where = f"LEL at bus {placement.bus}"
     if p_mw <= 0:
-        raise NoEquilibrium(f"LEL bus {placement.bus} has no demand to allocate")
+        raise InvalidArgument(f"{where} has no demand to allocate")
+    if sc <= 0:
+        raise InvalidArgument(f"{where}: the cooling block cannot carry a zero share "
+                              f"(its motor always draws power)")
     # workload block scaled so workload_power(mu_eta) hits its share
     w = base.work
     p0 = workload_power(w.mu_eta, w)
-    scale = sw * p_mw / p0 if p0 > 0 else 0.0
+    if sw > 0 and p0 <= 0:
+        raise InvalidArgument(f"{where}: the workload block draws no power at "
+                              f"mu_eta={w.mu_eta}, so it cannot carry share {sw}")
+    scale = sw * p_mw / p0 if sw > 0 else 0.0
     work = replace(w, p_base=w.p_base * scale, p_full=w.p_full * scale)
     # auxiliary block scaled at the operating voltage
     zipf = aux_power(v_mag, replace(base.aux, p_aux0=1.0))[0]
     aux = replace(base.aux, p_aux0=sa * p_mw / zipf)
     # cooling block: motor MVA base sized so load_factor pu equals the share
-    c = base.cool
-    p_cool = sc * p_mw
-    cool = replace(c, mva_base=p_cool / c.load_factor if p_cool > 0 else c.mva_base)
+    cool = replace(base.cool, mva_base=sc * p_mw / base.cool.load_factor)
     # protection band referenced to the local operating voltage
     prot = replace(base.prot, V_ref=v_mag)
     return LelParams(work=work, cool=cool, aux=aux, prot=prot, archetype=base.archetype)
 
 
-def init_dynamics(case: GridCase, V: np.ndarray) -> DynamicSystem:
-    """Build the t=0 equilibrium: machine EMFs, load admittances, and LEL
-    subsystem states, such that every time derivative vanishes."""
-    idx = case.bus_index()
-    n = case.n_bus
-    s_base = case.s_base
-    Y = build_ybus(case)
-
-    lel_bus_pos = {idx[p.bus] for p in case.lels}
-    near = nearest_generator(case)
-
-    # classical machines: Pe equals the injected power (lossless Xd')
-    gbus = np.array([idx[g.bus] for g in case.generators])
-    xd = np.array([g.xd_p for g in case.generators])
-    S_load = np.array([complex(b.p_load, b.q_load) for b in case.buses]) / s_base
-    Ig = np.conj((V * np.conj(Y @ V) + S_load)[gbus] / V[gbus])
-    Ephasor = V[gbus] + 1j * xd * Ig
-    E, delta0 = np.abs(Ephasor), np.angle(Ephasor)
-    Pm = (Ephasor * np.conj(Ig)).real
-    yg = 1.0 / (1j * xd)
-
-    # non-LEL loads become constant admittances; fold generator Nortons
-    Y_dyn = Y.copy()
-    other = np.array([b not in lel_bus_pos for b in range(n)])
-    Y_dyn[other, other] += np.conj(S_load[other]) / np.abs(V[other]) ** 2
-    Y_dyn[gbus, gbus] += yg
-
-    # LEL subsystems at their bus demand
-    lels: list[_LelRuntime] = []
-    for p in case.lels:
-        b = idx[p.bus]
-        params = _scaled_lel_params(p, case.buses[b].p_load, abs(V[b]))
-        motor = motor_init(params.cool.load_factor, V[b], params.cool)
-        lels.append(_LelRuntime(bus=b, bus_id=p.bus, params=params, motor=motor,
-                                prot=ProtectionState(), nearest_gen=int(near[b])))
-
-    dyn = DynamicSystem(case=case, V0=V.copy(), Y_dyn=Y_dyn, gbus=gbus, E=E,
-                        delta0=delta0, Pm=Pm,
-                        H=np.array([g.H for g in case.generators]),
-                        D=np.array([g.D for g in case.generators]),
-                        yg=yg, lels=lels, omega_base=2 * math.pi * case.f_base)
-
-    # compensation shunts absorb the residual injection (power-flow
-    # tolerance plus the LEL reactive allocation) so t=0 is exact
-    eng = _Engine(dyn, SimConfig(dt=1e-3, horizon=1.0, seed=0))
-    I_mis = eng.current_mismatch(V, dyn.E * np.exp(1j * dyn.delta0), eng._em_array())
-    comp = -I_mis / V
-    dyn.Y_dyn[np.arange(n), np.arange(n)] += comp
-    return dyn
+def init_dynamics(case: GridCase, V: np.ndarray) -> _Engine:
+    """The grid engine at the t=0 equilibrium of power-flow voltages V."""
+    return _Engine(case, V)
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +299,50 @@ def init_dynamics(case: GridCase, V: np.ndarray) -> DynamicSystem:
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    def __init__(self, dyn: DynamicSystem, cfg: SimConfig):
-        self.dyn = dyn
-        self.cfg = cfg
-        self.n = len(dyn.V0)
-        self.ng = len(dyn.E)
-        self.K = len(dyn.lels)
-        self.wb = dyn.omega_base
-        self.s_base = dyn.case.s_base
+    """Parameters and discrete states of the whole grid: classical
+    machines, the network with its load and compensation shunts, and K
+    LELs (parameter arrays plus, per LEL, the scaled bundle, protection
+    state, motor state, nearest generator and bus id).  The continuous
+    states live in the caller's state vector; em0 holds the motors'
+    initial EMF and slip, and MotorState's copies are read only at init
+    and at restart."""
+
+    def __init__(self, case: GridCase, V: np.ndarray):
+        """Build the t=0 equilibrium: machine EMFs, load admittances, and
+        LEL subsystem states, such that every time derivative vanishes."""
+        idx = case.bus_index()
+        n = self.n = case.n_bus
+        self.s_base = case.s_base
+        self.wb = 2 * math.pi * case.f_base
+        self.V0 = V.copy()
+        Y = build_ybus(case)
+
+        # classical machines: Pe equals the injected power (lossless Xd')
+        gens = case.generators
+        self.gbus = np.array([idx[g.bus] for g in gens])
+        xd = np.array([g.xd_p for g in gens])
+        S_load = np.array([complex(b.p_load, b.q_load) for b in case.buses]) / self.s_base
+        Ig = np.conj((V * np.conj(Y @ V) + S_load)[self.gbus] / V[self.gbus])
+        Ephasor = V[self.gbus] + 1j * xd * Ig
+        self.E, self.delta0 = np.abs(Ephasor), np.angle(Ephasor)
+        self.Pm = (Ephasor * np.conj(Ig)).real
+        self.yg = 1.0 / (1j * xd)
+        self.H = np.array([g.H for g in gens])
+        self.D = np.array([g.D for g in gens])
+
+        # LEL subsystems at their bus demand
+        self.lbus = np.array([idx[p.bus] for p in case.lels], dtype=int)
+        self.lel_ids = [p.bus for p in case.lels]
+        self.near = nearest_generator(case)[self.lbus].tolist()
+        self.params = [_scaled_lel_params(p, case.buses[b].p_load, abs(V[b]))
+                       for p, b in zip(case.lels, self.lbus)]
+        self.motors = [motor_init(p.cool.load_factor, V[b], p.cool)
+                       for p, b in zip(self.params, self.lbus)]
+        self.prot = [ProtectionState() for _ in self.params]
 
         # unknown layout: delta, omega, edp, eqp, slip, Vre, Vim
-        ng, K, n = self.ng, self.K, self.n
+        ng = self.ng = len(gens)
+        K = self.K = len(self.params)
         self.od = 0
         self.oo = ng
         self.om = 2 * ng
@@ -381,43 +351,54 @@ class _Engine:
         self.N = self.ovi + n
 
         # motor/lel parameter arrays
-        ls = dyn.lels
-        self.lbus = np.array([l.bus for l in ls], dtype=int)
-        self.m_z = np.array([complex(l.params.cool.R_s, l.params.cool.x_trans)
-                             for l in ls], dtype=complex)
-        self.m_c = np.array([l.params.cool.x_open - l.params.cool.x_trans for l in ls])
+        cool = [p.cool for p in self.params]
+        aux = [p.aux for p in self.params]
+        work = [p.work for p in self.params]
+        self.m_z = np.array([complex(c.R_s, c.x_trans) for c in cool], dtype=complex)
+        self.m_c = np.array([c.x_open - c.x_trans for c in cool])
         # T0' rescaled to the case's own synchronous speed, so the slip
         # term and the rotor time constant agree at any f_base
-        self.m_t0 = np.array([l.params.cool.t0_prime * (OMEGA_SYNC / self.wb)
-                              for l in ls])
-        self.m_h = np.array([l.params.cool.H_m for l in ls])
-        self.m_ratio = np.array([l.params.cool.mva_base / self.s_base for l in ls])
-        self.aux_p0 = np.array([l.params.aux.p_aux0 for l in ls])
-        self.aux_az = np.array([l.params.aux.alpha_Z for l in ls])
-        self.aux_ai = np.array([l.params.aux.alpha_I for l in ls])
-        self.aux_ap = np.array([l.params.aux.alpha_P for l in ls])
-        self.aux_v0 = np.array([l.params.aux.V0 for l in ls])
-        self.aux_beta = np.array([l.params.aux.beta_aux for l in ls])
-        w_pb = np.array([l.params.work.p_base for l in ls])
-        w_pf = np.array([l.params.work.p_full for l in ls])
+        self.m_t0 = np.array([c.t0_prime * (OMEGA_SYNC / self.wb) for c in cool])
+        self.m_h = np.array([c.H_m for c in cool])
+        self.m_ratio = np.array([c.mva_base / self.s_base for c in cool])
+        self.aux_p0 = np.array([a.p_aux0 for a in aux])
+        self.aux_az = np.array([a.alpha_Z for a in aux])
+        self.aux_ai = np.array([a.alpha_I for a in aux])
+        self.aux_ap = np.array([a.alpha_P for a in aux])
+        self.aux_v0 = np.array([a.V0 for a in aux])
+        self.aux_beta = np.array([a.beta_aux for a in aux])
+        w_pb = np.array([w.p_base for w in work])
+        w_pf = np.array([w.p_full for w in work])
 
         # mutable per-step views; p_work (MW) starts at utilization mu_eta
         # and then holds the step's row of the workload path
-        mu = np.array([l.params.work.mu_eta for l in ls])
+        mu = np.array([w.mu_eta for w in work])
         self.p_work = w_pb + mu * (w_pf - w_pb)
-        self.tmech = np.array([l.motor.t_mech for l in ls])
-        self.running = np.array([l.motor.mode is MotorMode.RUNNING for l in ls], dtype=bool)
-        self.kappa = np.array([l.prot.kappa for l in ls])
+        self.em0 = np.array([[m.ed_p for m in self.motors],
+                             [m.eq_p for m in self.motors],
+                             [m.slip for m in self.motors]])
+        self.tmech = np.array([m.t_mech for m in self.motors])
+        self.running = np.ones(K, dtype=bool)
+        self.kappa = np.array([p.kappa for p in self.prot])
 
-        self.set_network(dyn.Y_dyn.copy())
+        # non-LEL loads become constant admittances; fold generator Nortons
+        other = np.ones(n, dtype=bool)
+        other[self.lbus] = False
+        Y[other, other] += np.conj(S_load[other]) / np.abs(V[other]) ** 2
+        Y[self.gbus, self.gbus] += self.yg
+        # compensation shunts absorb the residual injection (power-flow
+        # tolerance plus the LEL reactive allocation) so t=0 is exact
+        self.set_network(Y)
+        I_mis = self.current_mismatch(V, self.E * np.exp(1j * self.delta0), self.em0)
+        Y[np.arange(n), np.arange(n)] += -I_mis / V
 
     # -- device functions -------------------------------------------------
 
     def gen_f(self, delta, omega, Vg):
-        Eg = self.dyn.E * np.exp(1j * delta)
-        Pe = (np.conj(self.dyn.yg) * (self.dyn.E**2 - Eg * np.conj(Vg))).real
+        Eg = self.E * np.exp(1j * delta)
+        Pe = (np.conj(self.yg) * (self.E**2 - Eg * np.conj(Vg))).real
         fd = self.wb * (omega - 1.0)
-        fo = (self.dyn.Pm - Pe - self.dyn.D * (omega - 1.0)) / (2 * self.dyn.H)
+        fo = (self.Pm - Pe - self.D * (omega - 1.0)) / (2 * self.H)
         return fd, fo, Eg
 
     def motor_f(self, em, Vm):
@@ -457,14 +438,9 @@ class _Engine:
         i_m).  validate_case keeps generator buses distinct and LEL buses
         distinct, so a fancy-index scatter adds each term once."""
         I = self.Y @ V
-        I[self.dyn.gbus] -= Eg * self.dyn.yg
+        I[self.gbus] -= Eg * self.yg
         I[self.lbus] += self.lel_injection(V[self.lbus], em, i_m)
         return I
-
-    def _em_array(self):
-        return np.array([[l.motor.ed_p for l in self.dyn.lels],
-                         [l.motor.eq_p for l in self.dyn.lels],
-                         [l.motor.slip for l in self.dyn.lels]]).reshape(3, self.K)
 
     # -- residual and Jacobian --------------------------------------------
 
@@ -475,7 +451,7 @@ class _Engine:
         em = z[self.om:self.om + 3 * K].reshape(3, K)
         V = z[self.ovr:self.ovr + n] + 1j * z[self.ovi:self.ovi + n]
 
-        fd, fo, Eg = self.gen_f(delta, omega, V[self.dyn.gbus])
+        fd, fo, Eg = self.gen_f(delta, omega, V[self.gbus])
         fm, i_m = self.motor_f(em, V[self.lbus])
 
         R = np.empty(self.N)
@@ -505,94 +481,74 @@ class _Engine:
         r = np.arange(ng)
         J[od + r, od + r] = 1.0
         J[od + r, oo + r] = -0.5 * dt * self.wb
-        Eg = self.dyn.E * np.exp(1j * delta)
-        Vg = V[self.dyn.gbus]
-        cyg = np.conj(self.dyn.yg)
+        Eg = self.E * np.exp(1j * delta)
+        Vg = V[self.gbus]
+        cyg = np.conj(self.yg)
         dPe_dd = (-1j * cyg * Eg * np.conj(Vg)).real
         dPe_dvre = (-cyg * Eg).real
         dPe_dvim = (1j * cyg * Eg).real
-        h2 = 0.5 * dt / (2 * self.dyn.H)
-        J[oo + r, oo + r] = 1.0 + 0.5 * dt * self.dyn.D / (2 * self.dyn.H)
+        h2 = 0.5 * dt / (2 * self.H)
+        J[oo + r, oo + r] = 1.0 + 0.5 * dt * self.D / (2 * self.H)
         J[oo + r, od + r] = h2 * dPe_dd
-        J[oo + r, ovr + self.dyn.gbus] = h2 * dPe_dvre
-        J[oo + r, ovi + self.dyn.gbus] = h2 * dPe_dvim
+        J[oo + r, ovr + self.gbus] = h2 * dPe_dvre
+        J[oo + r, ovi + self.gbus] = h2 * dPe_dvim
 
-        # motor rows + their network coupling
-        self._motor_jacobian(J, em, V, dt)
+        # motor rows: the trapezoidal identity on the own states minus
+        # dt/2 times the partials over (e_d, e_q, s, v_re, v_im)
+        dfm, di = self._motor_partials(em, V[self.lbus])
+        rows = om + np.arange(3)[:, None] * K + np.arange(K)          # (3, K)
+        cols = np.concatenate([rows, [ovr + self.lbus, ovi + self.lbus]])
+        blk = -0.5 * dt * dfm
+        blk[np.arange(3), np.arange(3)] += 1.0
+        J[rows[:, None], cols] = blk
+        # the stator current's e_d, e_q columns in the network rows
+        dI = di[:2] * (self.kappa * self.m_ratio * self.running)
+        J[ovr + self.lbus, cols[:2]] = dI.real
+        J[ovi + self.lbus, cols[:2]] = dI.imag
 
-        # network rows: linear admittance part (added, the motor block
-        # already wrote its couplings into these rows)
-        J[ovr:, ovr:] += self._admittance_block()
+        # network rows over the voltages
+        J[ovr:, ovr:] += self.network_jacobian(V)
 
         # generator source term -I_E(delta)
-        dIE = 1j * Eg * self.dyn.yg  # d(I_E)/d delta
-        J[ovr + self.dyn.gbus, od + r] += -dIE.real
-        J[ovi + self.dyn.gbus, od + r] += -dIE.imag
-
-        # constant-power injection sensitivity to local voltage
-        self._pe_jacobian(J, V, ovr, ovi, ovr, ovi)
+        dIE = 1j * Eg * self.yg  # d(I_E)/d delta
+        J[ovr + self.gbus, od + r] += -dIE.real
+        J[ovi + self.gbus, od + r] += -dIE.imag
         return J
 
-    def _admittance_block(self):
-        """d(Y V)/d(Vre, Vim) of the rows (Re, Im): [[G, -B], [B, G]]."""
-        G, B = self.Y.real, self.Y.imag
-        return np.block([[G, -B], [B, G]])
-
-    def _motor_jacobian(self, J, em, V, dt):
-        K = self.K
-        om, ovr, ovi = self.om, self.ovr, self.ovi
+    def _motor_partials(self, em, Vm):
+        """(3, 5, K) partials of the motor f (rows e_d, e_q, s) over the
+        columns (e_d, e_q, s, v_re, v_im), zero for a tripped motor, and
+        the (4, K) partials of the stator current over (e_d, e_q, v_re,
+        v_im)."""
         edp, eqp, slip = em
-        Vm = V[self.lbus]
         zinv = 1.0 / self.m_z
         i = (Vm - (edp + 1j * eqp)) * zinv
         c, t0, wb = self.m_c, self.m_t0, self.wb
-        run = self.running.astype(float)
+        di = np.array([-zinv, -1j * zinv, zinv, 1j * zinv])
+        d = np.empty((3, 5, self.K))
+        cur = [0, 1, 3, 4]                   # the columns the current depends on
+        d[0, cur] = -(c * di.imag) / t0
+        d[1, cur] = (c * di.real) / t0
+        dte = edp * di.real + eqp * di.imag
+        dte[0] += i.real
+        dte[1] += i.imag
+        d[2, cur] = -dte / (2 * self.m_h)
+        d[0, 0] -= 1.0 / t0
+        d[1, 0] += -wb * slip
+        d[0, 1] += wb * slip
+        d[1, 1] -= 1.0 / t0
+        d[0, 2] = wb * eqp
+        d[1, 2] = -wb * edp
+        d[2, 2] = 0.0
+        return d * self.running, di
 
-        # complex derivatives of the stator current
-        di = {"edp": -zinv, "eqp": -1j * zinv, "vre": zinv, "vim": 1j * zinv}
-
-        def dfm(var):
-            """(3, K) derivative of the motor f w.r.t. one scalar variable."""
-            d_i = di.get(var, np.zeros(K, complex))
-            out = np.zeros((3, K))
-            out[0] = -(c * d_i.imag) / t0
-            out[1] = (c * d_i.real) / t0
-            dte = edp * d_i.real + eqp * d_i.imag
-            if var == "edp":
-                out[1] += -wb * slip
-                dte = dte + i.real
-            elif var == "eqp":
-                out[0] += wb * slip
-                dte = dte + i.imag
-            elif var == "slip":
-                out[0] = wb * eqp
-                out[1] = -wb * edp
-                dte = np.zeros(K)
-            out[0] -= (1.0 / t0) if var == "edp" else 0.0
-            out[1] -= (1.0 / t0) if var == "eqp" else 0.0
-            out[2] = -dte / (2 * self.m_h)
-            return out * run
-
-        rows = [om, om + K, om + 2 * K]
-        kk = np.arange(K)
-        cols = {"edp": om + kk, "eqp": om + K + kk, "slip": om + 2 * K + kk,
-                "vre": ovr + self.lbus, "vim": ovi + self.lbus}
-        for var, col in cols.items():
-            for rrow, drow in zip(rows, dfm(var)):
-                J[rrow + kk, col] += -0.5 * dt * drow
-        # trapezoidal identity on own states
-        for rrow in rows:
-            J[rrow + kk, rrow + kk] += 1.0
-        # motor current contribution to the network rows
-        ratio = self.kappa * self.m_ratio * run
-        for var in ("edp", "eqp"):
-            dI = di[var] * ratio
-            J[ovr + self.lbus, cols[var]] += dI.real
-            J[ovi + self.lbus, cols[var]] += dI.imag
-        self._motor_current_jacobian(J, ovr, ovi, ovr, ovi)
-
-    def _pe_jacobian(self, J, V, ro_re, ro_im, co_re, co_im):
-        """Add d(I_pe)/dV blocks into J at the given row/column offsets."""
+    def network_jacobian(self, V):
+        """d(mismatch)/d(V_re, V_im), rows (Re, Im) by columns (V_re,
+        V_im): the admittance block [[G, -B], [B, G]] plus each LEL's
+        kappa-scaled voltage derivatives of its stator current and of its
+        constant-power current."""
+        # constant-power current: I = W / conj(V) above the floor, with
+        # W = P - jQ, and I = conj(S)/Vf^2 * V below it
         Vl = V[self.lbus]
         vm = np.abs(Vl)
         above = vm > V_FLOOR
@@ -607,23 +563,26 @@ class _Engine:
                                          + self.aux_ai / self.aux_v0) / self.s_base,
                           0.0)
         dW_dvm = (1.0 - 1j * self.aux_beta) * dP_dvm
-        cV = np.conj(Vl)
-        safe = np.where(above, cV, 1.0)
+        safe = np.where(above, np.conj(Vl), 1.0)
         dvm_dvre = np.where(vm > 0, Vl.real / np.maximum(vm, 1e-300), 0.0)
         dvm_dvim = np.where(vm > 0, Vl.imag / np.maximum(vm, 1e-300), 0.0)
-        # I = W / conj(V) above the floor; I = conj(S)/Vf^2 * V below it
         dI_dvre = np.where(above,
                            dW_dvm * dvm_dvre / safe - W / safe**2,
                            np.conj(W * self.s_base) / self.s_base / V_FLOOR**2)
         dI_dvim = np.where(above,
                            dW_dvm * dvm_dvim / safe - W / safe**2 * (-1j),
                            1j * np.conj(W * self.s_base) / self.s_base / V_FLOOR**2)
-        dI_dvre = dI_dvre * self.kappa
-        dI_dvim = dI_dvim * self.kappa
-        J[ro_re + self.lbus, co_re + self.lbus] += dI_dvre.real
-        J[ro_im + self.lbus, co_re + self.lbus] += dI_dvre.imag
-        J[ro_re + self.lbus, co_im + self.lbus] += dI_dvim.real
-        J[ro_im + self.lbus, co_im + self.lbus] += dI_dvim.imag
+        zinv = 1.0 / self.m_z
+        d_motor = np.array([zinv, 1j * zinv]) * (self.kappa * self.m_ratio * self.running)
+        d_pe = np.array([dI_dvre, dI_dvim]) * self.kappa
+
+        G, B = self.Y.real, self.Y.imag
+        Jn = np.block([[G, -B], [B, G]])
+        lb = np.array([self.lbus, self.n + self.lbus])
+        at = (lb[:, None], lb[None, :])      # (row Re|Im, column V_re|V_im, K)
+        for dI in (d_motor, d_pe):
+            Jn[at] += np.array([dI.real, dI.imag])
+        return Jn
 
     # -- solves -------------------------------------------------------------
 
@@ -631,17 +590,14 @@ class _Engine:
         """Damped Newton on the algebraic network equations with frozen
         differential states."""
         n = self.n
-        Eg = self.dyn.E * np.exp(1j * delta)
+        Eg = self.E * np.exp(1j * delta)
         I = self.current_mismatch(V, Eg, em)
         rmax = np.max(np.abs(I))
         for _ in range(2 * NEWTON_MAX_ITER):
             if rmax < tol:
                 return V, True
-            Jn = self._admittance_block()
-            self._pe_jacobian(Jn, V, 0, n, 0, n)
-            self._motor_current_jacobian(Jn, 0, n, 0, n)
             rhs = np.concatenate([I.real, I.imag])
-            dx = np.linalg.solve(Jn, rhs)
+            dx = np.linalg.solve(self.network_jacobian(V), rhs)
             dV = dx[:n] + 1j * dx[n:]
             alpha = 1.0
             for _bt in range(10):
@@ -653,15 +609,6 @@ class _Engine:
                 alpha *= 0.5
             V, I, rmax = V_try, I_try, r_try
         return V, rmax < tol
-
-    def _motor_current_jacobian(self, J, ro_re, ro_im, co_re, co_im):
-        """Stator-current sensitivity to the terminal voltage only."""
-        zinv = 1.0 / self.m_z
-        ratio = self.kappa * self.m_ratio * self.running.astype(float)
-        for off, dval in ((co_re, zinv), (co_im, 1j * zinv)):
-            dI = dval * ratio
-            J[ro_re + self.lbus, off + self.lbus] += dI.real
-            J[ro_im + self.lbus, off + self.lbus] += dI.imag
 
 
 # ---------------------------------------------------------------------------
@@ -711,21 +658,20 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     schedule = make_schedule(events)
     _check_events(case, schedule, cfg)
     V0 = power_flow(case)
-    dyn = init_dynamics(case, V0)
-    eng = _Engine(dyn, cfg)
+    eng = init_dynamics(case, V0)
     n, ng, K = eng.n, eng.ng, eng.K
     dt = cfg.dt
     n_steps = int(round(cfg.horizon / dt))
 
-    delta = dyn.delta0.copy()
+    delta = eng.delta0.copy()
     omega = np.ones(ng)
-    em = eng._em_array()
-    V = dyn.V0.copy()
+    em = eng.em0.copy()
+    V = eng.V0.copy()
     # each LEL's workload power over the horizon, held constant across
     # each step; it does not depend on the grid state
     p_path = np.empty((n_steps, K))
-    for k, l in enumerate(dyn.lels):
-        p_path[:, k] = workload_path(l.params.work, n_steps, dt, (cfg.seed, k))
+    for k, params in enumerate(eng.params):
+        p_path[:, k] = workload_path(params.work, n_steps, dt, (cfg.seed, k))
 
     T = n_steps + 1
     rec_t = np.empty(T)
@@ -739,9 +685,8 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     rec_pm = np.empty((T, K), dtype=int)
     rec_mm = np.empty((T, K), dtype=int)
     log: list[EventRecord] = []
-    kappa_full = np.array([l.params.prot.kappa_full for l in dyn.lels])
+    kappa_full = np.array([p.prot.kappa_full for p in eng.params])
     bus_ids = [b.id for b in case.buses]
-    lel_ids = [l.bus_id for l in dyn.lels]
 
     def record(i, t):
         rec_t[i] = t
@@ -753,7 +698,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         rec_lp[i] = S.real
         rec_lq[i] = S.imag
         rec_kp[i] = eng.kappa
-        rec_pm[i] = [PROT_MODE_ORD[l.prot.mode] for l in dyn.lels]
+        rec_pm[i] = [PROT_MODE_ORD[p.mode] for p in eng.prot]
         rec_mm[i] = (~eng.running).astype(int)
 
     def make_result(upto, reason=""):
@@ -763,7 +708,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                          lel_kappa=rec_kp[:upto], lel_mode=rec_pm[:upto],
                          motor_mode=rec_mm[:upto], events=log, bus_ids=bus_ids,
                          gen_buses=[g.bus for g in case.generators],
-                         lel_ids=lel_ids, lel_kappa_full=kappa_full,
+                         lel_ids=eng.lel_ids, lel_kappa_full=kappa_full,
                          collapsed=bool(reason), collapse_reason=reason)
 
     def collapse(reason, step, t, upto, residual=0.0):
@@ -818,7 +763,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
             if not ok:
                 raise collapse("network_solve", step, t, step + 1, math.inf)
 
-        fd0, fo0, _ = eng.gen_f(delta, omega, V[dyn.gbus])
+        fd0, fo0, _ = eng.gen_f(delta, omega, V[eng.gbus])
         fm0, _ = eng.motor_f(em, V[eng.lbus])
         f0 = {"fd": fd0, "fo": fo0, "fm": fm0}
         xk = {"delta": delta, "omega": omega, "em": em}
@@ -869,34 +814,36 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
 
         # motor stall and protection state machines
         vm_l = np.abs(V[eng.lbus])
-        for k, l in enumerate(dyn.lels):
-            was_running = l.motor.mode is MotorMode.RUNNING
-            l.motor = stall_update(l.motor, V[eng.lbus[k]], dt, l.params.cool)
-            now_running = l.motor.mode is MotorMode.RUNNING
+        for k, params in enumerate(eng.params):
+            lel_id = eng.lel_ids[k]
+            was_running = eng.motors[k].mode is MotorMode.RUNNING
+            motor = eng.motors[k] = stall_update(eng.motors[k], V[eng.lbus[k]], dt,
+                                                 params.cool)
+            now_running = motor.mode is MotorMode.RUNNING
             if was_running and not now_running:
                 eng.running[k] = False
-                log.append(EventRecord(t_new, l.bus_id, "motor_stall_trip"))
+                log.append(EventRecord(t_new, lel_id, "motor_stall_trip"))
             elif not was_running and now_running:
-                em[:, k] = l.motor.ed_p, l.motor.eq_p, l.motor.slip
-                eng.tmech[k] = l.motor.t_mech
+                em[:, k] = motor.ed_p, motor.eq_p, motor.slip
+                eng.tmech[k] = motor.t_mech
                 eng.running[k] = True
-                log.append(EventRecord(t_new, l.bus_id, "motor_restart"))
+                log.append(EventRecord(t_new, lel_id, "motor_restart"))
 
-            prev = l.prot
-            om_near = omega[l.nearest_gen]
-            l.prot = protection_step(prev, vm_l[k], om_near, dt, l.params.prot)
-            eng.kappa[k] = l.prot.kappa
-            if prev.mode is not l.prot.mode:
-                m = l.prot.mode
+            prev = eng.prot[k]
+            prot = eng.prot[k] = protection_step(prev, vm_l[k], omega[eng.near[k]], dt,
+                                                 params.prot)
+            eng.kappa[k] = prot.kappa
+            if prev.mode is not prot.mode:
+                m = prot.mode
                 if m is ProtectionMode.SHED and prev.mode in (
                         ProtectionMode.CONNECTED, ProtectionMode.VIOLATION_TIMING):
-                    if prev.kappa > l.prot.kappa:
-                        log.append(EventRecord(t_new, l.bus_id, "shed"))
+                    if prev.kappa > prot.kappa:
+                        log.append(EventRecord(t_new, lel_id, "shed"))
                 elif m is ProtectionMode.RAMPING and prev.mode in (
                         ProtectionMode.SHED, ProtectionMode.RECOVERY_WAIT):
-                    log.append(EventRecord(t_new, l.bus_id, "ramp_start"))
+                    log.append(EventRecord(t_new, lel_id, "ramp_start"))
                 elif m is ProtectionMode.CONNECTED and prev.kappa < 1.0:
-                    log.append(EventRecord(t_new, l.bus_id, "reconnected"))
+                    log.append(EventRecord(t_new, lel_id, "reconnected"))
 
         record(step + 1, t_new)
 

@@ -34,10 +34,6 @@ class LelParams:
     prot: ProtectionParams
     archetype: Archetype = Archetype.DATACENTER
 
-    def __post_init__(self):
-        if self.work.p_base + self.aux.p_aux0 <= 0 and self.cool.mva_base <= 0:
-            raise InvalidArgument("combined nominal demand must be positive")
-
 
 # ---------------------------------------------------------------------------
 # archetype presets

@@ -234,14 +234,3 @@ def pattern_vector(embeddings: np.ndarray) -> PatternVector:
     var = ((Z - mean) ** 2).mean(axis=0)
     return PatternVector(mean_block=mean, var_block=var)
 
-
-def save_encoder(encoder: Encoder, path) -> None:
-    """Flat npz record of the weights; header[0] is the window length."""
-    np.savez(path, W1=encoder.W1, b1=encoder.b1, W2=encoder.W2, b2=encoder.b2,
-             header=np.array([encoder.window_length]))
-
-
-def load_encoder(path) -> Encoder:
-    with np.load(path, allow_pickle=False) as data:
-        return Encoder(W1=data["W1"], b1=data["b1"], W2=data["W2"], b2=data["b2"],
-                       window_length=int(data["header"][0]))

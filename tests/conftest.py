@@ -5,22 +5,17 @@ from dataclasses import replace
 import pytest
 
 from lelsim.cases import bundled_case
-from lelsim.grid import SimConfig, _Engine, init_dynamics, power_flow
+from lelsim.grid import init_dynamics, power_flow
 
 
 @pytest.fixture
 def toy2_engine():
     """Build the grid engine for toy2 (one LEL, at bus 2) at its t=0
-    equilibrium.  `cool` replaces the LEL's cooling parameters and
-    `motor` its motor state, so the engine's own motor model can be
-    evaluated at a chosen operating point."""
-    def build(cool=None, motor=None):
+    equilibrium; `cool` replaces the LEL's cooling parameters."""
+    def build(cool=None):
         case = bundled_case("toy2")
         if cool is not None:
             p = case.lels[0]
             case = case.with_lels((replace(p, params=replace(p.params, cool=cool)),))
-        dyn = init_dynamics(case, power_flow(case))
-        if motor is not None:
-            dyn.lels[0].motor = motor
-        return _Engine(dyn, SimConfig())
+        return init_dynamics(case, power_flow(case))
     return build

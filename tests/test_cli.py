@@ -104,6 +104,19 @@ class TestGridSim:
         assert "residual is not finite (non_finite)" in err
         assert "Traceback" not in err
 
+    def test_lel_share_its_block_cannot_carry_exits_1(self, tmp_path, capsys):
+        case = tmp_path / "noncool.case"
+        case.write_text("[SYSTEM]\ns_base,100.0\nf_base,60.0\n"
+                        "[BUS]\n1,slack,1.00,0,0\n2,pq,1.00,100,25\n"
+                        "[BRANCH]\n1,2,0.01,0.10,0.02\n"
+                        "[GEN]\n1,5.0,100.0,0.20,0,1.00\n"
+                        "[LEL]\n2,datacenter,0.7,0,0.3\n")
+        rc = run(["grid-sim", str(case), "--no-events", "--horizon", "0.05",
+                  "--dt", "0.01", "--out-prefix", str(tmp_path / "x")])
+        assert rc == 1
+        assert "LEL at bus 2: the cooling block" in capsys.readouterr().err
+        assert not (tmp_path / "x_result.csv").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         pa, pb = str(tmp_path / "a"), str(tmp_path / "b")
         for prefix in (pa, pb):

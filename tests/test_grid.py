@@ -417,9 +417,9 @@ class TestEngineOracles:
         seen = np.array([p for _, p in per_step.values()])
         assert seen.shape == (100, 3)
 
-        lels = init_dynamics(case, power_flow(case)).lels
-        for k, lel in enumerate(lels):
-            work = lel.params.work
+        eng = init_dynamics(case, power_flow(case))
+        for k, params in enumerate(eng.params):
+            work = params.work
             rng = np.random.default_rng([cfg.seed, k])
             state = WorkloadState(eta=work.mu_eta)
             expected = []
@@ -432,23 +432,72 @@ class TestEngineOracles:
     @pytest.mark.parametrize("stalled", [False, True], ids=["running", "stall_tripped"])
     def test_residual_network_rows_equal_current_mismatch(self, stalled):
         case = noisy_toy9()
-        dyn = init_dynamics(case, power_flow(case))
-        eng = _Engine(dyn, SimConfig(dt=0.01, horizon=1.0))
+        eng = init_dynamics(case, power_flow(case))
         if stalled:
             eng.running[1] = False
         ng, K, n = eng.ng, eng.K, eng.n
         rng = np.random.default_rng(5)
-        delta = dyn.delta0 + 0.02 * rng.standard_normal(ng)
+        delta = eng.delta0 + 0.02 * rng.standard_normal(ng)
         omega = 1.0 + 1e-3 * rng.standard_normal(ng)
-        em = eng._em_array() * (1.0 + 0.05 * rng.standard_normal((3, K)))
-        V = dyn.V0 * (0.95 + 0.05 * rng.random(n)) * np.exp(0.03j * rng.standard_normal(n))
+        em = eng.em0 * (1.0 + 0.05 * rng.standard_normal((3, K)))
+        V = eng.V0 * (0.95 + 0.05 * rng.random(n)) * np.exp(0.03j * rng.standard_normal(n))
         z = np.concatenate([delta, omega, em.ravel(), V.real, V.imag])
         # the previous step's states differ from z's, so a motor current
         # taken at the wrong states would show in the network rows
-        xk = {"delta": dyn.delta0, "omega": np.ones(ng), "em": eng._em_array()}
+        xk = {"delta": eng.delta0, "omega": np.ones(ng), "em": eng.em0}
         f0 = {"fd": np.zeros(ng), "fo": np.zeros(ng), "fm": np.zeros((3, K))}
 
         R = eng.residual(z, xk, f0, 0.01)
-        I = eng.current_mismatch(V, dyn.E * np.exp(1j * delta), em)
+        I = eng.current_mismatch(V, eng.E * np.exp(1j * delta), em)
         assert np.array_equal(R[eng.ovr:eng.ovr + n], I.real)
         assert np.array_equal(R[eng.ovi:eng.ovi + n], I.imag)
+
+    @staticmethod
+    def perturbed_ieee39(tripped):
+        """ieee39 with ten LELs, random kappa, the given motors stall-tripped,
+        and a state z (with its previous step xk, f0) off the equilibrium."""
+        case = place_lels(bundled_case("ieee39"), 10, seed=2)
+        eng = init_dynamics(case, power_flow(case))
+        ng, K, n = eng.ng, eng.K, eng.n
+        rng = np.random.default_rng(8)
+        eng.kappa[:] = rng.uniform(0.1, 1.0, K)
+        eng.running[list(tripped)] = False
+        delta = eng.delta0 + 0.05 * rng.standard_normal(ng)
+        omega = 1.0 + 2e-3 * rng.standard_normal(ng)
+        em = eng.em0 * (1.0 + 0.05 * rng.standard_normal((3, K)))
+        V = eng.V0 * (0.9 + 0.1 * rng.random(n)) * np.exp(0.05j * rng.standard_normal(n))
+        z = np.concatenate([delta, omega, em.ravel(), V.real, V.imag])
+        xk = {"delta": eng.delta0, "omega": np.ones(ng), "em": eng.em0}
+        f0 = {"fd": np.zeros(ng), "fo": np.zeros(ng), "fm": np.zeros((3, K))}
+        return eng, z, xk, f0
+
+    @pytest.mark.parametrize("tripped", [(), (1, 6)], ids=["running", "two_stall_tripped"])
+    def test_jacobian_equals_central_differences_of_the_residual(self, tripped):
+        eng, z, xk, f0 = self.perturbed_ieee39(tripped)
+        dt, h = 0.005, 1e-7
+        J = eng.jacobian(z, dt)
+        fd = np.empty_like(J)
+        for j in range(eng.N):
+            step = np.zeros(eng.N)
+            step[j] = h
+            fd[:, j] = (eng.residual(z + step, xk, f0, dt)
+                        - eng.residual(z - step, xk, f0, dt)) / (2 * h)
+        assert np.max(np.abs(J - fd)) <= 1e-8 * np.max(np.abs(J))
+
+    def test_network_resolve_uses_the_voltage_block_of_the_jacobian(self, monkeypatch):
+        eng, z, _, _ = self.perturbed_ieee39((1, 6))
+        J = eng.jacobian(z, 0.005)
+        matrices = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            matrices.append(a.copy())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        V = z[eng.ovr:eng.ovi] + 1j * z[eng.ovi:]
+        eng.solve_network(V, z[:eng.ng], eng.em0)
+        assert matrices[0].shape == (2 * eng.n, 2 * eng.n)
+        # one assembly: the bound leaves room only for the order of the
+        # few sums that make up each LEL entry
+        assert np.max(np.abs(matrices[0] - J[eng.ovr:, eng.ovr:])) <= 1e-14 * np.max(np.abs(J))

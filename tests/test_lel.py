@@ -59,10 +59,10 @@ class TestArchetypes:
     @pytest.mark.parametrize("arch", list(Archetype))
     def test_presets_validate_and_initialize(self, arch):
         case = toy2_with(arch)
-        lel = init_dynamics(case, power_flow(case)).lels[0]
-        assert lel.params.archetype is arch
-        assert lel.prot.mode is ProtectionMode.CONNECTED
-        assert lel.motor.mode is MotorMode.RUNNING
+        eng = init_dynamics(case, power_flow(case))
+        assert eng.params[0].archetype is arch
+        assert eng.prot[0].mode is ProtectionMode.CONNECTED
+        assert eng.motors[0].mode is MotorMode.RUNNING
 
     def test_presets_differ(self):
         dc = archetype_defaults(Archetype.DATACENTER)
@@ -106,10 +106,43 @@ class TestLelStep:
         assert deep.motor_mode[-1, 0] == 1
 
 
+class TestDemandShares:
+    """A block that cannot carry its share of the bus demand is rejected
+    before integration instead of being absorbed by a compensation shunt."""
+
+    def with_lel(self, **kw):
+        case = bundled_case("toy2")
+        return case.with_lels((replace(case.lels[0], **kw),))
+
+    def test_zero_cooling_share_rejected(self):
+        case = self.with_lel(shares=(0.7, 0.0, 0.3))
+        with pytest.raises(InvalidArgument, match="bus 2: the cooling block"):
+            run_simulation(case, [], SimConfig(dt=0.01, horizon=0.05))
+
+    def test_workload_drawing_nothing_at_mu_eta_rejected(self):
+        params = archetype_defaults(Archetype.DATACENTER)
+        work = replace(params.work, p_base=0.0, mu_eta=0.0)
+        case = self.with_lel(params=replace(params, work=work))
+        with pytest.raises(InvalidArgument, match="bus 2: the workload block"):
+            run_simulation(case, [], SimConfig(dt=0.01, horizon=0.05))
+
+    def test_bus_without_demand_rejected(self):
+        case = bundled_case("toy2")
+        buses = (case.buses[0], replace(case.buses[1], p_load=0.0, q_load=0.0))
+        with pytest.raises(InvalidArgument, match="bus 2 has no demand"):
+            run_simulation(replace(case, buses=buses), [], SimConfig(dt=0.01, horizon=0.05))
+
+    @pytest.mark.parametrize("shares", [(0.0, 0.9, 0.1), (0.9, 0.1, 0.0)])
+    def test_zero_workload_or_aux_share_is_carried(self, shares):
+        result = run_simulation(self.with_lel(shares=shares), [],
+                                SimConfig(dt=0.01, horizon=0.05))
+        assert result.lel_p[0, 0] == pytest.approx(100.0, rel=1e-6)
+
+
 class TestCurrentInjection:
     def test_injection_reproduces_power(self, toy2_engine):
         eng = toy2_engine()
-        params = eng.dyn.lels[0].params
+        params = eng.params[0]
         v = complex(0.98, 0.05)
         i = eng.pe_injection(np.array([v]))[0]
         s = v * i.conjugate() * eng.s_base

@@ -136,8 +136,8 @@ class TestRetention:
     def test_scales_both_components(self, toy2_engine):
         # the grid engine applies kappa to the LEL's whole current draw
         eng = toy2_engine()
-        v = eng.dyn.V0[eng.lbus]
-        em = eng._em_array()
+        v = eng.V0[eng.lbus]
+        em = eng.em0
         s_full = v * np.conj(eng.lel_injection(v, em))
         eng.kappa[:] = 0.5
         s_half = v * np.conj(eng.lel_injection(v, em))

@@ -13,10 +13,8 @@ from lelsim.tcl import (
     default_stride,
     encode_windows,
     init_encoder,
-    load_encoder,
     loss_and_gradients,
     pattern_vector,
-    save_encoder,
     segment_windows,
     train_encoder,
 )
@@ -120,16 +118,6 @@ class TestEncoder:
             arr[idx] = orig
             fd = (lp - lm) / (2 * eps)
             assert grads[name][idx] == pytest.approx(fd, rel=1e-4, abs=1e-10)
-
-    def test_save_load_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        enc = init_encoder(5, 8, 4, rng, window_length=5)
-        path = tmp_path / "enc.npz"
-        save_encoder(enc, path)
-        loaded = load_encoder(path)
-        assert loaded.window_length == 5
-        X = np.arange(10.0).reshape(2, 5)
-        assert np.array_equal(encode_windows(enc, X), encode_windows(loaded, X))
 
 
 class TestTraining:

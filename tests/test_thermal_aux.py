@@ -46,8 +46,10 @@ def make_aux(**overrides):
 def engine_motor(toy2_engine, params, motor, v=1.0):
     """(derivatives, p, q) of `motor` under the grid engine's motor model
     at terminal phasor v; p and q are pu on the motor base."""
-    eng = toy2_engine(cool=params, motor=motor)
-    f, i = eng.motor_f(eng._em_array(), np.array([v], dtype=complex))
+    eng = toy2_engine(cool=params)
+    eng.tmech[0] = motor.t_mech
+    em = np.array([[motor.ed_p], [motor.eq_p], [motor.slip]])
+    f, i = eng.motor_f(em, np.array([v], dtype=complex))
     s = v * np.conj(i[0])
     return f[:, 0], s.real, s.imag
 
