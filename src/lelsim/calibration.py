@@ -52,7 +52,6 @@ class CalibrationConfig:
     encoder_seed: int = 0
     optimizer_seed: int = 0
     window_length: int = 5
-    stride: int | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     n_repeats: int = 1                       # realizations averaged into s_model
 
@@ -142,8 +141,8 @@ def model_pattern(theta: dict, encoder: Encoder, cfg: CalibrationConfig) -> np.n
     acc = None
     for rep in range(cfg.n_repeats):
         trace = _simulate_theta(theta, cfg, rep)
-        X = segment_windows(trace, cfg.window_length, cfg.stride)
-        s = pattern_vector(encode_windows(encoder, X)).as_array()
+        X = segment_windows(trace, cfg.window_length)
+        s = pattern_vector(encode_windows(encoder, X))
         acc = s if acc is None else acc + s
     return acc / cfg.n_repeats
 
@@ -215,9 +214,9 @@ def calibrate(theta_init: dict, data_trace: Trace,
     encoder = None
     data_pattern = None
     if cfg.mode is ObjectiveMode.PATTERN:
-        X = segment_windows(data_trace, cfg.window_length, cfg.stride)
+        X = segment_windows(data_trace, cfg.window_length)
         encoder = train_encoder(X, cfg.train, seed=cfg.encoder_seed)
-        data_pattern = pattern_vector(encode_windows(encoder, X)).as_array()
+        data_pattern = pattern_vector(encode_windows(encoder, X))
 
     evals = {"n": 0}
     best = {"u": to_unconstrained(theta_init, cfg.bounds), "f": math.inf}
@@ -251,9 +250,11 @@ def calibrate(theta_init: dict, data_trace: Trace,
                       "xatol": 1e-8, "fatol": 1e-12})
 
     theta_star = from_unconstrained(best["u"], cfg.bounds)
+    # theta_star is the best evaluated point, so its objective is best["f"];
+    # theta_init is evaluated again because the logit round trip moves it
     if cfg.mode is ObjectiveMode.PATTERN:
         initial = calibration_objective(theta_init, data_pattern, encoder, cfg)
-        final = calibration_objective(theta_star, data_pattern, encoder, cfg)
+        final = best["f"]
     else:
         initial = float("nan")
         final = float("nan")

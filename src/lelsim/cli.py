@@ -150,8 +150,6 @@ def cmd_grid_sim(args) -> int:
         result = run_simulation(case, events, cfg)
         code = 0
     except SimulationCollapse as exc:
-        if exc.partial is None:
-            raise
         result = exc.partial
         code = 2
         print(f"simulated collapse at t={exc.time:.3f}s: {exc}",
@@ -206,10 +204,8 @@ def cmd_sweep_tcl(args) -> int:
         for d in d_values:
             cfg = TrainConfig(d=d, h=max(2 * d, 32), epochs=args.epochs)
             enc = train_encoder(X, cfg, seed=args.seed)
-            s1 = pattern_vector(encode_windows(
-                enc, segment_windows(x[:half], L))).as_array()
-            s2 = pattern_vector(encode_windows(
-                enc, segment_windows(x[half:], L))).as_array()
+            s1 = pattern_vector(encode_windows(enc, segment_windows(x[:half], L)))
+            s2 = pattern_vector(encode_windows(enc, segment_windows(x[half:], L)))
             dist = float(np.sum((s1 - s2) ** 2))
             lines.append(f"{L},{d},{dist!r}")
     text = "\n".join(lines) + "\n"
@@ -312,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("metrics", help="similarity report between two traces")
     sp.add_argument("trace_a")
     sp.add_argument("trace_b")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_metrics)
 
     sp = sub.add_parser("sweep-k", help="severity metrics versus LEL count")

@@ -33,7 +33,7 @@ class SimulationCollapse(RuntimeError):
     """Time-domain solve failed.  Carries `reason` (a key of CAUSES, named
     by the message), the failed `step` and its `time`, the final Newton
     `residual` (0 where no Newton solve failed) and `partial`, the
-    SimResult truncated at the last converged step, or None."""
+    SimResult truncated at the last converged step."""
 
     CAUSES = {
         "newton": "Newton failed to converge",
@@ -43,7 +43,7 @@ class SimulationCollapse(RuntimeError):
         "angle_separation": "generator angles stayed more than pi apart",
     }
 
-    def __init__(self, reason, step, time, residual=0.0, partial=None):
+    def __init__(self, reason, step, time, residual, partial):
         detail = f", residual {residual:.3e}" if reason == "newton" else ""
         super().__init__(f"{self.CAUSES.get(reason, reason)} ({reason}) at step "
                          f"{step} (t={time:.4f} s){detail}")

@@ -31,6 +31,7 @@ from lelsim.errors import (
     ValidationError,
 )
 from lelsim.lel import Archetype, LelParams, archetype_defaults
+from lelsim.metrics import clear_time, frequency_overshoot, reconnection_delay, voltage_nadir
 from lelsim.protection import ProtectionMode, ProtectionState, protection_step
 from lelsim.thermal_aux import (OMEGA_SYNC, MotorMode, aux_power, motor_init,
                                 stall_update)
@@ -47,6 +48,9 @@ V_FLOOR = 0.05
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 20
 
+POWER_FLOW_TOL = 1e-8      # pu mismatch
+POWER_FLOW_MAX_ITER = 50
+
 # collapse detector: generator angle spread above pi sustained this long
 ANGLE_SPREAD_LIMIT = math.pi
 ANGLE_SPREAD_HOLD = 1.0
@@ -61,17 +65,6 @@ class Event:
     admittance: complex = FAULT_ADMITTANCE
 
 
-def make_schedule(events) -> list[Event]:
-    """The events sorted by time; _check_events checks them against cfg."""
-    evs = sorted(events, key=lambda e: e.time)
-    for ev in evs:
-        if ev.time < 0.0:
-            raise InvalidArgument(f"event at t={ev.time} before t=0")
-        if ev.kind not in ("fault", "clear_fault", "branch_trip"):
-            raise InvalidArgument(f"unknown event kind {ev.kind!r}")
-    return evs
-
-
 def fault_events(bus: int, t_fault: float, duration: float = 0.1,
                  admittance: complex = FAULT_ADMITTANCE) -> list[Event]:
     return [Event(time=t_fault, kind="fault", bus=bus, admittance=admittance),
@@ -80,8 +73,8 @@ def fault_events(bus: int, t_fault: float, duration: float = 0.1,
 
 
 def _off_grid(t: float, dt: float) -> bool:
-    """Whether t misses the step grid k*dt by more than the dt*1e-6 the
-    step loop allows when it applies an event."""
+    """Whether t misses the step grid k*dt by more than dt*1e-6; a time
+    on the grid belongs to step round(t / dt)."""
     return abs(t - round(t / dt) * dt) > dt * 1e-6
 
 
@@ -172,12 +165,7 @@ def _stamp(case: GridCase, branches) -> np.ndarray:
     return Y
 
 
-def _parallel_branches(case: GridCase, ends) -> list:
-    """Every branch of the case that joins the two buses in ends."""
-    return [br for br in case.branches if {br.from_bus, br.to_bus} == set(ends)]
-
-
-def power_flow(case: GridCase, tol: float = 1e-8, max_iter: int = 50) -> np.ndarray:
+def power_flow(case: GridCase) -> np.ndarray:
     """Newton-Raphson power flow from a flat start; returns complex bus V."""
     idx = case.bus_index()
     n = case.n_bus
@@ -201,13 +189,13 @@ def power_flow(case: GridCase, tol: float = 1e-8, max_iter: int = 50) -> np.ndar
     pq = np.flatnonzero(types == 2)
     ang_idx = np.concatenate([pv, pq])
 
-    for it in range(max_iter):
+    for _ in range(POWER_FLOW_MAX_ITER):
         V = vm * np.exp(1j * va)
         S = V * np.conj(Y @ V)
         dP = p_spec[ang_idx] - S.real[ang_idx]
         dQ = q_spec[pq] - S.imag[pq]
         mismatch = np.concatenate([dP, dQ])
-        if np.max(np.abs(mismatch)) < tol:
+        if np.max(np.abs(mismatch)) < POWER_FLOW_TOL:
             return V
         # MATPOWER-style analytic sensitivities
         Ibus = Y @ V
@@ -227,7 +215,7 @@ def power_flow(case: GridCase, tol: float = 1e-8, max_iter: int = 50) -> np.ndar
     final = max(np.max(np.abs(p_spec[ang_idx] - S.real[ang_idx])),
                 np.max(np.abs(q_spec[pq] - S.imag[pq])) if len(pq) else 0.0)
     raise ValidationError(
-        f"power flow did not converge in {max_iter} iterations "
+        f"power flow did not converge in {POWER_FLOW_MAX_ITER} iterations "
         f"(final mismatch {final:.3e} pu)")
 
 
@@ -340,10 +328,9 @@ class _Engine:
                        for p, b in zip(self.params, self.lbus)]
         self.prot = [ProtectionState() for _ in self.params]
 
-        # unknown layout: delta, omega, edp, eqp, slip, Vre, Vim
+        # state layout: delta, omega, edp, eqp, slip, Vre, Vim
         ng = self.ng = len(gens)
         K = self.K = len(self.params)
-        self.od = 0
         self.oo = ng
         self.om = 2 * ng
         self.ovr = 2 * ng + 3 * K
@@ -442,25 +429,34 @@ class _Engine:
         I[self.lbus] += self.lel_injection(V[self.lbus], em, i_m)
         return I
 
-    # -- residual and Jacobian --------------------------------------------
+    # -- state vector, residual and Jacobian -------------------------------
 
-    def residual(self, z, xk, f0, dt):
-        ng, K, n = self.ng, self.K, self.n
-        delta = z[self.od:self.od + ng]
-        omega = z[self.oo:self.oo + ng]
-        em = z[self.om:self.om + 3 * K].reshape(3, K)
-        V = z[self.ovr:self.ovr + n] + 1j * z[self.ovi:self.ovi + n]
+    def unpack(self, z):
+        """Views of the state vector z: delta, omega and the (3, K) motor
+        states (edp, eqp, slip); and the complex bus voltages."""
+        return (z[:self.oo], z[self.oo:self.om], z[self.om:self.ovr].reshape(3, self.K),
+                z[self.ovr:self.ovi] + 1j * z[self.ovi:])
 
-        fd, fo, Eg = self.gen_f(delta, omega, V[self.gbus])
+    def derivatives(self, z):
+        """Time derivatives (ovr,) of z's differential states, with the
+        motor states and bus voltages of z, the generator EMF phasors and
+        the motor stator currents."""
+        delta, omega, em, V = self.unpack(z)
+        f = np.empty(self.ovr)
+        f[:self.oo], f[self.oo:self.om], Eg = self.gen_f(delta, omega, V[self.gbus])
         fm, i_m = self.motor_f(em, V[self.lbus])
+        f[self.om:] = fm.ravel()
+        return f, em, V, Eg, i_m
 
+    def residual(self, z, x0, f0, dt):
+        """Trapezoidal rule on the differential states from x0, whose
+        derivatives are f0, then the network current mismatch."""
+        f, em, V, Eg, i_m = self.derivatives(z)
         R = np.empty(self.N)
-        R[self.od:self.od + ng] = delta - xk["delta"] - 0.5 * dt * (fd + f0["fd"])
-        R[self.oo:self.oo + ng] = omega - xk["omega"] - 0.5 * dt * (fo + f0["fo"])
-        R[self.om:self.om + 3 * K] = (em - xk["em"] - 0.5 * dt * (fm + f0["fm"])).ravel()
+        R[:self.ovr] = z[:self.ovr] - x0 - 0.5 * dt * (f + f0)
         I = self.current_mismatch(V, Eg, em, i_m)
-        R[self.ovr:self.ovr + n] = I.real
-        R[self.ovi:self.ovi + n] = I.imag
+        R[self.ovr:self.ovi] = I.real
+        R[self.ovi:] = I.imag
         return R
 
     def set_network(self, Y):
@@ -470,17 +466,15 @@ class _Engine:
         self._lu = None
 
     def jacobian(self, z, dt):
-        ng, K, n = self.ng, self.K, self.n
-        od, oo, om, ovr, ovi = self.od, self.oo, self.om, self.ovr, self.ovi
-        delta = z[od:od + ng]
-        em = z[om:om + 3 * K].reshape(3, K)
-        V = z[ovr:ovr + n] + 1j * z[ovi:ovi + n]
+        K = self.K
+        oo, om, ovr, ovi = self.oo, self.om, self.ovr, self.ovi
+        delta, _, em, V = self.unpack(z)
         J = np.zeros((self.N, self.N))
 
         # swing rows
-        r = np.arange(ng)
-        J[od + r, od + r] = 1.0
-        J[od + r, oo + r] = -0.5 * dt * self.wb
+        r = np.arange(self.ng)
+        J[r, r] = 1.0
+        J[r, oo + r] = -0.5 * dt * self.wb
         Eg = self.E * np.exp(1j * delta)
         Vg = V[self.gbus]
         cyg = np.conj(self.yg)
@@ -489,7 +483,7 @@ class _Engine:
         dPe_dvim = (1j * cyg * Eg).real
         h2 = 0.5 * dt / (2 * self.H)
         J[oo + r, oo + r] = 1.0 + 0.5 * dt * self.D / (2 * self.H)
-        J[oo + r, od + r] = h2 * dPe_dd
+        J[oo + r, r] = h2 * dPe_dd
         J[oo + r, ovr + self.gbus] = h2 * dPe_dvre
         J[oo + r, ovi + self.gbus] = h2 * dPe_dvim
 
@@ -511,8 +505,8 @@ class _Engine:
 
         # generator source term -I_E(delta)
         dIE = 1j * Eg * self.yg  # d(I_E)/d delta
-        J[ovr + self.gbus, od + r] += -dIE.real
-        J[ovi + self.gbus, od + r] += -dIE.imag
+        J[ovr + self.gbus, r] += -dIE.real
+        J[ovi + self.gbus, r] += -dIE.imag
         return J
 
     def _motor_partials(self, em, Vm):
@@ -586,7 +580,7 @@ class _Engine:
 
     # -- solves -------------------------------------------------------------
 
-    def solve_network(self, V, delta, em, tol=NEWTON_TOL):
+    def solve_network(self, V, delta, em):
         """Damped Newton on the algebraic network equations with frozen
         differential states."""
         n = self.n
@@ -594,7 +588,7 @@ class _Engine:
         I = self.current_mismatch(V, Eg, em)
         rmax = np.max(np.abs(I))
         for _ in range(2 * NEWTON_MAX_ITER):
-            if rmax < tol:
+            if rmax < NEWTON_TOL:
                 return V, True
             rhs = np.concatenate([I.real, I.imag])
             dx = np.linalg.solve(self.network_jacobian(V), rhs)
@@ -604,69 +598,96 @@ class _Engine:
                 V_try = V - alpha * dV
                 I_try = self.current_mismatch(V_try, Eg, em)
                 r_try = np.max(np.abs(I_try))
-                if r_try < rmax or r_try < tol:
+                if r_try < rmax or r_try < NEWTON_TOL:
                     break
                 alpha *= 0.5
             V, I, rmax = V_try, I_try, r_try
-        return V, rmax < tol
+        return V, rmax < NEWTON_TOL
 
 
 # ---------------------------------------------------------------------------
 # time-domain driver
 # ---------------------------------------------------------------------------
 
-def _check_events(case: GridCase, schedule: list[Event], cfg: SimConfig) -> None:
-    """Reject events off the step grid or at the horizon (the last step
-    starts at horizon - dt, so they would never be applied), faults with
-    a non-finite admittance, events whose bus or branch the case lacks,
-    and repeated trips: one trip removes every parallel copy, so a second
-    would subtract the stamp again and leave a negative-admittance line."""
+LOG_KIND = {"fault": "fault_applied", "clear_fault": "fault_cleared",
+            "branch_trip": "branch_tripped"}
+
+
+def make_schedule(case: GridCase, events, cfg: SimConfig) -> dict[int, list[tuple]]:
+    """The events in time order as (log kind, change of the network
+    admittance matrix, whether the network is then split into islands),
+    keyed by the step that applies them.
+
+    Rejects, naming the first bad event in time order: events before t=0,
+    of unknown kind, off the step grid, or at the horizon (the last step
+    starts at horizon - dt, so they would never be applied); faults with
+    a non-finite admittance; events whose bus or branch the case lacks;
+    and repeated trips (one trip removes every parallel copy, so a second
+    would subtract the stamp again and leave a negative-admittance line)."""
     buses = case.bus_index()
     dt = cfg.dt
     tripped = []
-    for ev in schedule:
+    schedule = {}
+    for ev in sorted(events, key=lambda e: e.time):
+        if ev.time < 0.0:
+            raise InvalidArgument(f"event at t={ev.time} before t=0")
+        if ev.kind not in LOG_KIND:
+            raise InvalidArgument(f"unknown event kind {ev.kind!r}")
         if _off_grid(ev.time, dt):
             raise InvalidArgument(f"{ev.kind} at t={ev.time} is off the step grid dt={dt}")
         if ev.time > cfg.horizon - dt / 2:
             raise InvalidArgument(
                 f"{ev.kind} at t={ev.time} is at the horizon or past it (never applied)")
-        if ev.kind != "branch_trip":
+        if ev.kind == "branch_trip":
+            if ev.branch is None:
+                raise InvalidArgument(f"branch_trip at t={ev.time} names no branch")
+            ends = set(ev.branch)
+            copies = [br for br in case.branches if {br.from_bus, br.to_bus} == ends]
+            if not copies:
+                raise InvalidArgument(f"no branch {ev.branch[0]}-{ev.branch[1]} in case")
+            if ends in tripped:
+                raise InvalidArgument(
+                    f"branch {ev.branch[0]}-{ev.branch[1]} tripped more than once")
+            tripped.append(ends)
+            dY = -_stamp(case, copies)
+            live = [br for br in case.branches if {br.from_bus, br.to_bus} not in tripped]
+            islands = bool(bus_islands(case, live).max() > 0)
+        else:
             if ev.bus not in buses:
                 raise InvalidArgument(f"{ev.kind} at t={ev.time}: no bus {ev.bus} in case")
             if not cmath.isfinite(ev.admittance):
                 raise InvalidArgument(f"{ev.kind} at t={ev.time}: non-finite admittance")
-            continue
-        if ev.branch is None:
-            raise InvalidArgument(f"branch_trip at t={ev.time} names no branch")
-        ends = set(ev.branch)
-        if not _parallel_branches(case, ends):
-            raise InvalidArgument(f"no branch {ev.branch[0]}-{ev.branch[1]} in case")
-        if ends in tripped:
-            raise InvalidArgument(
-                f"branch {ev.branch[0]}-{ev.branch[1]} tripped more than once")
-        tripped.append(ends)
+            # -0.0 is the exact additive identity, so Y + dY leaves every
+            # other entry as it is
+            dY = np.full((case.n_bus, case.n_bus), complex(-0.0, -0.0))
+            b = buses[ev.bus]
+            dY[b, b] = ev.admittance if ev.kind == "fault" else -ev.admittance
+            islands = False
+        schedule.setdefault(round(ev.time / dt), []).append((LOG_KIND[ev.kind], dY, islands))
+    return schedule
 
 
 def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     """Integrate the full system and return trajectories plus an event log.
+
+    Events are checked and resolved before the power flow.  Each step
+    applies its events and re-solves the network, predicts by explicit
+    Euler, runs chord-then-full Newton on the flat state vector, steps
+    each LEL's motor-stall and protection machines, and records.
 
     Raises SimulationCollapse (with the truncated result attached) on
     Newton failure, a non-finite step residual, a failed network re-solve,
     sustained generator angle separation, or a branch trip that splits
     the network into islands.
     """
-    schedule = make_schedule(events)
-    _check_events(case, schedule, cfg)
+    schedule = make_schedule(case, events, cfg)
     V0 = power_flow(case)
     eng = init_dynamics(case, V0)
-    n, ng, K = eng.n, eng.ng, eng.K
+    n, ng, K, ovr, ovi = eng.n, eng.ng, eng.K, eng.ovr, eng.ovi
     dt = cfg.dt
     n_steps = int(round(cfg.horizon / dt))
 
-    delta = eng.delta0.copy()
-    omega = np.ones(ng)
-    em = eng.em0.copy()
-    V = eng.V0.copy()
+    z = np.concatenate([eng.delta0, np.ones(ng), eng.em0.ravel(), V0.real, V0.imag])
     # each LEL's workload power over the horizon, held constant across
     # each step; it does not depend on the grid state
     p_path = np.empty((n_steps, K))
@@ -715,65 +736,31 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         return SimulationCollapse(reason, step, t, residual,
                                   make_result(upto, reason))
 
-    ev_i = 0
-    tripped = []
     spread_since = None
+    delta, omega, em, V = eng.unpack(z)
     record(0, 0.0)
 
     for step in range(n_steps):
         t = step * dt
-        # discrete network changes scheduled at or before this instant;
-        # each installs a new matrix, so Y_before keeps the old one
-        Y_before = eng.Y
-        while ev_i < len(schedule) and schedule[ev_i].time <= t + dt * 1e-6:
-            ev = schedule[ev_i]
-            bidx = case.bus_index()[ev.bus] if ev.bus is not None else None
-            Y = eng.Y.copy()
-            if ev.kind == "fault":
-                Y[bidx, bidx] += ev.admittance
-                log.append(EventRecord(t, None, "fault_applied"))
-            elif ev.kind == "clear_fault":
-                Y[bidx, bidx] -= ev.admittance
-                log.append(EventRecord(t, None, "fault_cleared"))
-            else:
-                Y -= _stamp(case, _parallel_branches(case, ev.branch))
-                log.append(EventRecord(t, None, "branch_tripped"))
-                tripped.append(set(ev.branch))
-                live = [br for br in case.branches if {br.from_bus, br.to_bus} not in tripped]
-                if bus_islands(case, live).max() > 0:
-                    raise collapse("islanding", step, t, step + 1)
-            eng.set_network(Y)
-            ev_i += 1
-        net_changed = eng.Y is not Y_before
-
         eng.p_work = p_path[step]
-        if net_changed:
+        if step in schedule:
+            for kind, dY, islands in schedule[step]:
+                eng.set_network(eng.Y + dY)
+                log.append(EventRecord(t, None, kind))
+                if islands:
+                    raise collapse("islanding", step, t, step + 1)
             V, ok = eng.solve_network(V, delta, em)
             if not ok:
-                # ramp the network change in; recovers solvable cases where
-                # Newton fails from the pre-event start point
-                Y_after = eng.Y
-                V = rec_vm[step] * np.exp(1j * rec_va[step])
-                for frac in (0.03, 0.1, 0.3, 1.0):
-                    eng.set_network(Y_before + frac * (Y_after - Y_before))
-                    V, ok = eng.solve_network(V, delta, em)
-                    if not ok:
-                        break
-                eng.set_network(Y_after)
-            if not ok:
                 raise collapse("network_solve", step, t, step + 1, math.inf)
+            z[ovr:ovi], z[ovi:] = V.real, V.imag
 
-        fd0, fo0, _ = eng.gen_f(delta, omega, V[eng.gbus])
-        fm0, _ = eng.motor_f(em, V[eng.lbus])
-        f0 = {"fd": fd0, "fo": fo0, "fm": fm0}
-        xk = {"delta": delta, "omega": omega, "em": em}
-
-        z = np.concatenate([delta + dt * fd0, omega + dt * fo0,
-                            (em + dt * fm0).ravel(), V.real, V.imag])
+        x0 = z[:ovr].copy()
+        f0 = eng.derivatives(z)[0]
+        z[:ovr] += dt * f0
         # chord pass reusing the last factorization, then full Newton
         # (refactored every iteration) if the chord stalls
         converged = False
-        R = eng.residual(z, xk, f0, dt)
+        R = eng.residual(z, x0, f0, dt)
         rmax = np.max(np.abs(R))
         for attempt in range(2):
             if eng._lu is None:
@@ -793,7 +780,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                 alpha = 1.0
                 for _bt in range(6):
                     z_try = z - alpha * dz
-                    R_try = eng.residual(z_try, xk, f0, dt)
+                    R_try = eng.residual(z_try, x0, f0, dt)
                     r_try = np.max(np.abs(R_try))
                     if r_try < rmax or r_try < NEWTON_TOL:
                         break
@@ -806,13 +793,11 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
             reason = "newton" if math.isfinite(rmax) else "non_finite"
             raise collapse(reason, step, t + dt, step + 1, float(rmax))
 
-        delta = z[eng.od:eng.od + ng].copy()
-        omega = z[eng.oo:eng.oo + ng].copy()
-        em = z[eng.om:eng.om + 3 * K].reshape(3, K).copy()
-        V = z[eng.ovr:eng.ovr + n] + 1j * z[eng.ovi:eng.ovi + n]
+        delta, omega, em, V = eng.unpack(z)
         t_new = t + dt
 
-        # motor stall and protection state machines
+        # motor stall and protection state machines; a restarted motor
+        # writes its states into z through the em view
         vm_l = np.abs(V[eng.lbus])
         for k, params in enumerate(eng.params):
             lel_id = eng.lel_ids[k]
@@ -835,9 +820,9 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
             eng.kappa[k] = prot.kappa
             if prev.mode is not prot.mode:
                 m = prot.mode
-                if m is ProtectionMode.SHED and prev.mode in (
-                        ProtectionMode.CONNECTED, ProtectionMode.VIOLATION_TIMING):
-                    if prev.kappa > prot.kappa:
+                if m is ProtectionMode.SHED:
+                    # a trip, from any mode; RECOVERY_WAIT -> SHED keeps kappa
+                    if prot.kappa < prev.kappa:
                         log.append(EventRecord(t_new, lel_id, "shed"))
                 elif m is ProtectionMode.RAMPING and prev.mode in (
                         ProtectionMode.SHED, ProtectionMode.RECOVERY_WAIT):
@@ -925,16 +910,13 @@ def regime_flags(result: SimResult) -> dict[str, bool]:
     """Boolean detectors for the four qualitative response regimes."""
     sheds = [(e.time, e.lel_id) for e in result.events if e.kind == "shed"]
     ramps = [(e.time, e.lel_id) for e in result.events if e.kind == "ramp_start"]
-    t_clear = None
-    for e in result.events:
-        if e.kind == "fault_cleared":
-            t_clear = e.time
+    t_clear = clear_time(result)
     ride_through = len(sheds) == 0 and not result.collapsed
 
     mass = False
     if len(sheds) >= 3:
         times = np.array(sorted(t for t, _ in sheds))
-        window = np.any(times[2:] - times[:-2] <= 0.2) if len(times) >= 3 else False
+        window = np.any(times[2:] - times[:-2] <= 0.2)
         omega_high = False
         if t_clear is not None:
             mask = result.time > t_clear
@@ -945,14 +927,10 @@ def regime_flags(result: SimResult) -> dict[str, bool]:
     staggered = any(ts > tr for ts, _ in sheds for tr, _ in ramps)
 
     never = result.collapsed
-    if not never and len(result.time) and len(sheds):
-        final = result.lel_kappa[-1]
-        tripped = {l for _, l in sheds}
-        for lid in tripped:
-            k = result.lel_index[lid]
-            if final[k] < result.lel_kappa_full[k] - 1e-9:
-                never = True
-                break
+    if not never and len(result.time):
+        # an LEL that tripped and ends below its full reconnection target
+        k = [result.lel_index[lid] for _, lid in sheds]
+        never = bool(np.any(result.lel_kappa[-1, k] < result.lel_kappa_full[k] - 1e-9))
 
     return {"ride_through": ride_through, "mass_disconnection": mass,
             "staggered_interaction": staggered, "delayed_or_collapse": never}
@@ -967,8 +945,6 @@ def penetration_sweep(case: GridCase, k_values, n_trials: int, cfg: SimConfig,
     then reruns the identical disturbance at every k.  Collapsed runs
     contribute worst-case metric values.
     """
-    from lelsim.metrics import frequency_overshoot, reconnection_delay, voltage_nadir
-
     rows = []
     per_k = {k: {"nadir": [], "overshoot": [], "recon": []} for k in k_values}
     for trial in range(n_trials):
@@ -981,7 +957,7 @@ def penetration_sweep(case: GridCase, k_values, n_trials: int, cfg: SimConfig,
                 res = run_simulation(placed, evs, replace(cfg, seed=seed))
             except SimulationCollapse as exc:
                 res = exc.partial
-            if res is None or res.collapsed:
+            if res.collapsed:
                 per_k[k]["nadir"].append(0.0)
                 per_k[k]["overshoot"].append(1.0)
                 per_k[k]["recon"].append(cfg.horizon)

@@ -128,10 +128,11 @@ def metric_report(a, b, max_lag_frac: float = 0.25) -> MetricReport:
 
 
 # ---------------------------------------------------------------------------
-# system-level metrics on a SimResult (imported lazily to avoid a cycle)
+# system-level metrics on a SimResult
 # ---------------------------------------------------------------------------
 
-def _clear_time(result):
+def clear_time(result):
+    """Time of the first fault clearing in the event log, or None."""
     for ev in result.events:
         if ev.kind == "fault_cleared":
             return ev.time
@@ -147,7 +148,7 @@ def voltage_nadir(result, bus: int) -> float:
     if bus not in result.bus_index:
         raise InvalidArgument(f"unknown bus {bus}")
     v = result.v_mag[:, result.bus_index[bus]]
-    t_clear = _clear_time(result)
+    t_clear = clear_time(result)
     if t_clear is None:
         return float(v.min())
     mask = result.time > t_clear
@@ -158,7 +159,7 @@ def voltage_nadir(result, bus: int) -> float:
 
 def frequency_overshoot(result) -> float:
     """Max |omega - 1| over all generators after fault clearing."""
-    t_clear = _clear_time(result)
+    t_clear = clear_time(result)
     dev = np.abs(result.gen_omega - 1.0)
     if t_clear is None:
         return float(dev.max())
@@ -178,7 +179,7 @@ def reconnection_delay(result, lel: int):
     k = result.lel_index[lel]
     kappa = result.lel_kappa[:, k]
     target = result.lel_kappa_full[k]
-    t_clear = _clear_time(result)
+    t_clear = clear_time(result)
     if t_clear is None:
         t_clear = 0.0
     after = result.time > t_clear

@@ -38,15 +38,6 @@ class Encoder:
         return self.W1.shape[1]
 
 
-@dataclass(frozen=True)
-class PatternVector:
-    mean_block: np.ndarray  # (d,)
-    var_block: np.ndarray   # (d,) elementwise population variance
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.mean_block, self.var_block])
-
-
 @dataclass
 class TrainConfig:
     d: int = 64
@@ -225,12 +216,13 @@ def train_encoder(X: np.ndarray, cfg: TrainConfig, seed: int) -> Encoder:
     return encoder
 
 
-def pattern_vector(embeddings: np.ndarray) -> PatternVector:
-    """Elementwise mean and population variance (1/N) of the embeddings."""
+def pattern_vector(embeddings: np.ndarray) -> np.ndarray:
+    """The (2d,) pattern vector of (N, d) embeddings: their elementwise
+    mean, then their elementwise population variance (1/N)."""
     Z = np.asarray(embeddings, dtype=float)
     if Z.ndim != 2 or Z.shape[0] < 1:
         raise InvalidArgument("embeddings must be a nonempty N x d array")
     mean = Z.mean(axis=0)
     var = ((Z - mean) ** 2).mean(axis=0)
-    return PatternVector(mean_block=mean, var_block=var)
+    return np.concatenate([mean, var])
 

@@ -42,7 +42,7 @@ def make_cfg(**overrides):
 
 
 def trained_encoder(cfg, data):
-    windows = segment_windows(data, cfg.window_length, cfg.stride)
+    windows = segment_windows(data, cfg.window_length)
     return train_encoder(windows, cfg.train, seed=cfg.encoder_seed)
 
 
@@ -85,8 +85,7 @@ class TestObjectives:
         cfg = make_cfg()
         data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=99)
         enc = trained_encoder(cfg, data)
-        s_data = pattern_vector(encode_windows(
-            enc, segment_windows(data, cfg.window_length))).as_array()
+        s_data = pattern_vector(encode_windows(enc, segment_windows(data, cfg.window_length)))
         theta = {"mu_eta": 0.5, "sigma_xi": 0.5}
         a = calibration_objective(theta, s_data, enc, cfg)
         b = calibration_objective(theta, s_data, enc, cfg)
@@ -172,6 +171,7 @@ class TestCalibrate:
         trace = result.objective_trace
         assert len(trace) == result.n_evals <= 20
         assert all(b <= a for a, b in zip(trace, trace[1:]))
+        assert result.final_pattern_distance == min(trace)
         assert result.budget_exhausted == (result.n_evals >= 20)
         for k, (lo, hi) in BOUNDS.items():
             assert lo <= result.theta_star[k] <= hi

@@ -93,8 +93,8 @@ class TestGridSim:
 
         residual = _Engine.residual
 
-        def nan_residual(self, z, xk, f0, dt):
-            return residual(self, z, xk, f0, dt) * np.nan
+        def nan_residual(self, z, x0, f0, dt):
+            return residual(self, z, x0, f0, dt) * np.nan
 
         monkeypatch.setattr(_Engine, "residual", nan_residual)
         rc = run(["grid-sim", "toy9", "--k", "2", "--no-events", "--horizon", "0.5",

@@ -11,8 +11,11 @@ from lelsim.cases import LelPlacement, bundled_case
 from lelsim.errors import InvalidArgument, SimulationCollapse
 from lelsim.grid import (
     Event,
+    EventRecord,
     SimConfig,
+    SimResult,
     _Engine,
+    _stamp,
     build_ybus,
     eligible_lel_buses,
     events_to_csv,
@@ -27,6 +30,8 @@ from lelsim.grid import (
     run_simulation,
     sample_scenario,
 )
+from lelsim.metrics import clear_time, frequency_overshoot
+from lelsim.protection import ProtectionMode, ProtectionState
 from lelsim.workload import WorkloadState, ou_step, workload_power
 
 
@@ -125,11 +130,37 @@ class TestPowerFlow:
 
 class TestSchedule:
     def test_events_sorted_and_bounded(self):
-        events = [Event(time=3.0, kind="fault"), Event(time=1.0, kind="fault")]
-        sched = make_schedule(events)
-        assert [e.time for e in sched] == [1.0, 3.0]
+        case, cfg = bundled_case("toy9"), SimConfig(dt=0.01, horizon=5.0)
+        events = [Event(time=3.0, kind="fault", bus=5),
+                  Event(time=1.0, kind="clear_fault", bus=7)]
+        sched = make_schedule(case, events, cfg)
+        assert list(sched) == [100, 300]
+        assert [sw[0] for sws in sched.values() for sw in sws] == [
+            "fault_cleared", "fault_applied"]
         with pytest.raises(InvalidArgument, match="before t=0"):
-            make_schedule([Event(time=-1.0, kind="fault")])
+            make_schedule(case, [Event(time=-1.0, kind="fault", bus=5)], cfg)
+
+    def test_first_bad_event_in_time_order_is_reported(self):
+        events = [Event(time=0.3, kind="bogus"), Event(time=0.1, kind="fault", bus=42)]
+        with pytest.raises(InvalidArgument, match="no bus 42"):
+            make_schedule(bundled_case("toy9"), events, SimConfig(dt=0.01, horizon=1.0))
+
+    def test_switches_carry_the_admittance_change_and_the_islanding(self):
+        case, cfg = bundled_case("toy9"), SimConfig(dt=0.01, horizon=1.0)
+        events = fault_events(5, 0.2, 0.1, -30j) + [
+            Event(time=0.5, kind="branch_trip", branch=(5, 7)),
+            Event(time=0.6, kind="branch_trip", branch=(1, 4))]
+        sched = make_schedule(case, events, cfg)
+        (fault,), (clear,), (ring,), (radial,) = (sched[s] for s in (20, 30, 50, 60))
+        assert [sw[0] for sw in (fault, clear, ring, radial)] == [
+            "fault_applied", "fault_cleared", "branch_tripped", "branch_tripped"]
+        b = case.bus_index()[5]
+        assert fault[1][b, b] == -30j and clear[1][b, b] == 30j
+        assert np.count_nonzero(fault[1]) == 1
+        Y = build_ybus(case)
+        tripped = [br for br in case.branches if {br.from_bus, br.to_bus} == {5, 7}]
+        assert np.array_equal(Y + ring[1], Y - _stamp(case, tripped))
+        assert [sw[2] for sw in (fault, clear, ring, radial)] == [False, False, False, True]
 
     def test_event_past_horizon_rejected(self, monkeypatch):
         def integration_started(*args):
@@ -244,6 +275,32 @@ class TestIslanding:
         assert result.time[-1] == pytest.approx(0.5)
 
 
+class TestSwitching:
+    def test_fault_and_trip_at_one_step_are_both_applied_in_time_order(self, monkeypatch):
+        case = place_lels(bundled_case("toy9"), 2, seed=3)
+        # the fault is listed first but lies 1e-9 s later, inside the same step
+        events = [Event(time=0.2 + 1e-9, kind="fault", bus=5, admittance=-8j),
+                  Event(time=0.2, kind="branch_trip", branch=(5, 7))]
+        networks = []
+        solve = _Engine.solve_network
+
+        def spy(self, V, delta, em):
+            networks.append(self.Y.copy())
+            return solve(self, V, delta, em)
+
+        monkeypatch.setattr(_Engine, "solve_network", spy)
+        result = run_simulation(case, events, SimConfig(dt=0.01, horizon=0.5))
+        assert [e.kind for e in result.events[:2]] == ["branch_tripped", "fault_applied"]
+        assert [e.time for e in result.events[:2]] == pytest.approx([0.2, 0.2])
+
+        # one re-solve, on the network with both switches applied
+        Y = init_dynamics(case, power_flow(case)).Y.copy()
+        Y -= _stamp(case, [br for br in case.branches if {br.from_bus, br.to_bus} == {5, 7}])
+        Y[case.bus_index()[5], case.bus_index()[5]] += -8j
+        assert len(networks) == 1
+        assert np.array_equal(networks[0], Y)
+
+
 class TestNoEventInvariance:
     @pytest.mark.parametrize("f_base", [60.0, 50.0])
     def test_deterministic_equilibrium_is_exact(self, f_base):
@@ -343,6 +400,28 @@ class TestRegimeFlags:
                               "staggered_interaction", "delayed_or_collapse"}
         assert flags["ride_through"] is True
 
+    def test_flags_and_metrics_share_the_first_fault_clearing(self):
+        # two faults; the generator runs fast only between the two
+        # clearings, so only the first clearing shows it to the flag
+        T = 101
+        t = np.arange(T) * 0.01
+        omega = np.ones((T, 1))
+        omega[(t > 0.2) & (t <= 0.5)] = 1.001
+        events = ([EventRecord(0.1, None, "fault_applied"),
+                   EventRecord(0.2, None, "fault_cleared")]
+                  + [EventRecord(0.25 + 0.01 * i, 10 + i, "shed") for i in range(3)]
+                  + [EventRecord(0.4, None, "fault_applied"),
+                     EventRecord(0.5, None, "fault_cleared")])
+        K = np.ones((T, 3))
+        result = SimResult(time=t, v_mag=np.ones((T, 1)), v_ang=np.zeros((T, 1)),
+                           gen_omega=omega, gen_delta=np.zeros((T, 1)), lel_p=K,
+                           lel_q=0 * K, lel_kappa=K, lel_mode=0 * K, motor_mode=0 * K,
+                           events=events, bus_ids=[1], gen_buses=[1],
+                           lel_ids=[10, 11, 12], lel_kappa_full=np.ones(3))
+        assert clear_time(result) == 0.2
+        assert frequency_overshoot(result) == pytest.approx(1e-3)
+        assert regime_flags(result)["mass_disconnection"]
+
 
 class TestCollapseReasons:
     """Each collapse carries its reason, and its message names the cause."""
@@ -369,13 +448,44 @@ class TestCollapseReasons:
         assert "network re-solve" in str(exc) and "Newton" not in str(exc)
         assert exc.time == pytest.approx(0.2)
 
+    def test_failed_network_resolve_collapses_at_once(self, monkeypatch):
+        calls = []
+
+        def failing(self, V, delta, em):
+            calls.append(V)
+            return V, False
+
+        monkeypatch.setattr(_Engine, "solve_network", failing)
+        exc = self.collapse(fault_events(5, 0.2, 0.1))
+        assert len(calls) == 1
+        assert exc.reason == "network_solve" and exc.step == 20
+        assert len(exc.partial.time) == 21
+        assert [e.kind for e in exc.partial.events] == ["fault_applied"]
+
+    def test_every_trip_into_shed_is_logged(self, monkeypatch):
+        # RAMPING -> SHED in one step (a trip delay of at most dt) is a
+        # second trip; RECOVERY_WAIT -> SHED keeps kappa and is not a trip
+        P = ProtectionMode
+        script = iter([ProtectionState(P.SHED, 0.25), ProtectionState(P.RAMPING, 0.3),
+                       ProtectionState(P.SHED, 0.25), ProtectionState(P.RECOVERY_WAIT, 0.25),
+                       ProtectionState(P.SHED, 0.25)])
+
+        def scripted(state, v_mag, omega, dt, params):
+            return next(script, state)
+
+        monkeypatch.setattr("lelsim.grid.protection_step", scripted)
+        result = run_simulation(bundled_case("toy2"), [], SimConfig(dt=0.01, horizon=0.1))
+        assert [e.kind for e in result.events] == ["shed", "ramp_start", "shed"]
+        assert [e.time for e in result.events] == pytest.approx([0.01, 0.02, 0.03])
+        assert regime_flags(result)["staggered_interaction"]
+
     def test_non_finite_residual(self, monkeypatch):
         residual = _Engine.residual
         calls = []
 
-        def nan_at_one_step(self, z, xk, f0, dt):
-            calls.append(xk)
-            R = residual(self, z, xk, f0, dt)
+        def nan_at_one_step(self, z, x0, f0, dt):
+            calls.append(x0)
+            R = residual(self, z, x0, f0, dt)
             if len({id(x) for x in calls}) == 4:       # the fourth step
                 R[:] = math.nan
             return R
@@ -406,11 +516,11 @@ class TestEngineOracles:
         case = noisy_toy9()
         cfg = SimConfig(dt=0.01, horizon=1.0, seed=11)
         residual = _Engine.residual
-        per_step = {}              # id(xk) -> (xk, p_work): one entry a step
+        per_step = {}              # id(x0) -> (x0, p_work): one entry a step
 
-        def spy(self, z, xk, f0, dt):
-            per_step.setdefault(id(xk), (xk, self.p_work.copy()))
-            return residual(self, z, xk, f0, dt)
+        def spy(self, z, x0, f0, dt):
+            per_step.setdefault(id(x0), (x0, self.p_work.copy()))
+            return residual(self, z, x0, f0, dt)
 
         monkeypatch.setattr(_Engine, "residual", spy)
         run_simulation(case, [], cfg)
@@ -444,10 +554,10 @@ class TestEngineOracles:
         z = np.concatenate([delta, omega, em.ravel(), V.real, V.imag])
         # the previous step's states differ from z's, so a motor current
         # taken at the wrong states would show in the network rows
-        xk = {"delta": eng.delta0, "omega": np.ones(ng), "em": eng.em0}
-        f0 = {"fd": np.zeros(ng), "fo": np.zeros(ng), "fm": np.zeros((3, K))}
+        x0 = np.concatenate([eng.delta0, np.ones(ng), eng.em0.ravel()])
+        f0 = np.zeros(eng.ovr)
 
-        R = eng.residual(z, xk, f0, 0.01)
+        R = eng.residual(z, x0, f0, 0.01)
         I = eng.current_mismatch(V, eng.E * np.exp(1j * delta), em)
         assert np.array_equal(R[eng.ovr:eng.ovr + n], I.real)
         assert np.array_equal(R[eng.ovi:eng.ovi + n], I.imag)
@@ -455,7 +565,7 @@ class TestEngineOracles:
     @staticmethod
     def perturbed_ieee39(tripped):
         """ieee39 with ten LELs, random kappa, the given motors stall-tripped,
-        and a state z (with its previous step xk, f0) off the equilibrium."""
+        and a state z (with its step's start x0, f0) off the equilibrium."""
         case = place_lels(bundled_case("ieee39"), 10, seed=2)
         eng = init_dynamics(case, power_flow(case))
         ng, K, n = eng.ng, eng.K, eng.n
@@ -467,21 +577,20 @@ class TestEngineOracles:
         em = eng.em0 * (1.0 + 0.05 * rng.standard_normal((3, K)))
         V = eng.V0 * (0.9 + 0.1 * rng.random(n)) * np.exp(0.05j * rng.standard_normal(n))
         z = np.concatenate([delta, omega, em.ravel(), V.real, V.imag])
-        xk = {"delta": eng.delta0, "omega": np.ones(ng), "em": eng.em0}
-        f0 = {"fd": np.zeros(ng), "fo": np.zeros(ng), "fm": np.zeros((3, K))}
-        return eng, z, xk, f0
+        x0 = np.concatenate([eng.delta0, np.ones(ng), eng.em0.ravel()])
+        return eng, z, x0, np.zeros(eng.ovr)
 
     @pytest.mark.parametrize("tripped", [(), (1, 6)], ids=["running", "two_stall_tripped"])
     def test_jacobian_equals_central_differences_of_the_residual(self, tripped):
-        eng, z, xk, f0 = self.perturbed_ieee39(tripped)
+        eng, z, x0, f0 = self.perturbed_ieee39(tripped)
         dt, h = 0.005, 1e-7
         J = eng.jacobian(z, dt)
         fd = np.empty_like(J)
         for j in range(eng.N):
             step = np.zeros(eng.N)
             step[j] = h
-            fd[:, j] = (eng.residual(z + step, xk, f0, dt)
-                        - eng.residual(z - step, xk, f0, dt)) / (2 * h)
+            fd[:, j] = (eng.residual(z + step, x0, f0, dt)
+                        - eng.residual(z - step, x0, f0, dt)) / (2 * h)
         assert np.max(np.abs(J - fd)) <= 1e-8 * np.max(np.abs(J))
 
     def test_network_resolve_uses_the_voltage_block_of_the_jacobian(self, monkeypatch):

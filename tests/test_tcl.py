@@ -149,17 +149,18 @@ class TestPatternVector:
     def test_mean_and_population_variance(self):
         Z = np.array([[1.0, 2.0], [3.0, 6.0]])
         pv = pattern_vector(Z)
-        assert np.allclose(pv.mean_block, [2.0, 4.0])
-        assert np.allclose(pv.var_block, [1.0, 4.0])
+        assert np.allclose(pv[:2], [2.0, 4.0])
+        assert np.allclose(pv[2:], [1.0, 4.0])
 
     def test_as_array_concatenates(self):
         Z = np.array([[1.0, 2.0], [3.0, 6.0]])
-        arr = pattern_vector(Z).as_array()
+        arr = pattern_vector(Z)
+        assert arr.shape == (4,)
         assert np.allclose(arr, [2.0, 4.0, 1.0, 4.0])
 
     def test_single_embedding_has_zero_variance(self):
         pv = pattern_vector(np.array([[1.0, -2.0]]))
-        assert np.allclose(pv.var_block, 0.0)
+        assert np.allclose(pv[2:], 0.0)
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidArgument):
