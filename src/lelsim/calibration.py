@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
@@ -87,11 +88,11 @@ class CalibrationResult:
 def _voltage_excitation(n: int, seed: int) -> np.ndarray:
     """Band-limited seeded voltage ride in [0.85, 1.05] used to excite the
     voltage-dependent subsystems."""
-    rng = np.random.default_rng([seed, 0xE0])
+    e = np.random.default_rng([seed, 0xE0]).standard_normal(n)
     v = np.empty(n)
     x = 0.0
-    for i in range(n):
-        x = 0.98 * x + 0.02 * rng.standard_normal()
+    for i, ei in enumerate(e.tolist()):
+        x = 0.98 * x + 0.02 * ei
         v[i] = 0.95 + 0.6 * x
     return np.clip(v, 0.85, 1.05)
 
@@ -195,17 +196,35 @@ def from_unconstrained(u: np.ndarray, bounds: dict) -> dict:
 # the calibration driver
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _data_encoder(series: bytes, window_length: int, train: tuple,
+                  encoder_seed: int) -> tuple[Encoder, np.ndarray]:
+    """The encoder trained on the windows of a float64 series, and the
+    series' pattern vector under it, both read-only.  They depend on
+    nothing else, so calibrations from several starts on one trace share
+    one training; several results then hold the same Encoder object."""
+    X = segment_windows(np.frombuffer(series), window_length)
+    encoder = train_encoder(X, TrainConfig(*train), seed=encoder_seed)
+    s_data = pattern_vector(encode_windows(encoder, X))
+    for a in (encoder.W1, encoder.b1, encoder.W2, encoder.b2, s_data):
+        a.flags.writeable = False
+    return encoder, s_data
+
+
 def calibrate(theta_init: dict, data_trace: Trace,
               cfg: CalibrationConfig) -> CalibrationResult:
     """Bound-constrained simplex search with common random numbers.
 
-    The encoder is trained once on the data windows and frozen; s_data is
-    computed once.  One Nelder-Mead pass, from a simplex drawn around
+    The encoder is trained on the data windows and frozen, and s_data is
+    computed under it, once per data trace, window length, cfg.train and
+    cfg.encoder_seed in a process: later calls with the same four reuse
+    them from a small cache, and the encoder's weights are read-only.
+    One Nelder-Mead pass, from a simplex drawn around
     theta_init with cfg.optimizer_seed, runs until it converges or the
     evaluation budget is spent.  Budget exhaustion returns best-so-far
     with a flag.
     """
-    data = data_trace.first_channel()
+    data = np.asarray(data_trace.first_channel(), dtype=float)
     if len(data) < 4 * cfg.window_length:
         raise InvalidArgument(
             f"data trace too short: {len(data)} < {4 * cfg.window_length}")
@@ -214,9 +233,8 @@ def calibrate(theta_init: dict, data_trace: Trace,
     encoder = None
     data_pattern = None
     if cfg.mode is ObjectiveMode.PATTERN:
-        X = segment_windows(data_trace, cfg.window_length)
-        encoder = train_encoder(X, cfg.train, seed=cfg.encoder_seed)
-        data_pattern = pattern_vector(encode_windows(encoder, X))
+        encoder, data_pattern = _data_encoder(
+            data.tobytes(), cfg.window_length, astuple(cfg.train), cfg.encoder_seed)
 
     evals = {"n": 0}
     best = {"u": to_unconstrained(theta_init, cfg.bounds), "f": math.inf}

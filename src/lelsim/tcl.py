@@ -10,11 +10,15 @@ embeddings whose elementwise mean and population variance form the
 The network is small enough that backpropagation is written out by hand
 (no autodiff dependency), which keeps the gradient exactly checkable
 against finite differences.
+
+Training is the costly step.  `lelsim.calibration` trains one encoder
+per data trace and configuration in a process and shares it, with
+read-only weights, across the calibrations on that trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,9 +26,12 @@ from lelsim.errors import InvalidArgument
 from lelsim.traceio import Trace
 
 
-@dataclass
+@dataclass(frozen=True)
 class Encoder:
-    """Two-layer fully connected network: input -> tanh(h) -> d."""
+    """Two-layer fully connected network: input -> tanh(h) -> d.
+
+    Frozen, because calibrations share one trained encoder: training
+    updates the weight arrays in place, and nothing rebinds them."""
 
     W1: np.ndarray  # (h, in_dim)
     b1: np.ndarray  # (h,)
@@ -57,6 +64,8 @@ class TrainConfig:
         lo, hi = self.scale_range
         if not (0 < lo <= hi):
             raise InvalidArgument("scale_range must satisfy 0 < lo <= hi")
+        # a tuple, so that astuple(cfg) is hashable and can key a cache
+        self.scale_range = (lo, hi)
         if self.noise_frac < 0:
             raise InvalidArgument("noise_frac must be >= 0")
 
@@ -104,8 +113,13 @@ def augment(X: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
 
 
 def _forward(encoder: Encoder, X: np.ndarray):
-    H = np.tanh(X @ encoder.W1.T + encoder.b1)
-    Z = H @ encoder.W2.T + encoder.b2
+    # biases and tanh are applied in place on the matmul outputs: a fresh
+    # (N, h) temporary per step costs more than the arithmetic on it
+    H = X @ encoder.W1.T
+    H += encoder.b1
+    np.tanh(H, out=H)
+    Z = H @ encoder.W2.T
+    Z += encoder.b2
     return H, Z
 
 
@@ -136,11 +150,13 @@ def _loss_and_embedding_grads(z1: np.ndarray, z2: np.ndarray, temperature: float
     S = (U @ V.T) / temperature
     S_shift = S - S.max(axis=1, keepdims=True)
     expS = np.exp(S_shift)
-    P = expS / expS.sum(axis=1, keepdims=True)
     log_p_pos = np.diag(S_shift) - np.log(expS.sum(axis=1))
     loss = float(-log_p_pos.sum())
 
-    G = (P - np.eye(n)) / temperature
+    # G = (P - I) / temperature, with P the row-softmax of S
+    G = expS / expS.sum(axis=1, keepdims=True)
+    G.flat[::n + 1] -= 1.0
+    G /= temperature
     dU = G @ V
     dV = G.T @ U
     # through row normalization u = z/|z|
@@ -160,14 +176,13 @@ def loss_and_gradients(encoder: Encoder, X1: np.ndarray, X2: np.ndarray,
     H2, Z2 = _forward(encoder, X2)
     loss, dZ1, dZ2 = _loss_and_embedding_grads(Z1, Z2, temperature)
 
-    grads = {k: np.zeros_like(getattr(encoder, k)) for k in ("W1", "b1", "W2", "b2")}
-    for X, H, dZ in ((X1, H1, dZ1), (X2, H2, dZ2)):
-        grads["W2"] += dZ.T @ H
-        grads["b2"] += dZ.sum(axis=0)
-        dH = dZ @ encoder.W2
-        dA = dH * (1.0 - H * H)
-        grads["W1"] += dA.T @ X
-        grads["b1"] += dA.sum(axis=0)
+    # back through tanh: dA = dZ W2 * (1 - H^2)
+    dA1 = (dZ1 @ encoder.W2) * (1.0 - H1 * H1)
+    dA2 = (dZ2 @ encoder.W2) * (1.0 - H2 * H2)
+    grads = {"W1": dA1.T @ X1 + dA2.T @ X2,
+             "b1": dA1.sum(axis=0) + dA2.sum(axis=0),
+             "W2": dZ1.T @ H1 + dZ2.T @ H2,
+             "b2": dZ1.sum(axis=0) + dZ2.sum(axis=0)}
     return loss, grads
 
 
@@ -205,15 +220,13 @@ def train_encoder(X: np.ndarray, cfg: TrainConfig, seed: int) -> Encoder:
             X1, X2 = augment(X[idx], cfg, rng)
             loss, grads = loss_and_gradients(encoder, X1, X2, cfg.temperature)
             scale = cfg.step_size / len(idx)
-            encoder.W1 -= scale * grads["W1"]
-            encoder.b1 -= scale * grads["b1"]
-            encoder.W2 -= scale * grads["W2"]
-            encoder.b2 -= scale * grads["b2"]
+            for name, g in grads.items():
+                w = getattr(encoder, name)
+                w -= scale * g
             epoch_loss += loss / len(idx)
             n_batches += 1
         history.append(epoch_loss / max(n_batches, 1))
-    encoder.loss_history = history
-    return encoder
+    return replace(encoder, loss_history=history)
 
 
 def pattern_vector(embeddings: np.ndarray) -> np.ndarray:
@@ -223,6 +236,8 @@ def pattern_vector(embeddings: np.ndarray) -> np.ndarray:
     if Z.ndim != 2 or Z.shape[0] < 1:
         raise InvalidArgument("embeddings must be a nonempty N x d array")
     mean = Z.mean(axis=0)
-    var = ((Z - mean) ** 2).mean(axis=0)
+    D = Z - mean
+    D *= D
+    var = D.mean(axis=0)
     return np.concatenate([mean, var])
 

@@ -1,13 +1,15 @@
 """Unit tests for pattern-consistent calibration."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+from lelsim import calibration
 from lelsim.calibration import (
     CalibrationConfig,
     ObjectiveMode,
+    _data_encoder,
     _voltage_excitation,
     calibrate,
     calibration_objective,
@@ -18,11 +20,12 @@ from lelsim.calibration import (
     simulate_subsystem,
     to_unconstrained,
 )
+from lelsim.cli import cli_dispatch
 from lelsim.errors import InvalidArgument
 from lelsim.lel import Archetype, archetype_defaults
 from lelsim.tcl import TrainConfig, encode_windows, pattern_vector, segment_windows, train_encoder
 from lelsim.thermal_aux import aux_power, init_for_torque
-from lelsim.traceio import Trace
+from lelsim.traceio import Trace, write_trace
 from lelsim.workload import WorkloadParams, simulate_workload
 
 TRUE = WorkloadParams(p_base=2.0, p_full=10.0, tau_eta=300.0, mu_eta=0.55,
@@ -226,3 +229,113 @@ class TestSerialization:
         assert "[summary]" in text
         assert "[objective_trace]" in text
         assert f"n_evals={result.n_evals}" in text
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """Start from an empty encoder cache and count the trainings that
+    calibrate runs through lelsim.calibration.train_encoder."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return train_encoder(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "train_encoder", counting)
+    _data_encoder.cache_clear()
+    yield calls
+    _data_encoder.cache_clear()
+
+
+def assert_same_result(a, b):
+    # the dump holds theta_star, both distances, n_evals and the trace, in repr
+    assert dump_calibration_result(a) == dump_calibration_result(b)
+    for name in ("W1", "b1", "W2", "b2"):
+        assert np.array_equal(getattr(a.encoder, name), getattr(b.encoder, name))
+    assert a.encoder.loss_history == b.encoder.loss_history
+
+
+class TestEncoderCache:
+    INIT = {"mu_eta": 0.4, "sigma_xi": 0.4}
+
+    def test_second_call_on_one_trace_does_not_train(self, train_calls):
+        cfg = make_cfg(max_evals=4)
+        data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
+        a = calibrate(self.INIT, data, cfg)
+        b = calibrate({"mu_eta": 0.7, "sigma_xi": 0.6}, data,
+                      replace(cfg, optimizer_seed=9))
+        assert len(train_calls) == 1
+        assert b.encoder is a.encoder
+
+    def test_warm_result_equals_cold_result(self, train_calls):
+        cfg = make_cfg(max_evals=6)
+        data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
+        cold = calibrate(self.INIT, data, cfg)
+        warm = calibrate(self.INIT, data, cfg)
+        _data_encoder.cache_clear()
+        cold_again = calibrate(self.INIT, data, cfg)
+        assert len(train_calls) == 2
+        assert_same_result(warm, cold)
+        assert_same_result(cold_again, cold)
+
+    @pytest.mark.parametrize("change", [
+        "data_sample", "window_length", "encoder_seed", "train_field"])
+    def test_any_input_of_the_training_retrains(self, train_calls, change):
+        cfg = make_cfg(max_evals=2, train=TrainConfig(d=4, h=8, epochs=2))
+        data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
+        calibrate(self.INIT, data, cfg)
+        if change == "data_sample":
+            p = data.first_channel().copy()
+            p[100] += 1e-9
+            data = Trace(sample_period=data.sample_period, channels={"p": p})
+        elif change == "window_length":
+            cfg = replace(cfg, window_length=6)
+        elif change == "encoder_seed":
+            cfg = replace(cfg, encoder_seed=cfg.encoder_seed + 1)
+        else:
+            cfg = replace(cfg, train=replace(cfg.train, noise_frac=0.06))
+        calibrate(self.INIT, data, cfg)
+        assert len(train_calls) == 2
+
+    def test_cached_encoder_and_data_pattern_are_read_only(self, train_calls):
+        cfg = make_cfg(max_evals=2)
+        data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
+        result = calibrate(self.INIT, data, cfg)
+        encoder, s_data = _data_encoder(data.first_channel().tobytes(),
+                                        cfg.window_length, astuple(cfg.train),
+                                        cfg.encoder_seed)
+        assert encoder is result.encoder
+        assert len(train_calls) == 1
+        for arr in (encoder.W1, encoder.b1, encoder.W2, encoder.b2, s_data):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(AttributeError):
+            encoder.W1 = np.zeros_like(encoder.W1)
+
+    def test_cache_is_bounded(self, train_calls):
+        cfg = make_cfg(max_evals=1, horizon=60.0,
+                       train=TrainConfig(d=2, h=4, epochs=1, batch=8))
+        data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
+        for seed in range(9):
+            calibrate(self.INIT, data, replace(cfg, encoder_seed=seed))
+        assert _data_encoder.cache_info().currsize == 8
+        calibrate(self.INIT, data, replace(cfg, encoder_seed=0))
+        assert len(train_calls) == 10
+
+    def test_list_scale_range_is_accepted(self, train_calls):
+        cfg = make_cfg(max_evals=1, train=TrainConfig(d=4, h=8, epochs=2,
+                                                      scale_range=[0.9, 1.1]))
+        data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
+        calibrate(self.INIT, data, cfg)
+        calibrate(self.INIT, data, cfg)
+        assert len(train_calls) == 1
+
+    def test_robustness_command_trains_once(self, train_calls, tmp_path):
+        data = simulate_workload(TRUE, 300.0, 1.0, seed=3)
+        write_trace(data, str(tmp_path / "w.csv"))
+        rc = cli_dispatch(["robustness", str(tmp_path / "w.csv"),
+                           "--bound", "mu_eta=0.3:0.8", "--inits", "3",
+                           "--max-evals", "3", "--epochs", "2", "--repeats", "1",
+                           "--out", str(tmp_path / "r.csv")])
+        assert rc == 0
+        assert len(train_calls) == 1

@@ -1,14 +1,17 @@
 """Unit tests for window segmentation, the contrastive encoder, and
 pattern vectors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lelsim.errors import InvalidArgument
 from lelsim.tcl import (
     TrainConfig,
+    _forward,
     augment,
     default_stride,
     encode_windows,
@@ -175,3 +178,80 @@ class TestAugment:
             ratio = view / X
             assert np.allclose(ratio, ratio[:, :1])
             assert np.all((0.5 <= ratio) & (ratio <= 2.0))
+
+
+def reference_forward(enc, X):
+    H = np.tanh(X @ enc.W1.T + enc.b1)
+    return H, H @ enc.W2.T + enc.b2
+
+
+def reference_pattern_vector(Z):
+    mean = Z.mean(axis=0)
+    return np.concatenate([mean, ((Z - mean) ** 2).mean(axis=0)])
+
+
+def reference_loss_and_gradients(enc, X1, X2, temperature):
+    """The per-view accumulation loop, with P - I built from np.eye."""
+    H1, Z1 = reference_forward(enc, X1)
+    H2, Z2 = reference_forward(enc, X2)
+    n = Z1.shape[0]
+    U = Z1 / np.linalg.norm(Z1, axis=1)[:, None]
+    V = Z2 / np.linalg.norm(Z2, axis=1)[:, None]
+    nu, nv = np.linalg.norm(Z1, axis=1), np.linalg.norm(Z2, axis=1)
+    S = (U @ V.T) / temperature
+    S_shift = S - S.max(axis=1, keepdims=True)
+    expS = np.exp(S_shift)
+    P = expS / expS.sum(axis=1, keepdims=True)
+    loss = float(-(np.diag(S_shift) - np.log(expS.sum(axis=1))).sum())
+    G = (P - np.eye(n)) / temperature
+    dU, dV = G @ V, G.T @ U
+    dZ1 = (dU - (np.sum(dU * U, axis=1, keepdims=True)) * U) / nu[:, None]
+    dZ2 = (dV - (np.sum(dV * V, axis=1, keepdims=True)) * V) / nv[:, None]
+    grads = {k: np.zeros_like(getattr(enc, k)) for k in ("W1", "b1", "W2", "b2")}
+    for X, H, dZ in ((X1, H1, dZ1), (X2, H2, dZ2)):
+        grads["W2"] += dZ.T @ H
+        grads["b2"] += dZ.sum(axis=0)
+        dA = (dZ @ enc.W2) * (1.0 - H * H)
+        grads["W1"] += dA.T @ X
+        grads["b1"] += dA.sum(axis=0)
+    return loss, grads
+
+
+def random_encoder(rng, L, h, d):
+    enc = init_encoder(L, h, d, rng, window_length=L)
+    return replace(enc, b1=rng.standard_normal(h), b2=rng.standard_normal(d))
+
+
+class TestInPlaceArithmetic:
+    """The in-place encoder pass, pattern vector and gradient sums equal
+    the out-of-place expressions bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.one_of(st.integers(1, 80), st.integers(3598, 3700)),
+           L=st.integers(2, 12), h=st.integers(1, 40), d=st.integers(1, 20),
+           seed=st.integers(0, 2**16))
+    @example(N=1, L=5, h=128, d=64, seed=0)
+    @example(N=3598, L=5, h=128, d=64, seed=1)
+    def test_encoding_matches_out_of_place(self, N, L, h, d, seed):
+        rng = np.random.default_rng(seed)
+        enc = random_encoder(rng, L, h, d)
+        X = rng.standard_normal((N, L))
+        H, Z = _forward(enc, X)
+        H_ref, Z_ref = reference_forward(enc, X)
+        assert np.array_equal(H, H_ref) and np.array_equal(Z, Z_ref)
+        assert np.array_equal(encode_windows(enc, X), Z_ref)
+        assert np.array_equal(pattern_vector(Z), reference_pattern_vector(Z_ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(2, 70), L=st.integers(2, 12), h=st.integers(1, 40),
+           d=st.integers(1, 20), seed=st.integers(0, 2**16))
+    def test_gradients_match_per_view_loop(self, N, L, h, d, seed):
+        rng = np.random.default_rng(seed)
+        enc = random_encoder(rng, L, h, d)
+        X1 = rng.standard_normal((N, L))
+        X2 = X1 + 0.05 * rng.standard_normal((N, L))
+        loss, grads = loss_and_gradients(enc, X1, X2, temperature=0.1)
+        loss_ref, grads_ref = reference_loss_and_gradients(enc, X1, X2, 0.1)
+        assert loss == loss_ref
+        for k in grads_ref:
+            assert np.array_equal(grads[k], grads_ref[k]), k
