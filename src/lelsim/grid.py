@@ -293,7 +293,11 @@ class _Engine:
     state, motor state, nearest generator and bus id).  The continuous
     states live in the caller's state vector; em0 holds the motors'
     initial EMF and slip, and MotorState's copies are read only at init
-    and at restart."""
+    and at restart.
+
+    `kept` holds the last evaluation's derivatives and LEL currents
+    before retention, (f, u), until the caller drops it (sets None)
+    because it changed the state they were evaluated at."""
 
     def __init__(self, case: GridCase, V: np.ndarray):
         """Build the t=0 equilibrium: machine EMFs, load admittances, and
@@ -315,7 +319,10 @@ class _Engine:
         self.E, self.delta0 = np.abs(Ephasor), np.angle(Ephasor)
         self.Pm = (Ephasor * np.conj(Ig)).real
         self.yg = 1.0 / (1j * xd)
+        self.cyg = np.conj(self.yg)
+        self.E_sq = self.E**2
         self.H = np.array([g.H for g in gens])
+        self.two_h = 2 * self.H
         self.D = np.array([g.D for g in gens])
 
         # LEL subsystems at their bus demand
@@ -346,7 +353,7 @@ class _Engine:
         # T0' rescaled to the case's own synchronous speed, so the slip
         # term and the rotor time constant agree at any f_base
         self.m_t0 = np.array([c.t0_prime * (OMEGA_SYNC / self.wb) for c in cool])
-        self.m_h = np.array([c.H_m for c in cool])
+        self.m_two_h = 2 * np.array([c.H_m for c in cool])
         self.m_ratio = np.array([c.mva_base / self.s_base for c in cool])
         self.aux_p0 = np.array([a.p_aux0 for a in aux])
         self.aux_az = np.array([a.alpha_Z for a in aux])
@@ -367,6 +374,7 @@ class _Engine:
         self.tmech = np.array([m.t_mech for m in self.motors])
         self.running = np.ones(K, dtype=bool)
         self.kappa = np.array([p.kappa for p in self.prot])
+        self.kept = None
 
         # non-LEL loads become constant admittances; fold generator Nortons
         other = np.ones(n, dtype=bool)
@@ -383,9 +391,9 @@ class _Engine:
 
     def gen_f(self, delta, omega, Vg):
         Eg = self.E * np.exp(1j * delta)
-        Pe = (np.conj(self.yg) * (self.E**2 - Eg * np.conj(Vg))).real
+        Pe = (self.cyg * (self.E_sq - Eg * np.conj(Vg))).real
         fd = self.wb * (omega - 1.0)
-        fo = (self.Pm - Pe - self.D * (omega - 1.0)) / (2 * self.H)
+        fo = (self.Pm - Pe - self.D * (omega - 1.0)) / self.two_h
         return fd, fo, Eg
 
     def motor_f(self, em, Vm):
@@ -396,9 +404,10 @@ class _Engine:
         f = np.empty((3, self.K))
         f[0] = self.wb * slip * eqp - (edp + self.m_c * i.imag) / self.m_t0
         f[1] = -self.wb * slip * edp - (eqp - self.m_c * i.real) / self.m_t0
-        f[2] = (self.tmech - te) / (2 * self.m_h)
-        f[:, ~self.running] = 0.0
-        i = np.where(self.running, i, 0.0)
+        f[2] = (self.tmech - te) / self.m_two_h
+        if not self.running.all():
+            f[:, ~self.running] = 0.0
+            i = np.where(self.running, i, 0.0)
         return f, i
 
     def pe_injection(self, Vl):
@@ -408,25 +417,33 @@ class _Engine:
         r = np.maximum(vm, V_FLOOR) / self.aux_v0
         p_aux = self.aux_p0 * (self.aux_az * r * r + self.aux_ai * r + self.aux_ap)
         S = ((self.p_work + p_aux) + 1j * (self.aux_beta * p_aux)) / self.s_base
+        if vm.min(initial=math.inf) > V_FLOOR:
+            return np.conj(S / Vl)
         safe_v = np.where(vm > V_FLOOR, Vl, 1.0)
         I_cp = np.conj(S / safe_v)
         y_floor = np.conj(S) / V_FLOOR**2
         return np.where(vm > V_FLOOR, I_cp, y_floor * Vl)
 
-    def lel_injection(self, Vl, em, i_m=None):
-        """LEL currents at terminal voltages Vl for motor states em, or
-        for stator currents i_m when the caller already has them."""
-        i_m = self.motor_f(em, Vl)[1] if i_m is None else i_m
-        return self.kappa * (self.pe_injection(Vl) + i_m * self.m_ratio)
+    def lel_currents(self, Vl, i_m):
+        """LEL currents before retention (kappa) at terminal voltages Vl
+        for motor stator currents i_m."""
+        return self.pe_injection(Vl) + i_m * self.m_ratio
 
-    def current_mismatch(self, V, Eg, em, i_m=None):
+    def lel_injection(self, Vl, em, u=None):
+        """LEL currents at terminal voltages Vl for motor states em, or
+        from their values before retention u when the caller has them."""
+        if u is None:
+            u = self.lel_currents(Vl, self.motor_f(em, Vl)[1])
+        return self.kappa * u
+
+    def current_mismatch(self, V, Eg, em, u=None):
         """Complex current mismatch Y V - I_gen + I_lel at every bus, for
-        generator EMF phasors Eg and motor states em (stator currents
-        i_m).  validate_case keeps generator buses distinct and LEL buses
-        distinct, so a fancy-index scatter adds each term once."""
+        generator EMF phasors Eg and motor states em (LEL currents before
+        retention u).  validate_case keeps generator buses distinct and
+        LEL buses distinct, so a fancy-index scatter adds each term once."""
         I = self.Y @ V
         I[self.gbus] -= Eg * self.yg
-        I[self.lbus] += self.lel_injection(V[self.lbus], em, i_m)
+        I[self.lbus] += self.lel_injection(V[self.lbus], em, u)
         return I
 
     # -- state vector, residual and Jacobian -------------------------------
@@ -440,21 +457,33 @@ class _Engine:
     def derivatives(self, z):
         """Time derivatives (ovr,) of z's differential states, with the
         motor states and bus voltages of z, the generator EMF phasors and
-        the motor stator currents."""
+        the LEL currents before retention; the derivatives and currents
+        become `kept`."""
         delta, omega, em, V = self.unpack(z)
         f = np.empty(self.ovr)
         f[:self.oo], f[self.oo:self.om], Eg = self.gen_f(delta, omega, V[self.gbus])
-        fm, i_m = self.motor_f(em, V[self.lbus])
+        Vl = V[self.lbus]
+        fm, i_m = self.motor_f(em, Vl)
         f[self.om:] = fm.ravel()
-        return f, em, V, Eg, i_m
+        u = self.lel_currents(Vl, i_m)
+        self.kept = f, u
+        return f, em, V, Eg, u
+
+    def evaluation(self, z):
+        """Derivatives and LEL currents before retention, (f, u), at z:
+        the kept ones, which the caller vouches were evaluated at z, or
+        fresh ones."""
+        if self.kept is None:
+            self.derivatives(z)
+        return self.kept
 
     def residual(self, z, x0, f0, dt):
         """Trapezoidal rule on the differential states from x0, whose
         derivatives are f0, then the network current mismatch."""
-        f, em, V, Eg, i_m = self.derivatives(z)
+        f, em, V, Eg, u = self.derivatives(z)
         R = np.empty(self.N)
         R[:self.ovr] = z[:self.ovr] - x0 - 0.5 * dt * (f + f0)
-        I = self.current_mismatch(V, Eg, em, i_m)
+        I = self.current_mismatch(V, Eg, em, u)
         R[self.ovr:self.ovi] = I.real
         R[self.ovi:] = I.imag
         return R
@@ -477,12 +506,12 @@ class _Engine:
         J[r, oo + r] = -0.5 * dt * self.wb
         Eg = self.E * np.exp(1j * delta)
         Vg = V[self.gbus]
-        cyg = np.conj(self.yg)
+        cyg = self.cyg
         dPe_dd = (-1j * cyg * Eg * np.conj(Vg)).real
         dPe_dvre = (-cyg * Eg).real
         dPe_dvim = (1j * cyg * Eg).real
-        h2 = 0.5 * dt / (2 * self.H)
-        J[oo + r, oo + r] = 1.0 + 0.5 * dt * self.D / (2 * self.H)
+        h2 = 0.5 * dt / self.two_h
+        J[oo + r, oo + r] = 1.0 + 0.5 * dt * self.D / self.two_h
         J[oo + r, r] = h2 * dPe_dd
         J[oo + r, ovr + self.gbus] = h2 * dPe_dvre
         J[oo + r, ovi + self.gbus] = h2 * dPe_dvim
@@ -526,7 +555,7 @@ class _Engine:
         dte = edp * di.real + eqp * di.imag
         dte[0] += i.real
         dte[1] += i.imag
-        d[2, cur] = -dte / (2 * self.m_h)
+        d[2, cur] = -dte / self.m_two_h
         d[0, 0] -= 1.0 / t0
         d[1, 0] += -wb * slip
         d[0, 1] += wb * slip
@@ -715,7 +744,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         rec_va[i] = np.angle(V)
         rec_om[i] = omega
         rec_dl[i] = delta
-        S = V[eng.lbus] * np.conj(eng.lel_injection(V[eng.lbus], em)) * eng.s_base
+        S = V[eng.lbus] * np.conj(eng.kappa * eng.evaluation(z)[1]) * eng.s_base
         rec_lp[i] = S.real
         rec_lq[i] = S.imag
         rec_kp[i] = eng.kappa
@@ -753,26 +782,28 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
             if not ok:
                 raise collapse("network_solve", step, t, step + 1, math.inf)
             z[ovr:ovi], z[ovi:] = V.real, V.imag
+            eng.kept = None
 
         x0 = z[:ovr].copy()
-        f0 = eng.derivatives(z)[0]
+        # the last residual of the previous step was evaluated at this z
+        f0 = eng.evaluation(z)[0]
         z[:ovr] += dt * f0
         # chord pass reusing the last factorization, then full Newton
         # (refactored every iteration) if the chord stalls
         converged = False
         R = eng.residual(z, x0, f0, dt)
-        rmax = np.max(np.abs(R))
+        rmax = np.abs(R).max()
         for attempt in range(2):
             if eng._lu is None:
                 eng._lu = lu_factor(eng.jacobian(z, dt))
             budget = 8 if attempt == 0 else NEWTON_MAX_ITER
-            for _ in range(budget):
+            for it in range(budget):
                 if rmax < NEWTON_TOL:
                     converged = True
                     break
                 if not math.isfinite(rmax):
                     break
-                if attempt == 1:
+                if attempt == 1 and it > 0:
                     eng._lu = lu_factor(eng.jacobian(z, dt))
                 dz = lu_solve(eng._lu, R)
                 # backtrack when the full step overshoots (the injection
@@ -781,7 +812,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                 for _bt in range(6):
                     z_try = z - alpha * dz
                     R_try = eng.residual(z_try, x0, f0, dt)
-                    r_try = np.max(np.abs(R_try))
+                    r_try = np.abs(R_try).max()
                     if r_try < rmax or r_try < NEWTON_TOL:
                         break
                     alpha *= 0.5
@@ -797,7 +828,8 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         t_new = t + dt
 
         # motor stall and protection state machines; a restarted motor
-        # writes its states into z through the em view
+        # writes its states into z through the em view.  A trip or a
+        # restart changes the derivatives and currents of the last residual
         vm_l = np.abs(V[eng.lbus])
         for k, params in enumerate(eng.params):
             lel_id = eng.lel_ids[k]
@@ -807,11 +839,13 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
             now_running = motor.mode is MotorMode.RUNNING
             if was_running and not now_running:
                 eng.running[k] = False
+                eng.kept = None
                 log.append(EventRecord(t_new, lel_id, "motor_stall_trip"))
             elif not was_running and now_running:
                 em[:, k] = motor.ed_p, motor.eq_p, motor.slip
                 eng.tmech[k] = motor.t_mech
                 eng.running[k] = True
+                eng.kept = None
                 log.append(EventRecord(t_new, lel_id, "motor_restart"))
 
             prev = eng.prot[k]
