@@ -571,7 +571,7 @@ class _Engine:
         kappa-scaled voltage derivatives of its stator current and of its
         constant-power current."""
         # constant-power current: I = W / conj(V) above the floor, with
-        # W = P - jQ, and I = conj(S)/Vf^2 * V below it
+        # W = P - jQ = conj(S), and I = W / Vf^2 * V below it
         Vl = V[self.lbus]
         vm = np.abs(Vl)
         above = vm > V_FLOOR
@@ -589,12 +589,10 @@ class _Engine:
         safe = np.where(above, np.conj(Vl), 1.0)
         dvm_dvre = np.where(vm > 0, Vl.real / np.maximum(vm, 1e-300), 0.0)
         dvm_dvim = np.where(vm > 0, Vl.imag / np.maximum(vm, 1e-300), 0.0)
-        dI_dvre = np.where(above,
-                           dW_dvm * dvm_dvre / safe - W / safe**2,
-                           np.conj(W * self.s_base) / self.s_base / V_FLOOR**2)
-        dI_dvim = np.where(above,
-                           dW_dvm * dvm_dvim / safe - W / safe**2 * (-1j),
-                           1j * np.conj(W * self.s_base) / self.s_base / V_FLOOR**2)
+        dI_dvre = np.where(above, dW_dvm * dvm_dvre / safe - W / safe**2,
+                           W / V_FLOOR**2)
+        dI_dvim = np.where(above, dW_dvm * dvm_dvim / safe - W / safe**2 * (-1j),
+                           1j * W / V_FLOOR**2)
         zinv = 1.0 / self.m_z
         d_motor = np.array([zinv, 1j * zinv]) * (self.kappa * self.m_ratio * self.running)
         d_pe = np.array([dI_dvre, dI_dvim]) * self.kappa

@@ -13,6 +13,7 @@ from lelsim.grid import (
     Event,
     EventRecord,
     SimConfig,
+    V_FLOOR,
     SimResult,
     _Engine,
     _stamp,
@@ -563,9 +564,10 @@ class TestEngineOracles:
         assert np.array_equal(R[eng.ovi:eng.ovi + n], I.imag)
 
     @staticmethod
-    def perturbed_ieee39(tripped):
+    def perturbed_ieee39(tripped, below_floor=()):
         """ieee39 with ten LELs, random kappa, the given motors stall-tripped,
-        and a state z (with its step's start x0, f0) off the equilibrium."""
+        and a state z (with its step's start x0, f0) off the equilibrium;
+        the LELs named in below_floor sit at 0.03 V0, under V_FLOOR."""
         case = place_lels(bundled_case("ieee39"), 10, seed=2)
         eng = init_dynamics(case, power_flow(case))
         ng, K, n = eng.ng, eng.K, eng.n
@@ -576,13 +578,19 @@ class TestEngineOracles:
         omega = 1.0 + 2e-3 * rng.standard_normal(ng)
         em = eng.em0 * (1.0 + 0.05 * rng.standard_normal((3, K)))
         V = eng.V0 * (0.9 + 0.1 * rng.random(n)) * np.exp(0.05j * rng.standard_normal(n))
+        low = eng.lbus[list(below_floor)]
+        V[low] = 0.03 * eng.V0[low]
         z = np.concatenate([delta, omega, em.ravel(), V.real, V.imag])
         x0 = np.concatenate([eng.delta0, np.ones(ng), eng.em0.ravel()])
         return eng, z, x0, np.zeros(eng.ovr)
 
-    @pytest.mark.parametrize("tripped", [(), (1, 6)], ids=["running", "two_stall_tripped"])
-    def test_jacobian_equals_central_differences_of_the_residual(self, tripped):
-        eng, z, x0, f0 = self.perturbed_ieee39(tripped)
+    @pytest.mark.parametrize("tripped, below_floor", [
+        ((), ()), ((1, 6), ()), ((), (0, 3, 5, 8))],
+        ids=["running", "two_stall_tripped", "four_below_floor"])
+    def test_jacobian_equals_central_differences_of_the_residual(self, tripped, below_floor):
+        eng, z, x0, f0 = self.perturbed_ieee39(tripped, below_floor)
+        Vl = z[eng.ovr:eng.ovi][eng.lbus] + 1j * z[eng.ovi:][eng.lbus]
+        assert np.count_nonzero(np.abs(Vl) < V_FLOOR) == len(below_floor)
         dt, h = 0.005, 1e-7
         J = eng.jacobian(z, dt)
         fd = np.empty_like(J)
