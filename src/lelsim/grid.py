@@ -702,6 +702,12 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     Euler, runs chord-then-full Newton on the flat state vector, steps
     each LEL's motor-stall and protection machines, and records.
 
+    The step's last residual is evaluated at the accepted state, so its
+    derivatives and LEL currents (the engine's `kept`) serve the record
+    and the next step's start derivatives f0 without a second device
+    evaluation.  A motor stall trip or restart, and a network re-solve,
+    change them, so each drops `kept` and the next use evaluates afresh.
+
     Raises SimulationCollapse (with the truncated result attached) on
     Newton failure, a non-finite step residual, a failed network re-solve,
     sustained generator angle separation, or a branch trip that splits

@@ -1,10 +1,14 @@
 """Unit tests for the network builder, power flow, and transient engine."""
 
+import copy
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
 from lelsim.cases import LelPlacement, bundled_case
@@ -510,6 +514,58 @@ def noisy_toy9():
 
     return case.with_lels((first, work(second, lambda_burst=20.0),
                            work(third, lambda_burst=20.0, sigma_xi=0.0)))
+
+
+@functools.lru_cache(maxsize=1)
+def ieee39_engine():
+    case = place_lels(bundled_case("ieee39"), 10, seed=2)
+    return init_dynamics(case, power_flow(case))
+
+
+# the engine's per-LEL arrays that motor_f and pe_injection read
+PER_LEL = ("m_z", "m_c", "m_t0", "m_two_h", "tmech", "running", "p_work",
+           "aux_p0", "aux_az", "aux_ai", "aux_ap", "aux_v0", "aux_beta")
+
+# terminal voltage magnitudes on both sides of the floor, the floor and 0
+V_MAGS = st.one_of(st.sampled_from([0.0, V_FLOOR]), st.floats(0.0, 2 * V_FLOOR),
+                   st.floats(2 * V_FLOOR, 1.3))
+
+
+class TestDeviceVectors:
+    """motor_f and pe_injection skip their masks and the V_FLOOR guard
+    when these select every LEL; the vector result must equal each LEL
+    evaluated alone, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mags=st.lists(V_MAGS, min_size=10, max_size=10),
+           angles=st.lists(st.sampled_from([0.0, 2.0]) | st.floats(-math.pi, math.pi),
+                           min_size=10, max_size=10),
+           running=st.lists(st.booleans(), min_size=10, max_size=10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_vector_equals_per_lel_evaluation(self, mags, angles, running, seed):
+        eng = copy.copy(ieee39_engine())
+        eng.running = np.array(running)
+        Vl = np.array(mags) * np.exp(1j * np.array(angles))
+        em = eng.em0 * (1.0 + 0.1 * np.random.default_rng(seed).standard_normal((3, eng.K)))
+        f, i = eng.motor_f(em, Vl)
+        assert not f[:, ~eng.running].any() and not i[~eng.running].any()
+        I = eng.pe_injection(Vl)
+        for k in range(eng.K):
+            one = copy.copy(eng)
+            for name in PER_LEL:
+                setattr(one, name, getattr(eng, name)[k:k + 1])
+            one.K = 1
+            f_k, i_k = one.motor_f(em[:, k:k + 1], Vl[k:k + 1])
+            assert np.array_equal(f[:, k], f_k[:, 0]) and i[k] == i_k[0]
+            assert I[k] == one.pe_injection(Vl[k:k + 1])[0]
+
+    def test_no_lels_give_empty_arrays(self):
+        case = bundled_case("toy9")
+        eng = init_dynamics(case, power_flow(case))
+        assert eng.K == 0
+        f, i = eng.motor_f(np.empty((3, 0)), np.empty(0, dtype=complex))
+        assert f.shape == (3, 0) and i.shape == (0,)
+        assert eng.pe_injection(np.empty(0, dtype=complex)).shape == (0,)
 
 
 class TestEngineOracles:

@@ -11,7 +11,9 @@ from lelsim.errors import InvalidArgument, ValidationError
 from lelsim.grid import (
     PROT_MODE_ORD,
     V_FLOOR,
+    Event,
     SimConfig,
+    _Engine,
     fault_events,
     init_dynamics,
     power_flow,
@@ -160,6 +162,81 @@ class TestCurrentInjection:
         assert abs(above - below) < 1e-6 * abs(at_floor)
         assert abs(at_floor - above) < 1e-6 * abs(at_floor)
         assert half == pytest.approx(0.5 * at_floor, rel=1e-12)
+
+
+def with_t_cool(case, t_cool):
+    lel = case.lels[0]
+    cool = replace(lel.params.cool, T_cool=t_cool)
+    return case.with_lels((replace(lel, params=replace(lel.params, cool=cool)),))
+
+
+def fresh_lel_power(eng, V, em, p_work):
+    """LEL power (MW + j Mvar) as recorded at V and em, for the step's
+    workload power p_work, evaluated from scratch."""
+    live_p_work, eng.p_work = eng.p_work, p_work
+    Vl = V[eng.lbus]
+    S = Vl * np.conj(eng.lel_injection(Vl, em)) * eng.s_base
+    eng.p_work = live_p_work
+    return S
+
+
+class TestKeptEvaluation:
+    """The step takes its start derivatives f0, and `record` its LEL
+    powers, from the evaluation of the step's last residual.  Both must
+    equal fresh evaluations at the same state, bit for bit, also across a
+    network re-solve, a stall trip, a restart and the V_FLOOR guard."""
+
+    @pytest.mark.parametrize("events, horizon, kinds", [
+        # -4j: shed, stall trip at 0.45 s, fault cleared, restart 1 s later
+        (fault_events(2, SAG_START, SAG_LENGTH, admittance=-4j), 2.0,
+         ["fault_applied", "shed", "motor_stall_trip", "fault_cleared", "motor_restart"]),
+        # an uncleared -100j fault holds the bus below V_FLOOR
+        ([Event(time=SAG_START, kind="fault", bus=2, admittance=-100j)], 0.6,
+         ["fault_applied", "shed", "motor_stall_trip"]),
+    ], ids=["sag_trip_restart", "below_floor"])
+    def test_f0_and_recorded_powers_equal_fresh_evaluations(self, monkeypatch, events,
+                                                            horizon, kinds):
+        case = with_t_cool(bundled_case("toy2"), 1.0)
+        cfg = SimConfig(dt=0.005, horizon=horizon, seed=0)
+        residual, solve_network = _Engine.residual, _Engine.solve_network
+        first = []        # per step: (f0, fresh derivatives) at its first residual
+        expected = []     # per recorded row but the last: a fresh LEL power
+        resolved = []     # the voltages a network re-solve started from
+        seen = {"p_work": init_dynamics(case, power_flow(case)).p_work.copy()}
+
+        def spy_solve(self, V, delta, em):
+            resolved.append(V.copy())
+            return solve_network(self, V, delta, em)
+
+        def spy(self, z, x0, f0, dt):
+            if seen.get("x0") is not x0:
+                # the step's first residual: z holds the step's start V,
+                # and the state of the previous row (before a re-solve)
+                seen["x0"] = x0
+                start = np.concatenate([x0, z[self.ovr:]])
+                _, em, V = self.unpack(start)[1:]
+                first.append((f0.copy(), self.derivatives(start)[0]))
+                V_row = resolved.pop() if resolved else V
+                expected.append(fresh_lel_power(self, V_row, em, seen["p_work"]))
+                seen["p_work"] = self.p_work.copy()
+            seen["eng"], seen["z"] = self, z
+            return residual(self, z, x0, f0, dt)
+
+        monkeypatch.setattr(_Engine, "solve_network", spy_solve)
+        monkeypatch.setattr(_Engine, "residual", spy)
+        result = run_simulation(case, events, cfg)
+
+        assert [e.kind for e in result.events] == kinds
+        assert (result.v_mag.min() < V_FLOOR) == ("motor_restart" not in kinds)
+        assert len(first) == len(result.time) - 1
+        for f0, fresh in first:
+            assert np.array_equal(f0, fresh)
+        # the last row's state is the engine's and the last accepted z
+        eng, z = seen["eng"], seen["z"]
+        _, _, em, V = eng.unpack(z)
+        expected.append(fresh_lel_power(eng, V, em, eng.p_work))
+        assert np.array_equal(result.lel_p, np.real(expected))
+        assert np.array_equal(result.lel_q, np.imag(expected))
 
 
 class TestParameterExchange:
