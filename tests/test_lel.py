@@ -215,6 +215,7 @@ class TestKeptEvaluation:
                 seen["x0"] = x0
                 start = np.concatenate([x0, z[self.ovr:]])
                 _, em, V = self.unpack(start)[1:]
+                # (this sets kept; the residual below sets it again)
                 first.append((f0.copy(), self.derivatives(start)[0]))
                 V_row = resolved.pop() if resolved else V
                 expected.append(fresh_lel_power(self, V_row, em, seen["p_work"]))
