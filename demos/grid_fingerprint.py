@@ -16,9 +16,22 @@ Two checkouts whose outputs are bit-identical print the same hashes, so
 running it before and after a change that should not move any number
 checks that claim.  One line per run, then the hash over all of them.
 
+A change that moves numbers on purpose reports by how much: `--save`
+writes every run's arrays, event log and collapse outcome to an .npz
+file, and `--compare` runs the set again and prints, per run, the
+largest difference from the saved runs (over the samples both have) in
+bus voltage magnitude |V| (pu), bus voltage angle theta (rad), generator
+speed omega (pu) and LEL power lel_p (MW), and whether the event logs
+and the collapse outcomes (reason, step and time) are equal.  Angles are
+absolute: a change in the system's mean frequency turns every angle
+alike, so |dtheta| can exceed what the relative angles show.  It exits 1 when an
+event log or a collapse outcome differs.
+
 Usage, from the root of a checkout:
 
     PYTHONPATH=src python demos/grid_fingerprint.py
+    PYTHONPATH=src python demos/grid_fingerprint.py --save before.npz
+    PYTHONPATH=src python demos/grid_fingerprint.py --compare before.npz
 """
 
 import os
@@ -27,7 +40,10 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -62,28 +78,98 @@ def runs():
             dt=0.005, horizon=20.0, seed=0)
 
 
-def fingerprint(case, events, cfg) -> str:
-    h = hashlib.sha256()
+def simulate(case, events, cfg):
+    """The run's result and its collapse outcome: "completed", or the
+    collapse's (reason, step, time, residual)."""
     try:
-        res = run_simulation(case, events, cfg)
-        h.update(b"completed")
+        return run_simulation(case, events, cfg), "completed"
     except SimulationCollapse as exc:
-        res = exc.partial
-        h.update(repr((exc.reason, exc.step, exc.time, exc.residual)).encode())
+        return exc.partial, (exc.reason, exc.step, exc.time, exc.residual)
+
+
+def event_log(res) -> list:
+    return [(e.time, e.lel_id, e.kind) for e in res.events]
+
+
+def fingerprint(res, outcome) -> str:
+    h = hashlib.sha256()
+    h.update(b"completed" if outcome == "completed" else repr(outcome).encode())
     for name in ARRAYS:
         h.update(np.ascontiguousarray(getattr(res, name)).tobytes())
-    h.update(repr([(e.time, e.lel_id, e.kind) for e in res.events]).encode())
+    h.update(repr(event_log(res)).encode())
     h.update(repr((res.collapsed, res.collapse_reason)).encode())
     return h.hexdigest()
 
 
+def outcome_log(res, outcome) -> dict:
+    """The run's event log and collapse outcome (reason, step and time: a
+    collapse's residual is a number like any other), as JSON reads it."""
+    return json.loads(json.dumps({
+        "events": event_log(res),
+        "outcome": [outcome if outcome == "completed" else outcome[:3],
+                    res.collapsed, res.collapse_reason]}))
+
+
+def saved_run(res, outcome) -> dict:
+    """What --save keeps of one run: its arrays, and its outcome_log."""
+    run = {name: getattr(res, name) for name in ARRAYS}
+    run["log"] = np.array(json.dumps(outcome_log(res, outcome)))
+    return run
+
+
+def deviations(res, outcome, saved) -> tuple[str, bool]:
+    """One line giving the largest differences from the saved run over the
+    samples both have, and whether event logs and outcomes are equal; and
+    whether both are."""
+    T = min(len(res.time), len(saved["time"]))
+
+    def largest(a, b):
+        return float(np.max(np.abs(a[:T] - b[:T]), initial=0.0))
+
+    # angles wrapped to (-pi, pi]
+    d_ang = np.angle(np.exp(1j * (res.v_ang[:T] - saved["v_ang"][:T])))
+    now, then = outcome_log(res, outcome), json.loads(str(saved["log"]))
+    same = {key: now[key] == then[key] for key in ("events", "outcome")}
+    lengths = "" if len(res.time) == len(saved["time"]) else (
+        f"  samples {len(saved['time'])} -> {len(res.time)}")
+    return (f"|d|V|| {largest(res.v_mag, saved['v_mag']):.2e}  |dtheta| "
+            f"{np.max(np.abs(d_ang), initial=0.0):.2e}  |domega| "
+            f"{largest(res.gen_omega, saved['gen_omega']):.2e}  |dlel_p| "
+            f"{largest(res.lel_p, saved['lel_p']):.2e}"
+            + "".join(f"  {key} {'equal' if eq else 'DIFFER'}" for key, eq in same.items())
+            + lengths), all(same.values())
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--save", metavar="PATH", help="write every run to this .npz file")
+    mode.add_argument("--compare", metavar="PATH",
+                      help="print each run's deviations from the runs saved here")
+    args = parser.parse_args()
+    saved = np.load(args.compare) if args.compare else None
+    to_save = {}
     total = hashlib.sha256()
-    for name, case, events, cfg in runs():
-        digest = fingerprint(case, events, cfg)
+    all_equal = True
+    for i, (name, case, events, cfg) in enumerate(runs()):
+        res, outcome = simulate(case, events, cfg)
+        digest = fingerprint(res, outcome)
         total.update(digest.encode())
-        print(f"{digest[:16]}  {name}")
+        line = f"{digest[:16]}  {name}"
+        if saved is not None:
+            text, equal = deviations(res, outcome, {
+                key.split("/", 1)[1]: saved[key] for key in saved.files
+                if key.startswith(f"{i}/")})
+            all_equal &= equal
+            line += f"\n                  {text}"
+        if args.save:
+            to_save.update({f"{i}/{key}": v for key, v in saved_run(res, outcome).items()})
+        print(line)
     print(f"all runs: {total.hexdigest()}")
+    if args.save:
+        np.savez_compressed(args.save, **to_save)
+    if not all_equal:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
