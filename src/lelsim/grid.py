@@ -8,10 +8,17 @@ motor, and ZIP subsystems scaled by the protection retention factor.
 
 Each fixed step solves the trapezoidal-discretized differential
 equations simultaneously with the network algebraic equations
-(simultaneous-implicit scheme) by chord Newton: the iterations reuse the
-LU factorization of the analytic Jacobian from an earlier step, and when
-that stalls the step falls back to full Newton, refactoring every
-iteration.
+(simultaneous-implicit scheme; Stott 1979) by chord Newton.  The step
+starts from a prediction: explicit Euler on the differential states, and
+the bus voltages extrapolated linearly from the starts of the last two
+steps (held instead where the voltages jump: after a network re-solve, a
+motor stall trip or a restart).  The chord iterations reuse the LU
+factorization of the analytic Jacobian, made when an update first needs
+it and dropped once it has served JACOBIAN_MAX_AGE steps (CVODE re-forms
+its Newton matrix at least every 20 steps; Hindmarsh et al. 2005).  A
+chord pass that has not converged after CHORD_MAX_ITER updates falls
+back to full Newton, refactoring every iteration; a pass that converges
+on its last update ends the step.
 """
 
 from __future__ import annotations
@@ -47,6 +54,11 @@ V_FLOOR = 0.05
 
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 20
+# updates a chord pass may make before the step falls back to full Newton
+CHORD_MAX_ITER = 8
+# steps a chord factorization serves before it is dropped at the start of
+# the next one
+JACOBIAN_MAX_AGE = 20
 
 POWER_FLOW_TOL = 1e-8      # pu mismatch
 POWER_FLOW_MAX_ITER = 50
@@ -698,15 +710,26 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     """Integrate the full system and return trajectories plus an event log.
 
     Events are checked and resolved before the power flow.  Each step
-    applies its events and re-solves the network, predicts by explicit
-    Euler, runs chord-then-full Newton on the flat state vector, steps
-    each LEL's motor-stall and protection machines, and records.
+    applies its events and re-solves the network, predicts (explicit
+    Euler on the differential states, bus voltages V = 2 V_n - V_(n-1)
+    from the starts of this step and the last), runs chord-then-full
+    Newton on the flat state vector, steps each LEL's motor-stall and
+    protection machines, and records.
+
+    The chord pass factors the Jacobian when an update needs it and no
+    factorization is held; one made JACOBIAN_MAX_AGE or more steps ago
+    is dropped at the start of a step, and the count restarts at every
+    factorization (the full-Newton fallback's too).  A pass whose
+    residual meets the tolerance ends the step at once, also after its
+    last allowed update.
 
     The step's last residual is evaluated at the accepted state, so its
     derivatives and LEL currents (the engine's `kept`) serve the record
     and the next step's start derivatives f0 without a second device
     evaluation.  A motor stall trip or restart, and a network re-solve,
     change them, so each drops `kept` and the next use evaluates afresh.
+    The same jumps drop the voltage history: the next step predicts its
+    voltages unchanged, so no extrapolation spans a jump.
 
     Raises SimulationCollapse (with the truncated result attached) on
     Newton failure, a non-finite step residual, a failed network re-solve,
@@ -772,6 +795,11 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     spread_since = None
     delta, omega, em, V = eng.unpack(z)
     record(0, 0.0)
+    # the bus voltages at the start of the previous step, None when that
+    # step's solution is no base for a prediction (set wherever `kept` is
+    # dropped); and the number of steps the chord factorization has served
+    v_last = None
+    lu_age = 0
 
     for step in range(n_steps):
         t = step * dt
@@ -787,28 +815,31 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                 raise collapse("network_solve", step, t, step + 1, math.inf)
             z[ovr:ovi], z[ovi:] = V.real, V.imag
             eng.kept = None
+            v_last = None
+        if lu_age >= JACOBIAN_MAX_AGE:
+            eng._lu = None
 
         x0 = z[:ovr].copy()
         # the last residual of the previous step was evaluated at this z
         f0 = eng.evaluation(z)[0]
+        # predict: explicit Euler on the differential states, the bus
+        # voltages extrapolated linearly from the last two steps
         z[:ovr] += dt * f0
-        # chord pass reusing the last factorization, then full Newton
-        # (refactored every iteration) if the chord stalls
-        converged = False
+        v_start = z[ovr:].copy()
+        if v_last is not None:
+            z[ovr:] += v_start - v_last
+        v_last = v_start
+        # chord pass reusing the last factorization (made on demand), then
+        # full Newton, refactored every iteration, if the chord stalls
         R = eng.residual(z, x0, f0, dt)
         rmax = np.abs(R).max()
         for attempt in range(2):
-            if eng._lu is None:
-                eng._lu = lu_factor(eng.jacobian(z, dt))
-            budget = 8 if attempt == 0 else NEWTON_MAX_ITER
-            for it in range(budget):
-                if rmax < NEWTON_TOL:
-                    converged = True
+            for _ in range(CHORD_MAX_ITER if attempt == 0 else NEWTON_MAX_ITER):
+                if rmax < NEWTON_TOL or not math.isfinite(rmax):
                     break
-                if not math.isfinite(rmax):
-                    break
-                if attempt == 1 and it > 0:
+                if attempt or eng._lu is None:
                     eng._lu = lu_factor(eng.jacobian(z, dt))
+                    lu_age = 0
                 dz = lu_solve(eng._lu, R)
                 # backtrack when the full step overshoots (the injection
                 # model has a kink at the low-voltage guard)
@@ -821,12 +852,13 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                         break
                     alpha *= 0.5
                 z, R, rmax = z_try, R_try, r_try
-            if converged or not math.isfinite(rmax):
+            if rmax < NEWTON_TOL or not math.isfinite(rmax):
                 break
             eng._lu = None
-        if not converged:
+        if not rmax < NEWTON_TOL:
             reason = "newton" if math.isfinite(rmax) else "non_finite"
             raise collapse(reason, step, t + dt, step + 1, float(rmax))
+        lu_age += 1
 
         delta, omega, em, V = eng.unpack(z)
         t_new = t + dt
@@ -843,13 +875,13 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
             now_running = motor.mode is MotorMode.RUNNING
             if was_running and not now_running:
                 eng.running[k] = False
-                eng.kept = None
+                eng.kept = v_last = None
                 log.append(EventRecord(t_new, lel_id, "motor_stall_trip"))
             elif not was_running and now_running:
                 em[:, k] = motor.ed_p, motor.eq_p, motor.slip
                 eng.tmech[k] = motor.t_mech
                 eng.running[k] = True
-                eng.kept = None
+                eng.kept = v_last = None
                 log.append(EventRecord(t_new, lel_id, "motor_restart"))
 
             prev = eng.prot[k]

@@ -1,5 +1,6 @@
 """Unit tests for the network builder, power flow, and transient engine."""
 
+import collections
 import copy
 import functools
 import math
@@ -11,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
+from lelsim import grid
 from lelsim.cases import LelPlacement, bundled_case
 from lelsim.errors import InvalidArgument, SimulationCollapse
 from lelsim.grid import (
+    FAULT_ADMITTANCE,
+    NEWTON_TOL,
     Event,
     EventRecord,
     SimConfig,
@@ -500,6 +504,106 @@ class TestCollapseReasons:
         assert exc.reason == "non_finite" and exc.step == 3
         assert "not finite" in str(exc)
         assert len(exc.partial.time) == 4 and np.all(np.isfinite(exc.partial.v_mag))
+
+
+class NewtonSpy:
+    """Counts, per step, the LU factorizations and solves of
+    run_simulation, and keeps the residual max-norm at each
+    factorization; a step starts at its first residual."""
+
+    def __init__(self, monkeypatch):
+        self.x0 = None
+        self.step = -1
+        self.rmax = math.inf
+        self.factored = []                  # (step, rmax) per factorization
+        self.solves = collections.Counter()   # step -> LU solves
+        residual, lu_factor, lu_solve = _Engine.residual, grid.lu_factor, grid.lu_solve
+
+        def spy_residual(eng, z, x0, f0, dt):
+            if x0 is not self.x0:
+                self.x0, self.step = x0, self.step + 1
+            R = residual(eng, z, x0, f0, dt)
+            self.rmax = np.abs(R).max()
+            return R
+
+        def spy_factor(a):
+            self.factored.append((self.step, self.rmax))
+            return lu_factor(a)
+
+        def spy_solve(lu_piv, b):
+            self.solves[self.step] += 1
+            return lu_solve(lu_piv, b)
+
+        monkeypatch.setattr(_Engine, "residual", spy_residual)
+        monkeypatch.setattr("lelsim.grid.lu_factor", spy_factor)
+        monkeypatch.setattr("lelsim.grid.lu_solve", spy_solve)
+
+
+def outcome(case, events, cfg):
+    """A run's result and its collapse (reason, step), or None."""
+    try:
+        return run_simulation(case, events, cfg), None
+    except SimulationCollapse as exc:
+        return exc.partial, (exc.reason, exc.step)
+
+
+class TestChordNewton:
+    """Chord Newton reuses one factorization for at most
+    JACOBIAN_MAX_AGE steps, factors only to make an update, and leaves a
+    chord pass that converged on its last update without refactoring."""
+
+    @pytest.mark.parametrize("chord_budget", [None, 1], ids=["default", "one_update"])
+    def test_no_factorization_at_a_converged_state(self, monkeypatch, chord_budget):
+        if chord_budget is not None:
+            monkeypatch.setattr("lelsim.grid.CHORD_MAX_ITER", chord_budget)
+        spy = NewtonSpy(monkeypatch)
+        run_simulation(place_lels(bundled_case("toy9"), 3, seed=1),
+                       fault_events(7, 0.5, 0.1, -8j), SimConfig(dt=0.005, horizon=3.0))
+        assert spy.factored
+        assert min(r for _, r in spy.factored) >= NEWTON_TOL
+        if chord_budget == 1:
+            # chord passes that converged on their only update: the case
+            # is reached, and such a step factors at most for its chord
+            converged_on_last = [s for s, n in spy.solves.items() if n == 1]
+            assert len(converged_on_last) >= 10
+            per_step = collections.Counter(s for s, _ in spy.factored)
+            assert max(per_step[s] for s in converged_on_last) <= 1
+
+    def test_factorization_served_at_most_max_age_steps(self, monkeypatch):
+        # a -8j fault at step 101 cleared at step 115: each switching
+        # event drops the factorization, and the age counts from there
+        cfg = SimConfig(dt=0.005, horizon=3.0)
+        spy = NewtonSpy(monkeypatch)
+        run_simulation(place_lels(bundled_case("toy9"), 3, seed=1),
+                       fault_events(7, 0.505, 0.07, -8j), cfg)
+        events = {101, 115}
+        expected, last = [], None
+        for step in range(int(round(cfg.horizon / cfg.dt))):
+            if step in events or last is None or step - last >= grid.JACOBIAN_MAX_AGE:
+                expected.append(step)
+                last = step
+        assert [s for s, _ in spy.factored] == expected
+
+    @pytest.mark.parametrize("case, events, horizon", [
+        (place_lels(bundled_case("toy9"), 3, seed=1), fault_events(7, 0.5, 0.1, -8j), 3.0),
+        (place_lels(bundled_case("toy9"), 3, seed=1),
+         fault_events(8, 0.5, 0.1, FAULT_ADMITTANCE), 3.0),
+        (bundled_case("toy2"), fault_events(2, 0.2, 0.3, -4j), 5.0),
+    ], ids=["toy9_-8j_bus7", "toy9_bolted_bus8", "toy2_sag_-4j"])
+    def test_fresh_jacobian_every_step_gives_the_same_run(self, monkeypatch, case, events,
+                                                          horizon):
+        cfg = SimConfig(dt=0.005, horizon=horizon)
+        aged, aged_outcome = outcome(case, events, cfg)
+        monkeypatch.setattr("lelsim.grid.JACOBIAN_MAX_AGE", 1)
+        spy = NewtonSpy(monkeypatch)
+        fresh, fresh_outcome = outcome(case, events, cfg)
+        # every step that made an update factored for it
+        assert {s for s, _ in spy.factored} == set(spy.solves)
+        assert fresh_outcome == aged_outcome
+        assert [(e.time, e.lel_id, e.kind) for e in fresh.events] == [
+            (e.time, e.lel_id, e.kind) for e in aged.events]
+        assert fresh.v_mag.shape == aged.v_mag.shape
+        assert np.max(np.abs(fresh.v_mag - aged.v_mag)) <= 1e-7
 
 
 def noisy_toy9():

@@ -199,6 +199,7 @@ class TestKeptEvaluation:
         case = with_t_cool(bundled_case("toy2"), 1.0)
         cfg = SimConfig(dt=0.005, horizon=horizon, seed=0)
         residual, solve_network = _Engine.residual, _Engine.solve_network
+        evaluation = _Engine.evaluation
         first = []        # per step: (f0, fresh derivatives) at its first residual
         expected = []     # per recorded row but the last: a fresh LEL power
         resolved = []     # the voltages a network re-solve started from
@@ -208,12 +209,18 @@ class TestKeptEvaluation:
             resolved.append(V.copy())
             return solve_network(self, V, delta, em)
 
+        def spy_evaluation(self, z):
+            # the last call before a step's first residual takes the
+            # step's start derivatives f0 at its start state (after a
+            # re-solve): the state of the previous row but for V
+            seen["start"] = z.copy()
+            return evaluation(self, z)
+
         def spy(self, z, x0, f0, dt):
             if seen.get("x0") is not x0:
-                # the step's first residual: z holds the step's start V,
-                # and the state of the previous row (before a re-solve)
+                # the step's first residual
                 seen["x0"] = x0
-                start = np.concatenate([x0, z[self.ovr:]])
+                start = seen["start"]
                 _, em, V = self.unpack(start)[1:]
                 # (this sets kept; the residual below sets it again)
                 first.append((f0.copy(), self.derivatives(start)[0]))
@@ -224,6 +231,7 @@ class TestKeptEvaluation:
             return residual(self, z, x0, f0, dt)
 
         monkeypatch.setattr(_Engine, "solve_network", spy_solve)
+        monkeypatch.setattr(_Engine, "evaluation", spy_evaluation)
         monkeypatch.setattr(_Engine, "residual", spy)
         result = run_simulation(case, events, cfg)
 
@@ -238,6 +246,50 @@ class TestKeptEvaluation:
         expected.append(fresh_lel_power(eng, V, em, eng.p_work))
         assert np.array_equal(result.lel_p, np.real(expected))
         assert np.array_equal(result.lel_q, np.imag(expected))
+
+
+class TestVoltagePredictor:
+    """Each step's first residual takes the bus voltages extrapolated
+    linearly from the starts of the last two steps.  At the first step,
+    and after a network re-solve, a stall trip or a restart, the last
+    step is no base for a prediction, and it takes the step's start
+    voltages."""
+
+    def test_no_extrapolation_across_a_jump(self, monkeypatch):
+        case = with_t_cool(bundled_case("toy2"), 1.0)
+        cfg = SimConfig(dt=0.005, horizon=2.0, seed=0)
+        evaluation, residual = _Engine.evaluation, _Engine.residual
+        seen = {}
+        starts, first = [], []      # per step: start V, its first residual's V
+
+        def spy_evaluation(self, z):
+            seen["start"] = z[self.ovr:].copy()
+            return evaluation(self, z)
+
+        def spy(self, z, x0, f0, dt):
+            if seen.get("x0") is not x0:
+                seen["x0"] = x0
+                starts.append(seen["start"])
+                first.append(z[self.ovr:].copy())
+            return residual(self, z, x0, f0, dt)
+
+        monkeypatch.setattr(_Engine, "evaluation", spy_evaluation)
+        monkeypatch.setattr(_Engine, "residual", spy)
+        result = run_simulation(case, fault_events(2, SAG_START, SAG_LENGTH, admittance=-4j),
+                                cfg)
+
+        assert [e.kind for e in result.events] == [
+            "fault_applied", "shed", "motor_stall_trip", "fault_cleared", "motor_restart"]
+        # a switching event re-solves at the step it starts; a trip or a
+        # restart at the end of a step changes the start of the next
+        held = {0} | {round(e.time / cfg.dt) for e in result.events if e.kind != "shed"}
+        assert len(held) == 5 and len(starts) == len(result.time) - 1
+        for step, (start, V) in enumerate(zip(starts, first)):
+            if step in held:
+                assert np.array_equal(V, start)
+            else:
+                assert np.array_equal(V, start + (start - starts[step - 1]))
+                assert not np.array_equal(V, start)
 
 
 class TestParameterExchange:
