@@ -332,10 +332,13 @@ class _Engine:
         self.Pm = (Ephasor * np.conj(Ig)).real
         self.yg = 1.0 / (1j * xd)
         self.cyg = np.conj(self.yg)
-        self.E_sq = self.E**2
         self.H = np.array([g.H for g in gens])
         self.two_h = 2 * self.H
         self.D = np.array([g.D for g in gens])
+        # the swing equation's coefficients over 2H; Pe = Im(E conj(V)) / xd'
+        self.pm_2h = self.Pm / self.two_h
+        self.d_2h = self.D / self.two_h
+        self.pe_2h = 1.0 / (xd * self.two_h)
 
         # LEL subsystems at their bus demand
         self.lbus = np.array([idx[p.bus] for p in case.lels], dtype=int)
@@ -401,22 +404,32 @@ class _Engine:
 
     # -- device functions -------------------------------------------------
 
-    def gen_f(self, delta, omega, Vg):
+    def gen_f(self, delta, omega, Vg, out):
+        """The machines' (d delta/dt, d omega/dt), written into out (2 ng,);
+        returns the EMF phasors."""
         Eg = self.E * np.exp(1j * delta)
-        Pe = (self.cyg * (self.E_sq - Eg * np.conj(Vg))).real
-        fd = self.wb * (omega - 1.0)
-        fo = (self.Pm - Pe - self.D * (omega - 1.0)) / self.two_h
-        return fd, fo, Eg
+        fd, fo = out[:self.ng], out[self.ng:]
+        np.subtract(omega, 1.0, out=fd)
+        np.multiply(self.d_2h, fd, out=fo)
+        fd *= self.wb
+        np.subtract(self.pm_2h, fo, out=fo)
+        fo -= (Eg * np.conj(Vg)).imag * self.pe_2h
+        return Eg
 
-    def motor_f(self, em, Vm):
-        """em is (3, K): edp, eqp, slip.  Returns (f (3,K), i_m complex (K,))."""
+    def motor_f(self, em, Vm, out=None):
+        """em is (3, K): edp, eqp, slip.  Returns (f (3,K), i_m complex (K,));
+        f is written into out when given."""
         edp, eqp, slip = em
-        i = (Vm - (edp + 1j * eqp)) / self.m_z
-        te = edp * i.real + eqp * i.imag
-        f = np.empty((3, self.K))
-        f[0] = self.wb * slip * eqp - (edp + self.m_c * i.imag) / self.m_t0
-        f[1] = -self.wb * slip * edp - (eqp - self.m_c * i.real) / self.m_t0
-        f[2] = (self.tmech - te) / self.m_two_h
+        e = edp + 1j * eqp
+        i = (Vm - e) / self.m_z
+        f = np.empty((3, self.K)) if out is None else out
+        # d(edp + j eqp)/dt = (j c i - e) / T0' - j wb slip e
+        de = (1j * self.m_c * i - e) / self.m_t0 - (1j * self.wb * slip) * e
+        f[0] = de.real
+        f[1] = de.imag
+        # Te = Re(conj(e) i)
+        np.subtract(self.tmech, (e.conj() * i).real, out=f[2])
+        f[2] /= self.m_two_h
         if not self.running.all():
             f[:, ~self.running] = 0.0
             i = np.where(self.running, i, 0.0)
@@ -427,14 +440,13 @@ class _Engine:
         low-voltage admittance guard.  Returns complex current (K,)."""
         vm = np.abs(Vl)
         r = np.maximum(vm, V_FLOOR) / self.aux_v0
-        p_aux = self.aux_p0 * (self.aux_az * r * r + self.aux_ai * r + self.aux_ap)
-        S = ((self.p_work + p_aux) + 1j * (self.aux_beta * p_aux)) / self.s_base
+        p_aux = self.aux_p0 * ((self.aux_az * r + self.aux_ai) * r + self.aux_ap)
+        # conj(S) = P - jQ
+        W = (self.p_work + p_aux - 1j * (self.aux_beta * p_aux)) / self.s_base
         if vm.min(initial=math.inf) > V_FLOOR:
-            return np.conj(S / Vl)
+            return W / np.conj(Vl)
         safe_v = np.where(vm > V_FLOOR, Vl, 1.0)
-        I_cp = np.conj(S / safe_v)
-        y_floor = np.conj(S) / V_FLOOR**2
-        return np.where(vm > V_FLOOR, I_cp, y_floor * Vl)
+        return np.where(vm > V_FLOOR, W / np.conj(safe_v), W / V_FLOOR**2 * Vl)
 
     def lel_currents(self, Vl, i_m):
         """LEL currents before retention (kappa) at terminal voltages Vl
@@ -473,10 +485,9 @@ class _Engine:
         become `kept`."""
         delta, omega, em, V = self.unpack(z)
         f = np.empty(self.ovr)
-        f[:self.oo], f[self.oo:self.om], Eg = self.gen_f(delta, omega, V[self.gbus])
+        Eg = self.gen_f(delta, omega, V[self.gbus], f[:self.om])
         Vl = V[self.lbus]
-        fm, i_m = self.motor_f(em, Vl)
-        f[self.om:] = fm.ravel()
+        i_m = self.motor_f(em, Vl, f[self.om:].reshape(3, self.K))[1]
         u = self.lel_currents(Vl, i_m)
         self.kept = f, u
         return f, em, V, Eg, u
@@ -494,7 +505,11 @@ class _Engine:
         derivatives are f0, then the network current mismatch."""
         f, em, V, Eg, u = self.derivatives(z)
         R = np.empty(self.N)
-        R[:self.ovr] = z[:self.ovr] - x0 - 0.5 * dt * (f + f0)
+        Rx = R[:self.ovr]
+        np.add(f, f0, out=Rx)
+        Rx *= -0.5 * dt
+        Rx += z[:self.ovr]
+        Rx -= x0
         I = self.current_mismatch(V, Eg, em, u)
         R[self.ovr:self.ovi] = I.real
         R[self.ovi:] = I.imag
