@@ -1,6 +1,7 @@
 """SHA-256 fingerprint of fixed transient grid runs.
 
-Runs a fixed set of seeded simulations and hashes every `SimResult`
+Hashes the power-flow bus voltages V0 of toy2, toy9 and ieee39, then
+runs a fixed set of seeded simulations and hashes every `SimResult`
 array, the event log and the collapse outcome of each:
 
 - toy9 with three LELs: -8j faults at bus 7 (three sheds) and at bus 8
@@ -14,18 +15,20 @@ array, the event log and the collapse outcome of each:
 
 Two checkouts whose outputs are bit-identical print the same hashes, so
 running it before and after a change that should not move any number
-checks that claim.  One line per run, then the hash over all of them.
+checks that claim.  One line for the power flows and one per run, then
+the hash over all of them.
 
 A change that moves numbers on purpose reports by how much: `--save`
 writes every run's arrays, event log and collapse outcome to an .npz
-file, and `--compare` runs the set again and prints, per run, the
-largest difference from the saved runs (over the samples both have) in
-bus voltage magnitude |V| (pu), bus voltage angle theta (rad), generator
-speed omega (pu) and LEL power lel_p (MW), and whether the event logs
-and the collapse outcomes (reason, step and time) are equal.  Angles are
-absolute: a change in the system's mean frequency turns every angle
-alike, so |dtheta| can exceed what the relative angles show.  It exits 1 when an
-event log or a collapse outcome differs.
+file with the power-flow voltages, and `--compare` runs the set again
+and prints the largest |dV0| (pu) from the saved power-flow voltages
+and, per run, the largest difference from the saved runs (over the
+samples both have) in bus voltage magnitude |V| (pu), bus voltage angle
+theta (rad), generator speed omega (pu) and LEL power lel_p (MW), and
+whether the event logs and the collapse outcomes (reason, step and time)
+are equal.  Angles are absolute: a change in the system's mean frequency
+turns every angle alike, so |dtheta| can exceed what the relative angles
+show.  It exits 1 when an event log or a collapse outcome differs.
 
 Usage, from the root of a checkout:
 
@@ -50,8 +53,9 @@ import numpy as np  # noqa: E402
 from lelsim.cases import bundled_case  # noqa: E402
 from lelsim.errors import SimulationCollapse  # noqa: E402
 from lelsim.grid import (FAULT_ADMITTANCE, Event, SimConfig, fault_events,  # noqa: E402
-                         place_lels, run_simulation, sample_scenario)
+                         place_lels, power_flow, run_simulation, sample_scenario)
 
+POWER_FLOW_CASES = ("toy2", "toy9", "ieee39")
 ARRAYS = ("time", "v_mag", "v_ang", "gen_omega", "gen_delta", "lel_p", "lel_q",
           "lel_kappa", "lel_mode", "motor_mode", "lel_kappa_full")
 
@@ -148,8 +152,17 @@ def main():
                       help="print each run's deviations from the runs saved here")
     args = parser.parse_args()
     saved = np.load(args.compare) if args.compare else None
-    to_save = {}
     total = hashlib.sha256()
+    v0 = np.concatenate([power_flow(bundled_case(c)) for c in POWER_FLOW_CASES])
+    digest = hashlib.sha256(v0.tobytes()).hexdigest()
+    total.update(digest.encode())
+    line = f"{digest[:16]}  power flow V0 {'/'.join(POWER_FLOW_CASES)}"
+    if saved is not None:
+        line += "\n                  " + (
+            f"|dV0| {np.max(np.abs(v0 - saved['pf/v0'])):.2e}" if "pf/v0" in saved.files
+            else "no saved power flow")
+    print(line)
+    to_save = {"pf/v0": v0}
     all_equal = True
     for i, (name, case, events, cfg) in enumerate(runs()):
         res, outcome = simulate(case, events, cfg)

@@ -262,6 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--params", help="parameter-exchange file overriding "
                         "the archetype preset")
 
+    def add_calibration(sp):
+        """The arguments calibrate and robustness share."""
+        add_params(sp)
+        sp.add_argument("data", help="measured trace CSV")
+        sp.add_argument("--subsystem", default="workload",
+                        choices=["workload", "cooling", "aux"])
+        sp.add_argument("--bound", action="append", required=True,
+                        metavar="NAME=LO:HI", help="free parameter bounds")
+        sp.add_argument("--max-evals", type=int, default=100)
+        sp.add_argument("--window-length", type=int, default=5)
+        sp.add_argument("--epochs", type=int, default=60)
+        sp.add_argument("--repeats", type=int, default=2)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--out", required=True)
+
     sp = sub.add_parser("simulate-load", help="generate a load subsystem trace")
     add_params(sp)
     sp.add_argument("--model", default="workload",
@@ -273,22 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate_load)
 
     sp = sub.add_parser("calibrate", help="fit free parameters to a trace")
-    add_params(sp)
-    sp.add_argument("data", help="measured trace CSV")
-    sp.add_argument("--subsystem", default="workload",
-                    choices=["workload", "cooling", "aux"])
-    sp.add_argument("--bound", action="append", required=True,
-                    metavar="NAME=LO:HI", help="free parameter bounds")
+    add_calibration(sp)
     sp.add_argument("--init", action="append", default=[],
                     metavar="NAME=VALUE", help="initial value "
                     "(default: midpoint of bounds)")
     sp.add_argument("--mode", default="pattern", choices=["pattern", "mse"])
-    sp.add_argument("--max-evals", type=int, default=100)
-    sp.add_argument("--window-length", type=int, default=5)
-    sp.add_argument("--epochs", type=int, default=60)
-    sp.add_argument("--repeats", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("grid-sim", help="run a transient grid scenario")
@@ -333,19 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("robustness", help="calibration from many random "
                         "initializations")
-    add_params(sp)
-    sp.add_argument("data")
-    sp.add_argument("--subsystem", default="workload",
-                    choices=["workload", "cooling", "aux"])
-    sp.add_argument("--bound", action="append", required=True,
-                    metavar="NAME=LO:HI")
+    add_calibration(sp)
     sp.add_argument("--inits", type=int, default=5)
-    sp.add_argument("--max-evals", type=int, default=100)
-    sp.add_argument("--window-length", type=int, default=5)
-    sp.add_argument("--epochs", type=int, default=60)
-    sp.add_argument("--repeats", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_robustness)
 
     return p

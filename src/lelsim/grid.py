@@ -8,17 +8,21 @@ motor, and ZIP subsystems scaled by the protection retention factor.
 
 Each fixed step solves the trapezoidal-discretized differential
 equations simultaneously with the network algebraic equations
-(simultaneous-implicit scheme; Stott 1979) by chord Newton.  The step
-starts from a prediction: explicit Euler on the differential states, and
-the bus voltages extrapolated linearly from the starts of the last two
-steps (held instead where the voltages jump: after a network re-solve, a
-motor stall trip or a restart).  The chord iterations reuse the LU
-factorization of the analytic Jacobian, made when an update first needs
-it and dropped once it has served JACOBIAN_MAX_AGE steps (CVODE re-forms
-its Newton matrix at least every 20 steps; Hindmarsh et al. 2005).  A
-chord pass that has not converged after CHORD_MAX_ITER updates falls
-back to full Newton, refactoring every iteration; a pass that converges
-on its last update ends the step.
+(simultaneous-implicit scheme; Stott 1979).  The step starts from a
+prediction: explicit Euler on the differential states, and the bus
+voltages extrapolated linearly from the starts of the last two steps
+(held instead where the voltages jump: after a network re-solve, a motor
+stall trip or a restart).
+
+One damped Newton, `newton`, solves the power flow, the network re-solve
+after a switching event and each step.  The step's chord updates reuse
+the LU factorization of the analytic Jacobian, made when an update first
+needs it and dropped once it has served JACOBIAN_MAX_AGE steps (CVODE
+re-forms its Newton matrix at least every 20 steps; Hindmarsh et al.
+2005).  A chord pass that has not converged after CHORD_MAX_ITER updates
+falls back to full Newton, refactoring every iteration; a pass that
+converges on its last update ends the step.  The power flow and the
+re-solve take full Newton from their first update.
 """
 
 from __future__ import annotations
@@ -59,9 +63,6 @@ CHORD_MAX_ITER = 8
 # steps a chord factorization serves before it is dropped at the start of
 # the next one
 JACOBIAN_MAX_AGE = 20
-
-POWER_FLOW_TOL = 1e-8      # pu mismatch
-POWER_FLOW_MAX_ITER = 50
 
 # collapse detector: generator angle spread above pi sustained this long
 ANGLE_SPREAD_LIMIT = math.pi
@@ -145,8 +146,40 @@ PROT_MODE_ORD = {m: i for i, m in enumerate(ProtectionMode)}
 
 def lu_solve(lu_piv, b):
     """x with A x = b, from lu_factor's (lu, piv) of A: LAPACK getrs
-    without scipy's per-call checks (the step loop checks b is finite)."""
+    without scipy's per-call checks (newton checks b is finite)."""
     return dgetrs(*lu_piv, b)[0]
+
+
+def newton(residual, jacobian, z, lu, n_chord):
+    """Damped Newton on residual(z) = 0 from z: up to n_chord chord
+    updates with the factorization lu of the Jacobian (factored when an
+    update needs it and none is held), then, unless they converged, up
+    to NEWTON_MAX_ITER full updates, each refactored.  Every update
+    halves its step, up to six times, while the residual max-norm does
+    not fall (the injection model has a kink at the low-voltage guard).
+
+    Stops as soon as the max-norm is below NEWTON_TOL or not finite, and
+    returns (z, max-norm, lu): the last iterate, and the factorization
+    held then, or None when the updates ran out."""
+    R = residual(z)
+    rmax = np.abs(R).max(initial=0.0)
+    for chord, n_iter in ((True, n_chord), (False, NEWTON_MAX_ITER)):
+        for _ in range(n_iter):
+            if rmax < NEWTON_TOL or not math.isfinite(rmax):
+                return z, rmax, lu
+            if lu is None or not chord:
+                lu = lu_factor(jacobian(z))
+            dz = lu_solve(lu, R)
+            alpha = 1.0
+            for _bt in range(6):
+                z_try = z - alpha * dz
+                R_try = residual(z_try)
+                r_try = np.abs(R_try).max(initial=0.0)
+                if r_try < rmax or r_try < NEWTON_TOL:
+                    break
+                alpha *= 0.5
+            z, R, rmax = z_try, R_try, r_try
+    return z, rmax, lu if rmax < NEWTON_TOL else None
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +233,22 @@ def power_flow(case: GridCase) -> np.ndarray:
     pv = np.flatnonzero(types == 1)
     pq = np.flatnonzero(types == 2)
     ang_idx = np.concatenate([pv, pq])
+    na = len(ang_idx)
 
-    for _ in range(POWER_FLOW_MAX_ITER):
-        V = vm * np.exp(1j * va)
+    # the unknowns x are the angles at ang_idx, then the magnitudes at pq
+    def voltages(x):
+        va[ang_idx] = x[:na]
+        vm[pq] = x[na:]
+        return vm * np.exp(1j * va)
+
+    def mismatch(x):
+        V = voltages(x)
         S = V * np.conj(Y @ V)
-        dP = p_spec[ang_idx] - S.real[ang_idx]
-        dQ = q_spec[pq] - S.imag[pq]
-        mismatch = np.concatenate([dP, dQ])
-        if np.max(np.abs(mismatch)) < POWER_FLOW_TOL:
-            return V
+        return np.concatenate([S.real[ang_idx] - p_spec[ang_idx], S.imag[pq] - q_spec[pq]])
+
+    def jacobian(x):
         # MATPOWER-style analytic sensitivities
+        V = voltages(x)
         Ibus = Y @ V
         diagV = np.diag(V)
         dS_dVa = 1j * diagV @ np.conj(np.diag(Ibus) - Y @ diagV)
@@ -218,17 +257,14 @@ def power_flow(case: GridCase) -> np.ndarray:
         J12 = dS_dVm[np.ix_(ang_idx, pq)].real
         J21 = dS_dVa[np.ix_(pq, ang_idx)].imag
         J22 = dS_dVm[np.ix_(pq, pq)].imag
-        J = np.block([[J11, J12], [J21, J22]])
-        dx = np.linalg.solve(J, mismatch)
-        va[ang_idx] += dx[:len(ang_idx)]
-        vm[pq] += dx[len(ang_idx):]
-    V = vm * np.exp(1j * va)
-    S = V * np.conj(Y @ V)
-    final = max(np.max(np.abs(p_spec[ang_idx] - S.real[ang_idx])),
-                np.max(np.abs(q_spec[pq] - S.imag[pq])) if len(pq) else 0.0)
-    raise ValidationError(
-        f"power flow did not converge in {POWER_FLOW_MAX_ITER} iterations "
-        f"(final mismatch {final:.3e} pu)")
+        return np.block([[J11, J12], [J21, J22]])
+
+    x, rmax, _ = newton(mismatch, jacobian, np.concatenate([va[ang_idx], vm[pq]]), None, 0)
+    if not rmax < NEWTON_TOL:
+        raise ValidationError(
+            f"power flow did not converge in {NEWTON_MAX_ITER} iterations "
+            f"(final mismatch {rmax:.3e} pu)")
+    return voltages(x)
 
 
 def nearest_generator(case: GridCase) -> np.ndarray:
@@ -398,7 +434,7 @@ class _Engine:
         Y[self.gbus, self.gbus] += self.yg
         # compensation shunts absorb the residual injection (power-flow
         # tolerance plus the LEL reactive allocation) so t=0 is exact
-        self.set_network(Y)
+        self.Y = Y
         I_mis = self.current_mismatch(V, self.E * np.exp(1j * self.delta0), self.em0)
         Y[np.arange(n), np.arange(n)] += -I_mis / V
 
@@ -435,14 +471,19 @@ class _Engine:
             i = np.where(self.running, i, 0.0)
         return f, i
 
+    def pe_power(self, vm):
+        """conj(S) = P - jQ (pu) of each LEL's constant-power (workload +
+        aux) draw at terminal voltage magnitudes vm; the aux ZIP is
+        evaluated at max(vm, V_FLOOR)."""
+        r = np.maximum(vm, V_FLOOR) / self.aux_v0
+        p_aux = self.aux_p0 * ((self.aux_az * r + self.aux_ai) * r + self.aux_ap)
+        return (self.p_work + p_aux - 1j * (self.aux_beta * p_aux)) / self.s_base
+
     def pe_injection(self, Vl):
         """Constant-power (workload + aux) current per LEL, with the
         low-voltage admittance guard.  Returns complex current (K,)."""
         vm = np.abs(Vl)
-        r = np.maximum(vm, V_FLOOR) / self.aux_v0
-        p_aux = self.aux_p0 * ((self.aux_az * r + self.aux_ai) * r + self.aux_ap)
-        # conj(S) = P - jQ
-        W = (self.p_work + p_aux - 1j * (self.aux_beta * p_aux)) / self.s_base
+        W = self.pe_power(vm)
         if vm.min(initial=math.inf) > V_FLOOR:
             return W / np.conj(Vl)
         safe_v = np.where(vm > V_FLOOR, Vl, 1.0)
@@ -514,12 +555,6 @@ class _Engine:
         R[self.ovr:self.ovi] = I.real
         R[self.ovi:] = I.imag
         return R
-
-    def set_network(self, Y):
-        """Install a new network admittance matrix; the LU factorization
-        derived from the old one is dropped."""
-        self.Y = Y
-        self._lu = None
 
     def jacobian(self, z, dt):
         K = self.K
@@ -602,14 +637,9 @@ class _Engine:
         Vl = V[self.lbus]
         vm = np.abs(Vl)
         above = vm > V_FLOOR
-        vm_eff = np.maximum(vm, V_FLOOR)
-        r = vm_eff / self.aux_v0
-        p_aux = self.aux_p0 * (self.aux_az * r * r + self.aux_ai * r + self.aux_ap)
-        P = (self.p_work + p_aux) / self.s_base
-        Q = self.aux_beta * p_aux / self.s_base
-        W = P - 1j * Q
+        W = self.pe_power(vm)
         dP_dvm = np.where(above,
-                          self.aux_p0 * (2 * self.aux_az * vm_eff / self.aux_v0**2
+                          self.aux_p0 * (2 * self.aux_az * vm / self.aux_v0**2
                                          + self.aux_ai / self.aux_v0) / self.s_base,
                           0.0)
         dW_dvm = (1.0 - 1j * self.aux_beta) * dP_dvm
@@ -635,28 +665,19 @@ class _Engine:
     # -- solves -------------------------------------------------------------
 
     def solve_network(self, V, delta, em):
-        """Damped Newton on the algebraic network equations with frozen
-        differential states."""
+        """Full Newton on the algebraic network equations with frozen
+        differential states; returns the voltages and whether they meet
+        NEWTON_TOL."""
         n = self.n
         Eg = self.E * np.exp(1j * delta)
-        I = self.current_mismatch(V, Eg, em)
-        rmax = np.max(np.abs(I))
-        for _ in range(2 * NEWTON_MAX_ITER):
-            if rmax < NEWTON_TOL:
-                return V, True
-            rhs = np.concatenate([I.real, I.imag])
-            dx = np.linalg.solve(self.network_jacobian(V), rhs)
-            dV = dx[:n] + 1j * dx[n:]
-            alpha = 1.0
-            for _bt in range(10):
-                V_try = V - alpha * dV
-                I_try = self.current_mismatch(V_try, Eg, em)
-                r_try = np.max(np.abs(I_try))
-                if r_try < rmax or r_try < NEWTON_TOL:
-                    break
-                alpha *= 0.5
-            V, I, rmax = V_try, I_try, r_try
-        return V, rmax < NEWTON_TOL
+
+        def mismatch(x):
+            I = self.current_mismatch(x[:n] + 1j * x[n:], Eg, em)
+            return np.concatenate([I.real, I.imag])
+
+        x, rmax, _ = newton(mismatch, lambda x: self.network_jacobian(x[:n] + 1j * x[n:]),
+                            np.concatenate([V.real, V.imag]), None, 0)
+        return x[:n] + 1j * x[n:], rmax < NEWTON_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -727,16 +748,15 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     Events are checked and resolved before the power flow.  Each step
     applies its events and re-solves the network, predicts (explicit
     Euler on the differential states, bus voltages V = 2 V_n - V_(n-1)
-    from the starts of this step and the last), runs chord-then-full
-    Newton on the flat state vector, steps each LEL's motor-stall and
-    protection machines, and records.
+    from the starts of this step and the last), runs `newton` with
+    CHORD_MAX_ITER chord updates on the flat state vector, steps each
+    LEL's motor-stall and protection machines, and records.
 
-    The chord pass factors the Jacobian when an update needs it and no
-    factorization is held; one made JACOBIAN_MAX_AGE or more steps ago
-    is dropped at the start of a step, and the count restarts at every
-    factorization (the full-Newton fallback's too).  A pass whose
-    residual meets the tolerance ends the step at once, also after its
-    last allowed update.
+    The step's chord factorization `lu` is a local held across steps.
+    It is dropped by a switching event (the network changed) and at the
+    start of a step once it has served JACOBIAN_MAX_AGE steps; its age
+    restarts whenever `newton` returns a new one (the full-Newton
+    fallback's too).
 
     The step's last residual is evaluated at the accepted state, so its
     derivatives and LEL currents (the engine's `kept`) serve the record
@@ -812,16 +832,18 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     record(0, 0.0)
     # the bus voltages at the start of the previous step, None when that
     # step's solution is no base for a prediction (set wherever `kept` is
-    # dropped); and the number of steps the chord factorization has served
+    # dropped); the step's chord factorization and the number of steps
+    # it has served
     v_last = None
-    lu_age = 0
+    lu, lu_age = None, 0
 
     for step in range(n_steps):
         t = step * dt
         eng.p_work = p_path[step]
         if step in schedule:
+            lu = None
             for kind, dY, islands in schedule[step]:
-                eng.set_network(eng.Y + dY)
+                eng.Y = eng.Y + dY
                 log.append(EventRecord(t, None, kind))
                 if islands:
                     raise collapse("islanding", step, t, step + 1)
@@ -832,7 +854,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
             eng.kept = None
             v_last = None
         if lu_age >= JACOBIAN_MAX_AGE:
-            eng._lu = None
+            lu = None
 
         x0 = z[:ovr].copy()
         # the last residual of the previous step was evaluated at this z
@@ -844,32 +866,10 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         if v_last is not None:
             z[ovr:] += v_start - v_last
         v_last = v_start
-        # chord pass reusing the last factorization (made on demand), then
-        # full Newton, refactored every iteration, if the chord stalls
-        R = eng.residual(z, x0, f0, dt)
-        rmax = np.abs(R).max()
-        for attempt in range(2):
-            for _ in range(CHORD_MAX_ITER if attempt == 0 else NEWTON_MAX_ITER):
-                if rmax < NEWTON_TOL or not math.isfinite(rmax):
-                    break
-                if attempt or eng._lu is None:
-                    eng._lu = lu_factor(eng.jacobian(z, dt))
-                    lu_age = 0
-                dz = lu_solve(eng._lu, R)
-                # backtrack when the full step overshoots (the injection
-                # model has a kink at the low-voltage guard)
-                alpha = 1.0
-                for _bt in range(6):
-                    z_try = z - alpha * dz
-                    R_try = eng.residual(z_try, x0, f0, dt)
-                    r_try = np.abs(R_try).max()
-                    if r_try < rmax or r_try < NEWTON_TOL:
-                        break
-                    alpha *= 0.5
-                z, R, rmax = z_try, R_try, r_try
-            if rmax < NEWTON_TOL or not math.isfinite(rmax):
-                break
-            eng._lu = None
+        z, rmax, held = newton(lambda z: eng.residual(z, x0, f0, dt),
+                               lambda z: eng.jacobian(z, dt), z, lu, CHORD_MAX_ITER)
+        if held is not lu:
+            lu, lu_age = held, 0
         if not rmax < NEWTON_TOL:
             reason = "newton" if math.isfinite(rmax) else "non_finite"
             raise collapse(reason, step, t + dt, step + 1, float(rmax))

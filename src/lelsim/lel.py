@@ -10,7 +10,7 @@ a facility and the utility.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from lelsim.errors import InvalidArgument, ValidationError
 from lelsim.protection import ProtectionParams, parse_kv_document
@@ -84,25 +84,21 @@ def archetype_defaults(archetype: Archetype) -> LelParams:
 # parameter-exchange file (flat key-value blocks, schema versioned)
 # ---------------------------------------------------------------------------
 
-_WORK_FIELDS = ("p_base", "p_full", "tau_eta", "mu_eta", "sigma_xi",
-                "lambda_burst", "lnA_mu", "lnA_sigma")
-_COOL_FIELDS = ("R_s", "X_s", "X_m", "R_r", "X_r", "H_m", "V_stall",
-                "tau_stall", "T_cool", "mva_base", "load_factor")
-_AUX_FIELDS = ("p_aux0", "alpha_Z", "alpha_I", "alpha_P", "beta_aux", "V0")
-_PROT_FIELDS = ("V_ref", "omega_ref", "dV", "dOmega", "t_delay_trip",
-                "t_wait_recon", "t_delay_recon", "kappa_min", "kappa_max",
-                "r_kappa")
+# each block's keys, in the declaration order of its parameter dataclass
+_WORK_FIELDS, _COOL_FIELDS, _AUX_FIELDS, _PROT_FIELDS = (
+    tuple(f.name for f in fields(cls))
+    for cls in (WorkloadParams, CoolingParams, AuxParams, ProtectionParams))
 
 
 def dump_lel_params(params: LelParams) -> str:
     """Serialize a parameter bundle; parse_lel_params round-trips exactly."""
     lines = [f"schema_version = {EXCHANGE_SCHEMA_VERSION}",
              f"archetype = {params.archetype.value}"]
-    for prefix, obj, fields in (("work", params.work, _WORK_FIELDS),
-                                ("cool", params.cool, _COOL_FIELDS),
-                                ("aux", params.aux, _AUX_FIELDS),
-                                ("prot", params.prot, _PROT_FIELDS)):
-        for f in fields:
+    for prefix, obj, names in (("work", params.work, _WORK_FIELDS),
+                               ("cool", params.cool, _COOL_FIELDS),
+                               ("aux", params.aux, _AUX_FIELDS),
+                               ("prot", params.prot, _PROT_FIELDS)):
+        for f in names:
             lines.append(f"{prefix}.{f} = {getattr(obj, f)!r}")
     return "\n".join(lines) + "\n"
 
@@ -122,9 +118,9 @@ def parse_lel_params(document: str) -> LelParams:
     except ValueError as exc:
         raise ValidationError(f"unknown archetype {kv['archetype']!r}") from exc
 
-    def block(prefix, fields, cls):
+    def block(prefix, names, cls):
         values = {}
-        for f in fields:
+        for f in names:
             key = f"{prefix}.{f}"
             if key not in kv:
                 raise ValidationError(f"parameter-exchange file missing {key}")

@@ -23,11 +23,16 @@ class ProtectionMode(enum.Enum):
     RAMPING = "ramping"
 
 
+# the standardized disclosure form's keys, in form order, and the
+# ProtectionParams field each one holds
+_FIELD_MAP = {
+    "v_ref": "V_ref", "omega_ref": "omega_ref", "delta_v": "dV",
+    "delta_omega": "dOmega", "t_delay_trip": "t_delay_trip",
+    "t_wait_recon": "t_wait_recon", "t_delay_recon": "t_delay_recon",
+    "kappa_min": "kappa_min", "kappa_max": "kappa_max", "r_kappa": "r_kappa",
+}
 # exact key set of the standardized disclosure form
-DISCLOSURE_FIELDS = (
-    "v_ref", "omega_ref", "delta_v", "delta_omega", "t_delay_trip",
-    "t_wait_recon", "t_delay_recon", "kappa_min", "kappa_max", "r_kappa",
-)
+DISCLOSURE_FIELDS = tuple(_FIELD_MAP)
 
 
 @dataclass(frozen=True)
@@ -152,14 +157,6 @@ def _tick_violation(state: ProtectionState, dt: float, params: ProtectionParams,
                    violation_timer=timer, kappa=kappa, since_trip_timer=since)
 
 
-_FIELD_MAP = {
-    "v_ref": "V_ref", "omega_ref": "omega_ref", "delta_v": "dV",
-    "delta_omega": "dOmega", "t_delay_trip": "t_delay_trip",
-    "t_wait_recon": "t_wait_recon", "t_delay_recon": "t_delay_recon",
-    "kappa_min": "kappa_min", "kappa_max": "kappa_max", "r_kappa": "r_kappa",
-}
-
-
 def parse_kv_document(text: str) -> dict[str, str]:
     """Flat key = value (or key: value) structured text; '#' starts a comment."""
     out = {}
@@ -184,9 +181,9 @@ def load_protection_disclosure(document: str) -> ProtectionParams:
     if missing:
         raise ValidationError(f"disclosure form missing field(s): {', '.join(missing)}")
     values = {}
-    for key in DISCLOSURE_FIELDS:
+    for key, attr in _FIELD_MAP.items():
         try:
-            values[_FIELD_MAP[key]] = float(kv[key])
+            values[attr] = float(kv[key])
         except ValueError as exc:
             raise ValidationError(f"field {key}: {exc}") from exc
     return ProtectionParams(**values)
@@ -194,9 +191,5 @@ def load_protection_disclosure(document: str) -> ProtectionParams:
 
 def dump_protection_disclosure(params: ProtectionParams) -> str:
     """Serialize ProtectionParams as a disclosure form (parse round-trips)."""
-    inv = {v: k for k, v in _FIELD_MAP.items()}
-    lines = [f"{inv[attr]} = {getattr(params, attr)!r}"
-             for attr in ("V_ref", "omega_ref", "dV", "dOmega", "t_delay_trip",
-                          "t_wait_recon", "t_delay_recon", "kappa_min",
-                          "kappa_max", "r_kappa")]
+    lines = [f"{key} = {getattr(params, attr)!r}" for key, attr in _FIELD_MAP.items()]
     return "\n".join(lines) + "\n"

@@ -117,6 +117,18 @@ class TestGridSim:
         assert "LEL at bus 2: the cooling block" in capsys.readouterr().err
         assert not (tmp_path / "x_result.csv").exists()
 
+    def test_one_bus_case_runs(self, tmp_path, capsys):
+        case = tmp_path / "one.case"
+        case.write_text("[SYSTEM]\ns_base,100.0\nf_base,60.0\n"
+                        "[BUS]\n1,slack,1.0,0,0\n[GEN]\n1,5.0,1.0,0.2,0,1.0\n")
+        prefix = str(tmp_path / "one")
+        rc = run(["grid-sim", str(case), "--no-events", "--horizon", "0.05",
+                  "--dt", "0.01", "--out-prefix", prefix])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
+        result = read_trace(prefix + "_result.csv")
+        assert np.all(result.channels["v_mag_bus1"] == 1.0)
+
     def test_byte_identical_reruns(self, tmp_path):
         pa, pb = str(tmp_path / "a"), str(tmp_path / "b")
         for prefix in (pa, pb):

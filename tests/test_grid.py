@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
 from lelsim import grid
-from lelsim.cases import LelPlacement, bundled_case
-from lelsim.errors import InvalidArgument, SimulationCollapse
+from lelsim.cases import LelPlacement, bundled_case, load_case
+from lelsim.errors import InvalidArgument, SimulationCollapse, ValidationError
 from lelsim.grid import (
     FAULT_ADMITTANCE,
     NEWTON_TOL,
@@ -93,6 +93,20 @@ class TestPowerFlow:
         slack = next(i for i, b in enumerate(case.buses) if b.type == "slack")
         assert abs(V[slack]) == pytest.approx(case.buses[slack].v_set)
         assert np.angle(V[slack]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_one_bus_case_returns_its_set_voltage(self):
+        case = load_case("[SYSTEM]\ns_base,100.0\nf_base,60.0\n[BUS]\n1,slack,1.0,0,0\n"
+                         "[GEN]\n1,5.0,1.0,0.2,0,1.0\n")
+        assert np.array_equal(power_flow(case), [1.0 + 0.0j])
+
+    def test_no_solution_is_a_validation_error(self):
+        # 100 pu of load behind a 0.1 pu line has no power-flow solution
+        case = load_case("[SYSTEM]\ns_base,100.0\nf_base,60.0\n"
+                         "[BUS]\n1,slack,1.0,0,0\n2,pq,1.0,10000,0\n"
+                         "[BRANCH]\n1,2,0.01,0.1,0\n[GEN]\n1,5.0,1.0,0.2,0,1.0\n")
+        with pytest.raises(ValidationError, match=r"power flow did not converge in 20 "
+                           r"iterations \(final mismatch \d\.\d{3}e[+-]\d+ pu\)"):
+            power_flow(case)
 
     def test_matches_independent_fsolve_oracle(self):
         # independent oracle: solve the mismatch equations with scipy
@@ -443,7 +457,15 @@ class TestCollapseReasons:
         return exc.value
 
     def test_newton(self, monkeypatch):
-        monkeypatch.setattr("lelsim.grid.NEWTON_TOL", -1.0)   # never met
+        residual = _Engine.residual
+
+        def no_root(self, z, x0, f0, dt):
+            # the step's residual max-norm never falls below 1
+            R = residual(self, z, x0, f0, dt)
+            R[0] = 1.0
+            return R
+
+        monkeypatch.setattr(_Engine, "residual", no_root)
         exc = self.collapse()
         assert exc.reason == "newton" and exc.step == 0
         assert str(exc).startswith("Newton failed to converge")
@@ -508,11 +530,14 @@ class TestCollapseReasons:
 
 class NewtonSpy:
     """Counts, per step, the LU factorizations and solves of
-    run_simulation, and keeps the residual max-norm at each
-    factorization; a step starts at its first residual."""
+    run_simulation's N x N step system, and keeps the residual max-norm
+    at each factorization; a step starts at its first residual.  The
+    power flow's and the network re-solves' systems are smaller, and
+    are not counted."""
 
     def __init__(self, monkeypatch):
         self.x0 = None
+        self.N = None                       # the step system's size
         self.step = -1
         self.rmax = math.inf
         self.factored = []                  # (step, rmax) per factorization
@@ -522,16 +547,19 @@ class NewtonSpy:
         def spy_residual(eng, z, x0, f0, dt):
             if x0 is not self.x0:
                 self.x0, self.step = x0, self.step + 1
+            self.N = eng.N
             R = residual(eng, z, x0, f0, dt)
             self.rmax = np.abs(R).max()
             return R
 
         def spy_factor(a):
-            self.factored.append((self.step, self.rmax))
+            if len(a) == self.N:
+                self.factored.append((self.step, self.rmax))
             return lu_factor(a)
 
         def spy_solve(lu_piv, b):
-            self.solves[self.step] += 1
+            if len(b) == self.N:
+                self.solves[self.step] += 1
             return lu_solve(lu_piv, b)
 
         monkeypatch.setattr(_Engine, "residual", spy_residual)
@@ -545,6 +573,94 @@ def outcome(case, events, cfg):
         return run_simulation(case, events, cfg), None
     except SimulationCollapse as exc:
         return exc.partial, (exc.reason, exc.step)
+
+
+class TestNewton:
+    """The one damped Newton behind the power flow, the network re-solve
+    and the grid step."""
+
+    @staticmethod
+    def counting_factor(monkeypatch):
+        """The list of factorizations newton makes from now on."""
+        factored = []
+        lu_factor = grid.lu_factor
+
+        def spy(a):
+            factored.append(lu_factor(a))
+            return factored[-1]
+
+        monkeypatch.setattr("lelsim.grid.lu_factor", spy)
+        return factored
+
+    def test_full_newton_converges(self, monkeypatch):
+        factored = self.counting_factor(monkeypatch)
+        z, rmax, lu = grid.newton(lambda z: z**3 - 8.0, lambda z: np.diag(3 * z**2),
+                                  np.array([1.0, 3.0]), None, 0)
+        assert rmax < NEWTON_TOL
+        assert np.allclose(z, 2.0, rtol=0, atol=1e-9)
+        # full Newton refactors every update and hands back the last one
+        assert len(factored) >= 3 and lu is factored[-1]
+
+    def test_no_factorization_at_a_converged_start(self, monkeypatch):
+        held = grid.lu_factor(np.eye(2))
+        factored = self.counting_factor(monkeypatch)
+        z0 = np.array([2.0, 2.0])
+        z, rmax, lu = grid.newton(lambda z: z**3 - 8.0, lambda z: np.diag(3 * z**2),
+                                  z0, held, 5)
+        assert rmax == 0.0 and z is z0 and lu is held
+        assert factored == []
+
+    def test_halves_the_step_on_a_kinked_residual(self):
+        # f(z) = sign(z) sqrt|z| has a cusp at its root: the full Newton
+        # step from z lands at -z with the same residual, and the half
+        # step lands on the root
+        tried = []
+
+        def residual(z):
+            tried.append(z[0])
+            return np.sign(z) * np.sqrt(np.abs(z))
+
+        z, rmax, _ = grid.newton(residual, lambda z: np.diag(0.5 / np.sqrt(np.abs(z))),
+                                 np.array([4.0]), None, 0)
+        assert tried == [4.0, -4.0, 0.0]
+        assert z[0] == 0.0 and rmax == 0.0
+
+    def test_no_root_fails_and_drops_the_factorization(self, monkeypatch):
+        # a residual whose max-norm stays at 1; the budgets are read at
+        # call time
+        monkeypatch.setattr("lelsim.grid.NEWTON_MAX_ITER", 3)
+        factored = self.counting_factor(monkeypatch)
+        calls = []
+
+        def residual(z):
+            calls.append(z)
+            return np.array([z[0], 1.0])
+
+        z, rmax, lu = grid.newton(residual, lambda z: np.eye(2), np.array([1.0, 0.0]),
+                                  None, 2)
+        assert rmax >= NEWTON_TOL and lu is None
+        # one chord factorization, then one per full update; six trial
+        # steps per update, none of which lowers the max-norm below 1
+        assert len(factored) == 1 + 3
+        assert len(calls) == 1 + (2 + 3) * 6
+
+    def test_a_fault_run_calls_it_for_power_flow_resolves_and_steps(self, monkeypatch):
+        calls = []
+        newton = grid.newton
+
+        def spy(residual, jacobian, z, lu, n_chord):
+            calls.append(n_chord)
+            return newton(residual, jacobian, z, lu, n_chord)
+
+        monkeypatch.setattr("lelsim.grid.newton", spy)
+        cfg = SimConfig(dt=0.01, horizon=1.0)
+        run_simulation(place_lels(bundled_case("toy9"), 3, seed=1),
+                       fault_events(7, 0.5, 0.1, -8j), cfg)
+        n_steps = 100
+        assert len(calls) == 1 + 2 + n_steps
+        # the power flow and the two re-solves take full Newton at once
+        assert calls.count(0) == 3 and calls[0] == 0
+        assert calls.count(grid.CHORD_MAX_ITER) == n_steps
 
 
 class TestChordNewton:
@@ -765,13 +881,13 @@ class TestEngineOracles:
         eng, z, _, _ = self.perturbed_ieee39((1, 6))
         J = eng.jacobian(z, 0.005)
         matrices = []
-        solve = np.linalg.solve
+        lu_factor = grid.lu_factor
 
-        def spy(a, b):
+        def spy(a):
             matrices.append(a.copy())
-            return solve(a, b)
+            return lu_factor(a)
 
-        monkeypatch.setattr(np.linalg, "solve", spy)
+        monkeypatch.setattr("lelsim.grid.lu_factor", spy)
         V = z[eng.ovr:eng.ovi] + 1j * z[eng.ovi:]
         eng.solve_network(V, z[:eng.ng], eng.em0)
         assert matrices[0].shape == (2 * eng.n, 2 * eng.n)
