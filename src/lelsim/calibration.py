@@ -30,7 +30,7 @@ from lelsim.tcl import (
     train_encoder,
 )
 from lelsim.traceio import Trace
-from lelsim.workload import WorkloadParams, simulate_workload
+from lelsim.workload import WorkloadParams, linear_recurrence, simulate_workload
 
 
 class ObjectiveMode(enum.Enum):
@@ -89,12 +89,8 @@ def _voltage_excitation(n: int, seed: int) -> np.ndarray:
     """Band-limited seeded voltage ride in [0.85, 1.05] used to excite the
     voltage-dependent subsystems."""
     e = np.random.default_rng([seed, 0xE0]).standard_normal(n)
-    v = np.empty(n)
-    x = 0.0
-    for i, ei in enumerate(e.tolist()):
-        x = 0.98 * x + 0.02 * ei
-        v[i] = 0.95 + 0.6 * x
-    return np.clip(v, 0.85, 1.05)
+    x = linear_recurrence(0.02 * e, 0.98)
+    return np.clip(0.95 + 0.6 * x, 0.85, 1.05)
 
 
 def simulate_subsystem(params, subsystem: str, horizon: float, dt: float,

@@ -1,11 +1,19 @@
 """Shared fixtures: the grid engine on the two-bus case."""
 
-from dataclasses import replace
+import os
 
-import pytest
+# one BLAS thread, set before numpy is first imported: two OpenBLAS
+# threads on a 2-core host double the calibration criteria's time beside
+# one other busy process and gain nothing alone
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from lelsim.cases import bundled_case
-from lelsim.grid import init_dynamics, power_flow
+from dataclasses import replace  # noqa: E402
+
+import pytest  # noqa: E402
+
+from lelsim.cases import bundled_case  # noqa: E402
+from lelsim.grid import init_dynamics, power_flow  # noqa: E402
 
 
 @pytest.fixture

@@ -789,7 +789,7 @@ class TestDeviceVectors:
 
 
 class TestEngineOracles:
-    def test_workload_power_matches_ou_step_loop_bitwise(self, monkeypatch):
+    def test_workload_power_matches_ou_step_loop(self, monkeypatch):
         case = noisy_toy9()
         cfg = SimConfig(dt=0.01, horizon=1.0, seed=11)
         residual = _Engine.residual
@@ -813,7 +813,11 @@ class TestEngineOracles:
             for _ in range(100):
                 state = ou_step(state, work, cfg.dt, rng)
                 expected.append(workload_power(state.eta, work))
-            assert np.array_equal(seen[:, k], expected)
+            expected = np.array(expected)
+            assert np.abs(seen[:, k] - expected).max() <= 1e-12 * (work.p_full - work.p_base)
+            clipped = np.isin(expected, (work.p_base, work.p_full))
+            assert np.array_equal(np.isin(seen[:, k], (work.p_base, work.p_full)), clipped)
+            assert np.array_equal(seen[clipped, k], expected[clipped])
         assert len(np.unique(seen[:, 2])) > 1       # bursts alone moved it
 
     @pytest.mark.parametrize("stalled", [False, True], ids=["running", "stall_tripped"])

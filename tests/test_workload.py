@@ -10,6 +10,7 @@ from lelsim import workload
 from lelsim.workload import (
     WorkloadParams,
     WorkloadState,
+    linear_recurrence,
     ou_step,
     simulate_workload,
     workload_power,
@@ -32,6 +33,25 @@ def ou_step_powers(params, n_steps, seed):
         state = ou_step(state, params, 1.0, rng)
         powers.append(workload_power(state.eta, params))
     return powers
+
+
+def assert_matches_ou_step_loop(powers, params, n_steps, seed):
+    """powers equals the ou_step loop to 1e-12 of the power range, and
+    exactly at every sample clipped to eta = 0 or 1."""
+    expected = np.array(ou_step_powers(params, n_steps, seed))
+    assert np.abs(powers - expected).max() <= 1e-12 * (params.p_full - params.p_base)
+    bounds = (params.p_base, params.p_full)
+    clipped = np.isin(expected, bounds)
+    assert np.array_equal(np.isin(powers, bounds), clipped)
+    assert np.array_equal(powers[clipped], expected[clipped])
+
+
+def scalar_recurrence(c, d, y0):
+    y, out = y0, []
+    for ci in c:
+        y = d * y + ci
+        out.append(y)
+    return np.array(out)
 
 
 class TestValidation:
@@ -141,29 +161,62 @@ class TestSimulateWorkload:
         assert p.min() >= 2.0 - 1e-12
         assert p.max() <= 10.0 + 1e-12
 
-    def test_matches_ou_step_loop_bitwise(self):
+    def test_matches_ou_step_loop(self):
         params = make_params(lambda_burst=0.2)
         trace = simulate_workload(params, 400.0, 1.0, seed=8)
-        assert np.array_equal(trace.first_channel(), ou_step_powers(params, 400, 8))
+        assert_matches_ou_step_loop(trace.first_channel(), params, 400, 8)
+
+    @pytest.mark.parametrize("params", [
+        make_params(sigma_xi=2.0, lambda_burst=0.3, lnA_mu=1.0),
+        make_params(mu_eta=1.0),
+    ], ids=["noise_and_bursts", "mean_at_full_duty"])
+    def test_clip_dense_path_matches_ou_step_loop(self, params):
+        trace = simulate_workload(params, 7200.0, 1.0, seed=3)
+        p = trace.first_channel()
+        assert np.isin(p, (params.p_base, params.p_full)).mean() > 0.1
+        assert_matches_ou_step_loop(p, params, 7200, 3)
 
 
 class TestCommonRandomNumbers:
-    def test_replayed_noise_matches_fresh_draws(self):
+    def test_replayed_noise_matches_ou_step_loop(self):
         workload._draw_noise.cache_clear()
         first, second = make_params(lambda_burst=0.2), make_params(
             lambda_burst=0.2, mu_eta=0.6, tau_eta=25.0, sigma_xi=0.2)
         for p in (first, second):
             trace = simulate_workload(p, 300.0, 1.0, seed=4)
-            assert np.array_equal(trace.first_channel(), ou_step_powers(p, 300, 4))
+            assert_matches_ou_step_loop(trace.first_channel(), p, 300, 4)
         assert workload._draw_noise.cache_info().hits == 1
 
-    def test_streams_differ_by_burst_settings(self):
+    def test_streams_by_burst_settings_match_ou_step_loop(self):
         workload._draw_noise.cache_clear()
         for p in (make_params(), make_params(lambda_burst=0.0),
                   make_params(sigma_xi=0.0)):
             trace = simulate_workload(p, 50.0, 1.0, seed=4)
-            assert np.array_equal(trace.first_channel(), ou_step_powers(p, 50, 4))
+            assert_matches_ou_step_loop(trace.first_channel(), p, 50, 4)
         assert workload._draw_noise.cache_info().misses == 3
+
+    def test_cached_draws_are_read_only(self):
+        workload._draw_noise.cache_clear()
+        simulate_workload(make_params(lambda_burst=0.2), 50.0, 1.0, seed=4)
+        normals, steps, amps = workload._draw_noise(4, 50, True, 0.2, 1.0, -3.0, 0.3)
+        assert len(normals) == 50 and len(steps) == len(amps) > 0
+        assert workload._draw_noise.cache_info().hits == 1
+        for a in (normals, steps, amps):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
+class TestLinearRecurrence:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 7200])
+    @pytest.mark.parametrize("d", [math.exp(-1 / 300), math.exp(-0.005 / 30), math.exp(-100)],
+                             ids=["tau_300_dt_1", "tau_30_dt_5ms", "underflowing"])
+    @pytest.mark.parametrize("y0", [0.0, -2.5], ids=["zero_start", "nonzero_start"])
+    def test_matches_scalar_loop(self, n, d, y0):
+        c = np.random.default_rng(n).standard_normal(n)
+        expected = scalar_recurrence(c, d, y0)
+        y = linear_recurrence(c, d, y0)
+        assert y.shape == (n,)
+        assert np.abs(y - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestStationaryMean:
