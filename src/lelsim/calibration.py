@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -63,6 +63,10 @@ class CalibrationConfig:
             raise InvalidArgument(f"unknown subsystem {self.subsystem!r}")
         if not self.bounds:
             raise InvalidArgument("bounds must name at least one free parameter")
+        unknown = set(self.bounds) - {f.name for f in fields(self.base_params)}
+        if unknown:
+            raise InvalidArgument(f"bounds name unknown {self.subsystem} parameter(s): "
+                                  f"{', '.join(sorted(unknown))}")
         for name, (lo, hi) in self.bounds.items():
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise InvalidArgument(f"bad bounds for {name}: ({lo}, {hi})")
@@ -108,8 +112,7 @@ def simulate_subsystem(params, subsystem: str, horizon: float, dt: float,
         # equilibrium that carries the load torque at every sample
         _, _, i = _equilibrium(params.load_factor, v, params, power=False)
         p = v * i.real * params.mva_base
-    return Trace(sample_period=dt, channels={"p": p},
-                 meta={"seed": seed, "model": subsystem})
+    return Trace(sample_period=dt, channels={"p": p})
 
 
 def _simulate_theta(theta: dict, cfg: CalibrationConfig, rep: int = 0) -> Trace:

@@ -161,6 +161,45 @@ def _non_finite(tok: str) -> bool:
         return False
 
 
+def _bus(row) -> Bus:
+    return Bus(id=int(row[0]), type=row[1].lower(), v_set=float(row[2]),
+               p_load=float(row[3]), q_load=float(row[4]))
+
+
+def _branch(row) -> Branch:
+    tap = float(row[5]) if len(row) == 6 and row[5] else 1.0
+    return Branch(from_bus=int(row[0]), to_bus=int(row[1]), r=float(row[2]),
+                  x=float(row[3]), b_shunt=float(row[4]), tap=tap if tap != 0.0 else 1.0)
+
+
+def _generator(row) -> Generator:
+    return Generator(bus=int(row[0]), H=float(row[1]), D=float(row[2]), xd_p=float(row[3]),
+                     p_set=float(row[4]), v_set=float(row[5]))
+
+
+def _lel(row) -> LelPlacement:
+    shares = DEFAULT_SHARES if len(row) == 2 else tuple(float(v) for v in row[2:5])
+    return LelPlacement(bus=int(row[0]), params=archetype_defaults(Archetype(row[1].lower())),
+                        shares=shares)
+
+
+def _rows(sections, section: str, sizes: tuple, build) -> list:
+    """build(row) for every row of a section.  A row whose field count is
+    not in sizes, or one that build rejects (a field that is not a number,
+    an unknown archetype), raises ValidationError naming its line,
+    section and row."""
+    out = []
+    for lineno, row in sections.get(section, []):
+        where = f"line {lineno}: [{section}] row {row}"
+        if len(row) not in sizes:
+            raise ValidationError(f"{where} needs {' or '.join(map(str, sizes))} fields")
+        try:
+            out.append(build(row))
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+    return out
+
+
 def load_case(path_or_text, name: str = "") -> GridCase:
     """Parse a sectioned-CSV case document (path, file object, or text)."""
     if hasattr(path_or_text, "read"):
@@ -172,7 +211,7 @@ def load_case(path_or_text, name: str = "") -> GridCase:
             text = fh.read()
         name = name or str(path_or_text)
 
-    sections: dict[str, list[list[str]]] = {}
+    sections: dict[str, list[tuple[int, list[str]]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -189,44 +228,19 @@ def load_case(path_or_text, name: str = "") -> GridCase:
         if bad:
             raise ValidationError(
                 f"line {lineno}: [{current}] row {row} has non-finite {bad[0]!r}")
-        sections[current].append(row)
+        sections[current].append((lineno, row))
 
     for required in ("BUS", "GEN"):
         if required not in sections or not sections[required]:
             raise ValidationError(f"case is missing a [{required}] section")
 
-    system = {row[0]: float(row[1]) for row in sections.get("SYSTEM", [])}
+    system = dict(_rows(sections, "SYSTEM", (2,), lambda r: (r[0], float(r[1]))))
     s_base = system.get("s_base", 100.0)
     f_base = system.get("f_base", 60.0)
-
-    buses = []
-    for row in sections["BUS"]:
-        if len(row) != 5:
-            raise ValidationError(f"[BUS] row needs 5 fields: {row}")
-        buses.append(Bus(id=int(row[0]), type=row[1].lower(), v_set=float(row[2]),
-                         p_load=float(row[3]), q_load=float(row[4])))
-    branches = []
-    for row in sections.get("BRANCH", []):
-        if len(row) not in (5, 6):
-            raise ValidationError(f"[BRANCH] row needs 5 or 6 fields: {row}")
-        tap = float(row[5]) if len(row) == 6 and row[5] else 1.0
-        branches.append(Branch(from_bus=int(row[0]), to_bus=int(row[1]), r=float(row[2]),
-                               x=float(row[3]), b_shunt=float(row[4]),
-                               tap=tap if tap != 0.0 else 1.0))
-    gens = []
-    for row in sections["GEN"]:
-        if len(row) != 6:
-            raise ValidationError(f"[GEN] row needs 6 fields: {row}")
-        gens.append(Generator(bus=int(row[0]), H=float(row[1]), D=float(row[2]),
-                              xd_p=float(row[3]), p_set=float(row[4]), v_set=float(row[5])))
-    lels = []
-    for row in sections.get("LEL", []):
-        if len(row) not in (2, 5):
-            raise ValidationError(f"[LEL] row needs 2 or 5 fields: {row}")
-        archetype = Archetype(row[1].lower())
-        shares = DEFAULT_SHARES if len(row) == 2 else tuple(float(v) for v in row[2:5])
-        lels.append(LelPlacement(bus=int(row[0]), params=archetype_defaults(archetype),
-                                 shares=shares))
+    buses = _rows(sections, "BUS", (5,), _bus)
+    branches = _rows(sections, "BRANCH", (5, 6), _branch)
+    gens = _rows(sections, "GEN", (6,), _generator)
+    lels = _rows(sections, "LEL", (2, 5), _lel)
     return GridCase(buses=tuple(buses), branches=tuple(branches), generators=tuple(gens),
                     lels=tuple(lels), s_base=s_base, f_base=f_base, name=name)
 

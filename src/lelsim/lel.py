@@ -108,7 +108,10 @@ def parse_lel_params(document: str) -> LelParams:
     kv = parse_kv_document(document)
     if "schema_version" not in kv:
         raise ValidationError("parameter-exchange file missing schema_version")
-    version = int(kv["schema_version"])
+    try:
+        version = int(kv["schema_version"])
+    except ValueError as exc:
+        raise ValidationError(f"schema_version: {exc}") from exc
     if version != EXCHANGE_SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version}")
     if "archetype" not in kv:
@@ -124,7 +127,10 @@ def parse_lel_params(document: str) -> LelParams:
             key = f"{prefix}.{f}"
             if key not in kv:
                 raise ValidationError(f"parameter-exchange file missing {key}")
-            values[f] = float(kv[key])
+            try:
+                values[f] = float(kv[key])
+            except ValueError as exc:
+                raise ValidationError(f"{key}: {exc}") from exc
         return cls(**values)
 
     return LelParams(

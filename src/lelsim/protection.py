@@ -108,28 +108,18 @@ def protection_step(state: ProtectionState, v_mag: float, omega: float,
                            since_trip_timer=state.since_trip_timer + dt)
         return _tick_violation(state, dt, params, kappa=state.kappa)
 
-    if mode is ProtectionMode.SHED:
-        since = state.since_trip_timer + dt
-        if ok:
-            stable = state.stable_timer + dt
-            if stable >= params.t_wait_recon and since >= params.t_delay_recon:
-                return replace(state, mode=ProtectionMode.RAMPING, stable_timer=stable,
-                               since_trip_timer=since)
-            return replace(state, mode=ProtectionMode.RECOVERY_WAIT, stable_timer=stable,
-                           since_trip_timer=since)
-        return replace(state, stable_timer=0.0, since_trip_timer=since)
-
-    if mode is ProtectionMode.RECOVERY_WAIT:
+    if mode in (ProtectionMode.SHED, ProtectionMode.RECOVERY_WAIT):
         since = state.since_trip_timer + dt
         if not ok:
-            # re-violation resets the dwell clock; no re-trip needed, load is shed
+            # a violation resets the dwell clock; no re-trip needed, load is shed
             return replace(state, mode=ProtectionMode.SHED, stable_timer=0.0,
                            since_trip_timer=since)
         stable = state.stable_timer + dt
         if stable >= params.t_wait_recon and since >= params.t_delay_recon:
             return replace(state, mode=ProtectionMode.RAMPING, stable_timer=stable,
                            since_trip_timer=since)
-        return replace(state, stable_timer=stable, since_trip_timer=since)
+        return replace(state, mode=ProtectionMode.RECOVERY_WAIT, stable_timer=stable,
+                       since_trip_timer=since)
 
     # RAMPING
     since = state.since_trip_timer + dt

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +19,11 @@ class Trace:
     """Multi-channel time series with a fixed sample period.
 
     channels maps channel name -> 1-D float array; all channels have the
-    same length.  meta carries free-form origin information and is not
-    interpreted anywhere.
+    same length.
     """
 
     sample_period: float
     channels: dict[str, np.ndarray]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.sample_period <= 0:
@@ -44,14 +42,11 @@ class Trace:
     def times(self) -> np.ndarray:
         return np.arange(len(self)) * self.sample_period
 
-    def channel(self, name: str) -> np.ndarray:
-        return self.channels[name]
-
     def first_channel(self) -> np.ndarray:
         return next(iter(self.channels.values()))
 
 
-def read_trace(path_or_file, expected_channels=None) -> Trace:
+def read_trace(path_or_file) -> Trace:
     """Read a trace CSV with header ``t,<channel>,...``.
 
     The time column must be strictly increasing and uniform within
@@ -71,10 +66,6 @@ def read_trace(path_or_file, expected_channels=None) -> Trace:
     names = header[1:]
     if not names:
         raise ValidationError("trace file has no data channels")
-    if expected_channels is not None:
-        missing = [c for c in expected_channels if c not in names]
-        if missing:
-            raise ValidationError(f"missing channel(s): {', '.join(missing)}")
 
     data = np.empty((len(rows) - 1, len(header)), dtype=float)
     for i, row in enumerate(rows[1:], start=2):

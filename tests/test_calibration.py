@@ -66,6 +66,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgument):
             make_cfg(subsystem="hvac")
 
+    def test_rejects_bound_on_unknown_parameter(self):
+        with pytest.raises(InvalidArgument, match="unknown workload parameter.*: foo"):
+            make_cfg(bounds={"mu_eta": (0.3, 0.8), "foo": (0.0, 1.0)})
+
 
 class TestTransform:
     def test_round_trip(self):

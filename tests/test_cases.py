@@ -54,6 +54,15 @@ class TestLoadCase:
                            match=rf"line \d+: {re.escape(where)} row .*non-finite"):
             load_case(MINIMAL.replace(old, new))
 
+    @pytest.mark.parametrize("old,new,where", [
+        ("2,pq,1.0,50,20", "2,pq,1.0,fifty,10", "[BUS]"),
+        ("s_base,100.0", "s_base", "[SYSTEM]"),
+        ("[GEN]", "[LEL]\n2,steelmill\n[GEN]", "[LEL]"),
+    ], ids=["non_numeric_field", "system_row_without_value", "unknown_archetype"])
+    def test_malformed_row_rejected_naming_section_and_row(self, old, new, where):
+        with pytest.raises(ValidationError, match=rf"line \d+: {re.escape(where)} row \["):
+            load_case(MINIMAL.replace(old, new))
+
     def test_lel_section_attaches_archetype(self):
         text = MINIMAL + "[LEL]\n2,datacenter,0.6,0.3,0.1\n"
         case = load_case(text)

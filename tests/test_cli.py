@@ -197,6 +197,60 @@ class TestParamsFile:
         assert not (tmp_path / "c.csv").exists()
 
 
+TWO_BUS = ("[SYSTEM]\ns_base,100.0\nf_base,60.0\n"
+           "[BUS]\n1,slack,1.00,0,0\n2,pq,1.00,100,25\n"
+           "[BRANCH]\n1,2,0.01,0.10,0.02\n"
+           "[GEN]\n1,5.0,100.0,0.20,0,1.00\n")
+
+
+class TestMalformedInput:
+    """Malformed files and arguments end in one `error:` line and exit 1."""
+
+    @staticmethod
+    def assert_error_exit(rc, capsys):
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("old,new", [
+        ("2,pq,1.00,100,25", "2,pq,1.0,fifty,10"),
+        ("s_base,100.0", "s_base"),
+        ("[GEN]", "[LEL]\n2,steelmill\n[GEN]"),
+    ], ids=["non_numeric_field", "system_row_without_value", "unknown_archetype"])
+    def test_malformed_case_file(self, tmp_path, capsys, old, new):
+        case = tmp_path / "bad.case"
+        case.write_text(TWO_BUS.replace(old, new))
+        rc = run(["grid-sim", str(case), "--no-events", "--horizon", "0.05",
+                  "--dt", "0.01", "--out-prefix", str(tmp_path / "x")])
+        self.assert_error_exit(rc, capsys)
+
+    @pytest.mark.parametrize("key,bad", [("schema_version", "one"), ("work.p_base", "twenty")])
+    def test_malformed_params_file(self, tmp_path, capsys, key, bad):
+        from lelsim.lel import Archetype, archetype_defaults, dump_lel_params
+
+        doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
+        params = tmp_path / "p.lel"
+        params.write_text("\n".join(f"{key} = {bad}" if line.startswith(key + " ") else line
+                                    for line in doc.splitlines()))
+        rc = run(["simulate-load", "--model", "workload", "--horizon", "60",
+                  "--params", str(params), "--out", str(tmp_path / "w.csv")])
+        self.assert_error_exit(rc, capsys)
+
+    @pytest.mark.parametrize("command", ["calibrate", "robustness"])
+    def test_bound_on_unknown_parameter_fails_before_training(self, workload_csv, tmp_path,
+                                                              capsys, monkeypatch, command):
+        from lelsim import calibration
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the encoder was trained")
+
+        monkeypatch.setattr(calibration, "train_encoder", no_training)
+        capsys.readouterr()
+        rc = run([command, str(workload_csv), "--bound", "mu_eta=0.3:0.8",
+                  "--bound", "foo=0:1", "--out", str(tmp_path / "cal.txt")])
+        self.assert_error_exit(rc, capsys)
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_1(self):
         assert run(["frobnicate"]) == 1

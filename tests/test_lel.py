@@ -311,6 +311,14 @@ class TestParameterExchange:
         with pytest.raises(ValidationError):
             parse_lel_params(doc)
 
+    @pytest.mark.parametrize("key,bad", [("schema_version", "one"), ("work.p_base", "twenty")])
+    def test_non_numeric_value_rejected_naming_the_key(self, key, bad):
+        doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
+        lines = [f"{key} = {bad}" if line.startswith(key + " ") else line
+                 for line in doc.splitlines()]
+        with pytest.raises(ValidationError, match=f"^{key}: "):
+            parse_lel_params("\n".join(lines))
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     @pytest.mark.parametrize("key", [
         line.split(" = ")[0]

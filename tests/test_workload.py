@@ -54,6 +54,14 @@ def scalar_recurrence(c, d, y0):
     return np.array(out)
 
 
+def scalar_clipped_recurrence(c, d, mu):
+    e, out = mu, []
+    for ci in c:
+        e = min(1.0, max(0.0, mu + d * (e - mu) + ci))
+        out.append(e)
+    return np.array(out)
+
+
 class TestValidation:
     def test_rejects_inverted_power_range(self):
         with pytest.raises(InvalidArgument):
@@ -195,6 +203,14 @@ class TestCommonRandomNumbers:
             assert_matches_ou_step_loop(trace.first_channel(), p, 50, 4)
         assert workload._draw_noise.cache_info().misses == 3
 
+    def test_cache_holds_twenty_streams(self):
+        workload._draw_noise.cache_clear()
+        for _ in range(2):
+            for seed in range(20):
+                workload._draw_noise(seed, 50, True, 0.2, 1.0, -3.0, 0.3)
+        info = workload._draw_noise.cache_info()
+        assert (info.misses, info.hits) == (20, 20)
+
     def test_cached_draws_are_read_only(self):
         workload._draw_noise.cache_clear()
         simulate_workload(make_params(lambda_burst=0.2), 50.0, 1.0, seed=4)
@@ -210,13 +226,33 @@ class TestLinearRecurrence:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 7200])
     @pytest.mark.parametrize("d", [math.exp(-1 / 300), math.exp(-0.005 / 30), math.exp(-100)],
                              ids=["tau_300_dt_1", "tau_30_dt_5ms", "underflowing"])
-    @pytest.mark.parametrize("y0", [0.0, -2.5], ids=["zero_start", "nonzero_start"])
+    @pytest.mark.parametrize("y0", [0.0], ids=["zero_start"])
     def test_matches_scalar_loop(self, n, d, y0):
         c = np.random.default_rng(n).standard_normal(n)
         expected = scalar_recurrence(c, d, y0)
-        y = linear_recurrence(c, d, y0)
+        y = linear_recurrence(c, d)
         assert y.shape == (n,)
         assert np.abs(y - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class TestClippedRecurrence:
+    @pytest.mark.parametrize("n,kicks,clips", [
+        (7200, {0: 0.8}, [0]),
+        (7200, {7199: -0.9}, [7199]),
+        (7200, {63: 0.8, 64: 0.3}, [63, 64]),
+        (7011, {10: -0.8}, [10]),
+    ], ids=["first_sample", "last_sample_only", "block_boundary", "early_then_clean"])
+    def test_matches_scalar_clipped_loop(self, n, kicks, clips):
+        mu, d = 0.5, math.exp(-1 / 30)
+        c = 1e-3 * np.random.default_rng(n).standard_normal(n)
+        for i, kick in kicks.items():
+            c[i] += kick
+        expected = scalar_clipped_recurrence(c, d, mu)
+        clipped = np.isin(expected, (0.0, 1.0))
+        assert np.flatnonzero(clipped).tolist() == clips
+        eta = workload._clipped_recurrence(c, d, mu)
+        assert np.array_equal(eta[clipped], expected[clipped])
+        assert np.abs(eta - expected).max() <= 1e-12
 
 
 class TestStationaryMean:
