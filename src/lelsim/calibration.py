@@ -104,6 +104,8 @@ def simulate_subsystem(params, subsystem: str, horizon: float, dt: float,
         return simulate_workload(params, horizon, dt, seed)
     if subsystem not in ("cooling", "aux"):
         raise InvalidArgument(f"unknown subsystem {subsystem!r}")
+    if not 0 < dt < horizon < math.inf:
+        raise InvalidArgument("need finite horizon > dt > 0")
     v = _voltage_excitation(int(horizon / dt), seed)
     if subsystem == "aux":
         p = aux_power(v, params)[0]
@@ -127,9 +129,11 @@ def _simulate_theta(theta: dict, cfg: CalibrationConfig, rep: int = 0) -> Trace:
 # ---------------------------------------------------------------------------
 
 def _check_bounds(theta: dict, cfg: CalibrationConfig) -> None:
+    """theta must give every free parameter, and no other, within its bounds."""
+    if set(theta) != set(cfg.bounds):
+        raise InvalidArgument(f"theta names {', '.join(sorted(theta))}, but the free "
+                              f"parameters are {', '.join(sorted(cfg.bounds))}")
     for name, (lo, hi) in cfg.bounds.items():
-        if name not in theta:
-            raise InvalidArgument(f"theta missing free parameter {name}")
         if not (lo <= theta[name] <= hi):
             raise InvalidArgument(
                 f"{name}={theta[name]} outside bounds [{lo}, {hi}]")

@@ -95,6 +95,14 @@ def _parse_inits(pairs):
     return theta
 
 
+def _write_table(path, lines) -> None:
+    """Write the lines of a CSV table to path and echo them."""
+    text = "\n".join(lines) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
+    print(text, end="")
+
+
 def _calibration_config(args, data, mode: ObjectiveMode) -> CalibrationConfig:
     """Calibration settings shared by the calibrate and robustness commands."""
     return CalibrationConfig(
@@ -183,10 +191,7 @@ def cmd_sweep_k(args) -> int:
         lines.append(f"{row['k']},{row['nadir_median']!r},"
                      f"{row['overshoot_median']!r},"
                      f"{row['reconnection_median']!r}")
-    text = "\n".join(lines) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    print(text, end="")
+    _write_table(args.out, lines)
     return 0
 
 
@@ -208,10 +213,7 @@ def cmd_sweep_tcl(args) -> int:
             s2 = pattern_vector(encode_windows(enc, segment_windows(x[half:], L)))
             dist = float(np.sum((s1 - s2) ** 2))
             lines.append(f"{L},{d},{dist!r}")
-    text = "\n".join(lines) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    print(text, end="")
+    _write_table(args.out, lines)
     return 0
 
 
@@ -239,10 +241,7 @@ def cmd_robustness(args) -> int:
     s_unc = float(np.linalg.norm(np.std(unc_patterns, axis=0)))
     lines.append(f"# pattern_std_calibrated={s_cal!r}")
     lines.append(f"# pattern_std_uncalibrated={s_unc!r}")
-    text = "\n".join(lines) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    print(text, end="")
+    _write_table(args.out, lines)
     return 0
 
 

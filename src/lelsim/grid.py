@@ -5,6 +5,9 @@ transient reactance, swing equation with damping that emulates aggregate
 primary frequency response).  Non-LEL loads become constant admittances
 at the power-flow solution; LELs inject currents from their workload,
 motor, and ZIP subsystems scaled by the protection retention factor.
+The workload and ZIP draw constant power W = P - jQ through one current
+law, I = W(m) V / m^2 with m = max(|V|, V_FLOOR): W / conj(V) above the
+floor and the floor's admittance, W(V_FLOOR) V / V_FLOOR^2, below it.
 
 Each fixed step solves the trapezoidal-discretized differential
 equations simultaneously with the network algebraic equations
@@ -52,8 +55,8 @@ from lelsim.workload import ou_step, workload_path, workload_power  # noqa: F401
 
 FAULT_ADMITTANCE = -1e4j  # near-bolted three-phase fault shunt, pu
 
-# below this terminal voltage, constant-power behavior is replaced by the
-# equivalent admittance computed at the floor
+# constant-power current I = W(m) V / m^2 with m = max(|V|, V_FLOOR): below
+# this terminal voltage, the admittance of constant power at the floor
 V_FLOOR = 0.05
 
 NEWTON_TOL = 1e-8
@@ -98,8 +101,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= self.dt:
-            raise InvalidArgument("need horizon > dt > 0")
+        if not 0 < self.dt < self.horizon < math.inf:
+            raise InvalidArgument("need finite horizon > dt > 0")
         if _off_grid(self.horizon, self.dt):
             raise InvalidArgument(
                 f"horizon {self.horizon} is not a whole number of steps dt={self.dt}")
@@ -435,7 +438,8 @@ class _Engine:
         # compensation shunts absorb the residual injection (power-flow
         # tolerance plus the LEL reactive allocation) so t=0 is exact
         self.Y = Y
-        I_mis = self.current_mismatch(V, self.E * np.exp(1j * self.delta0), self.em0)
+        I_mis = self.current_mismatch(V, self.E * np.exp(1j * self.delta0),
+                                      self.lel_currents(V[self.lbus], self.em0))
         Y[np.arange(n), np.arange(n)] += -I_mis / V
 
     # -- device functions -------------------------------------------------
@@ -471,44 +475,32 @@ class _Engine:
             i = np.where(self.running, i, 0.0)
         return f, i
 
-    def pe_power(self, vm):
-        """conj(S) = P - jQ (pu) of each LEL's constant-power (workload +
-        aux) draw at terminal voltage magnitudes vm; the aux ZIP is
-        evaluated at max(vm, V_FLOOR)."""
-        r = np.maximum(vm, V_FLOOR) / self.aux_v0
+    def pe_power(self, m):
+        """W = conj(S) = P - jQ (pu) of each LEL's constant-power (workload
+        + aux) draw at m = max(|V|, V_FLOOR)."""
+        r = m / self.aux_v0
         p_aux = self.aux_p0 * ((self.aux_az * r + self.aux_ai) * r + self.aux_ap)
         return (self.p_work + p_aux - 1j * (self.aux_beta * p_aux)) / self.s_base
 
     def pe_injection(self, Vl):
-        """Constant-power (workload + aux) current per LEL, with the
-        low-voltage admittance guard.  Returns complex current (K,)."""
-        vm = np.abs(Vl)
-        W = self.pe_power(vm)
-        if vm.min(initial=math.inf) > V_FLOOR:
-            return W / np.conj(Vl)
-        safe_v = np.where(vm > V_FLOOR, Vl, 1.0)
-        return np.where(vm > V_FLOOR, W / np.conj(safe_v), W / V_FLOOR**2 * Vl)
+        """Constant-power (workload + aux) current per LEL, I = W(m) Vl / m^2
+        with m = max(|Vl|, V_FLOOR).  Returns complex current (K,)."""
+        m = np.maximum(np.abs(Vl), V_FLOOR)
+        return self.pe_power(m) * Vl / (m * m)
 
-    def lel_currents(self, Vl, i_m):
+    def lel_currents(self, Vl, em, out=None):
         """LEL currents before retention (kappa) at terminal voltages Vl
-        for motor stator currents i_m."""
-        return self.pe_injection(Vl) + i_m * self.m_ratio
+        for motor states em; the motor derivatives go into out when given."""
+        return self.pe_injection(Vl) + self.motor_f(em, Vl, out)[1] * self.m_ratio
 
-    def lel_injection(self, Vl, em, u=None):
-        """LEL currents at terminal voltages Vl for motor states em, or
-        from their values before retention u when the caller has them."""
-        if u is None:
-            u = self.lel_currents(Vl, self.motor_f(em, Vl)[1])
-        return self.kappa * u
-
-    def current_mismatch(self, V, Eg, em, u=None):
+    def current_mismatch(self, V, Eg, u):
         """Complex current mismatch Y V - I_gen + I_lel at every bus, for
-        generator EMF phasors Eg and motor states em (LEL currents before
-        retention u).  validate_case keeps generator buses distinct and
-        LEL buses distinct, so a fancy-index scatter adds each term once."""
+        generator EMF phasors Eg and LEL currents before retention u.
+        validate_case keeps generator buses distinct and LEL buses
+        distinct, so a fancy-index scatter adds each term once."""
         I = self.Y @ V
         I[self.gbus] -= Eg * self.yg
-        I[self.lbus] += self.lel_injection(V[self.lbus], em, u)
+        I[self.lbus] += self.kappa * u
         return I
 
     # -- state vector, residual and Jacobian -------------------------------
@@ -521,17 +513,14 @@ class _Engine:
 
     def derivatives(self, z):
         """Time derivatives (ovr,) of z's differential states, with the
-        motor states and bus voltages of z, the generator EMF phasors and
-        the LEL currents before retention; the derivatives and currents
-        become `kept`."""
+        bus voltages of z, the generator EMF phasors and the LEL currents
+        before retention; the derivatives and currents become `kept`."""
         delta, omega, em, V = self.unpack(z)
         f = np.empty(self.ovr)
         Eg = self.gen_f(delta, omega, V[self.gbus], f[:self.om])
-        Vl = V[self.lbus]
-        i_m = self.motor_f(em, Vl, f[self.om:].reshape(3, self.K))[1]
-        u = self.lel_currents(Vl, i_m)
+        u = self.lel_currents(V[self.lbus], em, f[self.om:].reshape(3, self.K))
         self.kept = f, u
-        return f, em, V, Eg, u
+        return f, V, Eg, u
 
     def evaluation(self, z):
         """Derivatives and LEL currents before retention, (f, u), at z:
@@ -544,14 +533,14 @@ class _Engine:
     def residual(self, z, x0, f0, dt):
         """Trapezoidal rule on the differential states from x0, whose
         derivatives are f0, then the network current mismatch."""
-        f, em, V, Eg, u = self.derivatives(z)
+        f, V, Eg, u = self.derivatives(z)
         R = np.empty(self.N)
         Rx = R[:self.ovr]
         np.add(f, f0, out=Rx)
         Rx *= -0.5 * dt
         Rx += z[:self.ovr]
         Rx -= x0
-        I = self.current_mismatch(V, Eg, em, u)
+        I = self.current_mismatch(V, Eg, u)
         R[self.ovr:self.ovi] = I.real
         R[self.ovi:] = I.imag
         return R
@@ -632,27 +621,18 @@ class _Engine:
         V_im): the admittance block [[G, -B], [B, G]] plus each LEL's
         kappa-scaled voltage derivatives of its stator current and of its
         constant-power current."""
-        # constant-power current: I = W / conj(V) above the floor, with
-        # W = P - jQ = conj(S), and I = W / Vf^2 * V below it
+        # constant-power current I = g V with g = W(m) / m^2 and
+        # m = max(|V|, V_FLOOR): dI = (W'(m) / m^2 - 2 g / m) V dm + g dV,
+        # where dm/d(V_re, V_im) = (V_re, V_im) / m above the floor, 0 below
         Vl = V[self.lbus]
-        vm = np.abs(Vl)
-        above = vm > V_FLOOR
-        W = self.pe_power(vm)
-        dP_dvm = np.where(above,
-                          self.aux_p0 * (2 * self.aux_az * vm / self.aux_v0**2
-                                         + self.aux_ai / self.aux_v0) / self.s_base,
-                          0.0)
-        dW_dvm = (1.0 - 1j * self.aux_beta) * dP_dvm
-        safe = np.where(above, np.conj(Vl), 1.0)
-        dvm_dvre = np.where(vm > 0, Vl.real / np.maximum(vm, 1e-300), 0.0)
-        dvm_dvim = np.where(vm > 0, Vl.imag / np.maximum(vm, 1e-300), 0.0)
-        dI_dvre = np.where(above, dW_dvm * dvm_dvre / safe - W / safe**2,
-                           W / V_FLOOR**2)
-        dI_dvim = np.where(above, dW_dvm * dvm_dvim / safe - W / safe**2 * (-1j),
-                           1j * W / V_FLOOR**2)
+        m = np.maximum(np.abs(Vl), V_FLOOR)
+        g = self.pe_power(m) / (m * m)
+        dP_dm = self.aux_p0 * (2 * self.aux_az * m / self.aux_v0 + self.aux_ai) / self.aux_v0
+        dI_dm = ((1.0 - 1j * self.aux_beta) * dP_dm / (self.s_base * m * m) - 2 * g / m) * Vl
+        dm = np.where(m > V_FLOOR, np.array([Vl.real, Vl.imag]) / m, 0.0)
+        d_pe = (dI_dm * dm + np.array([g, 1j * g])) * self.kappa
         zinv = 1.0 / self.m_z
         d_motor = np.array([zinv, 1j * zinv]) * (self.kappa * self.m_ratio * self.running)
-        d_pe = np.array([dI_dvre, dI_dvim]) * self.kappa
 
         G, B = self.Y.real, self.Y.imag
         Jn = np.block([[G, -B], [B, G]])
@@ -672,7 +652,8 @@ class _Engine:
         Eg = self.E * np.exp(1j * delta)
 
         def mismatch(x):
-            I = self.current_mismatch(x[:n] + 1j * x[n:], Eg, em)
+            V = x[:n] + 1j * x[n:]
+            I = self.current_mismatch(V, Eg, self.lel_currents(V[self.lbus], em))
             return np.concatenate([I.real, I.imag])
 
         x, rmax, _ = newton(mismatch, lambda x: self.network_jacobian(x[:n] + 1j * x[n:]),
@@ -693,19 +674,21 @@ def make_schedule(case: GridCase, events, cfg: SimConfig) -> dict[int, list[tupl
     admittance matrix, whether the network is then split into islands),
     keyed by the step that applies them.
 
-    Rejects, naming the first bad event in time order: events before t=0,
-    of unknown kind, off the step grid, or at the horizon (the last step
-    starts at horizon - dt, so they would never be applied); faults with
-    a non-finite admittance; events whose bus or branch the case lacks;
-    and repeated trips (one trip removes every parallel copy, so a second
-    would subtract the stamp again and leave a negative-admittance line)."""
+    Rejects, naming the first bad event in time order: events at a
+    non-finite time, before t=0, of unknown kind, off the step grid, or at
+    the horizon (the last step starts at horizon - dt, so they would never
+    be applied); faults with a non-finite admittance; events whose bus or
+    branch the case lacks; clears of no fault of equal admittance on at
+    their bus; and repeated trips (one trip removes every parallel copy,
+    so a second would subtract the stamp again and leave a
+    negative-admittance line)."""
     buses = case.bus_index()
     dt = cfg.dt
-    tripped = []
+    tripped, faults = [], []        # branch ends; (bus, admittance) of faults on
     schedule = {}
     for ev in sorted(events, key=lambda e: e.time):
-        if ev.time < 0.0:
-            raise InvalidArgument(f"event at t={ev.time} before t=0")
+        if not 0.0 <= ev.time < math.inf:
+            raise InvalidArgument(f"event at t={ev.time} before t=0 or not finite")
         if ev.kind not in LOG_KIND:
             raise InvalidArgument(f"unknown event kind {ev.kind!r}")
         if _off_grid(ev.time, dt):
@@ -732,6 +715,14 @@ def make_schedule(case: GridCase, events, cfg: SimConfig) -> dict[int, list[tupl
                 raise InvalidArgument(f"{ev.kind} at t={ev.time}: no bus {ev.bus} in case")
             if not cmath.isfinite(ev.admittance):
                 raise InvalidArgument(f"{ev.kind} at t={ev.time}: non-finite admittance")
+            fault = (ev.bus, ev.admittance)
+            if ev.kind == "fault":
+                faults.append(fault)
+            elif fault in faults:
+                faults.remove(fault)
+            else:
+                raise InvalidArgument(f"clear_fault at t={ev.time}: no fault of admittance "
+                                      f"{ev.admittance} on at bus {ev.bus}")
             # -0.0 is the exact additive identity, so Y + dY leaves every
             # other entry as it is
             dY = np.full((case.n_bus, case.n_bus), complex(-0.0, -0.0))
@@ -1030,7 +1021,6 @@ def penetration_sweep(case: GridCase, k_values, n_trials: int, cfg: SimConfig,
     then reruns the identical disturbance at every k.  Collapsed runs
     contribute worst-case metric values.
     """
-    rows = []
     per_k = {k: {"nadir": [], "overshoot": [], "recon": []} for k in k_values}
     for trial in range(n_trials):
         seed = base_seed + 1000 * trial
@@ -1049,17 +1039,13 @@ def penetration_sweep(case: GridCase, k_values, n_trials: int, cfg: SimConfig,
                 continue
             per_k[k]["nadir"].append(voltage_nadir(res, fault_bus))
             per_k[k]["overshoot"].append(frequency_overshoot(res))
-            delays = []
-            for lid in res.lel_ids:
-                d = reconnection_delay(res, lid)
-                delays.append(cfg.horizon if d == "never" else d)
-            per_k[k]["recon"].append(max(delays) if delays else 0.0)
-    for k in k_values:
-        rows.append({"k": k,
-                     "nadir_median": float(np.median(per_k[k]["nadir"])),
-                     "overshoot_median": float(np.median(per_k[k]["overshoot"])),
-                     "reconnection_median": float(np.median(per_k[k]["recon"]))})
-    return rows
+            delays = [reconnection_delay(res, lid) for lid in res.lel_ids]
+            per_k[k]["recon"].append(max((cfg.horizon if d == "never" else d for d in delays),
+                                         default=0.0))
+    return [{"k": k, "nadir_median": float(np.median(per_k[k]["nadir"])),
+             "overshoot_median": float(np.median(per_k[k]["overshoot"])),
+             "reconnection_median": float(np.median(per_k[k]["recon"]))}
+            for k in k_values]
 
 
 # ---------------------------------------------------------------------------
@@ -1075,9 +1061,7 @@ def result_to_csv(result: SimResult) -> str:
     data = np.column_stack([result.time, result.v_mag, result.gen_omega] +
                            ([result.lel_kappa, result.lel_p] if len(result.lel_ids)
                             else []))
-    lines = [",".join(cols)]
-    for row in data:
-        lines.append(",".join(repr(float(x)) for x in row))
+    lines = [",".join(cols)] + [",".join(repr(float(x)) for x in row) for row in data]
     return "\n".join(lines) + "\n"
 
 

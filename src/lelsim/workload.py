@@ -195,8 +195,8 @@ def simulate_workload(params: WorkloadParams, horizon: float, dt: float,
                       seed: int) -> Trace:
     """Generate an active-power trace of length floor(horizon/dt), starting
     from mu_eta.  Bit-reproducible for a fixed seed."""
-    if dt <= 0 or horizon <= dt:
-        raise InvalidArgument("need horizon > dt > 0")
+    if not 0 < dt < horizon < math.inf:
+        raise InvalidArgument("need finite horizon > dt > 0")
     p = workload_path(params, int(horizon / dt), dt, seed)
     return Trace(sample_period=dt, channels={"p_work": p})
 

@@ -122,6 +122,9 @@ class TestObjectives:
         data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=99)
         with pytest.raises(InvalidArgument):
             mse_objective({"mu_eta": 0.5}, data, cfg)
+        # a name outside the bounds would be simulated but never searched
+        with pytest.raises(InvalidArgument, match="free parameters"):
+            mse_objective({"mu_eta": 0.5, "sigma_xi": 0.5, "tau_eta": 5.0}, data, cfg)
 
     def test_mse_length_mismatch_rejected(self):
         cfg = make_cfg()

@@ -250,6 +250,47 @@ class TestMalformedInput:
                   "--bound", "foo=0:1", "--out", str(tmp_path / "cal.txt")])
         self.assert_error_exit(rc, capsys)
 
+    @pytest.mark.parametrize("inits", [["mu_eta=0.5", "foo=1"], ["mu_eta=0.5", "tau_eta=5"]],
+                             ids=["unknown_name", "name_outside_bounds"])
+    def test_init_outside_bounds_fails_before_training(self, workload_csv, tmp_path,
+                                                       capsys, monkeypatch, inits):
+        from lelsim import calibration
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the encoder was trained")
+
+        monkeypatch.setattr(calibration, "train_encoder", no_training)
+        capsys.readouterr()
+        rc = run(["calibrate", str(workload_csv), "--bound", "mu_eta=0.3:0.8",
+                  "--out", str(tmp_path / "cal.txt")]
+                 + [arg for init in inits for arg in ("--init", init)])
+        self.assert_error_exit(rc, capsys)
+
+    # the arguments before the non-finite option, per command
+    NON_FINITE_BASE = {"grid-sim": ["grid-sim", "toy9", "--k", "2", "--fault-bus", "5"],
+                       "sweep-k": ["sweep-k", "toy9", "--k", "2", "--trials", "1"],
+                       "workload": ["simulate-load", "--model", "workload"],
+                       "cooling": ["simulate-load", "--model", "cooling"]}
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("grid-sim", "--dt", "nan"), ("grid-sim", "--horizon", "nan"),
+        ("grid-sim", "--horizon", "inf"), ("grid-sim", "--t-fault", "nan"),
+        ("grid-sim", "--duration", "nan"), ("sweep-k", "--dt", "nan"),
+        ("workload", "--horizon", "nan"), ("workload", "--horizon", "inf"),
+        ("workload", "--dt", "nan"), ("cooling", "--horizon", "nan"),
+        ("cooling", "--horizon", "inf"), ("cooling", "--dt", "nan")])
+    def test_non_finite_time_rejected(self, tmp_path, capsys, command, option, value):
+        out = (["--out-prefix", str(tmp_path / "g")] if command == "grid-sim"
+               else ["--out", str(tmp_path / "x.csv")])
+        rc = run(self.NON_FINITE_BASE[command] + [option, value] + out)
+        self.assert_error_exit(rc, capsys)
+
+    def test_clear_before_its_fault_rejected(self, tmp_path, capsys):
+        # a negative duration puts the clear before the fault it clears
+        rc = run(["grid-sim", "toy9", "--k", "2", "--fault-bus", "5", "--t-fault", "0.5",
+                  "--duration", "-0.2", "--out-prefix", str(tmp_path / "g")])
+        self.assert_error_exit(rc, capsys)
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_1(self):

@@ -154,14 +154,42 @@ class TestPowerFlow:
 class TestSchedule:
     def test_events_sorted_and_bounded(self):
         case, cfg = bundled_case("toy9"), SimConfig(dt=0.01, horizon=5.0)
-        events = [Event(time=3.0, kind="fault", bus=5),
-                  Event(time=1.0, kind="clear_fault", bus=7)]
+        events = [Event(time=3.0, kind="clear_fault", bus=5),
+                  Event(time=1.0, kind="fault", bus=5)]
         sched = make_schedule(case, events, cfg)
         assert list(sched) == [100, 300]
         assert [sw[0] for sws in sched.values() for sw in sws] == [
-            "fault_cleared", "fault_applied"]
+            "fault_applied", "fault_cleared"]
         with pytest.raises(InvalidArgument, match="before t=0"):
             make_schedule(case, [Event(time=-1.0, kind="fault", bus=5)], cfg)
+
+    @pytest.mark.parametrize("events", [
+        [Event(time=0.5, kind="clear_fault", bus=5)],
+        [Event(time=0.2, kind="fault", bus=5, admittance=-8j),
+         Event(time=0.3, kind="clear_fault", bus=5, admittance=-30j)],
+        [Event(time=0.2, kind="fault", bus=5), Event(time=0.3, kind="clear_fault", bus=7)],
+        fault_events(5, 0.5, -0.2),
+        fault_events(5, 0.2, 0.1) + [Event(time=0.4, kind="clear_fault", bus=5)],
+    ], ids=["lone_clear", "other_admittance", "other_bus", "clear_first", "second_clear"])
+    def test_clear_without_its_fault_rejected(self, events):
+        case = place_lels(bundled_case("toy9"), 3, 0)
+        with pytest.raises(InvalidArgument, match=r"clear_fault at t=0\.[345]: no fault"):
+            make_schedule(case, events, SimConfig(dt=0.01, horizon=2.0))
+
+    def test_each_clear_removes_one_fault(self):
+        # two equal faults on one bus need two clears; a clear names a missing
+        # bus before it is matched
+        case, cfg = bundled_case("toy9"), SimConfig(dt=0.01, horizon=1.0)
+        events = fault_events(5, 0.2, 0.3) + fault_events(5, 0.3, 0.1)
+        assert len(make_schedule(case, events, cfg)) == 4
+        with pytest.raises(InvalidArgument, match="no bus 42"):
+            make_schedule(case, [Event(time=0.3, kind="clear_fault", bus=42)], cfg)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_event_time_rejected(self, t):
+        with pytest.raises(InvalidArgument, match="not finite"):
+            make_schedule(bundled_case("toy9"), [Event(time=t, kind="fault", bus=5)],
+                          SimConfig(dt=0.01, horizon=1.0))
 
     def test_first_bad_event_in_time_order_is_reported(self):
         events = [Event(time=0.3, kind="bogus"), Event(time=0.1, kind="fault", bus=42)]
@@ -752,9 +780,9 @@ V_MAGS = st.one_of(st.sampled_from([0.0, V_FLOOR]), st.floats(0.0, 2 * V_FLOOR),
 
 
 class TestDeviceVectors:
-    """motor_f and pe_injection skip their masks and the V_FLOOR guard
-    when these select every LEL; the vector result must equal each LEL
-    evaluated alone, bit for bit."""
+    """motor_f skips its masks when every motor runs; the vector results
+    of motor_f and pe_injection must equal each LEL evaluated alone, bit
+    for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(mags=st.lists(V_MAGS, min_size=10, max_size=10),
@@ -786,6 +814,24 @@ class TestDeviceVectors:
         f, i = eng.motor_f(np.empty((3, 0)), np.empty(0, dtype=complex))
         assert f.shape == (3, 0) and i.shape == (0,)
         assert eng.pe_injection(np.empty(0, dtype=complex)).shape == (0,)
+
+
+class TestConstantPowerLaw:
+    @settings(max_examples=200, deadline=None)
+    @given(mags=st.lists(V_MAGS, min_size=10, max_size=10),
+           angles=st.lists(st.floats(-math.pi, math.pi), min_size=10, max_size=10))
+    def test_pe_injection_is_the_two_branch_law(self, mags, angles):
+        """W / conj(V) above V_FLOOR, the floor's admittance W V / V_FLOOR^2
+        at or below it, with W the draw at max(|V|, V_FLOOR)."""
+        eng = ieee39_engine()
+        Vl = np.array(mags) * np.exp(1j * np.array(angles))
+        I = eng.pe_injection(Vl)
+        for k, v in enumerate(Vl):
+            W = eng.pe_power(np.maximum(abs(v), V_FLOOR))[k]
+            law = W / np.conj(v) if abs(v) > V_FLOOR else W * v / V_FLOOR**2
+            assert abs(I[k] - law) <= 2e-15 * abs(law)
+            if v == 0:
+                assert I[k] == 0
 
 
 class TestEngineOracles:
@@ -839,7 +885,8 @@ class TestEngineOracles:
         f0 = np.zeros(eng.ovr)
 
         R = eng.residual(z, x0, f0, 0.01)
-        I = eng.current_mismatch(V, eng.E * np.exp(1j * delta), em)
+        I = eng.current_mismatch(V, eng.E * np.exp(1j * delta),
+                                 eng.lel_currents(V[eng.lbus], em))
         assert np.array_equal(R[eng.ovr:eng.ovr + n], I.real)
         assert np.array_equal(R[eng.ovi:eng.ovi + n], I.imag)
 

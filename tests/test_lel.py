@@ -175,7 +175,7 @@ def fresh_lel_power(eng, V, em, p_work):
     workload power p_work, evaluated from scratch."""
     live_p_work, eng.p_work = eng.p_work, p_work
     Vl = V[eng.lbus]
-    S = Vl * np.conj(eng.lel_injection(Vl, em)) * eng.s_base
+    S = Vl * np.conj(eng.kappa * eng.lel_currents(Vl, em)) * eng.s_base
     eng.p_work = live_p_work
     return S
 

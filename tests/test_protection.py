@@ -138,9 +138,9 @@ class TestRetention:
         eng = toy2_engine()
         v = eng.V0[eng.lbus]
         em = eng.em0
-        s_full = v * np.conj(eng.lel_injection(v, em))
+        s_full = v * np.conj(eng.kappa * eng.lel_currents(v, em))
         eng.kappa[:] = 0.5
-        s_half = v * np.conj(eng.lel_injection(v, em))
+        s_half = v * np.conj(eng.kappa * eng.lel_currents(v, em))
         assert s_half.real == pytest.approx(0.5 * s_full.real, rel=1e-12)
         assert s_half.imag == pytest.approx(0.5 * s_full.imag, rel=1e-12)
 
