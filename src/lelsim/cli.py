@@ -29,6 +29,7 @@ from lelsim.errors import (
     InvalidArgument,
     NoEquilibrium,
     SimulationCollapse,
+    UndefinedMetric,
     ValidationError,
 )
 from lelsim.grid import (
@@ -95,6 +96,14 @@ def _parse_inits(pairs):
     return theta
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise InvalidArgument(f"bad {flag} list {text!r}, expected "
+                              "comma-separated integers") from exc
+
+
 def _write_table(path, lines) -> None:
     """Write the lines of a CSV table to path and echo them."""
     text = "\n".join(lines) + "\n"
@@ -144,9 +153,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_grid_sim(args) -> int:
-    case = _load_grid_case(args.case)
-    if args.k > 0:
-        case = place_lels(case, args.k, args.seed)
+    case = place_lels(_load_grid_case(args.case), args.k, args.seed)
     if args.no_events:
         events = []
     else:
@@ -181,7 +188,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_sweep_k(args) -> int:
     case = _load_grid_case(args.case)
-    k_values = [int(k) for k in args.k.split(",")]
+    k_values = _int_list(args.k, "--k")
     cfg = SimConfig(dt=args.dt, horizon=args.horizon, seed=args.seed)
     rows = penetration_sweep(case, k_values, args.trials, cfg,
                              base_seed=args.seed)
@@ -197,8 +204,8 @@ def cmd_sweep_k(args) -> int:
 
 def cmd_sweep_tcl(args) -> int:
     data = read_trace(args.data)
-    l_values = [int(x) for x in args.L.split(",")]
-    d_values = [int(x) for x in args.d.split(",")]
+    l_values = _int_list(args.L, "--L")
+    d_values = _int_list(args.d, "--d")
     # split-half pattern distance: train on the full trace, then compare
     # the signatures of the two halves; a stable feature space scores low
     x = data.first_channel()
@@ -297,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("grid-sim", help="run a transient grid scenario")
     sp.add_argument("case", help="bundled case name (toy2, toy9, ieee39) "
                     "or a case file path")
-    sp.add_argument("--k", type=int, default=0, help="number of LEL sites")
+    sp.add_argument("--k", type=int, default=0,
+                    help="number of LEL sites added to the case's own")
     sp.add_argument("--fault-bus", type=int)
     sp.add_argument("--t-fault", type=float, default=5.0)
     sp.add_argument("--duration", type=float, default=0.1)
@@ -353,7 +361,8 @@ def cli_dispatch(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (InvalidArgument, ValidationError, FileNotFoundError, KeyError) as exc:
+    except (InvalidArgument, ValidationError, UndefinedMetric, FileNotFoundError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NoEquilibrium, SimulationCollapse, FloatingPointError) as exc:

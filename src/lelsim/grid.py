@@ -932,17 +932,18 @@ def eligible_lel_buses(case: GridCase) -> list[int]:
                   and b.id not in taken and b.id not in gen_buses)
 
 
-def place_lels(case: GridCase, k: int, seed: int,
-               shares: tuple[float, float, float] = (0.6, 0.3, 0.1)) -> GridCase:
-    """Attach k LELs at a seed-determined subset of load buses.
+def place_lels(case: GridCase, k: int, seed: int) -> GridCase:
+    """Attach k more LELs, with the default block shares, at a
+    seed-determined subset of the load buses that have none; the case's
+    own LELs stay.
 
     Placements are nested: for a fixed seed the buses chosen for k are
     the first k of the ordering chosen for any larger k, so penetration
     sweeps compare like with like.
     """
     buses = eligible_lel_buses(case)
-    if k > len(buses):
-        raise InvalidArgument(f"only {len(buses)} eligible buses for k={k}")
+    if not 0 <= k <= len(buses):
+        raise InvalidArgument(f"k={k} LELs: need 0 <= k <= {len(buses)} eligible buses")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(buses))
     chosen = [buses[i] for i in perm[:k]]
@@ -951,9 +952,8 @@ def place_lels(case: GridCase, k: int, seed: int,
     for b in chosen:
         arch_rng = np.random.default_rng([seed, b])
         arch = archetypes[arch_rng.integers(len(archetypes))]
-        placements.append(LelPlacement(bus=b, params=archetype_defaults(arch),
-                                       shares=shares))
-    return case.with_lels(placements)
+        placements.append(LelPlacement(bus=b, params=archetype_defaults(arch)))
+    return case.with_lels(case.lels + tuple(placements))
 
 
 def pick_fault_bus(case: GridCase, seed: int) -> int:
@@ -1021,6 +1021,8 @@ def penetration_sweep(case: GridCase, k_values, n_trials: int, cfg: SimConfig,
     then reruns the identical disturbance at every k.  Collapsed runs
     contribute worst-case metric values.
     """
+    if n_trials < 1:
+        raise InvalidArgument(f"n_trials must be >= 1, got {n_trials}")
     per_k = {k: {"nadir": [], "overshoot": [], "recon": []} for k in k_values}
     for trial in range(n_trials):
         seed = base_seed + 1000 * trial

@@ -8,6 +8,8 @@ import numpy as np
 
 from lelsim.errors import InvalidArgument, UndefinedMetric
 
+MAX_LAG_FRAC = 0.25
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -32,6 +34,11 @@ def dtw_distance(a, b, normalize: bool = True) -> float:
 
     Inputs are z-normalized by default; pass normalize=False for the raw
     distance.  Symmetric, >= 0, and 0 for identical sequences.
+
+    D is the (n+1) x (m+1) table with an infinite border and D[0, 0] = 0
+    (Sakoe & Chiba 1978).  Cells on the anti-diagonal i + j = k depend only
+    on diagonals k-1 and k-2: three rows indexed by i hold those, and each
+    diagonal is one slice update (reversing b makes its costs a slice).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -41,48 +48,31 @@ def dtw_distance(a, b, normalize: bool = True) -> float:
         a = z_normalize(a)
         b = z_normalize(b)
     n, m = len(a), len(b)
-    # anti-diagonal DP: every cell on diagonal i+j=k depends only on
-    # diagonals k-1 and k-2, so each diagonal updates as one vector op
-    prev2 = np.full(n, np.inf)  # D over rows on diagonal k-2
-    prev1 = np.full(n, np.inf)  # ... on diagonal k-1
-    cur = np.full(n, np.inf)
-    for k in range(n + m - 1):
-        lo = max(0, k - m + 1)
-        hi = min(n - 1, k)
-        i = np.arange(lo, hi + 1)
-        cost = np.abs(a[i] - b[k - i])
-        left = prev1[lo:hi + 1]                      # D[i, j-1]
-        up = np.full(len(i), np.inf)                 # D[i-1, j]
-        diag = np.full(len(i), np.inf)               # D[i-1, j-1]
-        if lo > 0:
-            up = prev1[lo - 1:hi]
-            diag = prev2[lo - 1:hi]
-        elif len(i) > 1:
-            up[1:] = prev1[lo:hi]
-            diag[1:] = prev2[lo:hi]
-        best = np.minimum(np.minimum(left, up), diag)
-        if k == 0:
-            best = np.zeros(1)
+    br = b[::-1]  # b[j-1] = br[m-k+i] on diagonal k
+    prev2, prev1, cur = np.full((3, n + 1), np.inf)
+    prev2[0] = 0.0
+    for k in range(2, n + m + 1):
+        lo, hi = max(1, k - m), min(n, k - 1) + 1
         cur.fill(np.inf)
-        cur[lo:hi + 1] = cost + best
+        # D[i, j] = |a[i-1] - b[j-1]| + min(D[i, j-1], D[i-1, j], D[i-1, j-1])
+        cur[lo:hi] = np.abs(a[lo - 1:hi - 1] - br[m - k + lo:m - k + hi]) + np.minimum(
+            np.minimum(prev1[lo:hi], prev1[lo - 1:hi - 1]), prev2[lo - 1:hi - 1])
         prev2, prev1, cur = prev1, cur, prev2
-    return float(prev1[n - 1])
+    return float(prev1[n])
 
 
-def max_cross_correlation(a, b, max_lag_frac: float = 0.25) -> float:
+def max_cross_correlation(a, b) -> float:
     """Max Pearson correlation of overlapping segments over lags.
 
-    Lags range over |l| <= max_lag_frac * len; raises UndefinedMetric on a
+    Lags range over |l| <= MAX_LAG_FRAC * len; raises UndefinedMetric on a
     zero-variance overlap of either input.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) < 4 or len(b) < 4:
         raise InvalidArgument("series must have length >= 4")
-    if not (0 < max_lag_frac <= 0.5):
-        raise InvalidArgument("max_lag_frac must lie in (0, 0.5]")
     n = min(len(a), len(b))
-    max_lag = int(max_lag_frac * n)
+    max_lag = int(MAX_LAG_FRAC * n)
     best = -np.inf
     defined = False
     for lag in range(-max_lag, max_lag + 1):
@@ -121,9 +111,9 @@ def cosine_similarity(a, b) -> float:
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
-def metric_report(a, b, max_lag_frac: float = 0.25) -> MetricReport:
+def metric_report(a, b) -> MetricReport:
     return MetricReport(dtw=dtw_distance(a, b),
-                        max_xcorr=max_cross_correlation(a, b, max_lag_frac),
+                        max_xcorr=max_cross_correlation(a, b),
                         cosine=cosine_similarity(a, b))
 
 
@@ -133,40 +123,33 @@ def metric_report(a, b, max_lag_frac: float = 0.25) -> MetricReport:
 
 def clear_time(result):
     """Time of the first fault clearing in the event log, or None."""
-    for ev in result.events:
-        if ev.kind == "fault_cleared":
-            return ev.time
-    return None
+    return next((ev.time for ev in result.events if ev.kind == "fault_cleared"), None)
+
+
+def _after_clearing(result):
+    """Index of the samples after the first fault clearing: all samples
+    when the log has no clearing, else the mask time > t_clear."""
+    t_clear = clear_time(result)
+    if t_clear is None:
+        return slice(None)
+    after = result.time > t_clear
+    if not after.any():
+        raise InvalidArgument("no samples after fault clearing")
+    return after
 
 
 def voltage_nadir(result, bus: int) -> float:
-    """Minimum post-fault-clear |V| at a bus.
-
-    Without a fault in the event log the minimum is taken over the full
-    horizon.
-    """
+    """Minimum |V| at a bus after fault clearing, or over the full
+    horizon when the event log has no clearing."""
     if bus not in result.bus_index:
         raise InvalidArgument(f"unknown bus {bus}")
-    v = result.v_mag[:, result.bus_index[bus]]
-    t_clear = clear_time(result)
-    if t_clear is None:
-        return float(v.min())
-    mask = result.time > t_clear
-    if not mask.any():
-        raise InvalidArgument("no samples after fault clearing")
-    return float(v[mask].min())
+    return float(result.v_mag[_after_clearing(result), result.bus_index[bus]].min())
 
 
 def frequency_overshoot(result) -> float:
-    """Max |omega - 1| over all generators after fault clearing."""
-    t_clear = clear_time(result)
-    dev = np.abs(result.gen_omega - 1.0)
-    if t_clear is None:
-        return float(dev.max())
-    mask = result.time > t_clear
-    if not mask.any():
-        raise InvalidArgument("no samples after fault clearing")
-    return float(dev[mask].max())
+    """Max |omega - 1| over all generators after fault clearing, or over
+    the full horizon when the event log has no clearing."""
+    return float(np.abs(result.gen_omega[_after_clearing(result)] - 1.0).max())
 
 
 def reconnection_delay(result, lel: int):
@@ -178,19 +161,13 @@ def reconnection_delay(result, lel: int):
         raise InvalidArgument(f"unknown LEL id {lel}")
     k = result.lel_index[lel]
     kappa = result.lel_kappa[:, k]
-    target = result.lel_kappa_full[k]
-    t_clear = clear_time(result)
-    if t_clear is None:
-        t_clear = 0.0
-    after = result.time > t_clear
-    tripped = kappa[after] < target - 1e-12
-    if not tripped.any():
+    target = result.lel_kappa_full[k] - 1e-12
+    t_clear = clear_time(result) or 0.0
+    low = (kappa < target) & (result.time > t_clear)
+    if not low.any():
         return 0.0
-    # first return to target after the first post-clear trip
-    idx_after = np.flatnonzero(after)
-    first_trip = idx_after[np.argmax(tripped)]
-    restored = np.flatnonzero(kappa >= target - 1e-12)
-    restored = restored[restored > first_trip]
-    if len(restored) == 0:
+    first = low.argmax()
+    back = np.flatnonzero(kappa[first:] >= target)
+    if len(back) == 0:
         return "never"
-    return float(result.time[restored[0]] - t_clear)
+    return float(result.time[first + back[0]] - t_clear)

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib.resources
+
 import numpy as np
 import pytest
 
 from lelsim.cli import cli_dispatch
-from lelsim.traceio import read_trace
+from lelsim.traceio import Trace, read_trace, write_trace
 
 
 def run(argv):
@@ -53,6 +55,12 @@ class TestMetrics:
     def test_missing_file_is_validation_error(self, tmp_path):
         assert run(["metrics", str(tmp_path / "no.csv"),
                     str(tmp_path / "no.csv")]) == 1
+
+    def test_constant_trace_is_validation_error(self, workload_csv, tmp_path, capsys):
+        const = tmp_path / "const.csv"
+        write_trace(Trace(1.0, {"p": np.full(600, 2.0)}), const)
+        rc = run(["metrics", str(const), str(workload_csv)])
+        TestMalformedInput.assert_error_exit(rc, capsys)
 
 
 class TestGridSim:
@@ -141,6 +149,27 @@ class TestGridSim:
             assert fa.read() == fb.read()
 
 
+
+    def test_k_adds_to_the_case_lels(self, tmp_path):
+        text = importlib.resources.files("lelsim.data").joinpath("ieee39.case").read_text()
+        case = tmp_path / "ieee39_lel.case"
+        case.write_text(text + "[LEL]\n3,datacenter\n")
+        kappas = {}
+        for k in (0, 2):
+            prefix = str(tmp_path / f"k{k}")
+            assert run(["grid-sim", str(case), "--k", str(k), "--no-events",
+                        "--horizon", "0.02", "--dt", "0.01", "--out-prefix", prefix]) == 0
+            header = (tmp_path / f"k{k}_result.csv").read_text().splitlines()[0]
+            kappas[k] = [c for c in header.split(",") if c.startswith("kappa_")]
+        assert kappas[0] == ["kappa_lel3"]
+        assert kappas[2][0] == "kappa_lel3" and len(kappas[2]) == 3
+
+    def test_negative_k_is_validation_error(self, tmp_path, capsys):
+        rc = run(["grid-sim", "toy9", "--k", "-1", "--no-events",
+                  "--out-prefix", str(tmp_path / "g")])
+        TestMalformedInput.assert_error_exit(rc, capsys)
+
+
 class TestCalibrateCommand:
     def test_calibrate_writes_result_file(self, workload_csv, tmp_path):
         out = tmp_path / "cal.txt"
@@ -183,6 +212,12 @@ class TestSweepK:
                             "median_reconnection_delay")
         assert len(lines) == 3
         assert [row.split(",")[0] for row in lines[1:]] == ["1", "2"]
+
+    def test_no_trials_is_validation_error(self, tmp_path, capsys):
+        rc = run(["sweep-k", "toy9", "--k", "1", "--trials", "0",
+                  "--out", str(tmp_path / "sweep.csv")])
+        TestMalformedInput.assert_error_exit(rc, capsys)
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestParamsFile:
@@ -284,6 +319,17 @@ class TestMalformedInput:
                else ["--out", str(tmp_path / "x.csv")])
         rc = run(self.NON_FINITE_BASE[command] + [option, value] + out)
         self.assert_error_exit(rc, capsys)
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("sweep-k", "--k", "two"), ("sweep-tcl", "--L", "a"), ("sweep-tcl", "--d", "4,")],
+        ids=["k", "L", "d"])
+    def test_non_integer_list_rejected(self, workload_csv, tmp_path, capsys, command, flag,
+                                       value):
+        source = "toy9" if command == "sweep-k" else str(workload_csv)
+        rc = run([command, source, flag, value, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: bad {flag} list") and "Traceback" not in err
 
     def test_clear_before_its_fault_rejected(self, tmp_path, capsys):
         # a negative duration puts the clear before the fault it clears

@@ -15,6 +15,7 @@ from scipy.optimize import fsolve
 from lelsim import grid
 from lelsim.cases import LelPlacement, bundled_case, load_case
 from lelsim.errors import InvalidArgument, SimulationCollapse, ValidationError
+from lelsim.lel import Archetype, archetype_defaults
 from lelsim.grid import (
     FAULT_ADMITTANCE,
     NEWTON_TOL,
@@ -31,6 +32,7 @@ from lelsim.grid import (
     fault_events,
     init_dynamics,
     make_schedule,
+    penetration_sweep,
     pick_fault_bus,
     place_lels,
     power_flow,
@@ -427,6 +429,23 @@ class TestPlacement:
     def test_too_many_lels_rejected(self):
         with pytest.raises(InvalidArgument):
             place_lels(bundled_case("toy9"), 50, seed=0)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(InvalidArgument):
+            place_lels(bundled_case("toy9"), -1, seed=0)
+
+    def test_case_lels_kept_and_k_more_added(self):
+        own = LelPlacement(bus=3, params=archetype_defaults(Archetype.DATACENTER))
+        case = bundled_case("ieee39").with_lels((own,))
+        placed = place_lels(case, 2, seed=0)
+        assert placed.lels[0] == own
+        assert len({p.bus for p in placed.lels}) == 3
+        assert place_lels(case, 0, seed=0) == case
+
+    def test_sweep_without_trials_rejected(self):
+        cfg = SimConfig(dt=0.01, horizon=1.0, seed=0)
+        with pytest.raises(InvalidArgument, match="n_trials"):
+            penetration_sweep(bundled_case("toy9"), [1], 0, cfg)
 
     def test_pick_fault_bus_serves_load(self):
         case = bundled_case("ieee39")
@@ -891,10 +910,11 @@ class TestEngineOracles:
         assert np.array_equal(R[eng.ovi:eng.ovi + n], I.imag)
 
     @staticmethod
-    def perturbed_ieee39(tripped, below_floor=()):
+    def perturbed_ieee39(tripped, terminal=None):
         """ieee39 with ten LELs, random kappa, the given motors stall-tripped,
         and a state z (with its step's start x0, f0) off the equilibrium;
-        the LELs named in below_floor sit at 0.03 V0, under V_FLOOR."""
+        terminal maps tuples of LEL indices to the fraction of V0 their
+        terminal voltages are set to."""
         case = place_lels(bundled_case("ieee39"), 10, seed=2)
         eng = init_dynamics(case, power_flow(case))
         ng, K, n = eng.ng, eng.K, eng.n
@@ -905,19 +925,24 @@ class TestEngineOracles:
         omega = 1.0 + 2e-3 * rng.standard_normal(ng)
         em = eng.em0 * (1.0 + 0.05 * rng.standard_normal((3, K)))
         V = eng.V0 * (0.9 + 0.1 * rng.random(n)) * np.exp(0.05j * rng.standard_normal(n))
-        low = eng.lbus[list(below_floor)]
-        V[low] = 0.03 * eng.V0[low]
+        for lels, frac in (terminal or {}).items():
+            buses = eng.lbus[list(lels)]
+            V[buses] = frac * eng.V0[buses]
         z = np.concatenate([delta, omega, em.ravel(), V.real, V.imag])
         x0 = np.concatenate([eng.delta0, np.ones(ng), eng.em0.ravel()])
         return eng, z, x0, np.zeros(eng.ovr)
 
-    @pytest.mark.parametrize("tripped, below_floor", [
-        ((), ()), ((1, 6), ()), ((), (0, 3, 5, 8))],
-        ids=["running", "two_stall_tripped", "four_below_floor"])
-    def test_jacobian_equals_central_differences_of_the_residual(self, tripped, below_floor):
-        eng, z, x0, f0 = self.perturbed_ieee39(tripped, below_floor)
+    # below the floor (0.03 V0) and between the floor and nominal voltage
+    # (0.1 and 0.5 V0), where the ZIP terms of the constant-power law vary
+    @pytest.mark.parametrize("tripped, terminal", [
+        ((), {}), ((1, 6), {}), ((), {(0, 3, 5, 8): 0.03}),
+        ((), {(0, 3): 0.1, (5, 8): 0.5})],
+        ids=["running", "two_stall_tripped", "four_below_floor", "between_floor_and_nominal"])
+    def test_jacobian_equals_central_differences_of_the_residual(self, tripped, terminal):
+        eng, z, x0, f0 = self.perturbed_ieee39(tripped, terminal)
         Vl = z[eng.ovr:eng.ovi][eng.lbus] + 1j * z[eng.ovi:][eng.lbus]
-        assert np.count_nonzero(np.abs(Vl) < V_FLOOR) == len(below_floor)
+        below = sum(len(lels) for lels, frac in terminal.items() if frac < V_FLOOR)
+        assert np.count_nonzero(np.abs(Vl) < V_FLOOR) == below
         dt, h = 0.005, 1e-7
         J = eng.jacobian(z, dt)
         fd = np.empty_like(J)

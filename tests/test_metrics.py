@@ -2,15 +2,34 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lelsim.errors import InvalidArgument, UndefinedMetric
+from lelsim.grid import EventRecord, SimResult
 from lelsim.metrics import (
     cosine_similarity,
     dtw_distance,
+    frequency_overshoot,
     max_cross_correlation,
     metric_report,
+    reconnection_delay,
+    voltage_nadir,
     z_normalize,
 )
+
+
+def textbook_dtw(a, b):
+    """DTW by the double loop over an (n+1) x (m+1) table with an
+    infinite border and D[0, 0] = 0."""
+    n, m = len(a), len(b)
+    D = np.full((n + 1, m + 1), np.inf)
+    D[0, 0] = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            D[i, j] = abs(a[i - 1] - b[j - 1]) + min(D[i - 1, j], D[i, j - 1],
+                                                     D[i - 1, j - 1])
+    return float(D[n, m])
 
 
 class TestDtw:
@@ -54,6 +73,17 @@ class TestDtw:
     def test_rejects_empty(self):
         with pytest.raises(InvalidArgument):
             dtw_distance([], [1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+           st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+           st.booleans())
+    def test_bitwise_equal_to_the_textbook_recurrence(self, a, b, normalize):
+        a, b = np.array(a), np.array(b)
+        want = (textbook_dtw(z_normalize(a), z_normalize(b)) if normalize
+                else textbook_dtw(a, b))
+        got = dtw_distance(a, b, normalize=normalize)
+        assert np.array_equal(np.float64(got), np.float64(want))
 
 
 class TestCosine:
@@ -125,3 +155,80 @@ class TestMetricReport:
         parts = row.split(",")
         assert parts[0] == "self"
         assert len(parts) == 4
+
+
+def sim_result(v=None, omega=None, kappa=None, kappa_full=None, t_clear=None):
+    """A hand-built SimResult on t = 0, 0.25, ..., 2 s with one bus (id 1),
+    one generator and one LEL (id 7); a fault applied at 0.5 s and cleared
+    at t_clear when t_clear is given."""
+    t = 0.25 * np.arange(9)
+    T = len(t)
+    one = np.ones((T, 1))
+    events = []
+    if t_clear is not None:
+        events = [EventRecord(0.5, None, "fault_applied"),
+                  EventRecord(t_clear, None, "fault_cleared")]
+    kappa = one if kappa is None else np.asarray(kappa, dtype=float)[:, None]
+    return SimResult(
+        time=t, v_mag=one if v is None else np.asarray(v, dtype=float)[:, None],
+        v_ang=0 * one, gen_omega=one if omega is None else np.asarray(omega)[:, None],
+        gen_delta=0 * one, lel_p=one, lel_q=0 * one, lel_kappa=kappa,
+        lel_mode=0 * one, motor_mode=0 * one, events=events, bus_ids=[1],
+        gen_buses=[1], lel_ids=[7],
+        lel_kappa_full=np.array([1.0 if kappa_full is None else kappa_full]))
+
+
+class TestSeverityMetrics:
+    # the deepest sag and the largest swing sit at t = 0.5 s, before and at
+    # the clearing; the post-clearing extremes sit at t = 1.25 s
+    V = [1.0, 0.99, 0.2, 0.6, 0.95, 0.9, 0.97, 0.99, 1.0]
+    OMEGA = [1.0, 1.0, 1.01, 0.998, 1.002, 1.003, 1.001, 1.0, 1.0]
+
+    def test_nadir_over_the_whole_horizon_without_a_clearing(self):
+        assert voltage_nadir(sim_result(v=self.V), 1) == 0.2
+
+    def test_nadir_after_the_clearing_only(self):
+        assert voltage_nadir(sim_result(v=self.V, t_clear=0.75), 1) == 0.9
+
+    def test_overshoot_over_the_whole_horizon_without_a_clearing(self):
+        assert frequency_overshoot(sim_result(omega=self.OMEGA)) == abs(1.01 - 1.0)
+
+    def test_overshoot_after_the_clearing_only(self):
+        result = sim_result(omega=self.OMEGA, t_clear=0.75)
+        assert frequency_overshoot(result) == abs(1.003 - 1.0)
+
+    def test_clearing_at_the_last_sample_rejected(self):
+        result = sim_result(v=self.V, omega=self.OMEGA, t_clear=2.0)
+        with pytest.raises(InvalidArgument, match="after fault clearing"):
+            voltage_nadir(result, 1)
+        with pytest.raises(InvalidArgument, match="after fault clearing"):
+            frequency_overshoot(result)
+
+    def test_unknown_bus_and_lel_rejected(self):
+        result = sim_result(t_clear=0.75)
+        with pytest.raises(InvalidArgument, match="unknown bus"):
+            voltage_nadir(result, 2)
+        with pytest.raises(InvalidArgument, match="unknown LEL"):
+            reconnection_delay(result, 8)
+
+    @pytest.mark.parametrize("kappa_full", [1.0, 0.8])
+    def test_delay_zero_for_an_lel_that_never_tripped(self, kappa_full):
+        result = sim_result(kappa=[kappa_full] * 9, kappa_full=kappa_full, t_clear=0.75)
+        assert reconnection_delay(result, 7) == 0.0
+
+    @pytest.mark.parametrize("kappa_full", [1.0, 0.8])
+    def test_delay_never_for_an_lel_below_target_at_the_horizon(self, kappa_full):
+        kappa = [kappa_full] * 3 + [0.0] * 3 + [0.5] * 3
+        result = sim_result(kappa=kappa, kappa_full=kappa_full, t_clear=0.75)
+        assert reconnection_delay(result, 7) == "never"
+
+    @pytest.mark.parametrize("kappa_full", [1.0, 0.8])
+    def test_delay_to_the_first_return_to_target(self, kappa_full):
+        # trips at 1.0 s, reaches the target at 1.75 s, 1.0 s after clearing
+        kappa = [kappa_full] * 4 + [0.0, 0.3, 0.6, kappa_full, kappa_full]
+        result = sim_result(kappa=kappa, kappa_full=kappa_full, t_clear=0.75)
+        assert reconnection_delay(result, 7) == 1.0
+
+    def test_delay_counted_from_zero_without_a_clearing(self):
+        kappa = [1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0]
+        assert reconnection_delay(sim_result(kappa=kappa), 7) == 1.0
