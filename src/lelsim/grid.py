@@ -144,6 +144,10 @@ class SimResult:
         return {b: i for i, b in enumerate(self.lel_ids)}
 
 
+# SimResult's per-sample arrays, the ones a collapse cuts short
+_SERIES = ("time", "v_mag", "v_ang", "gen_omega", "gen_delta", "lel_p", "lel_q",
+           "lel_kappa", "lel_mode", "motor_mode")
+
 PROT_MODE_ORD = {m: i for i, m in enumerate(ProtectionMode)}
 
 
@@ -368,14 +372,12 @@ class _Engine:
         Ig = np.conj((V * np.conj(Y @ V) + S_load)[self.gbus] / V[self.gbus])
         Ephasor = V[self.gbus] + 1j * xd * Ig
         self.E, self.delta0 = np.abs(Ephasor), np.angle(Ephasor)
-        self.Pm = (Ephasor * np.conj(Ig)).real
         self.yg = 1.0 / (1j * xd)
         self.cyg = np.conj(self.yg)
-        self.H = np.array([g.H for g in gens])
-        self.two_h = 2 * self.H
+        self.two_h = 2 * np.array([g.H for g in gens])
         self.D = np.array([g.D for g in gens])
         # the swing equation's coefficients over 2H; Pe = Im(E conj(V)) / xd'
-        self.pm_2h = self.Pm / self.two_h
+        self.pm_2h = (Ephasor * np.conj(Ig)).real / self.two_h
         self.d_2h = self.D / self.two_h
         self.pe_2h = 1.0 / (xd * self.two_h)
 
@@ -401,7 +403,6 @@ class _Engine:
         # motor/lel parameter arrays
         cool = [p.cool for p in self.params]
         aux = [p.aux for p in self.params]
-        work = [p.work for p in self.params]
         self.m_z = np.array([complex(c.R_s, c.x_trans) for c in cool], dtype=complex)
         self.m_c = np.array([c.x_open - c.x_trans for c in cool])
         # T0' rescaled to the case's own synchronous speed, so the slip
@@ -415,13 +416,10 @@ class _Engine:
         self.aux_ap = np.array([a.alpha_P for a in aux])
         self.aux_v0 = np.array([a.V0 for a in aux])
         self.aux_beta = np.array([a.beta_aux for a in aux])
-        w_pb = np.array([w.p_base for w in work])
-        w_pf = np.array([w.p_full for w in work])
 
         # mutable per-step views; p_work (MW) starts at utilization mu_eta
         # and then holds the step's row of the workload path
-        mu = np.array([w.mu_eta for w in work])
-        self.p_work = w_pb + mu * (w_pf - w_pb)
+        self.p_work = np.array([workload_power(p.work.mu_eta, p.work) for p in self.params])
         self.em0 = np.array([[m.ed_p for m in self.motors],
                              [m.eq_p for m in self.motors],
                              [m.slip for m in self.motors]])
@@ -777,46 +775,33 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         p_path[:, k] = workload_path(params.work, n_steps, dt, (cfg.seed, k))
 
     T = n_steps + 1
-    rec_t = np.empty(T)
-    rec_vm = np.empty((T, n))
-    rec_va = np.empty((T, n))
-    rec_om = np.empty((T, ng))
-    rec_dl = np.empty((T, ng))
-    rec_lp = np.empty((T, K))
-    rec_lq = np.empty((T, K))
-    rec_kp = np.empty((T, K))
-    rec_pm = np.empty((T, K), dtype=int)
-    rec_mm = np.empty((T, K), dtype=int)
-    log: list[EventRecord] = []
-    kappa_full = np.array([p.prot.kappa_full for p in eng.params])
-    bus_ids = [b.id for b in case.buses]
+    res = SimResult(time=np.empty(T), v_mag=np.empty((T, n)), v_ang=np.empty((T, n)),
+                    gen_omega=np.empty((T, ng)), gen_delta=np.empty((T, ng)),
+                    lel_p=np.empty((T, K)), lel_q=np.empty((T, K)),
+                    lel_kappa=np.empty((T, K)), lel_mode=np.empty((T, K), dtype=int),
+                    motor_mode=np.empty((T, K), dtype=int), events=[],
+                    bus_ids=[b.id for b in case.buses],
+                    gen_buses=[g.bus for g in case.generators], lel_ids=eng.lel_ids,
+                    lel_kappa_full=np.array([p.prot.kappa_full for p in eng.params]))
+    log = res.events
 
     def record(i, t):
-        rec_t[i] = t
-        rec_vm[i] = np.abs(V)
-        rec_va[i] = np.angle(V)
-        rec_om[i] = omega
-        rec_dl[i] = delta
+        res.time[i] = t
+        res.v_mag[i] = np.abs(V)
+        res.v_ang[i] = np.angle(V)
+        res.gen_omega[i] = omega
+        res.gen_delta[i] = delta
         S = V[eng.lbus] * np.conj(eng.kappa * eng.evaluation(z)[1]) * eng.s_base
-        rec_lp[i] = S.real
-        rec_lq[i] = S.imag
-        rec_kp[i] = eng.kappa
-        rec_pm[i] = [PROT_MODE_ORD[p.mode] for p in eng.prot]
-        rec_mm[i] = (~eng.running).astype(int)
-
-    def make_result(upto, reason=""):
-        return SimResult(time=rec_t[:upto], v_mag=rec_vm[:upto], v_ang=rec_va[:upto],
-                         gen_omega=rec_om[:upto], gen_delta=rec_dl[:upto],
-                         lel_p=rec_lp[:upto], lel_q=rec_lq[:upto],
-                         lel_kappa=rec_kp[:upto], lel_mode=rec_pm[:upto],
-                         motor_mode=rec_mm[:upto], events=log, bus_ids=bus_ids,
-                         gen_buses=[g.bus for g in case.generators],
-                         lel_ids=eng.lel_ids, lel_kappa_full=kappa_full,
-                         collapsed=bool(reason), collapse_reason=reason)
+        res.lel_p[i] = S.real
+        res.lel_q[i] = S.imag
+        res.lel_kappa[i] = eng.kappa
+        res.lel_mode[i] = [PROT_MODE_ORD[p.mode] for p in eng.prot]
+        res.motor_mode[i] = ~eng.running
 
     def collapse(reason, step, t, upto, residual=0.0):
-        return SimulationCollapse(reason, step, t, residual,
-                                  make_result(upto, reason))
+        partial = replace(res, collapsed=True, collapse_reason=reason,
+                          **{f: getattr(res, f)[:upto] for f in _SERIES})
+        return SimulationCollapse(reason, step, t, residual, partial)
 
     spread_since = None
     delta, omega, em, V = eng.unpack(z)
@@ -875,20 +860,16 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         vm_l = np.abs(V[eng.lbus])
         for k, params in enumerate(eng.params):
             lel_id = eng.lel_ids[k]
-            was_running = eng.motors[k].mode is MotorMode.RUNNING
             motor = eng.motors[k] = stall_update(eng.motors[k], V[eng.lbus[k]], dt,
                                                  params.cool)
-            now_running = motor.mode is MotorMode.RUNNING
-            if was_running and not now_running:
-                eng.running[k] = False
+            running = motor.mode is MotorMode.RUNNING
+            if running != eng.running[k]:
+                if running:
+                    em[:, k] = motor.ed_p, motor.eq_p, motor.slip
+                eng.running[k] = running
                 eng.kept = v_last = None
-                log.append(EventRecord(t_new, lel_id, "motor_stall_trip"))
-            elif not was_running and now_running:
-                em[:, k] = motor.ed_p, motor.eq_p, motor.slip
-                eng.tmech[k] = motor.t_mech
-                eng.running[k] = True
-                eng.kept = v_last = None
-                log.append(EventRecord(t_new, lel_id, "motor_restart"))
+                log.append(EventRecord(t_new, lel_id,
+                                       "motor_restart" if running else "motor_stall_trip"))
 
             prev = eng.prot[k]
             prot = eng.prot[k] = protection_step(prev, vm_l[k], omega[eng.near[k]], dt,
@@ -917,7 +898,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         else:
             spread_since = None
 
-    return make_result(T)
+    return res
 
 
 # ---------------------------------------------------------------------------

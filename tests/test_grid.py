@@ -493,6 +493,11 @@ class TestRegimeFlags:
         assert regime_flags(result)["mass_disconnection"]
 
 
+# SimResult's per-sample arrays, one row per recorded sample
+SERIES = ("time", "v_mag", "v_ang", "gen_omega", "gen_delta", "lel_p", "lel_q",
+          "lel_kappa", "lel_mode", "motor_mode")
+
+
 class TestCollapseReasons:
     """Each collapse carries its reason, and its message names the cause."""
 
@@ -500,7 +505,11 @@ class TestCollapseReasons:
         case = place_lels(bundled_case("toy9"), 2, seed=3)
         with pytest.raises(SimulationCollapse) as exc:
             run_simulation(case, list(events), SimConfig(dt=0.01, horizon=0.5))
-        assert exc.value.partial.collapse_reason == exc.value.reason
+        partial = exc.value.partial
+        assert partial.collapse_reason == exc.value.reason
+        # every per-sample array is cut at the same sample
+        for name in SERIES:
+            assert len(getattr(partial, name)) == len(partial.time), name
         return exc.value
 
     def test_newton(self, monkeypatch):
@@ -952,6 +961,30 @@ class TestEngineOracles:
             fd[:, j] = (eng.residual(z + step, x0, f0, dt)
                         - eng.residual(z - step, x0, f0, dt)) / (2 * h)
         assert np.max(np.abs(J - fd)) <= 1e-8 * np.max(np.abs(J))
+
+    def test_motor_partials_equal_central_differences_of_motor_f(self):
+        eng, z, _, _ = self.perturbed_ieee39((1, 6))
+        _, _, em, V = eng.unpack(z)
+        Vm = V[eng.lbus]
+        d, di = eng._motor_partials(em, Vm)
+        h = 1e-6
+        # one step along each column (e_d, e_q, s, v_re, v_im), all motors at once
+        steps = [(h * np.eye(3)[j][:, None], 0.0) for j in range(3)] + [(0.0, h), (0.0, 1j * h)]
+        fd = np.empty((3, 5, eng.K))
+        fd_i = np.empty((5, eng.K), dtype=complex)
+        for j, (de, dv) in enumerate(steps):
+            f_plus, i_plus = eng.motor_f(em + de, Vm + dv)
+            f_minus, i_minus = eng.motor_f(em - de, Vm - dv)
+            fd[:, j] = (f_plus - f_minus) / (2 * h)
+            fd_i[j] = (i_plus - i_minus) / (2 * h)
+        assert np.max(np.abs(d - fd)) <= 1e-9 * np.max(np.abs(d))
+        # the stator current's partials over (e_d, e_q, v_re, v_im) of the
+        # running motors; motor_f zeroes a tripped motor's current
+        running = eng.running
+        di_run = di[[0, 1, -2, -1]][:, running]
+        assert np.max(np.abs(di_run - fd_i[[0, 1, 3, 4]][:, running])) <= (
+            1e-9 * np.max(np.abs(di_run)))
+        assert not fd_i[:, ~running].any()
 
     def test_network_resolve_uses_the_voltage_block_of_the_jacobian(self, monkeypatch):
         eng, z, _, _ = self.perturbed_ieee39((1, 6))
