@@ -341,6 +341,13 @@ def init_dynamics(case: GridCase, V: np.ndarray) -> _Engine:
 # the simultaneous-implicit engine
 # ---------------------------------------------------------------------------
 
+# along the Jacobian columns (e_d, e_q, s, v_re, v_im): the change of a
+# motor's e = e_d + j e_q, of its slip s and of z i = v - e
+_E_DIR = np.array([1, 1j, 0, 0, 0])[:, None]
+_S_DIR = np.array([0, 0, 1, 0, 0])[:, None]
+_I_DIR = np.array([-1, -1j, 0, 1, 1j])[:, None]
+
+
 class _Engine:
     """Parameters and discrete states of the whole grid: classical
     machines, the network with its load and compensation shunts, and K
@@ -373,13 +380,11 @@ class _Engine:
         Ephasor = V[self.gbus] + 1j * xd * Ig
         self.E, self.delta0 = np.abs(Ephasor), np.angle(Ephasor)
         self.yg = 1.0 / (1j * xd)
-        self.cyg = np.conj(self.yg)
-        self.two_h = 2 * np.array([g.H for g in gens])
-        self.D = np.array([g.D for g in gens])
         # the swing equation's coefficients over 2H; Pe = Im(E conj(V)) / xd'
-        self.pm_2h = (Ephasor * np.conj(Ig)).real / self.two_h
-        self.d_2h = self.D / self.two_h
-        self.pe_2h = 1.0 / (xd * self.two_h)
+        two_h = 2 * np.array([g.H for g in gens])
+        self.pm_2h = (Ephasor * np.conj(Ig)).real / two_h
+        self.d_2h = np.array([g.D for g in gens]) / two_h
+        self.pe_2h = 1.0 / (xd * two_h)
 
         # LEL subsystems at their bus demand
         self.lbus = np.array([idx[p.bus] for p in case.lels], dtype=int)
@@ -549,21 +554,17 @@ class _Engine:
         delta, _, em, V = self.unpack(z)
         J = np.zeros((self.N, self.N))
 
-        # swing rows
+        # swing rows: gen_f's Pe / 2H = Im(E conj(V)) pe_2h along delta,
+        # v_re and v_im
         r = np.arange(self.ng)
         J[r, r] = 1.0
         J[r, oo + r] = -0.5 * dt * self.wb
         Eg = self.E * np.exp(1j * delta)
-        Vg = V[self.gbus]
-        cyg = self.cyg
-        dPe_dd = (-1j * cyg * Eg * np.conj(Vg)).real
-        dPe_dvre = (-cyg * Eg).real
-        dPe_dvim = (1j * cyg * Eg).real
-        h2 = 0.5 * dt / self.two_h
-        J[oo + r, oo + r] = 1.0 + 0.5 * dt * self.D / self.two_h
-        J[oo + r, r] = h2 * dPe_dd
-        J[oo + r, ovr + self.gbus] = h2 * dPe_dvre
-        J[oo + r, ovi + self.gbus] = h2 * dPe_dvim
+        h = 0.5 * dt * self.pe_2h
+        J[oo + r, oo + r] = 1.0 + 0.5 * dt * self.d_2h
+        J[oo + r, r] = h * (Eg * np.conj(V[self.gbus])).real
+        J[oo + r, ovr + self.gbus] = h * Eg.imag
+        J[oo + r, ovi + self.gbus] = -h * Eg.real
 
         # motor rows: the trapezoidal identity on the own states minus
         # dt/2 times the partials over (e_d, e_q, s, v_re, v_im)
@@ -590,29 +591,17 @@ class _Engine:
     def _motor_partials(self, em, Vm):
         """(3, 5, K) partials of the motor f (rows e_d, e_q, s) over the
         columns (e_d, e_q, s, v_re, v_im), zero for a tripped motor, and
-        the (4, K) partials of the stator current over (e_d, e_q, v_re,
-        v_im)."""
+        the (5, K) partials of the stator current over the same columns:
+        motor_f's expressions differentiated along each column's
+        direction of e, s and i."""
         edp, eqp, slip = em
-        zinv = 1.0 / self.m_z
-        i = (Vm - (edp + 1j * eqp)) * zinv
-        c, t0, wb = self.m_c, self.m_t0, self.wb
-        di = np.array([-zinv, -1j * zinv, zinv, 1j * zinv])
-        d = np.empty((3, 5, self.K))
-        cur = [0, 1, 3, 4]                   # the columns the current depends on
-        d[0, cur] = -(c * di.imag) / t0
-        d[1, cur] = (c * di.real) / t0
-        dte = edp * di.real + eqp * di.imag
-        dte[0] += i.real
-        dte[1] += i.imag
-        d[2, cur] = -dte / self.m_two_h
-        d[0, 0] -= 1.0 / t0
-        d[1, 0] += -wb * slip
-        d[0, 1] += wb * slip
-        d[1, 1] -= 1.0 / t0
-        d[0, 2] = wb * eqp
-        d[1, 2] = -wb * edp
-        d[2, 2] = 0.0
-        return d * self.running, di
+        e = edp + 1j * eqp
+        i = (Vm - e) / self.m_z
+        di = _I_DIR / self.m_z
+        dde = ((1j * self.m_c * di - _E_DIR) / self.m_t0
+               - 1j * self.wb * (_S_DIR * e + slip * _E_DIR))
+        dte = (np.conj(_E_DIR) * i + np.conj(e) * di).real
+        return np.array([dde.real, dde.imag, -dte / self.m_two_h]) * self.running, di
 
     def network_jacobian(self, V):
         """d(mismatch)/d(V_re, V_im), rows (Re, Im) by columns (V_re,
@@ -629,8 +618,7 @@ class _Engine:
         dI_dm = ((1.0 - 1j * self.aux_beta) * dP_dm / (self.s_base * m * m) - 2 * g / m) * Vl
         dm = np.where(m > V_FLOOR, np.array([Vl.real, Vl.imag]) / m, 0.0)
         d_pe = (dI_dm * dm + np.array([g, 1j * g])) * self.kappa
-        zinv = 1.0 / self.m_z
-        d_motor = np.array([zinv, 1j * zinv]) * (self.kappa * self.m_ratio * self.running)
+        d_motor = _I_DIR[3:] / self.m_z * (self.kappa * self.m_ratio * self.running)
 
         G, B = self.Y.real, self.Y.imag
         Jn = np.block([[G, -B], [B, G]])
