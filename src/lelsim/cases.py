@@ -20,7 +20,7 @@ A case file holds SYSTEM / BUS / BRANCH / GEN / LEL sections::
 
 All impedances are pu on s_base; loads and generator schedules are in
 MW/MVAr.  Shares default to the 60/30/10 workload/cooling/auxiliary
-split of the bus demand.
+split of the bus demand.  Other sections and SYSTEM keys are rejected.
 """
 
 from __future__ import annotations
@@ -100,6 +100,9 @@ class GridCase:
 
 
 def validate_case(case: GridCase) -> None:
+    if not (case.s_base > 0 and case.f_base > 0):
+        raise ValidationError(f"need s_base > 0 and f_base > 0, got {case.s_base} "
+                              f"and {case.f_base}")
     ids = [b.id for b in case.buses]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate bus ids")
@@ -110,6 +113,8 @@ def validate_case(case: GridCase) -> None:
     for b in case.buses:
         if b.type not in ("slack", "pv", "pq"):
             raise ValidationError(f"bus {b.id}: unknown type {b.type!r}")
+        if b.type != "pq" and not b.v_set > 0:
+            raise ValidationError(f"bus {b.id}: v_set must be > 0")
     for br in case.branches:
         if br.from_bus not in idset or br.to_bus not in idset:
             raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: unknown bus")
@@ -124,6 +129,10 @@ def validate_case(case: GridCase) -> None:
             raise ValidationError(f"generator at unknown bus {g.bus}")
         if by_id[g.bus].type not in ("pv", "slack"):
             raise ValidationError(f"generator bus {g.bus} must be PV or slack")
+        for need, ok in (("H > 0", g.H > 0), ("xd_p > 0", g.xd_p > 0),
+                         ("D >= 0", g.D >= 0), ("v_set > 0", g.v_set > 0)):
+            if not ok:
+                raise ValidationError(f"generator at bus {g.bus}: need {need}")
     pv_or_slack = {b.id for b in case.buses if b.type in ("pv", "slack")}
     if pv_or_slack - set(gen_buses):
         raise ValidationError("every PV/slack bus needs a generator")
@@ -159,6 +168,12 @@ def _non_finite(tok: str) -> bool:
         return not math.isfinite(float(tok))
     except ValueError:
         return False
+
+
+def _system(row) -> tuple[str, float]:
+    if row[0] not in ("s_base", "f_base"):
+        raise ValueError(f"unknown key {row[0]!r}")
+    return row[0], float(row[1])
 
 
 def _bus(row) -> Bus:
@@ -219,6 +234,8 @@ def load_case(path_or_text, name: str = "") -> GridCase:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].upper()
+            if current not in ("SYSTEM", "BUS", "BRANCH", "GEN", "LEL"):
+                raise ValidationError(f"line {lineno}: unknown section {line}")
             sections.setdefault(current, [])
             continue
         if current is None:
@@ -234,7 +251,7 @@ def load_case(path_or_text, name: str = "") -> GridCase:
         if required not in sections or not sections[required]:
             raise ValidationError(f"case is missing a [{required}] section")
 
-    system = dict(_rows(sections, "SYSTEM", (2,), lambda r: (r[0], float(r[1]))))
+    system = dict(_rows(sections, "SYSTEM", (2,), _system))
     s_base = system.get("s_base", 100.0)
     f_base = system.get("f_base", 60.0)
     buses = _rows(sections, "BUS", (5,), _bus)

@@ -225,6 +225,8 @@ def cmd_sweep_tcl(args) -> int:
 
 
 def cmd_robustness(args) -> int:
+    if args.inits < 1:
+        raise InvalidArgument(f"--inits must be >= 1, got {args.inits}")
     data = read_trace(args.data)
     cfg = _calibration_config(args, data, ObjectiveMode.PATTERN)
     rng = np.random.default_rng(args.seed)

@@ -66,6 +66,9 @@ def read_trace(path_or_file) -> Trace:
     names = header[1:]
     if not names:
         raise ValidationError("trace file has no data channels")
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise ValidationError(f"channel {name!r} appears more than once in the header")
 
     data = np.empty((len(rows) - 1, len(header)), dtype=float)
     for i, row in enumerate(rows[1:], start=2):

@@ -63,6 +63,10 @@ class TestLoadCase:
         with pytest.raises(ValidationError, match=rf"line \d+: {re.escape(where)} row \["):
             load_case(MINIMAL.replace(old, new))
 
+    def test_zero_damping_allowed(self):
+        case = load_case(MINIMAL.replace("1,5.0,50.0,0.2,0,1.04", "1,5.0,0,0.2,0,1.04"))
+        assert case.generators[0].D == 0.0
+
     def test_lel_section_attaches_archetype(self):
         text = MINIMAL + "[LEL]\n2,datacenter,0.6,0.3,0.1\n"
         case = load_case(text)

@@ -259,6 +259,41 @@ class TestMalformedInput:
                   "--dt", "0.01", "--out-prefix", str(tmp_path / "x")])
         self.assert_error_exit(rc, capsys)
 
+    # toy2 with one field, key or header made impossible
+    @pytest.mark.parametrize("old,new,named", [
+        ("f_base,60.0", "f_base,-60.0", "f_base > 0"),
+        ("s_base,100.0", "s_base,0", "s_base > 0"),
+        ("s_base,100.0", "sbase,50", "unknown key 'sbase'"),
+        ("[LEL]", "[LELS]", "unknown section [LELS]"),
+        ("1,5.0,100.0,0.20,0,1.00", "1,-5.0,100.0,0.20,0,1.00", "need H > 0"),
+        ("1,5.0,100.0,0.20,0,1.00", "1,0,100.0,0.20,0,1.00", "need H > 0"),
+        ("1,5.0,100.0,0.20,0,1.00", "1,5.0,100.0,-0.2,0,1.00", "need xd_p > 0"),
+        ("1,5.0,100.0,0.20,0,1.00", "1,5.0,100.0,0,0,1.00", "need xd_p > 0"),
+        ("1,5.0,100.0,0.20,0,1.00", "1,5.0,-100,0.20,0,1.00", "need D >= 0"),
+        ("1,5.0,100.0,0.20,0,1.00", "1,5.0,100.0,0.20,0,0", "need v_set > 0"),
+        ("1,slack,1.00,0,0", "1,slack,-1.0,0,0", "bus 1: v_set must be > 0"),
+    ], ids=["f_base_negative", "s_base_zero", "system_key_typo", "unknown_section",
+            "H_negative", "H_zero", "xd_p_negative", "xd_p_zero", "D_negative",
+            "gen_v_set_zero", "slack_v_set_negative"])
+    def test_impossible_case_data(self, tmp_path, capsys, old, new, named):
+        text = importlib.resources.files("lelsim.data").joinpath("toy2.case").read_text()
+        assert old in text
+        case = tmp_path / "bad.case"
+        case.write_text(text.replace(old, new))
+        rc = run(["grid-sim", str(case), "--no-events", "--horizon", "0.05",
+                  "--dt", "0.01", "--out-prefix", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and named in err
+        assert not (tmp_path / "x_result.csv").exists()
+
+    @pytest.mark.parametrize("inits", ["0", "-1"])
+    def test_robustness_without_inits_rejected(self, workload_csv, tmp_path, capsys, inits):
+        capsys.readouterr()
+        rc = run(["robustness", str(workload_csv), "--bound", "mu_eta=0.3:0.8",
+                  "--inits", inits, "--out", str(tmp_path / "rob.csv")])
+        self.assert_error_exit(rc, capsys)
+        assert not (tmp_path / "rob.csv").exists()
+
     @pytest.mark.parametrize("key,bad", [("schema_version", "one"), ("work.p_base", "twenty")])
     def test_malformed_params_file(self, tmp_path, capsys, key, bad):
         from lelsim.lel import Archetype, archetype_defaults, dump_lel_params

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lelsim.cases import bundled_case
 from lelsim.errors import InvalidArgument, ValidationError
@@ -21,13 +23,19 @@ from lelsim.grid import (
 )
 from lelsim.lel import (
     Archetype,
+    LelParams,
     archetype_defaults,
     dump_lel_params,
     parse_lel_params,
 )
-from lelsim.protection import ProtectionMode
-from lelsim.thermal_aux import MotorMode, aux_power
-from lelsim.workload import workload_power
+from lelsim.protection import (
+    ProtectionMode,
+    ProtectionParams,
+    dump_protection_disclosure,
+    load_protection_disclosure,
+)
+from lelsim.thermal_aux import AuxParams, CoolingParams, MotorMode, aux_power
+from lelsim.workload import WorkloadParams, workload_power
 
 # a 0.3 s sag at the LEL bus of toy2: -2j holds |V| near 0.65 pu, below
 # the protection band; -4j holds it near 0.47 pu, below V_stall as well
@@ -292,11 +300,65 @@ class TestVoltagePredictor:
                 assert not np.array_equal(V, start)
 
 
+def finite(lo, hi, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+def positive(hi):
+    return finite(0.0, hi, exclude_min=True)
+
+
+@st.composite
+def protection_params(draw):
+    """Valid protection parameters, 0 < kappa_min <= kappa_max <= 1."""
+    kappa_min, kappa_max = sorted(draw(st.lists(positive(1.0), min_size=2, max_size=2)))
+    return ProtectionParams(V_ref=draw(positive(2.0)), omega_ref=draw(positive(2.0)),
+                            dV=draw(positive(1.0)), dOmega=draw(positive(1.0)),
+                            t_delay_trip=draw(finite(0.0, 10.0)),
+                            t_wait_recon=draw(finite(0.0, 100.0)),
+                            t_delay_recon=draw(finite(0.0, 100.0)),
+                            kappa_min=kappa_min, kappa_max=kappa_max,
+                            r_kappa=draw(positive(10.0)))
+
+
+@st.composite
+def lel_bundles(draw):
+    """Valid parameter bundles: every field inside its range, ZIP
+    coefficients that sum to one."""
+    p_base = draw(finite(0.0, 1e3))
+    work = WorkloadParams(p_base=p_base, p_full=p_base + draw(finite(0.0, 1e3)),
+                          tau_eta=draw(positive(1e4)), mu_eta=draw(finite(0.0, 1.0)),
+                          sigma_xi=draw(finite(0.0, 10.0)),
+                          lambda_burst=draw(finite(0.0, 1.0)),
+                          lnA_mu=draw(finite(-5.0, 5.0)), lnA_sigma=draw(finite(0.0, 5.0)))
+    cool = CoolingParams(**{name: draw(positive(10.0))
+                            for name in ("R_s", "X_s", "X_m", "R_r", "X_r", "H_m")},
+                         V_stall=draw(finite(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                         tau_stall=draw(finite(0.0, 10.0)), T_cool=draw(finite(0.0, 100.0)),
+                         mva_base=draw(positive(1e3)), load_factor=draw(positive(1.0)))
+    alpha_z, alpha_i = draw(finite(-2.0, 2.0)), draw(finite(-2.0, 2.0))
+    aux = AuxParams(p_aux0=draw(finite(0.0, 100.0)), alpha_Z=alpha_z, alpha_I=alpha_i,
+                    alpha_P=1.0 - alpha_z - alpha_i, beta_aux=draw(finite(-1.0, 1.0)),
+                    V0=draw(positive(2.0)))
+    return LelParams(work=work, cool=cool, aux=aux, prot=draw(protection_params()),
+                     archetype=draw(st.sampled_from(Archetype)))
+
+
 class TestParameterExchange:
     @pytest.mark.parametrize("arch", list(Archetype))
     def test_round_trip(self, arch):
         params = archetype_defaults(arch)
         assert parse_lel_params(dump_lel_params(params)) == params
+
+    @settings(deadline=None)
+    @given(params=lel_bundles())
+    def test_round_trip_of_random_bundles(self, params):
+        assert parse_lel_params(dump_lel_params(params)) == params
+
+    @settings(deadline=None)
+    @given(prot=protection_params())
+    def test_disclosure_round_trip_of_random_protection(self, prot):
+        assert load_protection_disclosure(dump_protection_disclosure(prot)) == prot
 
     def test_missing_key_rejected(self):
         doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))

@@ -14,3 +14,8 @@ class TestReadTrace:
         text = f"t,p\n0.0,1.0\n1.0,{value}\n2.0,3.0\n"
         with pytest.raises(ValidationError, match="row 3: non-finite"):
             read_trace(io.StringIO(text))
+
+    def test_rejects_a_repeated_channel_naming_it(self):
+        text = "t,q,p,p\n0.0,1.0,5.0,2.0\n1.0,1.0,6.0,3.0\n"
+        with pytest.raises(ValidationError, match="channel 'p' appears more than once"):
+            read_trace(io.StringIO(text))
