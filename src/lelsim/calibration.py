@@ -17,7 +17,6 @@ from dataclasses import astuple, dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from lelsim.errors import InvalidArgument
 from lelsim.thermal_aux import _equilibrium, aux_power
@@ -265,7 +264,9 @@ def calibrate(theta_init: dict, data_trace: Trace,
     simplex = np.vstack([u] + [u + 0.5 * rng.standard_normal(n_free)
                                for _ in range(n_free)])
     # maxfev stops the search at the first call past the budget, which
-    # objective_u answers with a value that cannot be accepted
+    # objective_u answers with a value that cannot be accepted; imported
+    # here so that grid runs and the other subcommands do not load it
+    from scipy.optimize import minimize
     minimize(objective_u, u, method="Nelder-Mead",
              options={"maxfev": cfg.max_evals + 1, "initial_simplex": simplex,
                       "xatol": 1e-8, "fatol": 1e-12})

@@ -11,7 +11,11 @@ floor and the floor's admittance, W(V_FLOOR) V / V_FLOOR^2, below it.
 
 Each fixed step solves the trapezoidal-discretized differential
 equations simultaneously with the network algebraic equations
-(simultaneous-implicit scheme; Stott 1979).  The step starts from a
+(simultaneous-implicit scheme; Stott 1979).  The state vector holds the
+real states first and the complex ones as interleaved (re, im) pairs,
+[delta, omega, slip | e' | V], so the device functions read the motor
+EMFs e' and the bus voltages V, and write de'/dt and the network current
+mismatch, through complex views of it.  The step starts from a
 prediction: explicit Euler on the differential states, and the bus
 voltages extrapolated linearly from the starts of the last two steps
 (held instead where the voltages jump: after a network re-solve, a motor
@@ -351,15 +355,26 @@ _I_DIR = np.array([-1, -1j, 0, 1, 1j])[:, None]
 class _Engine:
     """Parameters and discrete states of the whole grid: classical
     machines, the network with its load and compensation shunts, and K
-    LELs (parameter arrays plus, per LEL, the scaled bundle, protection
-    state, motor state, nearest generator and bus id).  The continuous
-    states live in the caller's state vector; em0 holds the motors'
-    initial EMF and slip, and MotorState's copies are read only at init
-    and at restart.
+    LELs (per-LEL constants of the device laws plus, per LEL, the scaled
+    bundle, protection state, motor state, nearest generator and bus id).
 
-    `kept` holds the last evaluation's derivatives and LEL currents
-    before retention, (f, u), until the caller drops it (sets None)
-    because it changed the state they were evaluated at."""
+    The continuous states live in the caller's state vector z, laid out
+    as [delta (ng), omega (ng), slip (K) | e' (K) | V (n)] with the
+    complex EMFs e' and bus voltages V as interleaved (re, im) pairs, so
+    `unpack` reads them through .view(complex).  oo, om, oe and ov are
+    the offsets of omega, the slips, e' and V, and N is z's length.  The
+    motor block em = z[om:ov] holds the slips, then e'; em0 holds it at
+    t=0, and MotorState's copies are read only at init and at restart.
+    The derivatives f, the residual and the Jacobian's rows and columns
+    follow z's order: the network rows are each bus's current mismatch
+    as an (Re, Im) pair.
+
+    `running` holds which motors run (assign a new array to change it);
+    `p_work` holds the LELs' workload draw (MW), whose term of the
+    constant-power law is folded in when it is set.  `kept` holds the
+    last evaluation's derivatives and LEL currents before retention,
+    (f, u), until the caller drops it (sets None) because it changed the
+    state they were evaluated at."""
 
     def __init__(self, case: GridCase, V: np.ndarray):
         """Build the t=0 equilibrium: machine EMFs, load admittances, and
@@ -368,6 +383,7 @@ class _Engine:
         n = self.n = case.n_bus
         self.s_base = case.s_base
         self.wb = 2 * math.pi * case.f_base
+        self.jwb = 1j * self.wb
         self.V0 = V.copy()
         Y = build_ybus(case)
 
@@ -389,45 +405,46 @@ class _Engine:
         # LEL subsystems at their bus demand
         self.lbus = np.array([idx[p.bus] for p in case.lels], dtype=int)
         self.lel_ids = [p.bus for p in case.lels]
-        self.near = nearest_generator(case)[self.lbus].tolist()
+        self.near = nearest_generator(case)[self.lbus]
         self.params = [_scaled_lel_params(p, case.buses[b].p_load, abs(V[b]))
                        for p, b in zip(case.lels, self.lbus)]
         self.motors = [motor_init(p.cool.load_factor, V[b], p.cool)
                        for p, b in zip(self.params, self.lbus)]
         self.prot = [ProtectionState() for _ in self.params]
 
-        # state layout: delta, omega, edp, eqp, slip, Vre, Vim
         ng = self.ng = len(gens)
         K = self.K = len(self.params)
         self.oo = ng
         self.om = 2 * ng
-        self.ovr = 2 * ng + 3 * K
-        self.ovi = self.ovr + n
-        self.N = self.ovi + n
+        self.oe = self.om + K
+        self.ov = self.om + 3 * K
+        self.N = self.ov + 2 * n
 
-        # motor/lel parameter arrays
+        # motor constants: stator current i = (v - e') m_y, and
+        # de'/dt = m_a i - (m_b + j wb s) e', with T0' rescaled to the
+        # case's own synchronous speed, so the slip term and the rotor
+        # time constant agree at any f_base
         cool = [p.cool for p in self.params]
-        aux = [p.aux for p in self.params]
-        self.m_z = np.array([complex(c.R_s, c.x_trans) for c in cool], dtype=complex)
-        self.m_c = np.array([c.x_open - c.x_trans for c in cool])
-        # T0' rescaled to the case's own synchronous speed, so the slip
-        # term and the rotor time constant agree at any f_base
-        self.m_t0 = np.array([c.t0_prime * (OMEGA_SYNC / self.wb) for c in cool])
+        t0 = np.array([c.t0_prime * (OMEGA_SYNC / self.wb) for c in cool])
+        self.m_y = 1.0 / np.array([complex(c.R_s, c.x_trans) for c in cool], dtype=complex)
+        self.m_a = 1j * np.array([c.x_open - c.x_trans for c in cool]) / t0
+        self.m_b = 1.0 / t0
         self.m_two_h = 2 * np.array([c.H_m for c in cool])
         self.m_ratio = np.array([c.mva_base / self.s_base for c in cool])
-        self.aux_p0 = np.array([a.p_aux0 for a in aux])
-        self.aux_az = np.array([a.alpha_Z for a in aux])
-        self.aux_ai = np.array([a.alpha_I for a in aux])
-        self.aux_ap = np.array([a.alpha_P for a in aux])
-        self.aux_v0 = np.array([a.V0 for a in aux])
-        self.aux_beta = np.array([a.beta_aux for a in aux])
+        # ZIP draw P_aux(m) (1 - j beta) / s_base = (zip2 m + zip1) m + zip0
+        aux = [p.aux for p in self.params]
+        scale = np.array([a.p_aux0 * (1 - 1j * a.beta_aux) for a in aux],
+                         dtype=complex) / self.s_base
+        v0 = np.array([a.V0 for a in aux])
+        self.zip2 = scale * np.array([a.alpha_Z for a in aux]) / (v0 * v0)
+        self.zip1 = scale * np.array([a.alpha_I for a in aux]) / v0
+        self.zip0 = scale * np.array([a.alpha_P for a in aux])
 
-        # mutable per-step views; p_work (MW) starts at utilization mu_eta
+        # mutable per-step state; p_work (MW) starts at utilization mu_eta
         # and then holds the step's row of the workload path
         self.p_work = np.array([workload_power(p.work.mu_eta, p.work) for p in self.params])
-        self.em0 = np.array([[m.ed_p for m in self.motors],
-                             [m.eq_p for m in self.motors],
-                             [m.slip for m in self.motors]])
+        self.em0 = np.array([m.slip for m in self.motors]
+                            + [x for m in self.motors for x in (m.ed_p, m.eq_p)])
         self.tmech = np.array([m.t_mech for m in self.motors])
         self.running = np.ones(K, dtype=bool)
         self.kappa = np.array([p.kappa for p in self.prot])
@@ -445,6 +462,28 @@ class _Engine:
                                       self.lel_currents(V[self.lbus], self.em0))
         Y[np.arange(n), np.arange(n)] += -I_mis / V
 
+    @property
+    def running(self) -> np.ndarray:
+        """Whether each LEL's motor runs (K,), read-only."""
+        return self._running
+
+    @running.setter
+    def running(self, flags):
+        self._running = np.array(flags, dtype=bool)
+        self._running.flags.writeable = False
+        # motor_f skips its masks while this holds
+        self._all_running = bool(self._running.all())
+
+    @property
+    def p_work(self) -> np.ndarray:
+        """Each LEL's workload draw (K,), MW."""
+        return self._p_work
+
+    @p_work.setter
+    def p_work(self, p):
+        self._p_work = p
+        self.w0 = self.zip0 + p / self.s_base
+
     # -- device functions -------------------------------------------------
 
     def gen_f(self, delta, omega, Vg, out):
@@ -459,31 +498,35 @@ class _Engine:
         fo -= (Eg * np.conj(Vg)).imag * self.pe_2h
         return Eg
 
+    def motor_states(self, em):
+        """Views of a motor block em (3K,): the slips and the complex
+        EMFs e' (K,)."""
+        return em[:self.K], em[self.K:].view(complex)
+
     def motor_f(self, em, Vm, out=None):
-        """em is (3, K): edp, eqp, slip.  Returns (f (3,K), i_m complex (K,));
-        f is written into out when given."""
-        edp, eqp, slip = em
-        e = edp + 1j * eqp
-        i = (Vm - e) / self.m_z
-        f = np.empty((3, self.K)) if out is None else out
-        # d(edp + j eqp)/dt = (j c i - e) / T0' - j wb slip e
-        de = (1j * self.m_c * i - e) / self.m_t0 - (1j * self.wb * slip) * e
-        f[0] = de.real
-        f[1] = de.imag
+        """Derivatives of the motor block em (laid out as em, written into
+        out when given) and the stator currents i_m (K,) complex at
+        terminal voltages Vm; both are zero for a tripped motor."""
+        slip, e = self.motor_states(em)
+        i = (Vm - e) * self.m_y
+        f = np.empty(3 * self.K) if out is None else out
+        fs, fe = self.motor_states(f)
+        # de'/dt = (j c i - e') / T0' - j wb s e'
+        np.subtract(self.m_a * i, (self.m_b + self.jwb * slip) * e, out=fe)
         # Te = Re(conj(e) i)
-        np.subtract(self.tmech, (e.conj() * i).real, out=f[2])
-        f[2] /= self.m_two_h
-        if not self.running.all():
-            f[:, ~self.running] = 0.0
-            i = np.where(self.running, i, 0.0)
+        np.subtract(self.tmech, (e.conj() * i).real, out=fs)
+        fs /= self.m_two_h
+        if not self._all_running:
+            stopped = ~self._running
+            fs[stopped] = 0.0
+            fe[stopped] = 0.0
+            i = np.where(self._running, i, 0.0)
         return f, i
 
     def pe_power(self, m):
         """W = conj(S) = P - jQ (pu) of each LEL's constant-power (workload
         + aux) draw at m = max(|V|, V_FLOOR)."""
-        r = m / self.aux_v0
-        p_aux = self.aux_p0 * ((self.aux_az * r + self.aux_ai) * r + self.aux_ap)
-        return (self.p_work + p_aux - 1j * (self.aux_beta * p_aux)) / self.s_base
+        return (self.zip2 * m + self.zip1) * m + self.w0
 
     def pe_injection(self, Vl):
         """Constant-power (workload + aux) current per LEL, I = W(m) Vl / m^2
@@ -496,32 +539,38 @@ class _Engine:
         for motor states em; the motor derivatives go into out when given."""
         return self.pe_injection(Vl) + self.motor_f(em, Vl, out)[1] * self.m_ratio
 
-    def current_mismatch(self, V, Eg, u):
+    def current_mismatch(self, V, Eg, u, out=None):
         """Complex current mismatch Y V - I_gen + I_lel at every bus, for
-        generator EMF phasors Eg and LEL currents before retention u.
-        validate_case keeps generator buses distinct and LEL buses
-        distinct, so a fancy-index scatter adds each term once."""
-        I = self.Y @ V
+        generator EMF phasors Eg and LEL currents before retention u,
+        written into out when given.  validate_case keeps generator buses
+        distinct and LEL buses distinct, so a fancy-index scatter adds
+        each term once."""
+        I = np.matmul(self.Y, V, out=out)
         I[self.gbus] -= Eg * self.yg
         I[self.lbus] += self.kappa * u
         return I
 
     # -- state vector, residual and Jacobian -------------------------------
 
+    def pack(self, delta, omega, em, V):
+        """The state vector z of these states; unpack reads them back."""
+        return np.concatenate([delta, omega, em,
+                               np.ascontiguousarray(V, dtype=complex).view(float)])
+
     def unpack(self, z):
-        """Views of the state vector z: delta, omega and the (3, K) motor
-        states (edp, eqp, slip); and the complex bus voltages."""
-        return (z[:self.oo], z[self.oo:self.om], z[self.om:self.ovr].reshape(3, self.K),
-                z[self.ovr:self.ovi] + 1j * z[self.ovi:])
+        """Views of the state vector z: delta, omega, the motor block em
+        and the complex bus voltages."""
+        return (z[:self.oo], z[self.oo:self.om], z[self.om:self.ov],
+                z[self.ov:].view(complex))
 
     def derivatives(self, z):
-        """Time derivatives (ovr,) of z's differential states, with the
+        """Time derivatives (ov,) of z's differential states, with the
         bus voltages of z, the generator EMF phasors and the LEL currents
         before retention; the derivatives and currents become `kept`."""
         delta, omega, em, V = self.unpack(z)
-        f = np.empty(self.ovr)
+        f = np.empty(self.ov)
         Eg = self.gen_f(delta, omega, V[self.gbus], f[:self.om])
-        u = self.lel_currents(V[self.lbus], em, f[self.om:].reshape(3, self.K))
+        u = self.lel_currents(V[self.lbus], em, f[self.om:])
         self.kept = f, u
         return f, V, Eg, u
 
@@ -538,21 +587,21 @@ class _Engine:
         derivatives are f0, then the network current mismatch."""
         f, V, Eg, u = self.derivatives(z)
         R = np.empty(self.N)
-        Rx = R[:self.ovr]
+        Rx = R[:self.ov]
         np.add(f, f0, out=Rx)
         Rx *= -0.5 * dt
-        Rx += z[:self.ovr]
+        Rx += z[:self.ov]
         Rx -= x0
-        I = self.current_mismatch(V, Eg, u)
-        R[self.ovr:self.ovi] = I.real
-        R[self.ovi:] = I.imag
+        self.current_mismatch(V, Eg, u, out=R[self.ov:].view(complex))
         return R
 
     def jacobian(self, z, dt):
         K = self.K
-        oo, om, ovr, ovi = self.oo, self.om, self.ovr, self.ovi
+        oo, om, oe, ov = self.oo, self.om, self.oe, self.ov
         delta, _, em, V = self.unpack(z)
         J = np.zeros((self.N, self.N))
+        # each generator's and each LEL's V_re column (and row Re); V_im follows
+        vg, vl = ov + 2 * self.gbus, ov + 2 * self.lbus
 
         # swing rows: gen_f's Pe / 2H = Im(E conj(V)) pe_2h along delta,
         # v_re and v_im
@@ -563,29 +612,30 @@ class _Engine:
         h = 0.5 * dt * self.pe_2h
         J[oo + r, oo + r] = 1.0 + 0.5 * dt * self.d_2h
         J[oo + r, r] = h * (Eg * np.conj(V[self.gbus])).real
-        J[oo + r, ovr + self.gbus] = h * Eg.imag
-        J[oo + r, ovi + self.gbus] = -h * Eg.real
+        J[oo + r, vg] = h * Eg.imag
+        J[oo + r, vg + 1] = -h * Eg.real
 
         # motor rows: the trapezoidal identity on the own states minus
         # dt/2 times the partials over (e_d, e_q, s, v_re, v_im)
         dfm, di = self._motor_partials(em, V[self.lbus])
-        rows = om + np.arange(3)[:, None] * K + np.arange(K)          # (3, K)
-        cols = np.concatenate([rows, [ovr + self.lbus, ovi + self.lbus]])
+        k = np.arange(K)
+        rows = np.array([oe + 2 * k, oe + 2 * k + 1, om + k])          # (3, K)
+        cols = np.concatenate([rows, [vl, vl + 1]])
         blk = -0.5 * dt * dfm
         blk[np.arange(3), np.arange(3)] += 1.0
         J[rows[:, None], cols] = blk
         # the stator current's e_d, e_q columns in the network rows
         dI = di[:2] * (self.kappa * self.m_ratio * self.running)
-        J[ovr + self.lbus, cols[:2]] = dI.real
-        J[ovi + self.lbus, cols[:2]] = dI.imag
+        J[vl, cols[:2]] = dI.real
+        J[vl + 1, cols[:2]] = dI.imag
 
         # network rows over the voltages
-        J[ovr:, ovr:] += self.network_jacobian(V)
+        J[ov:, ov:] += self.network_jacobian(V)
 
         # generator source term -I_E(delta)
         dIE = 1j * Eg * self.yg  # d(I_E)/d delta
-        J[ovr + self.gbus, r] += -dIE.real
-        J[ovi + self.gbus, r] += -dIE.imag
+        J[vg, r] += -dIE.real
+        J[vg + 1, r] += -dIE.imag
         return J
 
     def _motor_partials(self, em, Vm):
@@ -594,35 +644,34 @@ class _Engine:
         the (5, K) partials of the stator current over the same columns:
         motor_f's expressions differentiated along each column's
         direction of e, s and i."""
-        edp, eqp, slip = em
-        e = edp + 1j * eqp
-        i = (Vm - e) / self.m_z
-        di = _I_DIR / self.m_z
-        dde = ((1j * self.m_c * di - _E_DIR) / self.m_t0
-               - 1j * self.wb * (_S_DIR * e + slip * _E_DIR))
+        slip, e = self.motor_states(em)
+        i = (Vm - e) * self.m_y
+        di = _I_DIR * self.m_y
+        dde = (self.m_a * di - self.m_b * _E_DIR
+               - self.jwb * (_S_DIR * e + slip * _E_DIR))
         dte = (np.conj(_E_DIR) * i + np.conj(e) * di).real
         return np.array([dde.real, dde.imag, -dte / self.m_two_h]) * self.running, di
 
     def network_jacobian(self, V):
-        """d(mismatch)/d(V_re, V_im), rows (Re, Im) by columns (V_re,
-        V_im): the admittance block [[G, -B], [B, G]] plus each LEL's
-        kappa-scaled voltage derivatives of its stator current and of its
-        constant-power current."""
+        """d(mismatch)/d(V_re, V_im) in z's order, an (Re, Im) row pair
+        and a (V_re, V_im) column pair per bus: the admittance blocks
+        [[G, -B], [B, G]] plus each LEL's kappa-scaled voltage derivatives
+        of its stator current and of its constant-power current."""
         # constant-power current I = g V with g = W(m) / m^2 and
         # m = max(|V|, V_FLOOR): dI = (W'(m) / m^2 - 2 g / m) V dm + g dV,
         # where dm/d(V_re, V_im) = (V_re, V_im) / m above the floor, 0 below
         Vl = V[self.lbus]
         m = np.maximum(np.abs(Vl), V_FLOOR)
         g = self.pe_power(m) / (m * m)
-        dP_dm = self.aux_p0 * (2 * self.aux_az * m / self.aux_v0 + self.aux_ai) / self.aux_v0
-        dI_dm = ((1.0 - 1j * self.aux_beta) * dP_dm / (self.s_base * m * m) - 2 * g / m) * Vl
+        dI_dm = ((2 * self.zip2 * m + self.zip1) / (m * m) - 2 * g / m) * Vl
         dm = np.where(m > V_FLOOR, np.array([Vl.real, Vl.imag]) / m, 0.0)
         d_pe = (dI_dm * dm + np.array([g, 1j * g])) * self.kappa
-        d_motor = _I_DIR[3:] / self.m_z * (self.kappa * self.m_ratio * self.running)
+        d_motor = _I_DIR[3:] * self.m_y * (self.kappa * self.m_ratio * self.running)
 
         G, B = self.Y.real, self.Y.imag
-        Jn = np.block([[G, -B], [B, G]])
-        lb = np.array([self.lbus, self.n + self.lbus])
+        Jn = np.stack([np.stack([G, -B], -1), np.stack([B, G], -1)], 1).reshape(
+            2 * self.n, 2 * self.n)
+        lb = 2 * self.lbus + np.arange(2)[:, None]
         at = (lb[:, None], lb[None, :])      # (row Re|Im, column V_re|V_im, K)
         for dI in (d_motor, d_pe):
             Jn[at] += np.array([dI.real, dI.imag])
@@ -634,17 +683,15 @@ class _Engine:
         """Full Newton on the algebraic network equations with frozen
         differential states; returns the voltages and whether they meet
         NEWTON_TOL."""
-        n = self.n
         Eg = self.E * np.exp(1j * delta)
 
         def mismatch(x):
-            V = x[:n] + 1j * x[n:]
-            I = self.current_mismatch(V, Eg, self.lel_currents(V[self.lbus], em))
-            return np.concatenate([I.real, I.imag])
+            V = x.view(complex)
+            return self.current_mismatch(V, Eg, self.lel_currents(V[self.lbus], em)).view(float)
 
-        x, rmax, _ = newton(mismatch, lambda x: self.network_jacobian(x[:n] + 1j * x[n:]),
-                            np.concatenate([V.real, V.imag]), None, 0)
-        return x[:n] + 1j * x[n:], rmax < NEWTON_TOL
+        x, rmax, _ = newton(mismatch, lambda x: self.network_jacobian(x.view(complex)),
+                            np.array(V, dtype=complex).view(float), None, 0)
+        return x.view(complex), rmax < NEWTON_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -751,11 +798,11 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     schedule = make_schedule(case, events, cfg)
     V0 = power_flow(case)
     eng = init_dynamics(case, V0)
-    n, ng, K, ovr, ovi = eng.n, eng.ng, eng.K, eng.ovr, eng.ovi
+    n, ng, K, ov = eng.n, eng.ng, eng.K, eng.ov
     dt = cfg.dt
     n_steps = int(round(cfg.horizon / dt))
 
-    z = np.concatenate([eng.delta0, np.ones(ng), eng.em0.ravel(), V0.real, V0.imag])
+    z = eng.pack(eng.delta0, np.ones(ng), eng.em0, V0)
     # each LEL's workload power over the horizon, held constant across
     # each step; it does not depend on the grid state
     p_path = np.empty((n_steps, K))
@@ -772,6 +819,8 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                     gen_buses=[g.bus for g in case.generators], lel_ids=eng.lel_ids,
                     lel_kappa_full=np.array([p.prot.kappa_full for p in eng.params]))
     log = res.events
+    # each LEL's protection-mode ordinal, updated where its mode changes
+    modes = np.array([PROT_MODE_ORD[p.mode] for p in eng.prot], dtype=int)
 
     def record(i, t):
         res.time[i] = t
@@ -783,7 +832,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         res.lel_p[i] = S.real
         res.lel_q[i] = S.imag
         res.lel_kappa[i] = eng.kappa
-        res.lel_mode[i] = [PROT_MODE_ORD[p.mode] for p in eng.prot]
+        res.lel_mode[i] = modes
         res.motor_mode[i] = ~eng.running
 
     def collapse(reason, step, t, upto, residual=0.0):
@@ -814,21 +863,21 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
             V, ok = eng.solve_network(V, delta, em)
             if not ok:
                 raise collapse("network_solve", step, t, step + 1, math.inf)
-            z[ovr:ovi], z[ovi:] = V.real, V.imag
+            z[ov:] = V.view(float)
             eng.kept = None
             v_last = None
         if lu_age >= JACOBIAN_MAX_AGE:
             lu = None
 
-        x0 = z[:ovr].copy()
+        x0 = z[:ov].copy()
         # the last residual of the previous step was evaluated at this z
         f0 = eng.evaluation(z)[0]
         # predict: explicit Euler on the differential states, the bus
         # voltages extrapolated linearly from the last two steps
-        z[:ovr] += dt * f0
-        v_start = z[ovr:].copy()
+        z[:ov] += dt * f0
+        v_start = z[ov:].copy()
         if v_last is not None:
-            z[ovr:] += v_start - v_last
+            z[ov:] += v_start - v_last
         v_last = v_start
         z, rmax, held = newton(lambda z: eng.residual(z, x0, f0, dt),
                                lambda z: eng.jacobian(z, dt), z, lu, CHORD_MAX_ITER)
@@ -842,29 +891,34 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         delta, omega, em, V = eng.unpack(z)
         t_new = t + dt
 
-        # motor stall and protection state machines; a restarted motor
-        # writes its states into z through the em view.  A trip or a
-        # restart changes the derivatives and currents of the last residual
-        vm_l = np.abs(V[eng.lbus])
-        for k, params in enumerate(eng.params):
+        # motor stall and protection state machines, fed Python numbers;
+        # a restarted motor writes its states into z through the em view.
+        # A trip or a restart changes the derivatives and currents of the
+        # last residual
+        Vl = V[eng.lbus]
+        for k, (params, v, v_mag, w) in enumerate(zip(
+                eng.params, Vl.tolist(), np.abs(Vl).tolist(), omega[eng.near].tolist())):
             lel_id = eng.lel_ids[k]
-            motor = eng.motors[k] = stall_update(eng.motors[k], V[eng.lbus[k]], dt,
-                                                 params.cool)
-            running = motor.mode is MotorMode.RUNNING
-            if running != eng.running[k]:
+            was = eng.motors[k]
+            motor = eng.motors[k] = stall_update(was, v, dt, params.cool)
+            if motor.mode is not was.mode:
+                running = motor.mode is MotorMode.RUNNING
                 if running:
-                    em[:, k] = motor.ed_p, motor.eq_p, motor.slip
-                eng.running[k] = running
+                    slip, e = eng.motor_states(em)
+                    slip[k], e[k] = motor.slip, complex(motor.ed_p, motor.eq_p)
+                flags = eng.running.copy()
+                flags[k] = running
+                eng.running = flags
                 eng.kept = v_last = None
                 log.append(EventRecord(t_new, lel_id,
                                        "motor_restart" if running else "motor_stall_trip"))
 
             prev = eng.prot[k]
-            prot = eng.prot[k] = protection_step(prev, vm_l[k], omega[eng.near[k]], dt,
-                                                 params.prot)
+            prot = eng.prot[k] = protection_step(prev, v_mag, w, dt, params.prot)
             eng.kappa[k] = prot.kappa
             if prev.mode is not prot.mode:
                 m = prot.mode
+                modes[k] = PROT_MODE_ORD[m]
                 if m is ProtectionMode.SHED:
                     # a trip, from any mode; RECOVERY_WAIT -> SHED keeps kappa
                     if prot.kappa < prev.kappa:

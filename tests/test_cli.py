@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import importlib.resources
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lelsim
 from lelsim.cli import cli_dispatch
 from lelsim.traceio import Trace, read_trace, write_trace
 
@@ -379,3 +384,11 @@ class TestUsage:
 
     def test_help_exits_0(self):
         assert run(["--help"]) == 0
+
+    def test_import_leaves_the_optimizer_unloaded(self):
+        # only calibrate needs scipy.optimize, and it imports it when run
+        src = str(Path(lelsim.__file__).resolve().parents[1])
+        code = "import sys, lelsim.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"

@@ -43,6 +43,7 @@ from lelsim.grid import (
 )
 from lelsim.metrics import clear_time, frequency_overshoot
 from lelsim.protection import ProtectionMode, ProtectionState
+from lelsim.thermal_aux import aux_power
 from lelsim.workload import WorkloadState, ou_step, workload_power
 
 
@@ -798,9 +799,15 @@ def ieee39_engine():
     return init_dynamics(case, power_flow(case))
 
 
-# the engine's per-LEL arrays that motor_f and pe_injection read
-PER_LEL = ("m_z", "m_c", "m_t0", "m_two_h", "tmech", "running", "p_work",
-           "aux_p0", "aux_az", "aux_ai", "aux_ap", "aux_v0", "aux_beta")
+def one_lel(eng, k):
+    """A copy of eng cut down to its LEL k: every ndarray attribute whose
+    leading dimension is K keeps only that LEL's entry."""
+    one = copy.copy(eng)
+    for name, value in vars(eng).items():
+        if isinstance(value, np.ndarray) and value.shape[:1] == (eng.K,):
+            setattr(one, name, value[k:k + 1])
+    one.K = 1
+    return one
 
 # terminal voltage magnitudes on both sides of the floor, the floor and 0
 V_MAGS = st.one_of(st.sampled_from([0.0, V_FLOOR]), st.floats(0.0, 2 * V_FLOOR),
@@ -822,25 +829,31 @@ class TestDeviceVectors:
         eng = copy.copy(ieee39_engine())
         eng.running = np.array(running)
         Vl = np.array(mags) * np.exp(1j * np.array(angles))
-        em = eng.em0 * (1.0 + 0.1 * np.random.default_rng(seed).standard_normal((3, eng.K)))
+        em = eng.em0 * (1.0 + 0.1 * np.random.default_rng(seed).standard_normal(
+            eng.em0.shape))
         f, i = eng.motor_f(em, Vl)
-        assert not f[:, ~eng.running].any() and not i[~eng.running].any()
+        f_slip, f_e = eng.motor_states(f)
+        stopped = ~eng.running
+        assert not f_slip[stopped].any() and not f_e[stopped].any()
+        assert not i[stopped].any()
         I = eng.pe_injection(Vl)
+        slip, e = eng.motor_states(em)
         for k in range(eng.K):
-            one = copy.copy(eng)
-            for name in PER_LEL:
-                setattr(one, name, getattr(eng, name)[k:k + 1])
-            one.K = 1
-            f_k, i_k = one.motor_f(em[:, k:k + 1], Vl[k:k + 1])
-            assert np.array_equal(f[:, k], f_k[:, 0]) and i[k] == i_k[0]
+            one = one_lel(eng, k)
+            em_k = np.empty(3)
+            slip_k, e_k = one.motor_states(em_k)
+            slip_k[0], e_k[0] = slip[k], e[k]
+            f_k, i_k = one.motor_f(em_k, Vl[k:k + 1])
+            f_slip_k, f_e_k = one.motor_states(f_k)
+            assert f_slip[k] == f_slip_k[0] and f_e[k] == f_e_k[0] and i[k] == i_k[0]
             assert I[k] == one.pe_injection(Vl[k:k + 1])[0]
 
     def test_no_lels_give_empty_arrays(self):
         case = bundled_case("toy9")
         eng = init_dynamics(case, power_flow(case))
         assert eng.K == 0
-        f, i = eng.motor_f(np.empty((3, 0)), np.empty(0, dtype=complex))
-        assert f.shape == (3, 0) and i.shape == (0,)
+        f, i = eng.motor_f(np.empty(0), np.empty(0, dtype=complex))
+        assert f.shape == (0,) and i.shape == (0,)
         assert eng.pe_injection(np.empty(0, dtype=complex)).shape == (0,)
 
 
@@ -860,6 +873,25 @@ class TestConstantPowerLaw:
             assert abs(I[k] - law) <= 2e-15 * abs(law)
             if v == 0:
                 assert I[k] == 0
+
+    @pytest.mark.parametrize("m", [V_FLOOR, 0.5, 0.9, 1.0, 1.2])
+    def test_pe_power_is_the_workload_plus_zip_draw(self, m):
+        """pe_power folds each LEL's ZIP coefficients; it must equal the
+        workload draw plus aux_power's P_aux(m) (1 - j beta), over s_base.
+        The ZIP reference voltages are set off 1 pu, so a coefficient
+        folded with the wrong power of V0 shows."""
+        case = place_lels(bundled_case("ieee39"), 10, seed=2)
+        case = case.with_lels(tuple(
+            replace(p, params=replace(p.params, aux=replace(p.params.aux, V0=v0)))
+            for p, v0 in zip(case.lels, np.linspace(0.9, 1.15, len(case.lels)))))
+        eng = init_dynamics(case, power_flow(case))
+        for p_work in (eng.p_work, 1.3 * eng.p_work):
+            eng.p_work = p_work
+            W = eng.pe_power(np.full(eng.K, m))
+            for k, params in enumerate(eng.params):
+                p_aux = aux_power(m, params.aux)[0]
+                law = (p_work[k] + p_aux * (1 - 1j * params.aux.beta_aux)) / eng.s_base
+                assert abs(W[k] - law) <= 2e-15 * abs(law)
 
 
 class TestEngineOracles:
@@ -899,24 +931,24 @@ class TestEngineOracles:
         case = noisy_toy9()
         eng = init_dynamics(case, power_flow(case))
         if stalled:
-            eng.running[1] = False
+            eng.running = np.arange(eng.K) != 1
         ng, K, n = eng.ng, eng.K, eng.n
         rng = np.random.default_rng(5)
         delta = eng.delta0 + 0.02 * rng.standard_normal(ng)
         omega = 1.0 + 1e-3 * rng.standard_normal(ng)
-        em = eng.em0 * (1.0 + 0.05 * rng.standard_normal((3, K)))
+        em = eng.em0 * (1.0 + 0.05 * rng.standard_normal(3 * K))
         V = eng.V0 * (0.95 + 0.05 * rng.random(n)) * np.exp(0.03j * rng.standard_normal(n))
-        z = np.concatenate([delta, omega, em.ravel(), V.real, V.imag])
+        z = eng.pack(delta, omega, em, V)
         # the previous step's states differ from z's, so a motor current
         # taken at the wrong states would show in the network rows
-        x0 = np.concatenate([eng.delta0, np.ones(ng), eng.em0.ravel()])
-        f0 = np.zeros(eng.ovr)
+        x0 = eng.pack(eng.delta0, np.ones(ng), eng.em0, V)[:eng.ov]
+        f0 = np.zeros(eng.ov)
 
         R = eng.residual(z, x0, f0, 0.01)
         I = eng.current_mismatch(V, eng.E * np.exp(1j * delta),
                                  eng.lel_currents(V[eng.lbus], em))
-        assert np.array_equal(R[eng.ovr:eng.ovr + n], I.real)
-        assert np.array_equal(R[eng.ovi:eng.ovi + n], I.imag)
+        # R's rows follow z's layout: its network rows read as V's do
+        assert np.array_equal(eng.unpack(R)[3], I)
 
     @staticmethod
     def perturbed_ieee39(tripped, terminal=None):
@@ -929,17 +961,17 @@ class TestEngineOracles:
         ng, K, n = eng.ng, eng.K, eng.n
         rng = np.random.default_rng(8)
         eng.kappa[:] = rng.uniform(0.1, 1.0, K)
-        eng.running[list(tripped)] = False
+        eng.running = ~np.isin(np.arange(K), tripped)
         delta = eng.delta0 + 0.05 * rng.standard_normal(ng)
         omega = 1.0 + 2e-3 * rng.standard_normal(ng)
-        em = eng.em0 * (1.0 + 0.05 * rng.standard_normal((3, K)))
+        em = eng.em0 * (1.0 + 0.05 * rng.standard_normal(3 * K))
         V = eng.V0 * (0.9 + 0.1 * rng.random(n)) * np.exp(0.05j * rng.standard_normal(n))
         for lels, frac in (terminal or {}).items():
             buses = eng.lbus[list(lels)]
             V[buses] = frac * eng.V0[buses]
-        z = np.concatenate([delta, omega, em.ravel(), V.real, V.imag])
-        x0 = np.concatenate([eng.delta0, np.ones(ng), eng.em0.ravel()])
-        return eng, z, x0, np.zeros(eng.ovr)
+        z = eng.pack(delta, omega, em, V)
+        x0 = eng.pack(eng.delta0, np.ones(ng), eng.em0, V)[:eng.ov]
+        return eng, z, x0, np.zeros(eng.ov)
 
     # below the floor (0.03 V0) and between the floor and nominal voltage
     # (0.1 and 0.5 V0), where the ZIP terms of the constant-power law vary
@@ -949,7 +981,7 @@ class TestEngineOracles:
         ids=["running", "two_stall_tripped", "four_below_floor", "between_floor_and_nominal"])
     def test_jacobian_equals_central_differences_of_the_residual(self, tripped, terminal):
         eng, z, x0, f0 = self.perturbed_ieee39(tripped, terminal)
-        Vl = z[eng.ovr:eng.ovi][eng.lbus] + 1j * z[eng.ovi:][eng.lbus]
+        Vl = eng.unpack(z)[3][eng.lbus]
         below = sum(len(lels) for lels, frac in terminal.items() if frac < V_FLOOR)
         assert np.count_nonzero(np.abs(Vl) < V_FLOOR) == below
         dt, h = 0.005, 1e-7
@@ -968,14 +1000,26 @@ class TestEngineOracles:
         Vm = V[eng.lbus]
         d, di = eng._motor_partials(em, Vm)
         h = 1e-6
+
+        def rows(f):
+            """A motor block's (e_d, e_q, s) rows, (3, K)."""
+            f_slip, f_e = eng.motor_states(f)
+            return np.array([f_e.real, f_e.imag, f_slip])
+
         # one step along each column (e_d, e_q, s, v_re, v_im), all motors at once
-        steps = [(h * np.eye(3)[j][:, None], 0.0) for j in range(3)] + [(0.0, h), (0.0, 1j * h)]
+        steps = []
+        for j in range(3):
+            de = np.zeros_like(em)
+            d_slip, d_e = eng.motor_states(de)
+            (d_e.real, d_e.imag, d_slip)[j][:] = h
+            steps.append((de, 0.0))
+        steps += [(0.0, h), (0.0, 1j * h)]
         fd = np.empty((3, 5, eng.K))
         fd_i = np.empty((5, eng.K), dtype=complex)
         for j, (de, dv) in enumerate(steps):
             f_plus, i_plus = eng.motor_f(em + de, Vm + dv)
             f_minus, i_minus = eng.motor_f(em - de, Vm - dv)
-            fd[:, j] = (f_plus - f_minus) / (2 * h)
+            fd[:, j] = rows(f_plus - f_minus) / (2 * h)
             fd_i[j] = (i_plus - i_minus) / (2 * h)
         assert np.max(np.abs(d - fd)) <= 1e-9 * np.max(np.abs(d))
         # the stator current's partials over (e_d, e_q, v_re, v_im) of the
@@ -997,9 +1041,9 @@ class TestEngineOracles:
             return lu_factor(a)
 
         monkeypatch.setattr("lelsim.grid.lu_factor", spy)
-        V = z[eng.ovr:eng.ovi] + 1j * z[eng.ovi:]
-        eng.solve_network(V, z[:eng.ng], eng.em0)
+        delta, _, _, V = eng.unpack(z)
+        eng.solve_network(V, delta, eng.em0)
         assert matrices[0].shape == (2 * eng.n, 2 * eng.n)
         # one assembly: the bound leaves room only for the order of the
         # few sums that make up each LEL entry
-        assert np.max(np.abs(matrices[0] - J[eng.ovr:, eng.ovr:])) <= 1e-14 * np.max(np.abs(J))
+        assert np.max(np.abs(matrices[0] - J[eng.ov:, eng.ov:])) <= 1e-14 * np.max(np.abs(J))

@@ -271,14 +271,14 @@ class TestVoltagePredictor:
         starts, first = [], []      # per step: start V, its first residual's V
 
         def spy_evaluation(self, z):
-            seen["start"] = z[self.ovr:].copy()
+            seen["start"] = self.unpack(z)[3].copy()
             return evaluation(self, z)
 
         def spy(self, z, x0, f0, dt):
             if seen.get("x0") is not x0:
                 seen["x0"] = x0
                 starts.append(seen["start"])
-                first.append(z[self.ovr:].copy())
+                first.append(self.unpack(z)[3].copy())
             return residual(self, z, x0, f0, dt)
 
         monkeypatch.setattr(_Engine, "evaluation", spy_evaluation)

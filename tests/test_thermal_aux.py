@@ -48,10 +48,12 @@ def engine_motor(toy2_engine, params, motor, v=1.0):
     at terminal phasor v; p and q are pu on the motor base."""
     eng = toy2_engine(cool=params)
     eng.tmech[0] = motor.t_mech
-    em = np.array([[motor.ed_p], [motor.eq_p], [motor.slip]])
+    em = np.empty(3)
+    slip, e = eng.motor_states(em)
+    slip[0], e[0] = motor.slip, complex(motor.ed_p, motor.eq_p)
     f, i = eng.motor_f(em, np.array([v], dtype=complex))
     s = v * np.conj(i[0])
-    return f[:, 0], s.real, s.imag
+    return f, s.real, s.imag
 
 
 def curve(slip, v, params, power):
