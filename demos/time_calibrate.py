@@ -1,11 +1,13 @@
-"""Wall time of one cold-cache and one warm-cache pattern calibration.
+"""Wall time of cold-cache and warm-cache pattern calibrations.
 
 Runs `calibrate` twice on the seed-0 inputs of the benchmark's
 calibrate_workload (its first pattern start): once after clearing the
 trained-encoder cache, so it trains the encoder, and once more on the
 same inputs, which reuses it.  The first figure is what a single
 calibration costs; the difference is the training that several starts
-on one trace share.
+on one trace share.  Then does the same on the seed-0 inputs of
+calibrate_cooling, clearing the motor equilibrium's per-impedance cache
+as well, and prints the milliseconds per objective evaluation.
 
 Usage, from the root of a checkout:
 
@@ -26,7 +28,7 @@ from pathlib import Path  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
-from lelsim import calibration  # noqa: E402
+from lelsim import calibration, thermal_aux  # noqa: E402
 
 
 def timed(theta0, data, cfg):
@@ -35,17 +37,24 @@ def timed(theta0, data, cfg):
     return time.perf_counter() - t0, result
 
 
+def cold_and_warm(name, theta0, data, cfg):
+    calibration._data_encoder.cache_clear()
+    thermal_aux._monotone_segments.cache_clear()
+    cold, a = timed(theta0, data, cfg)
+    warm, b = timed(theta0, data, cfg)
+    same = calibration.dump_calibration_result(a) == calibration.dump_calibration_result(b)
+    for label, t, res in (("cold", cold, a), ("warm", warm, b)):
+        print(f"{name}, {label} cache: {t:.3f} s ({res.n_evals} evaluations, "
+              f"{1e3 * t / res.n_evals:.1f} ms each)")
+    print(f"{name} results identical: {same}")
+
+
 def main():
     seed = 0
     data, _, starts, cfg, _ = workloads.CalibrateWorkload.setup(seed, workloads.FULL)
-    cfg = replace(cfg, optimizer_seed=seed + 2)
-    calibration._data_encoder.cache_clear()
-    cold, a = timed(starts[0], data, cfg)
-    warm, b = timed(starts[0], data, cfg)
-    same = calibration.dump_calibration_result(a) == calibration.dump_calibration_result(b)
-    print(f"calibrate, cold cache: {cold:.3f} s ({a.n_evals} evaluations)")
-    print(f"calibrate, warm cache: {warm:.3f} s ({b.n_evals} evaluations)")
-    print(f"results identical: {same}")
+    cold_and_warm("calibrate", starts[0], data, replace(cfg, optimizer_seed=seed + 2))
+    data, theta0, cfg = workloads.CalibrateCooling.setup(seed, workloads.FULL)
+    cold_and_warm("calibrate cooling", theta0, data, cfg)
 
 
 if __name__ == "__main__":

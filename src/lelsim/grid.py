@@ -171,7 +171,8 @@ def newton(residual, jacobian, z, lu, n_chord):
 
     Stops as soon as the max-norm is below NEWTON_TOL or not finite, and
     returns (z, max-norm, lu): the last iterate, and the factorization
-    held then, or None when the updates ran out."""
+    held then, or None when the updates ran out.  A non-finite Jacobian
+    factors unchecked and yields a non-finite max-norm."""
     R = residual(z)
     rmax = np.abs(R).max(initial=0.0)
     for chord, n_iter in ((True, n_chord), (False, NEWTON_MAX_ITER)):
@@ -179,7 +180,7 @@ def newton(residual, jacobian, z, lu, n_chord):
             if rmax < NEWTON_TOL or not math.isfinite(rmax):
                 return z, rmax, lu
             if lu is None or not chord:
-                lu = lu_factor(jacobian(z))
+                lu = lu_factor(jacobian(z), check_finite=False)
             dz = lu_solve(lu, R)
             alpha = 1.0
             for _bt in range(6):

@@ -14,9 +14,16 @@ u = 1 + b^2, the torque and power drawn at terminal voltage v are
     D = (Rs u + c b)^2 + (X' u + c)^2,
 
 so an equilibrium at a torque or power target is a root of the quartic
-target*D - numerator.  The stable (low-slip) operating point is its
-smallest real non-negative root with s <= 1; without one, the target is
-past pull-out and there is no equilibrium.
+q(b) = target*D - numerator.  The stable (low-slip) operating point is its
+smallest non-negative root with s <= 1; without one, the target is past
+pull-out and there is no equilibrium.
+
+Torque and power are both |v|^2 g(b) with g = numerator/D, which depends
+on the impedances alone.  The positive roots of the numerator of g'
+split (0, ws*T0'] into segments on which g is monotone, so q changes
+sign at most once on each; they are found once per impedance set.  The
+root is then solved in the first segment whose right end has q <= 0, by
+Newton's method safeguarded with bisection.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +40,13 @@ from lelsim.errors import InvalidArgument, NoEquilibrium, require_finite
 # rad/s; the equilibrium uses only the product OMEGA_SYNC * T0', where it
 # cancels.  The grid engine forms T0' from the case's own f_base.
 OMEGA_SYNC = 2 * math.pi * 60.0
+
+# The equilibrium solve stops an element once its step is below this
+# share of its root, or after _RTSAFE_ITER steps.  From the linearisation
+# at b = 0 a 600-sample ride converges in five; bisection alone
+# would need about 60 from the widest bracket.
+_RTSAFE_TOL = 1e-14
+_RTSAFE_ITER = 100
 
 
 class MotorMode(enum.Enum):
@@ -95,43 +110,122 @@ class MotorState:
             raise InvalidArgument("timers must be >= 0")
 
 
+@lru_cache(maxsize=64)
+def _monotone_segments(r: float, xp: float, x0: float, b_max: float, power: bool):
+    """(d, num, starts, ends, d_end, num_end) for one impedance set: the
+    coefficients of D and of the torque (or power) numerator in ascending
+    powers of b, the left and right ends of the segments of [0, b_max] on
+    which their ratio g is monotone, and D and the numerator at the right
+    ends.  The arrays are shared by every caller and read-only."""
+    c = x0 - xp
+    d = np.array([r * r + x0 * x0, 2 * r * c, c * c + 2 * r * r + 2 * xp * x0,
+                  2 * r * c, r * r + xp * xp])
+    num = np.array([r, c, 2 * r, c, r]) if power else np.array([0.0, c, 0.0, c, 0.0])
+    # numerator of g' = num' D - num D'; its degree-7 terms cancel exactly
+    k = np.arange(1.0, 5.0)
+    slope = np.convolve(k * num[1:], d) - np.convolve(num, k * d[1:])
+    roots = np.roots(slope[6::-1])
+    # a near-real pair counts as real: a spurious end only splits a segment
+    real = roots.real[(abs(roots.imag) <= 1e-6 * abs(roots))
+                      & (roots.real > 0) & (roots.real < b_max)]
+    ends = np.append(np.sort(real), b_max)
+    powers = ends[:, None] ** np.arange(5)
+    out = (d, num, np.append(0.0, ends[:-1]), ends, powers @ d, powers @ num)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _select(cond, a, b):
+    """np.where for Python scalars."""
+    return a if cond else b
+
+
+def _rtsafe(c, lo, hi):
+    """Root in [lo, hi] of the quartic c[0] + c[1] b + ... + c[4] b^4 with
+    c[0] > 0, positive at lo and not positive at hi: Newton's method from the
+    linearisation at b = 0, clipped into the bracket, bisecting whenever
+    the Newton step would leave the bracket or would not halve the step
+    before last (rtsafe; Press et al., Numerical Recipes, sec. 9.4).
+    Works elementwise on arrays or on Python floats with the same
+    arithmetic, and freezes each element once its step falls below
+    _RTSAFE_TOL of it, so a vector call equals the scalar calls bit for
+    bit."""
+    where, finished = ((np.where, np.all) if isinstance(lo, np.ndarray)
+                       else (_select, bool))
+    c0, c1, c2, c3, c4 = c
+    d1, d2, d3 = 2 * c2, 3 * c3, 4 * c4
+    # c0 > 0, so the linearisation crosses zero only where c1 < 0
+    x = where(c1 < 0, -c0 / where(c1 < 0, c1, -1.0), hi)
+    x = where(x < lo, lo, where(x > hi, hi, x))
+    step = step_old = hi - lo
+    done = False
+    for _ in range(_RTSAFE_ITER):
+        q = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+        dq = ((d3 * x + d2) * x + d1) * x + c1
+        above = q > 0
+        lo = where(above, x, lo)
+        hi = where(above, hi, x)
+        # dq = 0 with q != 0 always bisects, so the Newton division is safe
+        bisect = ((((x - hi) * dq - q) * ((x - lo) * dq - q) > 0)
+                  | (abs(2 * q) > abs(step_old * dq)))
+        x_new = where(bisect, 0.5 * (lo + hi),
+                      x - q / where(bisect | (q == 0), 1.0, dq))
+        step_old, step = step, x_new - x
+        converged = abs(step) <= _RTSAFE_TOL * x_new
+        x = where(done, x, x_new)
+        done = done | converged
+        if finished(done):
+            break
+    return x
+
+
 def _equilibrium(target, v, params: CoolingParams, power: bool):
     """Stable-branch (slip, e', i) where the torque, or with power=True
     the power, at terminal phasor v equals target; e' and i are in the
     frame of v, and target and v broadcast over a whole voltage ride.
 
-    The quartic is solved in y = 1/b through batched companion matrices.
-    Its leading coefficient, target*D - numerator at b = 0, is positive
-    exactly when the target lies above the zero-slip value (zero: slip
-    0), and the stable root is the largest real y with slip <= 1.
+    q(0), the quartic's constant term, is positive exactly when the target
+    lies above the zero-slip value (zero: slip 0).  The root is the first
+    sign change of q on the monotone segments of (0, ws*T0'], solved from
+    the linearisation of q at b = 0 by safeguarded Newton (`_rtsafe`);
+    no segment end with q <= 0 means the target is above pull-out.
     """
     target, v = np.broadcast_arrays(np.asarray(target, dtype=float),
                                     np.asarray(v, dtype=complex))
+    if not np.isfinite(target + v).all():
+        for name, x in (("target", target), ("voltage", v)):
+            bad = ~np.isfinite(x)
+            if bad.any():
+                k = np.flatnonzero(bad)[0]
+                raise InvalidArgument(f"{name} {x.flat[k]} at sample {k} is not finite")
     r, xp, x0 = params.R_s, params.x_trans, params.x_open
-    c = x0 - xp
-    # coefficients of D and the numerator in ascending powers of b
-    d = np.array([r * r + x0 * x0, 2 * r * c, c * c + 2 * r * r + 2 * xp * x0,
-                  2 * r * c, r * r + xp * xp])
-    num = np.array([r, c, 2 * r, c, r]) if power else np.array([0.0, c, 0.0, c, 0.0])
-    coef = target[..., None] * d - (np.abs(v) ** 2)[..., None] * num
-    lead = coef[..., 0]
-    comp = np.zeros(target.shape + (4, 4))
-    comp[..., 0, :] = -coef[..., 1:] / np.where(lead > 0, lead, 1.0)[..., None]
-    comp[..., [1, 2, 3], [0, 1, 2]] = 1.0
-    y = np.linalg.eigvals(comp)
     wt0 = OMEGA_SYNC * params.t0_prime
-    # eigvals of a real matrix gives its real eigenvalues a zero imaginary part
-    y_stable = np.where((y.imag == 0) & (y.real * wt0 >= 1), y.real, 0.0).max(axis=-1)
-    missing = (lead < 0) | ((lead > 0) & (y_stable == 0))
+    d, num, starts, ends, d_end, num_end = _monotone_segments(r, xp, x0, wt0, power)
+    vv = np.abs(v) ** 2
+    coef = target[..., None] * d - vv[..., None] * num
+    lead = coef[..., 0]
+    crossed = target[..., None] * d_end - vv[..., None] * num_end <= 0
+    solve = lead > 0
+    missing = (lead < 0) | (solve & ~crossed.any(axis=-1))
     if missing.any():
         k = np.flatnonzero(missing)[0]
         side = "below its zero-slip value" if lead.flat[k] < 0 else "above pull-out"
         raise NoEquilibrium(f"{'power' if power else 'torque'} {target.flat[k]:.4f} pu "
                             f"{side} at |V|={abs(v.flat[k]):.3f} pu")
-    b = np.divide(1.0, y_stable, out=np.zeros(lead.shape), where=lead > 0)
+    b = np.zeros(lead.shape)
+    if solve.any():
+        c = coef[solve]
+        seg = crossed[solve].argmax(axis=-1)
+        lo, hi = starts[seg], ends[seg]
+        # one root, the grid's per-motor calls, costs less on Python floats
+        if len(c) == 1:
+            b[solve] = _rtsafe(c[0].tolist(), lo.item(), hi.item())
+        else:
+            b[solve] = _rtsafe(c.T.copy(), lo, hi)
     # de'/dt = 0 gives e' = a i with a = j c / (1 + j b); the stator
     # relation then gives i = v / (Rs + j X' + a)
-    a = 1j * c / (1 + 1j * b)
+    a = 1j * (x0 - xp) / (1 + 1j * b)
     i = v / (complex(r, xp) + a)
     return b / wt0, a * i, i
 

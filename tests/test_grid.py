@@ -609,10 +609,10 @@ class NewtonSpy:
             self.rmax = np.abs(R).max()
             return R
 
-        def spy_factor(a):
+        def spy_factor(a, **kw):
             if len(a) == self.N:
                 self.factored.append((self.step, self.rmax))
-            return lu_factor(a)
+            return lu_factor(a, **kw)
 
         def spy_solve(lu_piv, b):
             if len(b) == self.N:
@@ -642,8 +642,8 @@ class TestNewton:
         factored = []
         lu_factor = grid.lu_factor
 
-        def spy(a):
-            factored.append(lu_factor(a))
+        def spy(a, **kw):
+            factored.append(lu_factor(a, **kw))
             return factored[-1]
 
         monkeypatch.setattr("lelsim.grid.lu_factor", spy)
@@ -700,6 +700,13 @@ class TestNewton:
         # steps per update, none of which lowers the max-norm below 1
         assert len(factored) == 1 + 3
         assert len(calls) == 1 + (2 + 3) * 6
+
+    def test_non_finite_jacobian_gives_a_non_finite_max_norm(self):
+        # scipy's checked lu_factor would raise ValueError here; the
+        # callers name a collapse from the max-norm instead
+        z, rmax, _ = grid.newton(lambda z: z - 1.0, lambda z: np.full((2, 2), np.nan),
+                                 np.array([3.0, 2.0]), None, 0)
+        assert not math.isfinite(rmax)
 
     def test_a_fault_run_calls_it_for_power_flow_resolves_and_steps(self, monkeypatch):
         calls = []
@@ -1036,9 +1043,9 @@ class TestEngineOracles:
         matrices = []
         lu_factor = grid.lu_factor
 
-        def spy(a):
+        def spy(a, **kw):
             matrices.append(a.copy())
-            return lu_factor(a)
+            return lu_factor(a, **kw)
 
         monkeypatch.setattr("lelsim.grid.lu_factor", spy)
         delta, _, _, V = eng.unpack(z)
