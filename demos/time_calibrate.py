@@ -9,6 +9,10 @@ on one trace share.  Then does the same on the seed-0 inputs of
 calibrate_cooling, clearing the motor equilibrium's per-impedance cache
 as well, and prints the milliseconds per objective evaluation.
 
+Each calibration's `dump_calibration_result` is also printed as a
+SHA-256, so two checkouts whose calibrations are bit-identical print the
+same hashes.
+
 Usage, from the root of a checkout:
 
     PYTHONPATH=src python demos/time_calibrate.py
@@ -20,6 +24,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import hashlib  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from dataclasses import replace  # noqa: E402
@@ -42,11 +47,13 @@ def cold_and_warm(name, theta0, data, cfg):
     thermal_aux._monotone_segments.cache_clear()
     cold, a = timed(theta0, data, cfg)
     warm, b = timed(theta0, data, cfg)
-    same = calibration.dump_calibration_result(a) == calibration.dump_calibration_result(b)
+    dump = calibration.dump_calibration_result(a)
+    same = dump == calibration.dump_calibration_result(b)
     for label, t, res in (("cold", cold, a), ("warm", warm, b)):
         print(f"{name}, {label} cache: {t:.3f} s ({res.n_evals} evaluations, "
               f"{1e3 * t / res.n_evals:.1f} ms each)")
     print(f"{name} results identical: {same}")
+    print(f"{name} result sha256: {hashlib.sha256(dump.encode()).hexdigest()}")
 
 
 def main():

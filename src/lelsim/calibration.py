@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +28,7 @@ from lelsim.tcl import (
     segment_windows,
     train_encoder,
 )
-from lelsim.traceio import Trace
+from lelsim.traceio import Trace, step_count
 from lelsim.workload import WorkloadParams, linear_recurrence, simulate_workload
 
 
@@ -103,9 +103,7 @@ def simulate_subsystem(params, subsystem: str, horizon: float, dt: float,
         return simulate_workload(params, horizon, dt, seed)
     if subsystem not in ("cooling", "aux"):
         raise InvalidArgument(f"unknown subsystem {subsystem!r}")
-    if not 0 < dt < horizon < math.inf:
-        raise InvalidArgument("need finite horizon > dt > 0")
-    v = _voltage_excitation(int(horizon / dt), seed)
+    v = _voltage_excitation(step_count(horizon, dt), seed)
     if subsystem == "aux":
         p = aux_power(v, params)[0]
     else:
@@ -144,7 +142,7 @@ def model_pattern(theta: dict, encoder: Encoder, cfg: CalibrationConfig) -> np.n
     acc = None
     for rep in range(cfg.n_repeats):
         trace = _simulate_theta(theta, cfg, rep)
-        X = segment_windows(trace, cfg.window_length)
+        X = segment_windows(trace.first_channel(), cfg.window_length)
         s = pattern_vector(encode_windows(encoder, X))
         acc = s if acc is None else acc + s
     return acc / cfg.n_repeats
@@ -199,14 +197,14 @@ def from_unconstrained(u: np.ndarray, bounds: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _data_encoder(series: bytes, window_length: int, train: tuple,
+def _data_encoder(series: bytes, window_length: int, train: TrainConfig,
                   encoder_seed: int) -> tuple[Encoder, np.ndarray]:
     """The encoder trained on the windows of a float64 series, and the
     series' pattern vector under it, both read-only.  They depend on
     nothing else, so calibrations from several starts on one trace share
     one training; several results then hold the same Encoder object."""
     X = segment_windows(np.frombuffer(series), window_length)
-    encoder = train_encoder(X, TrainConfig(*train), seed=encoder_seed)
+    encoder = train_encoder(X, train, seed=encoder_seed)
     s_data = pattern_vector(encode_windows(encoder, X))
     for a in (encoder.W1, encoder.b1, encoder.W2, encoder.b2, s_data):
         a.flags.writeable = False
@@ -232,11 +230,17 @@ def calibrate(theta_init: dict, data_trace: Trace,
             f"data trace too short: {len(data)} < {4 * cfg.window_length}")
     _check_bounds(theta_init, cfg)
 
-    encoder = None
-    data_pattern = None
     if cfg.mode is ObjectiveMode.PATTERN:
         encoder, data_pattern = _data_encoder(
-            data.tobytes(), cfg.window_length, astuple(cfg.train), cfg.encoder_seed)
+            data.tobytes(), cfg.window_length, cfg.train, cfg.encoder_seed)
+
+        def objective(theta):
+            return calibration_objective(theta, data_pattern, encoder, cfg)
+    else:
+        encoder = None
+
+        def objective(theta):
+            return mse_objective(theta, data_trace, cfg)
 
     evals = {"n": 0}
     best = {"u": to_unconstrained(theta_init, cfg.bounds), "f": math.inf}
@@ -246,11 +250,7 @@ def calibrate(theta_init: dict, data_trace: Trace,
         if evals["n"] >= cfg.max_evals:
             # budget spent: return a value that cannot be accepted
             return best["f"] + 1.0
-        theta = from_unconstrained(u, cfg.bounds)
-        if cfg.mode is ObjectiveMode.PATTERN:
-            f = calibration_objective(theta, data_pattern, encoder, cfg)
-        else:
-            f = mse_objective(theta, data_trace, cfg)
+        f = objective(from_unconstrained(u, cfg.bounds))
         evals["n"] += 1
         if f < best["f"]:
             best["f"] = f
@@ -272,14 +272,13 @@ def calibrate(theta_init: dict, data_trace: Trace,
                       "xatol": 1e-8, "fatol": 1e-12})
 
     theta_star = from_unconstrained(best["u"], cfg.bounds)
-    # theta_star is the best evaluated point, so its objective is best["f"];
-    # theta_init is evaluated again because the logit round trip moves it
-    if cfg.mode is ObjectiveMode.PATTERN:
-        initial = calibration_objective(theta_init, data_pattern, encoder, cfg)
-        final = best["f"]
+    # the pattern distances, which an MSE run does not have.  theta_star is
+    # the best evaluated point, so its distance is best["f"]; theta_init is
+    # evaluated again because the logit round trip moves it
+    if encoder is None:
+        initial = final = math.nan
     else:
-        initial = float("nan")
-        final = float("nan")
+        initial, final = objective(theta_init), best["f"]
     return CalibrationResult(theta_star=theta_star, objective_trace=trace_vals,
                              final_pattern_distance=final,
                              initial_pattern_distance=initial,

@@ -55,7 +55,7 @@ class Branch:
     r: float
     x: float
     b_shunt: float
-    tap: float = 1.0
+    tap: float = 1.0     # off-nominal ratio on the from side; 0 means 1
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,9 @@ def validate_case(case: GridCase) -> None:
             raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: unknown bus")
         if br.r == 0 and br.x == 0:
             raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: zero impedance")
+        if not br.tap >= 0:
+            raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: tap must be >= 0 "
+                                  f"(0 means 1), got {br.tap}")
     by_id = {b.id: b for b in case.buses}
     gen_buses = [g.bus for g in case.generators]
     if len(set(gen_buses)) != len(gen_buses):
@@ -184,7 +187,7 @@ def _bus(row) -> Bus:
 def _branch(row) -> Branch:
     tap = float(row[5]) if len(row) == 6 and row[5] else 1.0
     return Branch(from_bus=int(row[0]), to_bus=int(row[1]), r=float(row[2]),
-                  x=float(row[3]), b_shunt=float(row[4]), tap=tap if tap != 0.0 else 1.0)
+                  x=float(row[3]), b_shunt=float(row[4]), tap=tap)
 
 
 def _generator(row) -> Generator:

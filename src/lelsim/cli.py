@@ -214,7 +214,7 @@ def cmd_sweep_tcl(args) -> int:
     for L in l_values:
         X = segment_windows(x, L)
         for d in d_values:
-            cfg = TrainConfig(d=d, h=max(2 * d, 32), epochs=args.epochs)
+            cfg = TrainConfig(d=d, epochs=args.epochs)
             enc = train_encoder(X, cfg, seed=args.seed)
             s1 = pattern_vector(encode_windows(enc, segment_windows(x[:half], L)))
             s2 = pattern_vector(encode_windows(enc, segment_windows(x[half:], L)))

@@ -1,11 +1,14 @@
 """Contrastive window embeddings and the pattern statistic they induce.
 
-A trace is cut into an (N, L) block of overlapping windows, one window
-per row; two stochastically augmented views of each row form a positive
-pair and a two-layer tanh network is trained with an InfoNCE loss over
-cosine similarities.  The trained encoder maps windows to d-dimensional
-embeddings whose elementwise mean and population variance form the
-2d-dimensional pattern vector used as the calibration target.
+A 1-D series is cut into an (N, L) block of windows at stride
+max(1, L // 2), one window per row; two stochastically augmented views
+of each row form a positive pair and a two-layer tanh network is trained
+with an InfoNCE loss over cosine similarities (van den Oord et al. 2018).
+The trained encoder maps windows to d-dimensional embeddings whose
+elementwise mean and population variance form the 2d-dimensional
+pattern vector used as the calibration target.  Only L, d (hidden width
+max(2d, 32)) and the number of epochs vary; the rest of the recipe is
+the module constants below.
 
 The network is small enough that backpropagation is written out by hand
 (no autodiff dependency), which keeps the gradient exactly checkable
@@ -23,7 +26,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from lelsim.errors import InvalidArgument
-from lelsim.traceio import Trace
+
+TEMPERATURE = 0.1
+BATCH = 64
+STEP_SIZE = 1e-2
+SCALE_RANGE = (0.8, 1.2)   # amplitude scaling of an augmented view
+NOISE_FRAC = 0.05          # view noise, as a share of the window's std
 
 
 @dataclass(frozen=True)
@@ -45,69 +53,48 @@ class Encoder:
         return self.W1.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     d: int = 64
-    h: int = 128
-    temperature: float = 0.1
     epochs: int = 200
-    batch: int = 64
-    step_size: float = 1e-2
-    scale_range: tuple[float, float] = (0.8, 1.2)
-    noise_frac: float = 0.05
 
     def __post_init__(self):
-        if self.d < 1 or self.h < 1 or self.epochs < 1 or self.batch < 2:
-            raise InvalidArgument("d, h, epochs >= 1 and batch >= 2 required")
-        if self.temperature <= 0:
-            raise InvalidArgument("temperature must be > 0")
-        lo, hi = self.scale_range
-        if not (0 < lo <= hi):
-            raise InvalidArgument("scale_range must satisfy 0 < lo <= hi")
-        # a tuple, so that astuple(cfg) is hashable and can key a cache
-        self.scale_range = (lo, hi)
-        if self.noise_frac < 0:
-            raise InvalidArgument("noise_frac must be >= 0")
+        if self.d < 1 or self.epochs < 1:
+            raise InvalidArgument("d and epochs must be >= 1")
+
+    @property
+    def h(self) -> int:
+        """Hidden width."""
+        return max(2 * self.d, 32)
 
 
-def default_stride(L: int) -> int:
-    """Genuinely overlapping default: half the window length."""
-    return max(1, L // 2)
+def segment_windows(x: np.ndarray, L: int) -> np.ndarray:
+    """(N, L) block whose row i is the window of the 1-D series x at
+    origin i * max(1, L // 2), so that neighbouring windows overlap.
 
-
-def segment_windows(series: Trace | np.ndarray, L: int, stride: int | None = None
-                    ) -> np.ndarray:
-    """(N, L) block whose row i is the window at origin i * stride.
-
-    A Trace is cut along its first channel.  The block is a fresh
-    C-contiguous array; it shares no memory with the series.
+    The block is a fresh C-contiguous array; it shares no memory with x.
     """
-    x = np.asarray(series.first_channel() if isinstance(series, Trace) else series,
-                   dtype=float)
+    x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InvalidArgument(f"series must be 1-D, got {x.ndim} dimensions")
     if L < 2:
         raise InvalidArgument("L must be >= 2")
-    if stride is None:
-        stride = default_stride(L)
-    if not (1 <= stride <= L):
-        raise InvalidArgument("stride must lie in [1, L]")
     n = x.shape[0]
     if n < L:
         raise InvalidArgument(f"trace length {n} shorter than window length {L}")
-    origins = np.arange(0, n - L + 1, stride)
+    origins = np.arange(0, n - L + 1, max(1, L // 2))
     return x[origins[:, None] + np.arange(L)]
 
 
-def augment(X: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
+def augment(X: np.ndarray, rng: np.random.Generator):
     """Two independent views of each row: random amplitude scaling in
-    cfg.scale_range plus noise of cfg.noise_frac times the row's std."""
-    lo, hi = cfg.scale_range
+    SCALE_RANGE plus noise of NOISE_FRAC times the row's std."""
+    lo, hi = SCALE_RANGE
     sd = X.std(axis=1, keepdims=True)
     views = []
     for _ in range(2):
         s = rng.uniform(lo, hi, size=(X.shape[0], 1))
-        eps = rng.standard_normal(X.shape) * (cfg.noise_frac * sd)
+        eps = rng.standard_normal(X.shape) * (NOISE_FRAC * sd)
         views.append(s * X + eps)
     return views[0], views[1]
 
@@ -213,13 +200,13 @@ def train_encoder(X: np.ndarray, cfg: TrainConfig, seed: int) -> Encoder:
         order = rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
-        for start in range(0, n, cfg.batch):
-            idx = order[start:start + cfg.batch]
+        for start in range(0, n, BATCH):
+            idx = order[start:start + BATCH]
             if len(idx) < 2:
                 continue
-            X1, X2 = augment(X[idx], cfg, rng)
-            loss, grads = loss_and_gradients(encoder, X1, X2, cfg.temperature)
-            scale = cfg.step_size / len(idx)
+            X1, X2 = augment(X[idx], rng)
+            loss, grads = loss_and_gradients(encoder, X1, X2, TEMPERATURE)
+            scale = STEP_SIZE / len(idx)
             for name, g in grads.items():
                 w = getattr(encoder, name)
                 w -= scale * g

@@ -1,8 +1,10 @@
-"""Uniformly sampled multi-channel traces and their CSV round-trip."""
+"""Uniformly sampled multi-channel traces, their CSV round-trip, and the
+step grid that simulations sample them on."""
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +14,22 @@ from lelsim.errors import InvalidArgument, ValidationError
 # Relative jitter allowed in the time column before it is rejected
 # as non-uniform.
 _MAX_REL_JITTER = 1e-9
+
+
+def off_grid(t: float, dt: float) -> bool:
+    """Whether t misses the step grid k*dt by more than dt*1e-6; a time
+    on the grid belongs to step round(t / dt)."""
+    return abs(t - round(t / dt) * dt) > dt * 1e-6
+
+
+def step_count(horizon: float, dt: float) -> int:
+    """The number of steps dt in a finite horizon > dt > 0, which must be
+    a whole number of them."""
+    if not 0 < dt < horizon < math.inf:
+        raise InvalidArgument("need finite horizon > dt > 0")
+    if off_grid(horizon, dt):
+        raise InvalidArgument(f"horizon {horizon} is not a whole number of steps dt={dt}")
+    return round(horizon / dt)
 
 
 @dataclass
@@ -49,9 +67,9 @@ class Trace:
 def read_trace(path_or_file) -> Trace:
     """Read a trace CSV with header ``t,<channel>,...``.
 
-    The time column must be strictly increasing and uniform within
-    relative jitter 1e-9.  Raises ValidationError naming the offending
-    row or channel.
+    It needs at least two data rows, and the time column must be strictly
+    increasing and uniform within relative jitter 1e-9.  Raises
+    ValidationError naming the offending row or channel.
     """
     if hasattr(path_or_file, "read"):
         rows = list(csv.reader(path_or_file))
@@ -83,16 +101,16 @@ def read_trace(path_or_file) -> Trace:
         raise ValidationError(f"row {bad}: non-finite value")
     t = data[:, 0]
     if len(t) < 2:
-        dt = 1.0
-    else:
-        steps = np.diff(t)
-        if (steps <= 0).any():
-            bad = int(np.argmax(steps <= 0)) + 3
-            raise ValidationError(f"row {bad}: time column not strictly increasing")
-        dt = float(steps[0])
-        if np.abs(steps - dt).max() > _MAX_REL_JITTER * max(abs(t[-1]), dt):
-            bad = int(np.argmax(np.abs(steps - dt))) + 3
-            raise ValidationError(f"row {bad}: non-uniform sample period")
+        raise ValidationError(f"trace file has {len(t)} data row(s); a sample "
+                              "period needs at least 2")
+    steps = np.diff(t)
+    if (steps <= 0).any():
+        bad = int(np.argmax(steps <= 0)) + 3
+        raise ValidationError(f"row {bad}: time column not strictly increasing")
+    dt = float(steps[0])
+    if np.abs(steps - dt).max() > _MAX_REL_JITTER * max(abs(t[-1]), dt):
+        bad = int(np.argmax(np.abs(steps - dt))) + 3
+        raise ValidationError(f"row {bad}: non-uniform sample period")
     channels = {name: data[:, j + 1].copy() for j, name in enumerate(names)}
     return Trace(sample_period=dt, channels=channels)
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from lelsim.errors import InvalidArgument, require_finite
-from lelsim.traceio import Trace
+from lelsim.traceio import Trace, step_count
 
 
 @dataclass(frozen=True)
@@ -193,11 +193,9 @@ def workload_path(params: WorkloadParams, n_steps: int, dt: float,
 
 def simulate_workload(params: WorkloadParams, horizon: float, dt: float,
                       seed: int) -> Trace:
-    """Generate an active-power trace of length floor(horizon/dt), starting
-    from mu_eta.  Bit-reproducible for a fixed seed."""
-    if not 0 < dt < horizon < math.inf:
-        raise InvalidArgument("need finite horizon > dt > 0")
-    p = workload_path(params, int(horizon / dt), dt, seed)
+    """Generate an active-power trace of horizon/dt samples, starting from
+    mu_eta.  Bit-reproducible for a fixed seed."""
+    p = workload_path(params, step_count(horizon, dt), dt, seed)
     return Trace(sample_period=dt, channels={"p_work": p})
 
 

@@ -1,6 +1,6 @@
 """Unit tests for pattern-consistent calibration."""
 
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,14 +38,14 @@ def make_cfg(**overrides):
     base = dict(base_params=TRUE, bounds=BOUNDS, subsystem="workload",
                 mode=ObjectiveMode.PATTERN, max_evals=25, horizon=900.0,
                 dt=1.0, sim_seed=1, encoder_seed=2, optimizer_seed=3,
-                window_length=5, train=TrainConfig(d=8, h=16, epochs=10),
+                window_length=5, train=TrainConfig(d=8, epochs=10),
                 n_repeats=1)
     base.update(overrides)
     return CalibrationConfig(**base)
 
 
 def trained_encoder(cfg, data):
-    windows = segment_windows(data, cfg.window_length)
+    windows = segment_windows(data.first_channel(), cfg.window_length)
     return train_encoder(windows, cfg.train, seed=cfg.encoder_seed)
 
 
@@ -92,7 +92,8 @@ class TestObjectives:
         cfg = make_cfg()
         data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=99)
         enc = trained_encoder(cfg, data)
-        s_data = pattern_vector(encode_windows(enc, segment_windows(data, cfg.window_length)))
+        s_data = pattern_vector(encode_windows(
+            enc, segment_windows(data.first_channel(), cfg.window_length)))
         theta = {"mu_eta": 0.5, "sigma_xi": 0.5}
         a = calibration_objective(theta, s_data, enc, cfg)
         b = calibration_objective(theta, s_data, enc, cfg)
@@ -141,6 +142,14 @@ class TestObjectives:
 
 
 class TestSubsystemSimulators:
+    @pytest.mark.parametrize("subsystem", ["workload", "cooling", "aux"])
+    def test_horizon_is_a_whole_number_of_steps(self, subsystem):
+        params = {"workload": TRUE, "cooling": archetype_defaults(Archetype.DATACENTER).cool,
+                  "aux": archetype_defaults(Archetype.DATACENTER).aux}[subsystem]
+        assert len(simulate_subsystem(params, subsystem, 4.3, 0.1, seed=0)) == 43
+        with pytest.raises(InvalidArgument, match="not a whole number of steps"):
+            simulate_subsystem(params, subsystem, 4.35, 0.1, seed=0)
+
     def test_cooling_trace_positive_power(self):
         params = archetype_defaults(Archetype.DATACENTER).cool
         trace = simulate_subsystem(params, "cooling", 60.0, 1.0, seed=0)
@@ -288,7 +297,7 @@ class TestEncoderCache:
     @pytest.mark.parametrize("change", [
         "data_sample", "window_length", "encoder_seed", "train_field"])
     def test_any_input_of_the_training_retrains(self, train_calls, change):
-        cfg = make_cfg(max_evals=2, train=TrainConfig(d=4, h=8, epochs=2))
+        cfg = make_cfg(max_evals=2, train=TrainConfig(d=4, epochs=2))
         data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
         calibrate(self.INIT, data, cfg)
         if change == "data_sample":
@@ -300,7 +309,7 @@ class TestEncoderCache:
         elif change == "encoder_seed":
             cfg = replace(cfg, encoder_seed=cfg.encoder_seed + 1)
         else:
-            cfg = replace(cfg, train=replace(cfg.train, noise_frac=0.06))
+            cfg = replace(cfg, train=replace(cfg.train, epochs=3))
         calibrate(self.INIT, data, cfg)
         assert len(train_calls) == 2
 
@@ -309,8 +318,7 @@ class TestEncoderCache:
         data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
         result = calibrate(self.INIT, data, cfg)
         encoder, s_data = _data_encoder(data.first_channel().tobytes(),
-                                        cfg.window_length, astuple(cfg.train),
-                                        cfg.encoder_seed)
+                                        cfg.window_length, cfg.train, cfg.encoder_seed)
         assert encoder is result.encoder
         assert len(train_calls) == 1
         for arr in (encoder.W1, encoder.b1, encoder.W2, encoder.b2, s_data):
@@ -321,21 +329,13 @@ class TestEncoderCache:
 
     def test_cache_is_bounded(self, train_calls):
         cfg = make_cfg(max_evals=1, horizon=60.0,
-                       train=TrainConfig(d=2, h=4, epochs=1, batch=8))
+                       train=TrainConfig(d=2, epochs=1))
         data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
         for seed in range(9):
             calibrate(self.INIT, data, replace(cfg, encoder_seed=seed))
         assert _data_encoder.cache_info().currsize == 8
         calibrate(self.INIT, data, replace(cfg, encoder_seed=0))
         assert len(train_calls) == 10
-
-    def test_list_scale_range_is_accepted(self, train_calls):
-        cfg = make_cfg(max_evals=1, train=TrainConfig(d=4, h=8, epochs=2,
-                                                      scale_range=[0.9, 1.1]))
-        data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
-        calibrate(self.INIT, data, cfg)
-        calibrate(self.INIT, data, cfg)
-        assert len(train_calls) == 1
 
     def test_robustness_command_trains_once(self, train_calls, tmp_path):
         data = simulate_workload(TRUE, 300.0, 1.0, seed=3)

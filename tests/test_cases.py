@@ -2,10 +2,12 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from lelsim.cases import bundled_case, load_case, validate_case
 from lelsim.errors import ValidationError
+from lelsim.grid import build_ybus
 
 MINIMAL = """\
 [SYSTEM]
@@ -62,6 +64,15 @@ class TestLoadCase:
     def test_malformed_row_rejected_naming_section_and_row(self, old, new, where):
         with pytest.raises(ValidationError, match=rf"line \d+: {re.escape(where)} row \["):
             load_case(MINIMAL.replace(old, new))
+
+    def test_zero_tap_means_nominal(self):
+        nominal = load_case(MINIMAL)
+        zero = load_case(MINIMAL.replace("1,2,0.01,0.1,0.02", "1,2,0.01,0.1,0.02,0"))
+        assert np.array_equal(build_ybus(zero), build_ybus(nominal))
+
+    def test_negative_tap_rejected_naming_the_branch(self):
+        with pytest.raises(ValidationError, match="branch 1-2: tap must be >= 0"):
+            load_case(MINIMAL.replace("1,2,0.01,0.1,0.02", "1,2,0.01,0.1,0.02,-0.5"))
 
     def test_zero_damping_allowed(self):
         case = load_case(MINIMAL.replace("1,5.0,50.0,0.2,0,1.04", "1,5.0,0,0.2,0,1.04"))

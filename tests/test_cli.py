@@ -187,6 +187,17 @@ class TestCalibrateCommand:
         assert "[theta_star]" in text
         assert "mu_eta=" in text
 
+    @pytest.mark.parametrize("mode", ["pattern", "mse"])
+    def test_trace_at_a_fractional_sample_period(self, tmp_path, mode):
+        # 43 rows at 0.1 s: the model is simulated for 43 samples, not 42
+        data = tmp_path / "d.csv"
+        p = 5.0 + np.random.default_rng(0).standard_normal(43)
+        write_trace(Trace(sample_period=0.1, channels={"p": p}), str(data))
+        rc = run(["calibrate", str(data), "--bound", "mu_eta=0.2:0.9",
+                  "--mode", mode, "--max-evals", "4", "--epochs", "2",
+                  "--repeats", "1", "--out", str(tmp_path / "cal.txt")])
+        assert rc == 0
+
     def test_bad_bound_spec_is_validation_error(self, workload_csv, tmp_path):
         rc = run(["calibrate", str(workload_csv), "--bound", "mu_eta=oops",
                   "--out", str(tmp_path / "cal.txt")])
@@ -277,9 +288,10 @@ class TestMalformedInput:
         ("1,5.0,100.0,0.20,0,1.00", "1,5.0,-100,0.20,0,1.00", "need D >= 0"),
         ("1,5.0,100.0,0.20,0,1.00", "1,5.0,100.0,0.20,0,0", "need v_set > 0"),
         ("1,slack,1.00,0,0", "1,slack,-1.0,0,0", "bus 1: v_set must be > 0"),
+        ("1,2,0.01,0.10,0.02", "1,2,0.01,0.10,0.02,-1.0", "branch 1-2: tap must be >= 0"),
     ], ids=["f_base_negative", "s_base_zero", "system_key_typo", "unknown_section",
             "H_negative", "H_zero", "xd_p_negative", "xd_p_zero", "D_negative",
-            "gen_v_set_zero", "slack_v_set_negative"])
+            "gen_v_set_zero", "slack_v_set_negative", "tap_negative"])
     def test_impossible_case_data(self, tmp_path, capsys, old, new, named):
         text = importlib.resources.files("lelsim.data").joinpath("toy2.case").read_text()
         assert old in text

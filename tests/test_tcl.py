@@ -8,12 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lelsim import tcl
 from lelsim.errors import InvalidArgument
 from lelsim.tcl import (
+    NOISE_FRAC,
+    SCALE_RANGE,
+    TEMPERATURE,
     TrainConfig,
     _forward,
     augment,
-    default_stride,
     encode_windows,
     init_encoder,
     loss_and_gradients,
@@ -21,26 +24,25 @@ from lelsim.tcl import (
     segment_windows,
     train_encoder,
 )
-from lelsim.traceio import Trace
 
 
 class TestSegmentation:
     def test_origins_and_shapes(self):
         x = np.arange(20.0)
-        X = segment_windows(x, 6, stride=3)
+        X = segment_windows(x, 6)
         assert X.shape == (5, 6)
         for i, o in enumerate([0, 3, 6, 9, 12]):
             assert np.array_equal(X[i], x[o:o + 6])
 
-    def test_default_stride_is_half_window(self):
-        assert default_stride(5) == 2
-        assert default_stride(2) == 1
+    def test_stride_is_half_window(self):
         X = segment_windows(np.arange(10.0), 4)
         assert np.array_equal(X[:, 0], [0.0, 2.0, 4.0, 6.0])
+        X = segment_windows(np.arange(10.0), 2)
+        assert np.array_equal(X[:, 0], np.arange(9.0))
 
     def test_windows_are_copies(self):
         x = np.arange(10.0)
-        X = segment_windows(x, 4, stride=2)
+        X = segment_windows(x, 4)
         x[0] = 99.0
         assert X[0, 0] == 0.0
         X[1, 0] = -1.0
@@ -50,28 +52,18 @@ class TestSegmentation:
         with pytest.raises(InvalidArgument):
             segment_windows(np.arange(3.0), 5)
 
-    def test_rejects_bad_stride(self):
-        with pytest.raises(InvalidArgument):
-            segment_windows(np.arange(10.0), 4, stride=5)
-
     def test_rejects_multidimensional_series(self):
         with pytest.raises(InvalidArgument, match="1-D"):
             segment_windows(np.zeros((12, 2)), 4)
-
-    def test_accepts_trace_object(self):
-        trace = Trace(sample_period=1.0, channels={"p": np.arange(12.0),
-                                                   "q": -np.arange(12.0)})
-        X = segment_windows(trace, 4)
-        assert np.array_equal(X, segment_windows(np.arange(12.0), 4))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_block_matches_slices(self, data):
         L = data.draw(st.integers(2, 12), label="L")
         n = data.draw(st.integers(L, 60), label="n")
-        stride = data.draw(st.integers(1, L), label="stride")
+        stride = max(1, L // 2)
         x = np.random.default_rng(n * 100 + L).standard_normal(n)
-        X = segment_windows(x, L, stride)
+        X = segment_windows(x, L)
         assert X.shape == ((n - L) // stride + 1, L)
         assert X.flags.c_contiguous
         assert not np.shares_memory(X, x)
@@ -89,7 +81,7 @@ class TestEncoder:
     def test_encode_windows_matches_single(self):
         rng = np.random.default_rng(1)
         enc = init_encoder(5, 8, 4, rng, window_length=5)
-        X = segment_windows(np.sin(np.arange(30.0)), 5, stride=2)
+        X = segment_windows(np.sin(np.arange(30.0)), 5)
         Z = encode_windows(enc, X)
         assert Z.shape == (X.shape[0], 4)
         for i in range(X.shape[0]):
@@ -128,20 +120,20 @@ class TestTraining:
         rng = np.random.default_rng(5)
         x = np.sin(0.3 * np.arange(300)) + 0.1 * rng.standard_normal(300)
         X = segment_windows(x, 5)
-        cfg = TrainConfig(d=8, h=16, epochs=30, batch=16)
+        cfg = TrainConfig(d=8, epochs=30)
         enc = train_encoder(X, cfg, seed=0)
         # compare contrastive loss of trained vs untrained weights on a
         # fixed augmented batch
-        X1, X2 = augment(X[:16], cfg, np.random.default_rng(100))
-        raw = init_encoder(5, 16, 8, np.random.default_rng(0), window_length=5)
-        loss_raw, _ = loss_and_gradients(raw, X1, X2, cfg.temperature)
-        loss_trained, _ = loss_and_gradients(enc, X1, X2, cfg.temperature)
+        X1, X2 = augment(X[:16], np.random.default_rng(100))
+        raw = init_encoder(5, cfg.h, 8, np.random.default_rng(0), window_length=5)
+        loss_raw, _ = loss_and_gradients(raw, X1, X2, TEMPERATURE)
+        loss_trained, _ = loss_and_gradients(enc, X1, X2, TEMPERATURE)
         assert loss_trained < loss_raw
 
     def test_training_deterministic_given_seed(self):
         x = np.sin(0.3 * np.arange(100))
         X = segment_windows(x, 5)
-        cfg = TrainConfig(d=4, h=8, epochs=5, batch=8)
+        cfg = TrainConfig(d=4, epochs=5)
         a = train_encoder(X, cfg, seed=3)
         b = train_encoder(X, cfg, seed=3)
         assert np.array_equal(a.W1, b.W1)
@@ -170,14 +162,39 @@ class TestPatternVector:
             pattern_vector(np.empty((0, 3)))
 
 
+class TestTrainConfig:
+    def test_hidden_width_is_derived_from_d(self):
+        assert TrainConfig().h == 128
+        assert TrainConfig(d=8).h == 32
+
+    def test_rejects_bad_fields(self):
+        for bad in ({"d": 0}, {"epochs": 0}):
+            with pytest.raises(InvalidArgument):
+                TrainConfig(**bad)
+
+
 class TestAugment:
-    def test_zero_noise_pure_scaling(self):
+    def test_zero_noise_pure_scaling(self, monkeypatch):
+        monkeypatch.setattr(tcl, "NOISE_FRAC", 0.0)
         X = np.arange(1.0, 11.0).reshape(2, 5)
-        cfg = TrainConfig(scale_range=(0.5, 2.0), noise_frac=0.0)
-        for view in augment(X, cfg, np.random.default_rng(1)):
+        lo, hi = SCALE_RANGE
+        for view in augment(X, np.random.default_rng(1)):
             ratio = view / X
             assert np.allclose(ratio, ratio[:, :1])
-            assert np.all((0.5 <= ratio) & (ratio <= 2.0))
+            assert np.all((lo <= ratio) & (ratio <= hi))
+
+    def test_views_are_scaled_rows_plus_noise(self):
+        X = np.arange(1.0, 11.0).reshape(2, 5)
+        lo, hi = SCALE_RANGE
+        sd = X.std(axis=1, keepdims=True)
+        for view in augment(X, np.random.default_rng(1)):
+            # some s in SCALE_RANGE puts every sample of a row within
+            # 6 noise standard deviations of s * X
+            tol = 6 * NOISE_FRAC * sd
+            s_lo = np.max((view - tol) / X, axis=1)
+            s_hi = np.min((view + tol) / X, axis=1)
+            assert np.all(s_lo <= s_hi)
+            assert np.all((s_hi >= lo) & (s_lo <= hi))
 
 
 def reference_forward(enc, X):

@@ -153,6 +153,14 @@ class TestSimulateWorkload:
         assert len(trace) == 200
         assert trace.sample_period == 0.5
 
+    def test_horizon_of_a_fractional_step_count(self):
+        # 4.3 / 0.1 rounds down to 42.99999999999999
+        assert len(simulate_workload(make_params(), 4.3, 0.1, seed=0)) == 43
+
+    def test_off_grid_horizon_rejected(self):
+        with pytest.raises(InvalidArgument, match="not a whole number of steps"):
+            simulate_workload(make_params(), 4.35, 0.1, seed=0)
+
     def test_bit_identical_for_same_seed(self):
         a = simulate_workload(make_params(), 50.0, 1.0, seed=5)
         b = simulate_workload(make_params(), 50.0, 1.0, seed=5)
