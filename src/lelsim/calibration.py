@@ -88,12 +88,16 @@ class CalibrationResult:
 # subsystem simulators
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
 def _voltage_excitation(n: int, seed: int) -> np.ndarray:
     """Band-limited seeded voltage ride in [0.85, 1.05] used to excite the
-    voltage-dependent subsystems."""
+    voltage-dependent subsystems, read-only: every evaluation of a
+    calibration replays one cached ride."""
     e = np.random.default_rng([seed, 0xE0]).standard_normal(n)
     x = linear_recurrence(0.02 * e, 0.98)
-    return np.clip(0.95 + 0.6 * x, 0.85, 1.05)
+    v = np.clip(0.95 + 0.6 * x, 0.85, 1.05)
+    v.flags.writeable = False
+    return v
 
 
 def simulate_subsystem(params, subsystem: str, horizon: float, dt: float,

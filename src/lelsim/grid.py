@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 from scipy.linalg import lu_factor
@@ -50,13 +50,17 @@ from lelsim.errors import (
 )
 from lelsim.lel import Archetype, LelParams, archetype_defaults
 from lelsim.metrics import clear_time, frequency_overshoot, reconnection_delay, voltage_nadir
-from lelsim.protection import ProtectionMode, ProtectionState, protection_step
+from lelsim.protection import ProtectionMode, ProtectionState, protection_transition
 from lelsim.thermal_aux import (OMEGA_SYNC, MotorMode, aux_power, motor_init,
-                                stall_update)
+                                stall_transition)
 from lelsim.traceio import off_grid, step_count
-# ou_step is not called (load paths come from workload_path); the name
-# stays bound because the benchmark's tracer counts OU steps here.
-from lelsim.workload import ou_step, workload_path, workload_power  # noqa: F401
+from lelsim.workload import workload_path, workload_power
+# Not called: the engine steps the LELs' machines through the plain-value
+# transitions and takes load paths from workload_path.  The names stay
+# bound because the benchmark's tracer names them as boundaries here.
+from lelsim.protection import protection_step  # noqa: F401
+from lelsim.thermal_aux import stall_update  # noqa: F401
+from lelsim.workload import ou_step  # noqa: F401
 
 FAULT_ADMITTANCE = -1e4j  # near-bolted three-phase fault shunt, pu
 
@@ -75,6 +79,10 @@ JACOBIAN_MAX_AGE = 20
 # collapse detector: generator angle spread above pi sustained this long
 ANGLE_SPREAD_LIMIT = math.pi
 ANGLE_SPREAD_HOLD = 1.0
+
+# steps whose bus voltages run_simulation holds before it writes their
+# |V| and angles, and whose workload draws it folds at once
+RECORD_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -346,7 +354,14 @@ class _Engine:
     """Parameters and discrete states of the whole grid: classical
     machines, the network with its load and compensation shunts, and K
     LELs (per-LEL constants of the device laws plus, per LEL, the scaled
-    bundle, protection state, motor state, nearest generator and bus id).
+    bundle, nearest generator and bus id).
+
+    Each LEL's discrete states are plain values that `step_machines`
+    replaces in place: `prot[k]` holds ProtectionState's five fields in
+    order, `motor[k]` holds (running, stall_timer, recovery_timer) of its
+    motor, and the arrays the device functions and the record read
+    mirror them, `kappa` and `running` (K,) and the mode ordinals
+    `prot_ord` (K,).  Nothing holds a ProtectionState or a MotorState.
 
     The continuous states live in the caller's state vector z, laid out
     as [delta (ng), omega (ng), slip (K) | e' (K) | V (n)] with the
@@ -354,14 +369,15 @@ class _Engine:
     `unpack` reads them through .view(complex).  oo, om, oe and ov are
     the offsets of omega, the slips, e' and V, and N is z's length.  The
     motor block em = z[om:ov] holds the slips, then e'; em0 holds it at
-    t=0, and MotorState's copies are read only at init and at restart.
+    t=0; a restart writes the fresh equilibrium into em.
     The derivatives f, the residual and the Jacobian's rows and columns
     follow z's order: the network rows are each bus's current mismatch
     as an (Re, Im) pair.
 
     `running` holds which motors run (assign a new array to change it);
     `p_work` holds the LELs' workload draw (MW), whose term of the
-    constant-power law is folded in when it is set.  `kept` holds the
+    constant-power law, w0, is folded in when it is set (`set_work`
+    takes a row of w0 already folded).  `kept` holds the
     last evaluation's derivatives and LEL currents before retention,
     (f, u), until the caller drops it (sets None) because it changed the
     state they were evaluated at."""
@@ -398,9 +414,14 @@ class _Engine:
         self.near = nearest_generator(case)[self.lbus]
         self.params = [_scaled_lel_params(p, case.buses[b].p_load, abs(V[b]))
                        for p, b in zip(case.lels, self.lbus)]
-        self.motors = [motor_init(p.cool.load_factor, V[b], p.cool)
-                       for p, b in zip(self.params, self.lbus)]
-        self.prot = [ProtectionState() for _ in self.params]
+        motors = [motor_init(p.cool.load_factor, V[b], p.cool)
+                  for p, b in zip(self.params, self.lbus)]
+        self.prot = [astuple(ProtectionState())] * len(motors)
+        self.motor = [(m.mode is MotorMode.RUNNING, m.stall_timer, m.recovery_timer)
+                      for m in motors]
+        # in_band's limits and V_stall per LEL, for step_machines' skip tests
+        self.limits = [(p.prot.V_ref, p.prot.dV, p.prot.omega_ref, p.prot.dOmega,
+                        p.cool.V_stall) for p in self.params]
 
         ng = self.ng = len(gens)
         K = self.K = len(self.params)
@@ -433,12 +454,16 @@ class _Engine:
         # mutable per-step state; p_work (MW) starts at utilization mu_eta
         # and then holds the step's row of the workload path
         self.p_work = np.array([workload_power(p.work.mu_eta, p.work) for p in self.params])
-        self.em0 = np.array([m.slip for m in self.motors]
-                            + [x for m in self.motors for x in (m.ed_p, m.eq_p)])
-        self.tmech = np.array([m.t_mech for m in self.motors])
-        self.running = np.ones(K, dtype=bool)
-        self.kappa = np.array([p.kappa for p in self.prot])
+        self.em0 = np.array([m.slip for m in motors]
+                            + [x for m in motors for x in (m.ed_p, m.eq_p)])
+        self.tmech = np.array([m.t_mech for m in motors])
+        self.running = [m[0] for m in self.motor]
+        self.kappa = np.array([p[1] for p in self.prot])
+        self.prot_ord = np.array([PROT_MODE_ORD[p[0]] for p in self.prot], dtype=int)
         self.kept = None
+        # the voltage block of network_jacobian for the admittance matrix
+        # _jn_y, built at its first call (the shunts below edit Y in place)
+        self._jn_y = None
 
         # non-LEL loads become constant admittances; fold generator Nortons
         other = np.ones(n, dtype=bool)
@@ -471,8 +496,17 @@ class _Engine:
 
     @p_work.setter
     def p_work(self, p):
-        self._p_work = p
-        self.w0 = self.zip0 + p / self.s_base
+        self.set_work(p, self.work_term(p))
+
+    def work_term(self, p):
+        """The constant-power term w0 = zip0 + p / s_base of workload draws
+        p (MW), one row (K,) or a block of rows."""
+        return self.zip0 + p / self.s_base
+
+    def set_work(self, p, w0):
+        """Set p_work to p, with w0 its row of work_term (run_simulation
+        folds a block of steps at once)."""
+        self._p_work, self.w0 = p, w0
 
     # -- device functions -------------------------------------------------
 
@@ -658,14 +692,70 @@ class _Engine:
         d_pe = (dI_dm * dm + np.array([g, 1j * g])) * self.kappa
         d_motor = _I_DIR[3:] * self.m_y * (self.kappa * self.m_ratio * self.running)
 
-        G, B = self.Y.real, self.Y.imag
-        Jn = np.stack([np.stack([G, -B], -1), np.stack([B, G], -1)], 1).reshape(
-            2 * self.n, 2 * self.n)
+        if self._jn_y is not self.Y:
+            # events replace Y rather than edit it
+            G, B = self.Y.real, self.Y.imag
+            self._jn = np.stack([np.stack([G, -B], -1), np.stack([B, G], -1)], 1).reshape(
+                2 * self.n, 2 * self.n)
+            self._jn_y = self.Y
+        Jn = self._jn.copy()
         lb = 2 * self.lbus + np.arange(2)[:, None]
         at = (lb[:, None], lb[None, :])      # (row Re|Im, column V_re|V_im, K)
         for dI in (d_motor, d_pe):
             Jn[at] += np.array([dI.real, dI.imag])
         return Jn
+
+    # -- discrete states ----------------------------------------------------
+
+    def step_machines(self, V, omega, em, dt, t, log):
+        """Advance each LEL's motor-stall and protection machines by dt at
+        bus voltages V and machine speeds omega, logging their events at
+        time t into log.
+
+        Each machine is skipped where its transition would return its
+        input: a motor RUNNING at |v| >= V_stall with a zero stall timer,
+        a protection CONNECTED and in band.  So a settled LEL costs a few
+        float compares.  A restart writes the motor's equilibrium into em.
+        A stall trip or a restart changes `running` and drops `kept`,
+        whose currents it changes."""
+        connected = ProtectionMode.CONNECTED
+        Vl = V[self.lbus]
+        for k, (v, v_mag, w, prev, motor, (v_ref, dv, w_ref, dw, v_stall)) in enumerate(zip(
+                Vl.tolist(), np.abs(Vl).tolist(), omega[self.near].tolist(), self.prot,
+                self.motor, self.limits)):
+            ok = abs(v_mag - v_ref) <= dv and abs(w - w_ref) <= dw
+            if not (motor[0] and motor[1] == 0.0 and abs(v) >= v_stall):
+                params = self.params[k]
+                running, stall, recovery, fresh = stall_transition(
+                    *motor, self.tmech[k], v, dt, params.cool)
+                self.motor[k] = running, stall, recovery
+                if running is not motor[0]:
+                    if running:
+                        slip, e = self.motor_states(em)
+                        slip[k], e[k] = fresh.slip, complex(fresh.ed_p, fresh.eq_p)
+                    flags = self.running.copy()
+                    flags[k] = running
+                    self.running = flags
+                    self.kept = None
+                    log.append(EventRecord(t, self.lel_ids[k], "motor_restart" if running
+                                           else "motor_stall_trip"))
+            if ok and prev[0] is connected:
+                continue
+
+            prot = self.prot[k] = protection_transition(*prev, ok, dt, self.params[k].prot)
+            mode, kappa = prot[0], prot[1]
+            self.kappa[k] = kappa
+            if mode is not prev[0]:
+                self.prot_ord[k] = PROT_MODE_ORD[mode]
+                if mode is ProtectionMode.SHED:
+                    # a trip, from any mode; RECOVERY_WAIT -> SHED keeps kappa
+                    if kappa < prev[1]:
+                        log.append(EventRecord(t, self.lel_ids[k], "shed"))
+                elif mode is ProtectionMode.RAMPING and prev[0] in (
+                        ProtectionMode.SHED, ProtectionMode.RECOVERY_WAIT):
+                    log.append(EventRecord(t, self.lel_ids[k], "ramp_start"))
+                elif mode is connected and prev[1] < 1.0:
+                    log.append(EventRecord(t, self.lel_ids[k], "reconnected"))
 
     # -- solves -------------------------------------------------------------
 
@@ -764,7 +854,12 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     Euler on the differential states, bus voltages V = 2 V_n - V_(n-1)
     from the starts of this step and the last), runs `newton` with
     CHORD_MAX_ITER chord updates on the flat state vector, steps each
-    LEL's motor-stall and protection machines, and records.
+    LEL's motor-stall and protection machines (`_Engine.step_machines`;
+    their discrete states live in the engine as plain values), and
+    records.  The record writes each step's row of the result but for
+    v_mag, v_ang and motor_mode: it keeps the bus voltages of up to
+    RECORD_BLOCK rows and fills those three per block, before a motor
+    trip or restart, at the horizon and on every collapse.
 
     The step's chord factorization `lu` is a local held across steps.
     It is dropped by a switching event (the network changed) and at the
@@ -809,23 +904,36 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                     gen_buses=[g.bus for g in case.generators], lel_ids=eng.lel_ids,
                     lel_kappa_full=np.array([p.prot.kappa_full for p in eng.params]))
     log = res.events
-    # each LEL's protection-mode ordinal, updated where its mode changes
-    modes = np.array([PROT_MODE_ORD[p.mode] for p in eng.prot], dtype=int)
+    # the bus voltages of the rows from `filled` on, whose v_mag, v_ang
+    # and motor_mode are not yet written
+    v_rows = np.empty((min(RECORD_BLOCK, T), n), dtype=complex)
+    filled = 0
+
+    def fill(upto, running):
+        """Write v_mag, v_ang and motor_mode of the held rows up to upto,
+        whose motors ran as running."""
+        nonlocal filled
+        rows = v_rows[:upto - filled]
+        res.v_mag[filled:upto] = np.abs(rows)
+        res.v_ang[filled:upto] = np.angle(rows)
+        res.motor_mode[filled:upto] = ~running
+        filled = upto
 
     def record(i, t):
         res.time[i] = t
-        res.v_mag[i] = np.abs(V)
-        res.v_ang[i] = np.angle(V)
+        v_rows[i - filled] = V
         res.gen_omega[i] = omega
         res.gen_delta[i] = delta
         S = V[eng.lbus] * np.conj(eng.kappa * eng.evaluation(z)[1]) * eng.s_base
         res.lel_p[i] = S.real
         res.lel_q[i] = S.imag
         res.lel_kappa[i] = eng.kappa
-        res.lel_mode[i] = modes
-        res.motor_mode[i] = ~eng.running
+        res.lel_mode[i] = eng.prot_ord
+        if i + 1 - filled == len(v_rows):
+            fill(i + 1, eng.running)
 
     def collapse(reason, step, t, upto, residual=0.0):
+        fill(upto, eng.running)
         partial = replace(res, collapsed=True, collapse_reason=reason,
                           **{f: getattr(res, f)[:upto] for f in _SERIES})
         return SimulationCollapse(reason, step, t, residual, partial)
@@ -842,7 +950,10 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
 
     for step in range(n_steps):
         t = step * dt
-        eng.p_work = p_path[step]
+        j = step % RECORD_BLOCK
+        if j == 0:
+            w0_rows = eng.work_term(p_path[step:step + RECORD_BLOCK])
+        eng.set_work(p_path[step], w0_rows[j])
         if step in schedule:
             lu = None
             for kind, dY, islands in schedule[step]:
@@ -881,48 +992,19 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         delta, omega, em, V = eng.unpack(z)
         t_new = t + dt
 
-        # motor stall and protection state machines, fed Python numbers;
-        # a restarted motor writes its states into z through the em view.
-        # A trip or a restart changes the derivatives and currents of the
-        # last residual
-        Vl = V[eng.lbus]
-        for k, (params, v, v_mag, w) in enumerate(zip(
-                eng.params, Vl.tolist(), np.abs(Vl).tolist(), omega[eng.near].tolist())):
-            lel_id = eng.lel_ids[k]
-            was = eng.motors[k]
-            motor = eng.motors[k] = stall_update(was, v, dt, params.cool)
-            if motor.mode is not was.mode:
-                running = motor.mode is MotorMode.RUNNING
-                if running:
-                    slip, e = eng.motor_states(em)
-                    slip[k], e[k] = motor.slip, complex(motor.ed_p, motor.eq_p)
-                flags = eng.running.copy()
-                flags[k] = running
-                eng.running = flags
-                eng.kept = v_last = None
-                log.append(EventRecord(t_new, lel_id,
-                                       "motor_restart" if running else "motor_stall_trip"))
-
-            prev = eng.prot[k]
-            prot = eng.prot[k] = protection_step(prev, v_mag, w, dt, params.prot)
-            eng.kappa[k] = prot.kappa
-            if prev.mode is not prot.mode:
-                m = prot.mode
-                modes[k] = PROT_MODE_ORD[m]
-                if m is ProtectionMode.SHED:
-                    # a trip, from any mode; RECOVERY_WAIT -> SHED keeps kappa
-                    if prot.kappa < prev.kappa:
-                        log.append(EventRecord(t_new, lel_id, "shed"))
-                elif m is ProtectionMode.RAMPING and prev.mode in (
-                        ProtectionMode.SHED, ProtectionMode.RECOVERY_WAIT):
-                    log.append(EventRecord(t_new, lel_id, "ramp_start"))
-                elif m is ProtectionMode.CONNECTED and prev.kappa < 1.0:
-                    log.append(EventRecord(t_new, lel_id, "reconnected"))
+        # a restarted motor writes its states into z through the em view;
+        # a trip or a restart drops `kept` and so the voltage history, and
+        # ends the rows that share motor_mode
+        running = eng.running
+        eng.step_machines(V, omega, em, dt, t_new, log)
+        if eng.running is not running:
+            v_last = None
+            fill(step + 1, running)
 
         record(step + 1, t_new)
 
         # sustained angle separation counts as collapse
-        if ng > 1 and (delta.max() - delta.min()) > ANGLE_SPREAD_LIMIT:
+        if ng > 1 and max(d := delta.tolist()) - min(d) > ANGLE_SPREAD_LIMIT:
             if spread_since is None:
                 spread_since = t_new
             elif t_new - spread_since >= ANGLE_SPREAD_HOLD:
@@ -930,6 +1012,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         else:
             spread_since = None
 
+    fill(T, eng.running)
     return res
 
 

@@ -10,7 +10,7 @@ trip, after which kappa ramps back at rate r_kappa.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from lelsim.errors import InvalidArgument, ValidationError, require_finite
 
@@ -86,65 +86,73 @@ def protection_step(state: ProtectionState, v_mag: float, omega: float,
 
     Timers advance by exactly dt per step and threshold comparisons use
     >=.  Deterministic: identical input sequences give identical
-    mode/kappa sequences.
+    mode/kappa sequences.  A thin wrapper over `protection_transition`.
     """
     if dt <= 0:
         raise InvalidArgument("dt must be > 0")
-    ok = in_band(v_mag, omega, params)
-    mode = state.mode
+    return ProtectionState(*protection_transition(
+        state.mode, state.kappa, state.violation_timer, state.stable_timer,
+        state.since_trip_timer, in_band(v_mag, omega, params), dt, params))
 
+
+# ProtectionState()'s fields: connected, nothing timed
+_RESET = (ProtectionMode.CONNECTED, 1.0, 0.0, 0.0, 0.0)
+
+
+def protection_transition(mode: ProtectionMode, kappa: float, violation_timer: float,
+                          stable_timer: float, since_trip_timer: float, ok: bool,
+                          dt: float, params: ProtectionParams) -> tuple:
+    """One step of the machine on plain values: ProtectionState's fields
+    in order, whether the bus is in band, and dt > 0.  Returns the five
+    fields after the step.  CONNECTED and in band returns them unchanged;
+    the grid engine skips the call then."""
     if mode is ProtectionMode.CONNECTED:
         if ok:
-            return state
-        return _tick_violation(state, dt, params, kappa=1.0)
+            return mode, kappa, violation_timer, stable_timer, since_trip_timer
+        return _tick_violation(kappa, 1.0, violation_timer, stable_timer,
+                               since_trip_timer, dt, params)
 
     if mode is ProtectionMode.VIOLATION_TIMING:
-        if ok:
-            # violation cleared before the trip delay: full reset
-            if state.kappa >= 1.0:
-                return ProtectionState()
-            # re-violation during ramping was being timed; resume ramping
-            return replace(state, mode=ProtectionMode.RAMPING, violation_timer=0.0,
-                           since_trip_timer=state.since_trip_timer + dt)
-        return _tick_violation(state, dt, params, kappa=state.kappa)
-
-    if mode in (ProtectionMode.SHED, ProtectionMode.RECOVERY_WAIT):
-        since = state.since_trip_timer + dt
         if not ok:
-            # a violation resets the dwell clock; no re-trip needed, load is shed
-            return replace(state, mode=ProtectionMode.SHED, stable_timer=0.0,
-                           since_trip_timer=since)
-        stable = state.stable_timer + dt
-        if stable >= params.t_wait_recon and since >= params.t_delay_recon:
-            return replace(state, mode=ProtectionMode.RAMPING, stable_timer=stable,
-                           since_trip_timer=since)
-        return replace(state, mode=ProtectionMode.RECOVERY_WAIT, stable_timer=stable,
-                       since_trip_timer=since)
+            return _tick_violation(kappa, kappa, violation_timer, stable_timer,
+                                   since_trip_timer, dt, params)
+        # violation cleared before the trip delay: full reset
+        if kappa >= 1.0:
+            return _RESET
+        # re-violation during ramping was being timed; resume ramping
+        return ProtectionMode.RAMPING, kappa, 0.0, stable_timer, since_trip_timer + dt
 
-    # RAMPING
-    since = state.since_trip_timer + dt
+    if mode is ProtectionMode.RAMPING:
+        if not ok:
+            # hold kappa and time the new violation; may trip this step
+            return _tick_violation(kappa, kappa, violation_timer, 0.0,
+                                   since_trip_timer, dt, params)
+        kappa = min(kappa + params.r_kappa * dt, params.kappa_full)
+        if kappa >= 1.0:
+            return _RESET  # fully reconnected
+        # a kappa_max below unity caps the ramp: kappa then holds at the cap
+        return mode, kappa, violation_timer, stable_timer, since_trip_timer + dt
+
+    # SHED or RECOVERY_WAIT
+    since = since_trip_timer + dt
     if not ok:
-        # hold kappa and time the new violation; may trip this step
-        return _tick_violation(replace(state, stable_timer=0.0), dt, params,
-                               kappa=state.kappa)
-    target = params.kappa_full
-    kappa = min(state.kappa + params.r_kappa * dt, target)
-    if kappa >= 1.0:
-        return ProtectionState()  # fully reconnected
-    # a kappa_max below unity caps the ramp: kappa then holds at the cap
-    return replace(state, kappa=kappa, since_trip_timer=since)
+        # a violation resets the dwell clock; no re-trip needed, load is shed
+        return ProtectionMode.SHED, kappa, violation_timer, 0.0, since
+    stable = stable_timer + dt
+    if stable >= params.t_wait_recon and since >= params.t_delay_recon:
+        return ProtectionMode.RAMPING, kappa, violation_timer, stable, since
+    return ProtectionMode.RECOVERY_WAIT, kappa, violation_timer, stable, since
 
 
-def _tick_violation(state: ProtectionState, dt: float, params: ProtectionParams,
-                    kappa: float) -> ProtectionState:
-    timer = state.violation_timer + dt
-    since = state.since_trip_timer + dt if state.kappa < 1.0 else 0.0
+def _tick_violation(kappa, kept, violation_timer, stable_timer, since_trip_timer,
+                    dt, params):
+    """A step out of band from retention kappa: shed once the violation
+    has lasted t_delay_trip, else time it holding retention kept."""
+    timer = violation_timer + dt
     if timer >= params.t_delay_trip:
-        return ProtectionState(mode=ProtectionMode.SHED, kappa=params.kappa_min,
-                               violation_timer=0.0, stable_timer=0.0,
-                               since_trip_timer=0.0)
-    return replace(state, mode=ProtectionMode.VIOLATION_TIMING,
-                   violation_timer=timer, kappa=kappa, since_trip_timer=since)
+        return ProtectionMode.SHED, params.kappa_min, 0.0, 0.0, 0.0
+    since = since_trip_timer + dt if kappa < 1.0 else 0.0
+    return ProtectionMode.VIOLATION_TIMING, kept, timer, stable_timer, since
 
 
 def parse_kv_document(text: str) -> dict[str, str]:

@@ -264,30 +264,45 @@ def stall_update(state: MotorState, v: complex, dt: float,
     RUNNING: undervoltage accumulates stall_timer (reset when voltage
     recovers); at tau_stall the block trips and stays off for T_cool.
     STALL_TRIPPED: counts down, then reconnects at the equilibrium for
-    the present terminal voltage, in its frame.
+    the present terminal voltage, in its frame.  A thin wrapper over
+    `stall_transition`.
     """
     if dt <= 0:
         raise InvalidArgument("dt must be > 0")
-    if state.mode is MotorMode.RUNNING:
+    running, stall, recovery, fresh = stall_transition(
+        state.mode is MotorMode.RUNNING, state.stall_timer, state.recovery_timer,
+        state.t_mech, v, dt, params)
+    if fresh is not None:
+        return fresh
+    return replace(state, mode=MotorMode.RUNNING if running else MotorMode.STALL_TRIPPED,
+                   stall_timer=stall, recovery_timer=recovery)
+
+
+def stall_transition(running: bool, stall_timer: float, recovery_timer: float,
+                     t_mech: float, v: complex, dt: float, params: CoolingParams) -> tuple:
+    """One step of the machine on plain values: whether the motor runs,
+    its stall and recovery timers and pinned torque, the terminal phasor
+    and dt > 0.  Returns (running, stall_timer, recovery_timer, fresh),
+    fresh being the equilibrium MotorState on a restart and None on any
+    other step.  Running with |v| >= V_stall and a zero stall timer
+    returns the state unchanged; the grid engine skips the call then."""
+    if running:
         if abs(v) < params.V_stall:
-            timer = state.stall_timer + dt
-            if timer >= params.tau_stall:
-                return replace(state, stall_timer=0.0, mode=MotorMode.STALL_TRIPPED,
-                               recovery_timer=params.T_cool)
-            return replace(state, stall_timer=timer)
-        if state.stall_timer != 0.0:
-            return replace(state, stall_timer=0.0)
-        return state
+            stall_timer += dt
+            if stall_timer >= params.tau_stall:
+                return False, 0.0, params.T_cool, None
+            return True, stall_timer, recovery_timer, None
+        return True, 0.0, recovery_timer, None
     # tripped: count down the recovery interval
-    timer = state.recovery_timer - dt
-    if timer <= 0.0:
+    recovery_timer -= dt
+    if recovery_timer <= 0.0:
         try:
-            fresh = init_for_torque(state.t_mech, v, params)
+            fresh = init_for_torque(t_mech, v, params)
         except NoEquilibrium:
             # voltage still too low to restart; retry next step
-            return replace(state, recovery_timer=dt)
-        return fresh
-    return replace(state, recovery_timer=timer)
+            return False, stall_timer, dt, None
+        return True, fresh.stall_timer, fresh.recovery_timer, fresh
+    return False, stall_timer, recovery_timer, None
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,18 @@ class TestSubsystemSimulators:
         expected = [aux_power(vk, params)[0] for vk in _voltage_excitation(120, 3)]
         assert np.array_equal(trace.first_channel(), expected)
 
+    @pytest.mark.parametrize("subsystem", ["cooling", "aux"])
+    def test_evaluations_replay_one_read_only_ride(self, subsystem):
+        params = {"cooling": archetype_defaults(Archetype.DATACENTER).cool,
+                  "aux": archetype_defaults(Archetype.DATACENTER).aux}[subsystem]
+        _voltage_excitation.cache_clear()
+        first = simulate_subsystem(params, subsystem, 120.0, 1.0, seed=3)
+        again = simulate_subsystem(params, subsystem, 120.0, 1.0, seed=3)
+        assert np.array_equal(first.first_channel(), again.first_channel())
+        assert _voltage_excitation.cache_info()[:2] == (1, 1)     # hits, misses
+        with pytest.raises(ValueError):
+            _voltage_excitation(120, 3)[0] = 1.0
+
     def test_aux_trace_tracks_voltage(self):
         params = archetype_defaults(Archetype.DATACENTER).aux
         trace = simulate_subsystem(params, "aux", 600.0, 1.0, seed=0)

@@ -4,11 +4,11 @@ import collections
 import copy
 import functools
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
@@ -19,6 +19,8 @@ from lelsim.lel import Archetype, archetype_defaults
 from lelsim.grid import (
     FAULT_ADMITTANCE,
     NEWTON_TOL,
+    PROT_MODE_ORD,
+    RECORD_BLOCK,
     Event,
     EventRecord,
     SimConfig,
@@ -42,8 +44,8 @@ from lelsim.grid import (
     sample_scenario,
 )
 from lelsim.metrics import clear_time, frequency_overshoot
-from lelsim.protection import ProtectionMode, ProtectionState
-from lelsim.thermal_aux import aux_power
+from lelsim.protection import ProtectionMode, ProtectionState, in_band, protection_step
+from lelsim.thermal_aux import MotorMode, MotorState, aux_power, stall_update
 from lelsim.workload import WorkloadState, ou_step, workload_power
 
 
@@ -558,14 +560,60 @@ class TestCollapseReasons:
                        ProtectionState(P.SHED, 0.25), ProtectionState(P.RECOVERY_WAIT, 0.25),
                        ProtectionState(P.SHED, 0.25)])
 
-        def scripted(state, v_mag, omega, dt, params):
-            return next(script, state)
+        def scripted(*state_ok_dt_params):
+            state = ProtectionState(*state_ok_dt_params[:5])
+            return astuple(next(script, state))
 
-        monkeypatch.setattr("lelsim.grid.protection_step", scripted)
-        result = run_simulation(bundled_case("toy2"), [], SimConfig(dt=0.01, horizon=0.1))
+        # a frequency reference off nominal keeps the LEL out of band, so
+        # the engine never skips its machines and calls the transition
+        # from the first step on
+        case = bundled_case("toy2")
+        lel = case.lels[0]
+        prot = replace(lel.params.prot, omega_ref=1.5)
+        case = case.with_lels((replace(lel, params=replace(lel.params, prot=prot)),))
+        monkeypatch.setattr("lelsim.grid.protection_transition", scripted)
+        result = run_simulation(case, [], SimConfig(dt=0.01, horizon=0.1))
         assert [e.kind for e in result.events] == ["shed", "ramp_start", "shed"]
         assert [e.time for e in result.events] == pytest.approx([0.01, 0.02, 0.03])
         assert regime_flags(result)["staggered_interaction"]
+
+    @pytest.mark.parametrize("where", ["block_last_row", "inside_block"])
+    def test_partial_fills_voltages_and_motor_modes(self, monkeypatch, where):
+        """run_simulation writes v_mag, v_ang and motor_mode per block of
+        rows; a collapse must write the rows its block still held."""
+        # a -4j sag at toy2's LEL bus trips the motor at 0.45 s; T_cool
+        # keeps it off past the horizon
+        case = bundled_case("toy2")
+        events = fault_events(2, 0.2, 0.3, admittance=-4j)
+        cfg = SimConfig(dt=0.005, horizon=2.5)
+        full = run_simulation(case, events, cfg)
+        trips = [e.time for e in full.events if e.kind.startswith("motor")]
+        assert trips == pytest.approx([0.45])
+        # the trip ends a block: the next one starts at the trip's row
+        last = round(trips[0] / cfg.dt) + RECORD_BLOCK - 1
+        collapse_step = {"block_last_row": last, "inside_block": last + 100}[where]
+        assert collapse_step < round(cfg.horizon / cfg.dt)
+
+        residual = _Engine.residual
+        starts = []                 # each step's x0, so ids stay distinct
+
+        def nan_at_collapse_step(self, z, x0, f0, dt):
+            if not starts or starts[-1] is not x0:
+                starts.append(x0)
+            R = residual(self, z, x0, f0, dt)
+            if len(starts) == collapse_step + 1:
+                R[:] = math.nan
+            return R
+
+        monkeypatch.setattr(_Engine, "residual", nan_at_collapse_step)
+        with pytest.raises(SimulationCollapse) as info:
+            run_simulation(case, events, cfg)
+        partial = info.value.partial
+        assert info.value.reason == "non_finite" and info.value.step == collapse_step
+        assert len(partial.time) == collapse_step + 1
+        for name in ("v_mag", "v_ang", "motor_mode"):
+            assert np.array_equal(getattr(partial, name), getattr(full, name)[:collapse_step + 1])
+        assert set(partial.motor_mode[:, 0]) == {0, 1}
 
     def test_non_finite_residual(self, monkeypatch):
         residual = _Engine.residual
@@ -901,6 +949,86 @@ class TestConstantPowerLaw:
                 assert abs(W[k] - law) <= 2e-15 * abs(law)
 
 
+@functools.lru_cache(maxsize=1)
+def toy9_flow():
+    """toy9 with three LELs, and its power flow.  The third one's
+    protection band reaches below V_stall, so its motor can stall while
+    the protection stays CONNECTED."""
+    case = place_lels(bundled_case("toy9"), 3, seed=1)
+    wide = case.lels[2]
+    prot = replace(wide.params.prot, dV=0.6)
+    case = case.with_lels(case.lels[:2] + (replace(wide, params=replace(wide.params,
+                                                                        prot=prot)),))
+    return case, power_flow(case)
+
+
+# |V| over the LEL's V_ref: 1 sits in band, 0.5 below V_stall (in the
+# wide band only) and 0 blocks a motor restart
+_V_SCALE = st.one_of(st.sampled_from([1.0, 0.5, 0.0]), st.floats(0.0, 1.25))
+# a sag below every band and V_stall, a collapse, then a long recovery: trips,
+# stalls, a restart refused at 0 V, restarts, ramps and reconnections
+_FULL_CYCLE = ([([0.5] * 3, 0.3, 1.0, 0.05)] * 8 + [([0.0] * 3, 0.3, 1.0, 0.5)] * 10
+               + [([1.0] * 3, 0.3, 1.0, 0.25)] * 40)
+
+
+class TestLelMachines:
+    """The engine's per-LEL machines on plain values, `step_machines`,
+    against chained protection_step and stall_update calls."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.lists(_V_SCALE, min_size=3, max_size=3),
+                              st.floats(-math.pi, math.pi),
+                              st.one_of(st.just(1.0), st.floats(0.97, 1.03)),
+                              st.floats(1e-3, 0.5)),
+                    min_size=1, max_size=60))
+    @example(_FULL_CYCLE)
+    @example([([1.0, 1.0, 0.5], 0.3, 1.0, 0.05), ([1.0] * 3, 0.3, 1.0, 0.05)])
+    def test_engine_machines_equal_chained_calls(self, samples):
+        """Every step: the same mode, kappa and timers, and the same motor
+        state; and where the engine skips a machine (a settled LEL skips
+        both), its function returns its input unchanged.  dt is drawn, so
+        the timer sums round as they do at real step sizes."""
+        case, V0 = toy9_flow()
+        eng = init_dynamics(case, V0)
+        em = eng.em0.copy()
+        slip, e = eng.motor_states(em)
+        prot = [ProtectionState()] * eng.K
+        motors = [MotorState(ed_p=e[k].real, eq_p=e[k].imag, slip=slip[k],
+                             t_mech=eng.tmech[k]) for k in range(eng.K)]
+        V, t, log = V0.copy(), 0.0, []
+        modes_seen = set()
+        for scales, angle, w, dt in samples:
+            V[eng.lbus] = np.array(scales) * np.abs(V0[eng.lbus]) * np.exp(1j * angle)
+            Vl = V[eng.lbus]
+            for k, (v, v_mag) in enumerate(zip(Vl.tolist(), np.abs(Vl).tolist())):
+                params, was = eng.params[k], (prot[k], motors[k])
+                # the conditions on which the engine skips each machine
+                skip_motor = (motors[k].mode is MotorMode.RUNNING
+                              and motors[k].stall_timer == 0.0
+                              and abs(v) >= params.cool.V_stall)
+                skip_prot = (prot[k].mode is ProtectionMode.CONNECTED
+                             and in_band(v_mag, w, params.prot))
+                motors[k] = stall_update(motors[k], v, dt, params.cool)
+                prot[k] = protection_step(prot[k], v_mag, w, dt, params.prot)
+                if skip_motor:
+                    assert motors[k] == was[1]
+                if skip_prot:
+                    assert prot[k] == was[0]
+            t += dt
+            eng.step_machines(V, np.full(eng.ng, w), em, dt, t, log)
+            for k, (p, m) in enumerate(zip(prot, motors)):
+                running = m.mode is MotorMode.RUNNING
+                assert ProtectionState(*eng.prot[k]) == p
+                assert (eng.kappa[k], eng.prot_ord[k]) == (p.kappa, PROT_MODE_ORD[p.mode])
+                assert eng.motor[k] == (running, m.stall_timer, m.recovery_timer)
+                assert eng.running[k] == running
+                assert (slip[k], e[k]) == (m.slip, complex(m.ed_p, m.eq_p))
+                modes_seen |= {p.mode, m.mode}
+        if samples == _FULL_CYCLE:
+            assert modes_seen == set(ProtectionMode) | set(MotorMode)
+            assert {"motor_restart", "reconnected"} <= {r.kind for r in log}
+
+
 class TestEngineOracles:
     def test_workload_power_matches_ou_step_loop(self, monkeypatch):
         case = noisy_toy9()
@@ -1036,6 +1164,22 @@ class TestEngineOracles:
         assert np.max(np.abs(di_run - fd_i[[0, 1, 3, 4]][:, running])) <= (
             1e-9 * np.max(np.abs(di_run)))
         assert not fd_i[:, ~running].any()
+
+    def test_network_jacobian_follows_a_replaced_admittance_matrix(self):
+        """The [[G, -B], [B, G]] block is cached per Y object; an event
+        replaces Y, and the block must follow it."""
+        eng, z, _, _ = self.perturbed_ieee39(())
+        V = eng.unpack(z)[3]
+        before = eng.network_jacobian(V)
+        assert np.array_equal(eng.network_jacobian(V), before)
+        b = 4
+        dY = np.zeros_like(eng.Y)
+        dY[b, b] = -50j
+        eng.Y = eng.Y + dY
+        change = eng.network_jacobian(V) - before
+        expected = np.zeros_like(change)
+        expected[2 * b, 2 * b + 1], expected[2 * b + 1, 2 * b] = 50.0, -50.0
+        assert np.array_equal(change, expected)
 
     def test_network_resolve_uses_the_voltage_block_of_the_jacobian(self, monkeypatch):
         eng, z, _, _ = self.perturbed_ieee39((1, 6))

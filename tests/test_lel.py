@@ -34,7 +34,7 @@ from lelsim.protection import (
     dump_protection_disclosure,
     load_protection_disclosure,
 )
-from lelsim.thermal_aux import AuxParams, CoolingParams, MotorMode, aux_power
+from lelsim.thermal_aux import AuxParams, CoolingParams, aux_power
 from lelsim.workload import WorkloadParams, workload_power
 
 # a 0.3 s sag at the LEL bus of toy2: -2j holds |V| near 0.65 pu, below
@@ -71,8 +71,8 @@ class TestArchetypes:
         case = toy2_with(arch)
         eng = init_dynamics(case, power_flow(case))
         assert eng.params[0].archetype is arch
-        assert eng.prot[0].mode is ProtectionMode.CONNECTED
-        assert eng.motors[0].mode is MotorMode.RUNNING
+        assert eng.prot[0][0] is ProtectionMode.CONNECTED
+        assert eng.motor[0][0] and eng.running[0]      # the motor runs
 
     def test_presets_differ(self):
         dc = archetype_defaults(Archetype.DATACENTER)
