@@ -118,6 +118,8 @@ def validate_case(case: GridCase) -> None:
     for br in case.branches:
         if br.from_bus not in idset or br.to_bus not in idset:
             raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: unknown bus")
+        if br.from_bus == br.to_bus:
+            raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: both ends at one bus")
         if br.r == 0 and br.x == 0:
             raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: zero impedance")
         if not br.tap >= 0:

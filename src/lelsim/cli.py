@@ -363,8 +363,7 @@ def cli_dispatch(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (InvalidArgument, ValidationError, UndefinedMetric, FileNotFoundError,
-            KeyError) as exc:
+    except (InvalidArgument, ValidationError, UndefinedMetric, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NoEquilibrium, SimulationCollapse, FloatingPointError) as exc:

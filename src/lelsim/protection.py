@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from lelsim.errors import InvalidArgument, ValidationError, require_finite
 
 
-class ProtectionMode(enum.Enum):
-    CONNECTED = "connected"
-    VIOLATION_TIMING = "violation_timing"
-    SHED = "shed"
-    RECOVERY_WAIT = "recovery_wait"
-    RAMPING = "ramping"
+class ProtectionMode(enum.IntEnum):
+    """Each mode's value is the ordinal the grid engine records.  CONNECTED
+    is 0 and so false: compare modes, never test their truth."""
+    CONNECTED = 0
+    VIOLATION_TIMING = 1
+    SHED = 2
+    RECOVERY_WAIT = 3
+    RAMPING = 4
 
 
 # the standardized disclosure form's keys, in form order, and the

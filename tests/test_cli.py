@@ -235,6 +235,13 @@ class TestSweepK:
         TestMalformedInput.assert_error_exit(rc, capsys)
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_repeated_k_is_validation_error(self, tmp_path, capsys):
+        rc = run(["sweep-k", "toy9", "--k", "1,1", "--trials", "1", "--horizon", "5.5",
+                  "--dt", "0.01", "--out", str(tmp_path / "sweep.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and "k=1 repeated" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestParamsFile:
     def test_non_finite_parameter_exits_1(self, tmp_path):
@@ -289,9 +296,11 @@ class TestMalformedInput:
         ("1,5.0,100.0,0.20,0,1.00", "1,5.0,100.0,0.20,0,0", "need v_set > 0"),
         ("1,slack,1.00,0,0", "1,slack,-1.0,0,0", "bus 1: v_set must be > 0"),
         ("1,2,0.01,0.10,0.02", "1,2,0.01,0.10,0.02,-1.0", "branch 1-2: tap must be >= 0"),
+        ("1,2,0.01,0.10,0.02", "1,2,0.01,0.10,0.02\n2,2,0.01,0.10,0.5",
+         "branch 2-2: both ends at one bus"),
     ], ids=["f_base_negative", "s_base_zero", "system_key_typo", "unknown_section",
             "H_negative", "H_zero", "xd_p_negative", "xd_p_zero", "D_negative",
-            "gen_v_set_zero", "slack_v_set_negative", "tap_negative"])
+            "gen_v_set_zero", "slack_v_set_negative", "tap_negative", "self_loop_branch"])
     def test_impossible_case_data(self, tmp_path, capsys, old, new, named):
         text = importlib.resources.files("lelsim.data").joinpath("toy2.case").read_text()
         assert old in text
@@ -321,6 +330,10 @@ class TestMalformedInput:
                                     for line in doc.splitlines()))
         rc = run(["simulate-load", "--model", "workload", "--horizon", "60",
                   "--params", str(params), "--out", str(tmp_path / "w.csv")])
+        self.assert_error_exit(rc, capsys)
+
+    def test_output_path_that_is_a_directory(self, tmp_path, capsys):
+        rc = run(["simulate-load", "--horizon", "10", "--out", str(tmp_path)])
         self.assert_error_exit(rc, capsys)
 
     @pytest.mark.parametrize("command", ["calibrate", "robustness"])

@@ -19,7 +19,6 @@ from lelsim.lel import Archetype, archetype_defaults
 from lelsim.grid import (
     FAULT_ADMITTANCE,
     NEWTON_TOL,
-    PROT_MODE_ORD,
     RECORD_BLOCK,
     Event,
     EventRecord,
@@ -940,8 +939,9 @@ class TestConstantPowerLaw:
             replace(p, params=replace(p.params, aux=replace(p.params.aux, V0=v0)))
             for p, v0 in zip(case.lels, np.linspace(0.9, 1.15, len(case.lels)))))
         eng = init_dynamics(case, power_flow(case))
-        for p_work in (eng.p_work, 1.3 * eng.p_work):
-            eng.p_work = p_work
+        p0 = np.array([workload_power(p.work.mu_eta, p.work) for p in eng.params])
+        for p_work in (p0, 1.3 * p0):
+            eng.w0 = eng.work_term(p_work)
             W = eng.pe_power(np.full(eng.K, m))
             for k, params in enumerate(eng.params):
                 p_aux = aux_power(m, params.aux)[0]
@@ -1019,7 +1019,7 @@ class TestLelMachines:
             for k, (p, m) in enumerate(zip(prot, motors)):
                 running = m.mode is MotorMode.RUNNING
                 assert ProtectionState(*eng.prot[k]) == p
-                assert (eng.kappa[k], eng.prot_ord[k]) == (p.kappa, PROT_MODE_ORD[p.mode])
+                assert (eng.kappa[k], eng.prot_ord[k]) == (p.kappa, p.mode)
                 assert eng.motor[k] == (running, m.stall_timer, m.recovery_timer)
                 assert eng.running[k] == running
                 assert (slip[k], e[k]) == (m.slip, complex(m.ed_p, m.eq_p))
@@ -1034,10 +1034,10 @@ class TestEngineOracles:
         case = noisy_toy9()
         cfg = SimConfig(dt=0.01, horizon=1.0, seed=11)
         residual = _Engine.residual
-        per_step = {}              # id(x0) -> (x0, p_work): one entry a step
+        per_step = {}              # id(x0) -> (x0, w0): one entry a step
 
         def spy(self, z, x0, f0, dt):
-            per_step.setdefault(id(x0), (x0, self.p_work.copy()))
+            per_step.setdefault(id(x0), (x0, self.w0.copy()))
             return residual(self, z, x0, f0, dt)
 
         monkeypatch.setattr(_Engine, "residual", spy)
@@ -1054,11 +1054,16 @@ class TestEngineOracles:
             for _ in range(100):
                 state = ou_step(state, work, cfg.dt, rng)
                 expected.append(workload_power(state.eta, work))
+            # the engine holds w0 = zip0 + p / s_base, the workload's term
+            # of the constant-power law
             expected = np.array(expected)
-            assert np.abs(seen[:, k] - expected).max() <= 1e-12 * (work.p_full - work.p_base)
+            w0 = eng.zip0[k] + expected / eng.s_base
+            bounds = eng.zip0[k] + np.array([work.p_base, work.p_full]) / eng.s_base
+            assert (np.abs(seen[:, k] - w0).max()
+                    <= 1e-12 * (work.p_full - work.p_base) / eng.s_base)
             clipped = np.isin(expected, (work.p_base, work.p_full))
-            assert np.array_equal(np.isin(seen[:, k], (work.p_base, work.p_full)), clipped)
-            assert np.array_equal(seen[clipped, k], expected[clipped])
+            assert np.array_equal(np.isin(seen[:, k], bounds), clipped)
+            assert np.array_equal(seen[clipped, k], w0[clipped])
         assert len(np.unique(seen[:, 2])) > 1       # bursts alone moved it
 
     @pytest.mark.parametrize("stalled", [False, True], ids=["running", "stall_tripped"])

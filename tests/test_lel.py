@@ -1,17 +1,17 @@
 """Tests of the LEL inside the grid engine (on the two-bus case toy2) and
 of the parameter-exchange file."""
 
-from dataclasses import replace
+import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lelsim.cases import bundled_case
 from lelsim.errors import InvalidArgument, ValidationError
 from lelsim.grid import (
-    PROT_MODE_ORD,
     V_FLOOR,
     Event,
     SimConfig,
@@ -31,10 +31,12 @@ from lelsim.lel import (
 from lelsim.protection import (
     ProtectionMode,
     ProtectionParams,
+    ProtectionState,
     dump_protection_disclosure,
     load_protection_disclosure,
+    protection_transition,
 )
-from lelsim.thermal_aux import AuxParams, CoolingParams, aux_power
+from lelsim.thermal_aux import AuxParams, CoolingParams, aux_power, motor_init, stall_transition
 from lelsim.workload import WorkloadParams, workload_power
 
 # a 0.3 s sag at the LEL bus of toy2: -2j holds |V| near 0.65 pu, below
@@ -61,7 +63,7 @@ def at(result, t):
 def assert_shed_by_end_of_sag(case, result):
     assert not result.collapsed
     k = at(result, SAG_START + SAG_LENGTH)
-    assert result.lel_mode[k, 0] == PROT_MODE_ORD[ProtectionMode.SHED]
+    assert result.lel_mode[k, 0] == ProtectionMode.SHED
     assert result.lel_kappa[k, 0] == case.lels[0].params.prot.kappa_min
 
 
@@ -178,13 +180,13 @@ def with_t_cool(case, t_cool):
     return case.with_lels((replace(lel, params=replace(lel.params, cool=cool)),))
 
 
-def fresh_lel_power(eng, V, em, p_work):
+def fresh_lel_power(eng, V, em, w0):
     """LEL power (MW + j Mvar) as recorded at V and em, for the step's
-    workload power p_work, evaluated from scratch."""
-    live_p_work, eng.p_work = eng.p_work, p_work
+    constant-power term w0, evaluated from scratch."""
+    live_w0, eng.w0 = eng.w0, w0
     Vl = V[eng.lbus]
     S = Vl * np.conj(eng.kappa * eng.lel_currents(Vl, em)) * eng.s_base
-    eng.p_work = live_p_work
+    eng.w0 = live_w0
     return S
 
 
@@ -211,7 +213,7 @@ class TestKeptEvaluation:
         first = []        # per step: (f0, fresh derivatives) at its first residual
         expected = []     # per recorded row but the last: a fresh LEL power
         resolved = []     # the voltages a network re-solve started from
-        seen = {"p_work": init_dynamics(case, power_flow(case)).p_work.copy()}
+        seen = {"w0": init_dynamics(case, power_flow(case)).w0.copy()}
 
         def spy_solve(self, V, delta, em):
             resolved.append(V.copy())
@@ -233,8 +235,8 @@ class TestKeptEvaluation:
                 # (this sets kept; the residual below sets it again)
                 first.append((f0.copy(), self.derivatives(start)[0]))
                 V_row = resolved.pop() if resolved else V
-                expected.append(fresh_lel_power(self, V_row, em, seen["p_work"]))
-                seen["p_work"] = self.p_work.copy()
+                expected.append(fresh_lel_power(self, V_row, em, seen["w0"]))
+                seen["w0"] = self.w0.copy()
             seen["eng"], seen["z"] = self, z
             return residual(self, z, x0, f0, dt)
 
@@ -251,7 +253,7 @@ class TestKeptEvaluation:
         # the last row's state is the engine's and the last accepted z
         eng, z = seen["eng"], seen["z"]
         _, _, em, V = eng.unpack(z)
-        expected.append(fresh_lel_power(eng, V, em, eng.p_work))
+        expected.append(fresh_lel_power(eng, V, em, eng.w0))
         assert np.array_equal(result.lel_p, np.real(expected))
         assert np.array_equal(result.lel_q, np.imag(expected))
 
@@ -398,3 +400,106 @@ class TestParameterExchange:
         doc = doc.replace("archetype = datacenter", "archetype = widget")
         with pytest.raises(ValidationError):
             parse_lel_params(doc)
+
+
+_PRESETS = [archetype_defaults(a) for a in Archetype]
+_DT = finite(1e-3, 0.5)
+
+
+def preset_or_drawn(*names):
+    """A delay (s): one of the presets' values of the named fields, or
+    any in [0, 5]."""
+    values = sorted({getattr(block, name) for p in _PRESETS
+                     for block in (p.prot, p.cool) for name in names
+                     if hasattr(block, name)})
+    return st.one_of(st.sampled_from(values), finite(0.0, 5.0))
+
+
+def steps_for(delay, dt):
+    """N: the whole steps of dt that a delay takes, at least one."""
+    return max(1, math.ceil(delay / dt - 1e-6))
+
+
+def steps_until(transition, state, done, limit):
+    """Apply transition to state until done(state), up to limit times;
+    returns (the number of steps taken, the state)."""
+    for n in range(1, limit + 1):
+        state = transition(state)
+        if done(state):
+            break
+    return n, state
+
+
+class TestTimerInvariants:
+    """Each timer of the per-LEL machines counts a delay off in N or N+1
+    steps of any dt: N where the float sum of dt reaches the delay, N+1
+    where it rounds low (2.0 s at dt = 5 ms takes 401 steps)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(delay=preset_or_drawn("t_delay_trip"), dt=_DT)
+    @example(delay=2.0, dt=0.005)
+    def test_out_of_band_sheds_after_the_trip_delay(self, delay, dt):
+        params = replace(_PRESETS[0].prot, t_delay_trip=delay)
+        N = steps_for(delay, dt)
+        n, state = steps_until(lambda s: protection_transition(*s, False, dt, params),
+                               astuple(ProtectionState()),
+                               lambda s: s[0] is ProtectionMode.SHED, N + 1)
+        assert state[0] is ProtectionMode.SHED and N <= n
+        assert state[1] == params.kappa_min
+
+    @settings(max_examples=100, deadline=None)
+    @given(wait=preset_or_drawn("t_wait_recon", "t_delay_recon"),
+           since=preset_or_drawn("t_wait_recon", "t_delay_recon"), dt=_DT)
+    @example(wait=4.0, since=2.0, dt=0.005)
+    def test_in_band_after_a_trip_ramps_after_both_recovery_delays(self, wait, since, dt):
+        params = replace(_PRESETS[0].prot, t_delay_trip=0.0, t_wait_recon=wait,
+                         t_delay_recon=since)
+        tripped = protection_transition(*astuple(ProtectionState()), False, dt, params)
+        assert tripped[0] is ProtectionMode.SHED
+        N = steps_for(max(wait, since), dt)
+        n, state = steps_until(lambda s: protection_transition(*s, True, dt, params),
+                               tripped, lambda s: s[0] is ProtectionMode.RAMPING, N + 1)
+        assert state[0] is ProtectionMode.RAMPING and N <= n
+
+    @settings(max_examples=50, deadline=None)
+    @given(params=protection_params(), dt=_DT,
+           runs=st.lists(st.tuples(st.booleans(), st.integers(1, 300)), max_size=12))
+    def test_kappa_stays_between_kappa_min_and_the_full_target(self, params, dt, runs):
+        """1 until the first trip, then within [kappa_min, kappa_full]."""
+        state = astuple(ProtectionState())
+        tripped = False
+        for ok, length in runs:
+            for _ in range(length):
+                state = protection_transition(*state, ok, dt, params)
+                tripped |= state[0] is ProtectionMode.SHED
+                if tripped:
+                    assert params.kappa_min <= state[1] <= params.kappa_full
+                else:
+                    assert state[1] == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(delay=preset_or_drawn("tau_stall"), dt=_DT)
+    @example(delay=2.0, dt=0.005)
+    def test_undervoltage_trips_the_motor_after_tau_stall(self, delay, dt):
+        cool = replace(_PRESETS[0].cool, tau_stall=delay)
+        t_mech = motor_init(cool.load_factor, 1.0, cool).t_mech
+        low = 0.5 * cool.V_stall
+        N = steps_for(delay, dt)
+        n, state = steps_until(
+            lambda s: stall_transition(*s[:3], t_mech, low, dt, cool),
+            (True, 0.0, 0.0, None), lambda s: not s[0], N + 1)
+        assert not state[0] and N <= n
+        assert state[2] == cool.T_cool
+
+    @settings(max_examples=100, deadline=None)
+    @given(delay=preset_or_drawn("T_cool"), dt=_DT)
+    @example(delay=4.0, dt=0.005)
+    def test_tripped_motor_restarts_after_t_cool(self, delay, dt):
+        cool = replace(_PRESETS[0].cool, T_cool=delay)
+        t_mech = motor_init(cool.load_factor, 1.0, cool).t_mech
+        N = steps_for(delay, dt)
+        # the state a stall trip leaves; at 1 pu the first attempt succeeds
+        n, state = steps_until(
+            lambda s: stall_transition(*s[:3], t_mech, 1.0, dt, cool),
+            (False, 0.0, cool.T_cool, None), lambda s: s[0], N + 1)
+        assert state[0] and state[3] is not None and N <= n
