@@ -9,7 +9,7 @@ Usage: python demos/workload_showcase.py
 
 import numpy as np
 
-from lelsim.calibration import simulate_subsystem
+from lelsim.calibration import SUBSYSTEMS, simulate_subsystem
 from lelsim.lel import Archetype, archetype_defaults
 from lelsim.workload import poisson_log_likelihood
 
@@ -20,10 +20,8 @@ SEED = 11
 
 def main():
     params = archetype_defaults(Archetype.DATACENTER)
-    blocks = {"workload": params.work, "cooling": params.cool,
-              "aux": params.aux}
-    for name, block in blocks.items():
-        trace = simulate_subsystem(block, name, HORIZON, DT, SEED)
+    for name, attr in SUBSYSTEMS.items():
+        trace = simulate_subsystem(getattr(params, attr), name, HORIZON, DT, SEED)
         x = trace.first_channel()
         print(f"{name:9s} mean={x.mean():7.3f} MW  std={x.std():6.3f}  "
               f"min={x.min():7.3f}  max={x.max():7.3f}")

@@ -32,6 +32,11 @@ from lelsim.traceio import Trace, step_count
 from lelsim.workload import WorkloadParams, linear_recurrence, simulate_workload
 
 
+# each load subsystem a calibration can fit, and the LelParams field
+# that holds its parameters
+SUBSYSTEMS = {"workload": "work", "cooling": "cool", "aux": "aux"}
+
+
 class ObjectiveMode(enum.Enum):
     PATTERN = "pattern"
     MSE = "mse"
@@ -58,7 +63,7 @@ class CalibrationConfig:
     def __post_init__(self):
         if self.max_evals < 1:
             raise InvalidArgument("max_evals must be >= 1")
-        if self.subsystem not in ("workload", "cooling", "aux"):
+        if self.subsystem not in SUBSYSTEMS:
             raise InvalidArgument(f"unknown subsystem {self.subsystem!r}")
         if not self.bounds:
             raise InvalidArgument("bounds must name at least one free parameter")
@@ -103,10 +108,10 @@ def _voltage_excitation(n: int, seed: int) -> np.ndarray:
 def simulate_subsystem(params, subsystem: str, horizon: float, dt: float,
                        seed: int) -> Trace:
     """One seeded realization of the named load subsystem."""
+    if subsystem not in SUBSYSTEMS:
+        raise InvalidArgument(f"unknown subsystem {subsystem!r}")
     if subsystem == "workload":
         return simulate_workload(params, horizon, dt, seed)
-    if subsystem not in ("cooling", "aux"):
-        raise InvalidArgument(f"unknown subsystem {subsystem!r}")
     v = _voltage_excitation(step_count(horizon, dt), seed)
     if subsystem == "aux":
         p = aux_power(v, params)[0]
@@ -192,7 +197,8 @@ def to_unconstrained(theta: dict, bounds: dict) -> np.ndarray:
 def from_unconstrained(u: np.ndarray, bounds: dict) -> dict:
     theta = {}
     for i, (name, (lo, hi)) in enumerate(bounds.items()):
-        theta[name] = lo + (hi - lo) / (1.0 + math.exp(-float(u[i])))
+        # lo + (hi - lo) can round above hi once exp(-u) is lost against 1
+        theta[name] = min(hi, lo + (hi - lo) / (1.0 + math.exp(-float(u[i]))))
     return theta
 
 
@@ -246,16 +252,14 @@ def calibrate(theta_init: dict, data_trace: Trace,
         def objective(theta):
             return mse_objective(theta, data_trace, cfg)
 
-    evals = {"n": 0}
     best = {"u": to_unconstrained(theta_init, cfg.bounds), "f": math.inf}
     trace_vals: list = []
 
     def objective_u(u):
-        if evals["n"] >= cfg.max_evals:
+        if len(trace_vals) >= cfg.max_evals:
             # budget spent: return a value that cannot be accepted
             return best["f"] + 1.0
         f = objective(from_unconstrained(u, cfg.bounds))
-        evals["n"] += 1
         if f < best["f"]:
             best["f"] = f
             best["u"] = np.array(u, dtype=float)
@@ -286,8 +290,8 @@ def calibrate(theta_init: dict, data_trace: Trace,
     return CalibrationResult(theta_star=theta_star, objective_trace=trace_vals,
                              final_pattern_distance=final,
                              initial_pattern_distance=initial,
-                             n_evals=evals["n"],
-                             budget_exhausted=evals["n"] >= cfg.max_evals,
+                             n_evals=len(trace_vals),
+                             budget_exhausted=len(trace_vals) >= cfg.max_evals,
                              encoder=encoder)
 
 

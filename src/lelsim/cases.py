@@ -220,17 +220,8 @@ def _rows(sections, section: str, sizes: tuple, build) -> list:
     return out
 
 
-def load_case(path_or_text, name: str = "") -> GridCase:
-    """Parse a sectioned-CSV case document (path, file object, or text)."""
-    if hasattr(path_or_text, "read"):
-        text = path_or_text.read()
-    elif isinstance(path_or_text, str) and "\n" in path_or_text:
-        text = path_or_text
-    else:
-        with open(path_or_text) as fh:
-            text = fh.read()
-        name = name or str(path_or_text)
-
+def load_case(text: str, name: str = "") -> GridCase:
+    """Parse the text of a sectioned-CSV case document."""
     sections: dict[str, list[tuple[int, list[str]]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

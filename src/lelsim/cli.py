@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from lelsim.calibration import (
+    SUBSYSTEMS,
     CalibrationConfig,
     ObjectiveMode,
     calibrate,
@@ -61,39 +62,32 @@ def _load_lel_params(args):
 
 
 def _subsystem_params(params, subsystem: str):
-    return {"workload": params.work, "cooling": params.cool,
-            "aux": params.aux}[subsystem]
+    return getattr(params, SUBSYSTEMS[subsystem])
 
 
 def _load_grid_case(name_or_path: str):
     if name_or_path in ("toy2", "toy9", "ieee39"):
         return bundled_case(name_or_path)
-    return load_case(name_or_path)
+    with open(name_or_path) as fh:
+        return load_case(fh.read(), name=name_or_path)
 
 
-def _parse_bounds(pairs):
-    bounds = {}
+def _parse_specs(pairs, kind: str, form: str, value) -> dict:
+    """{name: value(text)} for NAME=TEXT options; a spec without '=', or
+    one whose text value rejects with ValueError, names the expected form."""
+    out = {}
     for spec in pairs:
         try:
-            name, rng = spec.split("=", 1)
-            lo, hi = rng.split(":", 1)
-            bounds[name] = (float(lo), float(hi))
+            name, text = spec.split("=", 1)
+            out[name] = value(text)
         except ValueError as exc:
-            raise InvalidArgument(f"bad bound spec {spec!r}, "
-                                  "expected name=lo:hi") from exc
-    return bounds
+            raise InvalidArgument(f"bad {kind} spec {spec!r}, expected {form}") from exc
+    return out
 
 
-def _parse_inits(pairs):
-    theta = {}
-    for spec in pairs:
-        try:
-            name, val = spec.split("=", 1)
-            theta[name] = float(val)
-        except ValueError as exc:
-            raise InvalidArgument(f"bad init spec {spec!r}, "
-                                  "expected name=value") from exc
-    return theta
+def _interval(text: str) -> tuple[float, float]:
+    lo, hi = text.split(":", 1)
+    return float(lo), float(hi)
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -116,8 +110,8 @@ def _calibration_config(args, data, mode: ObjectiveMode) -> CalibrationConfig:
     """Calibration settings shared by the calibrate and robustness commands."""
     return CalibrationConfig(
         base_params=_subsystem_params(_load_lel_params(args), args.subsystem),
-        bounds=_parse_bounds(args.bound), subsystem=args.subsystem,
-        mode=mode, max_evals=args.max_evals,
+        bounds=_parse_specs(args.bound, "bound", "name=lo:hi", _interval),
+        subsystem=args.subsystem, mode=mode, max_evals=args.max_evals,
         horizon=len(data) * data.sample_period, dt=data.sample_period,
         sim_seed=args.seed, encoder_seed=args.seed + 1,
         optimizer_seed=args.seed + 2, window_length=args.window_length,
@@ -141,7 +135,7 @@ def cmd_calibrate(args) -> int:
     data = read_trace(args.data)
     cfg = _calibration_config(args, data, ObjectiveMode(args.mode))
     if args.init:
-        theta0 = _parse_inits(args.init)
+        theta0 = _parse_specs(args.init, "init", "name=value", float)
     else:
         theta0 = {k: 0.5 * (lo + hi) for k, (lo, hi) in cfg.bounds.items()}
     result = calibrate(theta0, data, cfg)
@@ -274,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         """The arguments calibrate and robustness share."""
         add_params(sp)
         sp.add_argument("data", help="measured trace CSV")
-        sp.add_argument("--subsystem", default="workload",
-                        choices=["workload", "cooling", "aux"])
+        sp.add_argument("--subsystem", default="workload", choices=list(SUBSYSTEMS))
         sp.add_argument("--bound", action="append", required=True,
                         metavar="NAME=LO:HI", help="free parameter bounds")
         sp.add_argument("--max-evals", type=int, default=100)
@@ -287,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate-load", help="generate a load subsystem trace")
     add_params(sp)
-    sp.add_argument("--model", default="workload",
-                    choices=["workload", "cooling", "aux"])
+    sp.add_argument("--model", default="workload", choices=list(SUBSYSTEMS))
     sp.add_argument("--horizon", type=float, default=3600.0)
     sp.add_argument("--dt", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=0)

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, fields
 
 from lelsim.errors import InvalidArgument, ValidationError
-from lelsim.protection import ProtectionParams, parse_kv_document
+from lelsim.protection import ProtectionParams, parse_kv_document, read_fields
 from lelsim.thermal_aux import AuxParams, CoolingParams
 from lelsim.workload import WorkloadParams
 
@@ -84,22 +84,20 @@ def archetype_defaults(archetype: Archetype) -> LelParams:
 # parameter-exchange file (flat key-value blocks, schema versioned)
 # ---------------------------------------------------------------------------
 
-# each block's keys, in the declaration order of its parameter dataclass
-_WORK_FIELDS, _COOL_FIELDS, _AUX_FIELDS, _PROT_FIELDS = (
-    tuple(f.name for f in fields(cls))
-    for cls in (WorkloadParams, CoolingParams, AuxParams, ProtectionParams))
+# each block's LelParams field, which is also its key prefix, and its
+# parameter dataclass; a block's keys follow the dataclass's field order
+_BLOCKS = {"work": WorkloadParams, "cool": CoolingParams, "aux": AuxParams,
+           "prot": ProtectionParams}
 
 
 def dump_lel_params(params: LelParams) -> str:
     """Serialize a parameter bundle; parse_lel_params round-trips exactly."""
     lines = [f"schema_version = {EXCHANGE_SCHEMA_VERSION}",
              f"archetype = {params.archetype.value}"]
-    for prefix, obj, names in (("work", params.work, _WORK_FIELDS),
-                               ("cool", params.cool, _COOL_FIELDS),
-                               ("aux", params.aux, _AUX_FIELDS),
-                               ("prot", params.prot, _PROT_FIELDS)):
-        for f in names:
-            lines.append(f"{prefix}.{f} = {getattr(obj, f)!r}")
+    for prefix in _BLOCKS:
+        block = getattr(params, prefix)
+        for f in fields(block):
+            lines.append(f"{prefix}.{f.name} = {getattr(block, f.name)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -120,23 +118,7 @@ def parse_lel_params(document: str) -> LelParams:
         archetype = Archetype(kv["archetype"])
     except ValueError as exc:
         raise ValidationError(f"unknown archetype {kv['archetype']!r}") from exc
-
-    def block(prefix, names, cls):
-        values = {}
-        for f in names:
-            key = f"{prefix}.{f}"
-            if key not in kv:
-                raise ValidationError(f"parameter-exchange file missing {key}")
-            try:
-                values[f] = float(kv[key])
-            except ValueError as exc:
-                raise ValidationError(f"{key}: {exc}") from exc
-        return cls(**values)
-
-    return LelParams(
-        work=block("work", _WORK_FIELDS, WorkloadParams),
-        cool=block("cool", _COOL_FIELDS, CoolingParams),
-        aux=block("aux", _AUX_FIELDS, AuxParams),
-        prot=block("prot", _PROT_FIELDS, ProtectionParams),
-        archetype=archetype,
-    )
+    return LelParams(archetype=archetype, **{
+        prefix: read_fields(kv, {f"{prefix}.{f.name}": f.name for f in fields(cls)},
+                            cls, "parameter-exchange file")
+        for prefix, cls in _BLOCKS.items()})

@@ -80,8 +80,6 @@ def max_cross_correlation(a, b) -> float:
             xa, xb = a[lag:lag + n - lag], b[:n - lag]
         else:
             xa, xb = a[:n + lag], b[-lag:n]
-        if len(xa) < 2:
-            continue
         sa, sb = xa.std(), xb.std()
         if sa == 0 or sb == 0:
             continue

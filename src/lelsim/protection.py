@@ -33,8 +33,6 @@ _FIELD_MAP = {
     "t_wait_recon": "t_wait_recon", "t_delay_recon": "t_delay_recon",
     "kappa_min": "kappa_min", "kappa_max": "kappa_max", "r_kappa": "r_kappa",
 }
-# exact key set of the standardized disclosure form
-DISCLOSURE_FIELDS = tuple(_FIELD_MAP)
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,10 @@ def protection_step(state: ProtectionState, v_mag: float, omega: float,
                     dt: float, params: ProtectionParams) -> ProtectionState:
     """Advance the protection state machine by one step of length dt.
 
-    Timers advance by exactly dt per step and threshold comparisons use
-    >=.  Deterministic: identical input sequences give identical
+    Each timer adds dt per step in floating point and thresholds compare
+    with >=, so a delay of a whole number of steps can take one step more
+    when the sum rounds low: 2.0 s at dt = 5 ms takes 401 steps (ROADMAP
+    item 8).  Deterministic: identical input sequences give identical
     mode/kappa sequences.  A thin wrapper over `protection_transition`.
     """
     if dt <= 0:
@@ -174,19 +174,26 @@ def parse_kv_document(text: str) -> dict[str, str]:
     return out
 
 
+def read_fields(kv: dict[str, str], keys: dict[str, str], cls, form: str):
+    """cls built from the float values in kv of keys, which maps each key
+    of the form to the field of cls it holds.  A ValidationError names
+    every missing key, or else the first value that is not a number."""
+    missing = [key for key in keys if key not in kv]
+    if missing:
+        raise ValidationError(f"{form} missing {', '.join(missing)}")
+    values = {}
+    for key, name in keys.items():
+        try:
+            values[name] = float(kv[key])
+        except ValueError as exc:
+            raise ValidationError(f"{key}: {exc}") from exc
+    return cls(**values)
+
+
 def load_protection_disclosure(document: str) -> ProtectionParams:
     """Parse a standardized disclosure form into validated ProtectionParams."""
-    kv = parse_kv_document(document)
-    missing = [f for f in DISCLOSURE_FIELDS if f not in kv]
-    if missing:
-        raise ValidationError(f"disclosure form missing field(s): {', '.join(missing)}")
-    values = {}
-    for key, attr in _FIELD_MAP.items():
-        try:
-            values[attr] = float(kv[key])
-        except ValueError as exc:
-            raise ValidationError(f"field {key}: {exc}") from exc
-    return ProtectionParams(**values)
+    return read_fields(parse_kv_document(document), _FIELD_MAP, ProtectionParams,
+                       "disclosure form")
 
 
 def dump_protection_disclosure(params: ProtectionParams) -> str:

@@ -198,7 +198,9 @@ def _equilibrium(target, v, params: CoolingParams, power: bool):
     r, xp, x0 = params.R_s, params.x_trans, params.x_open
     wt0 = OMEGA_SYNC * params.t0_prime
     d, num, starts, ends, d_end, num_end = _monotone_segments(r, xp, x0, wt0, power)
-    vv = np.abs(v) ** 2
+    # np.square, not ** 2: a NumPy scalar's ** 2 calls pow(), which can
+    # round |v|^2 one ulp away from the x * x that arrays use
+    vv = np.square(np.abs(v))
     coef = target[..., None] * d - vv[..., None] * num
     lead = coef[..., 0]
     crossed = target[..., None] * d_end - vv[..., None] * num_end <= 0

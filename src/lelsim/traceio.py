@@ -115,18 +115,13 @@ def read_trace(path_or_file) -> Trace:
     return Trace(sample_period=dt, channels=channels)
 
 
-def write_trace(trace: Trace, path_or_file) -> None:
-    """Write a trace as CSV (inverse of read_trace, full float precision)."""
+def write_trace(trace: Trace, path) -> None:
+    """Write a trace as CSV to path (inverse of read_trace, full precision)."""
     names = list(trace.channels)
-    own = not hasattr(path_or_file, "write")
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
+    t = trace.times
+    cols = [trace.channels[n] for n in names]
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + names)
-        t = trace.times
-        cols = [trace.channels[n] for n in names]
         for i in range(len(trace)):
             writer.writerow([repr(float(t[i]))] + [repr(float(c[i])) for c in cols])
-    finally:
-        if own:
-            fh.close()

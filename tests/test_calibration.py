@@ -86,6 +86,11 @@ class TestTransform:
             for k, (lo, hi) in BOUNDS.items():
                 assert lo <= theta[k] <= hi
 
+    @pytest.mark.parametrize("lo,hi", [(0.3, 0.9), (0.15, 0.45)])
+    def test_saturated_u_maps_to_the_upper_bound(self, lo, hi):
+        # lo + (hi - lo) rounds above hi in these boxes
+        assert from_unconstrained(np.array([40.0]), {"x": (lo, hi)}) == {"x": hi}
+
 
 class TestObjectives:
     def test_objective_deterministic(self):

@@ -20,6 +20,7 @@ s_base,100.0
 [GEN]
 1,5.0,50.0,0.2,0,1.04
 """
+GEN = "1,5.0,50.0,0.2,0,1.04"
 
 
 class TestLoadCase:
@@ -63,6 +64,33 @@ class TestLoadCase:
     ], ids=["non_numeric_field", "system_row_without_value", "unknown_archetype"])
     def test_malformed_row_rejected_naming_section_and_row(self, old, new, where):
         with pytest.raises(ValidationError, match=rf"line \d+: {re.escape(where)} row \["):
+            load_case(MINIMAL.replace(old, new))
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("2,pq,1.0,50,20", "2,pq,1.0,50,20\n2,pq,1.0,10,5", "duplicate bus ids"),
+        ("1,slack,1.04,0,0", "1,pv,1.04,0,0", "exactly one slack bus, found 0"),
+        ("2,pq,1.0,50,20", "2,slack,1.0,50,20", "exactly one slack bus, found 2"),
+        ("2,pq,1.0,50,20", "2,load,1.0,50,20", "bus 2: unknown type 'load'"),
+        ("1,2,0.01,0.1,0.02", "1,2,0,0,0.02", "branch 1-2: zero impedance"),
+        (GEN, GEN + "\n" + GEN, "at most one generator per bus"),
+        (GEN, GEN + "\n7,5.0,50.0,0.2,0,1.0", "generator at unknown bus 7"),
+        (GEN, GEN + "\n2,5.0,50.0,0.2,0,1.0", "generator bus 2 must be PV or slack"),
+        ("2,pq,1.0,50,20", "2,pv,1.0,50,20", "every PV/slack bus needs a generator"),
+        (GEN, GEN + "\n[LEL]\n2,datacenter\n2,datacenter", "at most one LEL per bus"),
+        (GEN, GEN + "\n[LEL]\n7,datacenter", "LEL at unknown bus 7"),
+        (GEN, GEN + "\n[LEL]\n1,datacenter", "LEL bus 1 must be PQ"),
+        (GEN, GEN + "\n[LEL]\n2,datacenter,0.5,0.3,0.1",
+         "LEL bus 2: shares must be >= 0 and sum to 1"),
+        (GEN, GEN + "\n[LEL]\n2,datacenter,1.2,-0.3,0.1",
+         "LEL bus 2: shares must be >= 0 and sum to 1"),
+        ("2,pq,1.0,50,20", "2,pq,1.0,50,20\n3,pq,1.0,10,5", "disconnected bus(es): [3]"),
+    ], ids=["duplicate_bus", "no_slack", "two_slacks", "unknown_bus_type", "zero_impedance",
+            "two_generators_on_one_bus", "generator_at_unknown_bus", "generator_at_pq_bus",
+            "pv_bus_without_generator", "two_lels_on_one_bus", "lel_at_unknown_bus",
+            "lel_at_slack_bus", "shares_not_summing_to_one", "negative_share",
+            "disconnected_bus"])
+    def test_impossible_case_rejected_naming_the_problem(self, old, new, named):
+        with pytest.raises(ValidationError, match=re.escape(named)):
             load_case(MINIMAL.replace(old, new))
 
     def test_zero_tap_means_nominal(self):

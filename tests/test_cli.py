@@ -2,6 +2,8 @@
 
 import importlib.resources
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import lelsim
-from lelsim.cli import cli_dispatch
+from lelsim.cli import build_parser, cli_dispatch
 from lelsim.traceio import Trace, read_trace, write_trace
 
 
@@ -197,6 +199,18 @@ class TestCalibrateCommand:
                   "--mode", mode, "--max-evals", "4", "--epochs", "2",
                   "--repeats", "1", "--out", str(tmp_path / "cal.txt")])
         assert rc == 0
+
+    @pytest.mark.parametrize("mode", ["mse", "pattern"])
+    def test_optimum_at_the_upper_bound(self, tmp_path, mode):
+        # the best mu_eta for this trace is the bound's upper end, which
+        # the logit transform once overshot by one rounding
+        data, out = tmp_path / "w.csv", tmp_path / "fit.txt"
+        assert run(["simulate-load", "--archetype", "datacenter", "--model", "workload",
+                    "--horizon", "1800", "--dt", "1", "--seed", "7", "--out", str(data)]) == 0
+        rc = run(["calibrate", str(data), "--bound", "mu_eta=0.15:0.45", "--mode", mode,
+                  "--epochs", "10", "--max-evals", "200", "--out", str(out)])
+        assert rc == 0
+        assert "\nmu_eta=0.45\n" in out.read_text()
 
     def test_bad_bound_spec_is_validation_error(self, workload_csv, tmp_path):
         rc = run(["calibrate", str(workload_csv), "--bound", "mu_eta=oops",
@@ -401,6 +415,34 @@ class TestMalformedInput:
         rc = run(["grid-sim", "toy9", "--k", "2", "--fault-bus", "5", "--t-fault", "0.5",
                   "--duration", "-0.2", "--out-prefix", str(tmp_path / "g")])
         self.assert_error_exit(rc, capsys)
+
+
+class TestReadme:
+    """The README's examples stay runnable."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def block(self, heading: str) -> str:
+        """The first fenced block under a README heading."""
+        text = (self.ROOT / "README.md").read_text()
+        return text.split(f"## {heading}\n", 1)[1].split("```\n", 2)[1]
+
+    def test_command_line_examples_parse(self):
+        lines = self.block("Command line").replace("\\\n", " ").splitlines()
+        commands = [line for line in lines if line.startswith("lelsim ")]
+        assert commands
+        parser = build_parser()
+        for line in commands:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+
+    def test_demo_examples_name_existing_files(self):
+        demos = re.findall(r"^python (demos/\S+\.py)", self.block("Demos"), re.MULTILINE)
+        assert demos
+        for demo in demos:
+            assert (self.ROOT / demo).is_file(), demo
 
 
 class TestUsage:

@@ -503,10 +503,10 @@ SERIES = ("time", "v_mag", "v_ang", "gen_omega", "gen_delta", "lel_p", "lel_q",
 class TestCollapseReasons:
     """Each collapse carries its reason, and its message names the cause."""
 
-    def collapse(self, events=()):
+    def collapse(self, events=(), horizon=0.5):
         case = place_lels(bundled_case("toy9"), 2, seed=3)
         with pytest.raises(SimulationCollapse) as exc:
-            run_simulation(case, list(events), SimConfig(dt=0.01, horizon=0.5))
+            run_simulation(case, list(events), SimConfig(dt=0.01, horizon=horizon))
         partial = exc.value.partial
         assert partial.collapse_reason == exc.value.reason
         # every per-sample array is cut at the same sample
@@ -528,6 +528,20 @@ class TestCollapseReasons:
         assert exc.reason == "newton" and exc.step == 0
         assert str(exc).startswith("Newton failed to converge")
         assert f"residual {exc.residual:.3e}" in str(exc)
+
+    def test_angle_separation(self, monkeypatch):
+        # a negative limit counts every spread, so the run collapses once
+        # the hold has passed; until then it is the run without the limit
+        full = run_simulation(place_lels(bundled_case("toy9"), 2, seed=3), [],
+                              SimConfig(dt=0.01, horizon=2.0))
+        monkeypatch.setattr(grid, "ANGLE_SPREAD_LIMIT", -1.0)
+        exc = self.collapse(horizon=2.0)
+        assert exc.reason == "angle_separation" and exc.step == 100
+        assert exc.time == pytest.approx(1.01)
+        partial = exc.partial
+        assert len(partial.time) == 102
+        for name in ("v_mag", "v_ang", "motor_mode"):
+            assert np.array_equal(getattr(partial, name), getattr(full, name)[:102]), name
 
     def test_network_solve(self, monkeypatch):
         monkeypatch.setattr(_Engine, "solve_network",

@@ -155,5 +155,5 @@ class TestDisclosureForm:
         doc = dump_protection_disclosure(make_params())
         trimmed = "\n".join(line for line in doc.splitlines()
                             if not line.startswith("r_kappa"))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^disclosure form missing r_kappa$"):
             load_protection_disclosure(trimmed)
