@@ -256,9 +256,6 @@ def calibrate(theta_init: dict, data_trace: Trace,
     trace_vals: list = []
 
     def objective_u(u):
-        if len(trace_vals) >= cfg.max_evals:
-            # budget spent: return a value that cannot be accepted
-            return best["f"] + 1.0
         f = objective(from_unconstrained(u, cfg.bounds))
         if f < best["f"]:
             best["f"] = f
@@ -271,12 +268,12 @@ def calibrate(theta_init: dict, data_trace: Trace,
     n_free = len(cfg.bounds)
     simplex = np.vstack([u] + [u + 0.5 * rng.standard_normal(n_free)
                                for _ in range(n_free)])
-    # maxfev stops the search at the first call past the budget, which
-    # objective_u answers with a value that cannot be accepted; imported
-    # here so that grid runs and the other subcommands do not load it
+    # scipy's Nelder-Mead raises, and ends the search, before any call
+    # past maxfev; imported here so that grid runs and the other
+    # subcommands do not load it
     from scipy.optimize import minimize
     minimize(objective_u, u, method="Nelder-Mead",
-             options={"maxfev": cfg.max_evals + 1, "initial_simplex": simplex,
+             options={"maxfev": cfg.max_evals, "initial_simplex": simplex,
                       "xatol": 1e-8, "fatol": 1e-12})
 
     theta_star = from_unconstrained(best["u"], cfg.bounds)

@@ -247,7 +247,12 @@ def load_case(text: str, name: str = "") -> GridCase:
         if required not in sections or not sections[required]:
             raise ValidationError(f"case is missing a [{required}] section")
 
-    system = dict(_rows(sections, "SYSTEM", (2,), _system))
+    system = {}
+    for (lineno, _), (key, value) in zip(sections.get("SYSTEM", []),
+                                         _rows(sections, "SYSTEM", (2,), _system)):
+        if key in system:
+            raise ValidationError(f"line {lineno}: [SYSTEM] key {key!r} given more than once")
+        system[key] = value
     s_base = system.get("s_base", 100.0)
     f_base = system.get("f_base", 60.0)
     buses = _rows(sections, "BUS", (5,), _bus)

@@ -74,14 +74,18 @@ def _load_grid_case(name_or_path: str):
 
 def _parse_specs(pairs, kind: str, form: str, value) -> dict:
     """{name: value(text)} for NAME=TEXT options; a spec without '=', or
-    one whose text value rejects with ValueError, names the expected form."""
+    one whose text value rejects with ValueError, names the expected form,
+    and a name given twice is rejected."""
     out = {}
     for spec in pairs:
         try:
             name, text = spec.split("=", 1)
-            out[name] = value(text)
+            parsed = value(text)
         except ValueError as exc:
             raise InvalidArgument(f"bad {kind} spec {spec!r}, expected {form}") from exc
+        if name in out:
+            raise InvalidArgument(f"{kind} {name!r} given more than once")
+        out[name] = parsed
     return out
 
 

@@ -376,12 +376,13 @@ class _Engine:
     follow z's order: the network rows are each bus's current mismatch
     as an (Re, Im) pair.
 
-    `running` holds which motors run (assign a new array to change it);
-    `w0` holds each LEL's constant-power term (K,), the `work_term` of
-    its workload draw, which the caller sets per step.  `kept` holds the
-    last evaluation's derivatives and LEL currents before retention,
-    (f, u), until the caller drops it (sets None) because it changed the
-    state they were evaluated at."""
+    `running` holds which motors run (assign a new array to change it;
+    `step_machines` does after a motor stall trip or restart, and says
+    so); `w0` holds each LEL's constant-power term (K,), the `work_term`
+    of its workload draw, which the caller sets per step.  `kept` holds
+    the last evaluation's derivatives and LEL currents before retention,
+    (f, u), until the caller drops it (sets None) at a jump of the state
+    they were evaluated at: a network re-solve or a motor switch."""
 
     def __init__(self, case: GridCase, V: np.ndarray):
         """Build the t=0 equilibrium: machine EMFs, load admittances, and
@@ -692,15 +693,21 @@ class _Engine:
     def step_machines(self, V, omega, em, dt, t, log):
         """Advance each LEL's motor-stall and protection machines by dt at
         bus voltages V and machine speeds omega, logging their events at
-        time t into log.
+        time t into log; returns whether a motor stalled or restarted.
 
         Each machine is skipped where its transition would return its
         input: a motor RUNNING at |v| >= V_stall with a zero stall timer,
         a protection CONNECTED and in band.  So a settled LEL costs a few
-        float compares.  A restart writes the motor's equilibrium into em.
-        A stall trip or a restart changes `running` and drops `kept`,
-        whose currents it changes."""
-        connected = ProtectionMode.CONNECTED
+        float compares.  A restart writes the motor's equilibrium into em,
+        and a stall trip or a restart changes `running`; the caller drops
+        `kept`, whose currents they change.
+
+        The protection events follow the modes: `shed` when the mode
+        becomes SHED from any mode but RECOVERY_WAIT (whose load is
+        already shed), `ramp_start` when SHED or RECOVERY_WAIT becomes
+        RAMPING, and `reconnected` when RAMPING becomes CONNECTED."""
+        P = ProtectionMode
+        switched = False
         Vl = V[self.lbus]
         for k, (v, v_mag, w, prev, motor, (v_ref, dv, w_ref, dw, v_stall)) in enumerate(zip(
                 Vl.tolist(), np.abs(Vl).tolist(), omega[self.near].tolist(), self.prot,
@@ -712,32 +719,29 @@ class _Engine:
                     *motor, self.tmech[k], v, dt, params.cool)
                 self.motor[k] = running, stall, recovery
                 if running is not motor[0]:
+                    switched = True
                     if running:
                         slip, e = self.motor_states(em)
                         slip[k], e[k] = fresh.slip, complex(fresh.ed_p, fresh.eq_p)
-                    flags = self.running.copy()
-                    flags[k] = running
-                    self.running = flags
-                    self.kept = None
                     log.append(EventRecord(t, self.lel_ids[k], "motor_restart" if running
                                            else "motor_stall_trip"))
-            if ok and prev[0] is connected:
+            if ok and prev[0] is P.CONNECTED:
                 continue
 
             prot = self.prot[k] = protection_transition(*prev, ok, dt, self.params[k].prot)
-            mode, kappa = prot[0], prot[1]
-            self.kappa[k] = kappa
-            if mode is not prev[0]:
+            mode, was = prot[0], prev[0]
+            self.kappa[k] = prot[1]
+            if mode is not was:
                 self.prot_ord[k] = mode
-                if mode is ProtectionMode.SHED:
-                    # a trip, from any mode; RECOVERY_WAIT -> SHED keeps kappa
-                    if kappa < prev[1]:
-                        log.append(EventRecord(t, self.lel_ids[k], "shed"))
-                elif mode is ProtectionMode.RAMPING and prev[0] in (
-                        ProtectionMode.SHED, ProtectionMode.RECOVERY_WAIT):
+                if mode is P.SHED and was is not P.RECOVERY_WAIT:
+                    log.append(EventRecord(t, self.lel_ids[k], "shed"))
+                elif mode is P.RAMPING and was in (P.SHED, P.RECOVERY_WAIT):
                     log.append(EventRecord(t, self.lel_ids[k], "ramp_start"))
-                elif mode is connected and prev[1] < 1.0:
+                elif mode is P.CONNECTED and was is P.RAMPING:
                     log.append(EventRecord(t, self.lel_ids[k], "reconnected"))
+        if switched:
+            self.running = [m[0] for m in self.motor]
+        return switched
 
     # -- solves -------------------------------------------------------------
 
@@ -774,12 +778,14 @@ def make_schedule(case: GridCase, events, cfg: SimConfig) -> dict[int, list[tupl
     the horizon (the last step starts at horizon - dt, so they would never
     be applied); faults with a non-finite admittance; events whose bus or
     branch the case lacks; clears of no fault of equal admittance on at
-    their bus; and repeated trips (one trip removes every parallel copy,
-    so a second would subtract the stamp again and leave a
+    their bus, or at the step that applies that fault (the network would
+    never see it); and repeated trips (one trip removes every parallel
+    copy, so a second would subtract the stamp again and leave a
     negative-admittance line)."""
     buses = case.bus_index()
     dt = cfg.dt
-    tripped, faults = [], []        # branch ends; (bus, admittance) of faults on
+    # branch ends; ((bus, admittance), time) of the faults on
+    tripped, faults = [], []
     schedule = {}
     for ev in sorted(events, key=lambda e: e.time):
         if not 0.0 <= ev.time < math.inf:
@@ -791,6 +797,7 @@ def make_schedule(case: GridCase, events, cfg: SimConfig) -> dict[int, list[tupl
         if ev.time > cfg.horizon - dt / 2:
             raise InvalidArgument(
                 f"{ev.kind} at t={ev.time} is at the horizon or past it (never applied)")
+        step = round(ev.time / dt)
         if ev.kind == "branch_trip":
             if ev.branch is None:
                 raise InvalidArgument(f"branch_trip at t={ev.time} names no branch")
@@ -812,19 +819,23 @@ def make_schedule(case: GridCase, events, cfg: SimConfig) -> dict[int, list[tupl
                 raise InvalidArgument(f"{ev.kind} at t={ev.time}: non-finite admittance")
             fault = (ev.bus, ev.admittance)
             if ev.kind == "fault":
-                faults.append(fault)
-            elif fault in faults:
-                faults.remove(fault)
+                faults.append((fault, ev.time))
             else:
-                raise InvalidArgument(f"clear_fault at t={ev.time}: no fault of admittance "
-                                      f"{ev.admittance} on at bus {ev.bus}")
+                on = next((f for f in faults if f[0] == fault), None)
+                if on is None:
+                    raise InvalidArgument(f"clear_fault at t={ev.time}: no fault of admittance "
+                                          f"{ev.admittance} on at bus {ev.bus}")
+                if round(on[1] / dt) == step:
+                    raise InvalidArgument(f"clear_fault at t={ev.time} is at the step of its "
+                                          f"fault at t={on[1]}, so the fault is never seen")
+                faults.remove(on)
             # -0.0 is the exact additive identity, so Y + dY leaves every
             # other entry as it is
             dY = np.full((case.n_bus, case.n_bus), complex(-0.0, -0.0))
             b = buses[ev.bus]
             dY[b, b] = ev.admittance if ev.kind == "fault" else -ev.admittance
             islands = False
-        schedule.setdefault(round(ev.time / dt), []).append((LOG_KIND[ev.kind], dY, islands))
+        schedule.setdefault(step, []).append((LOG_KIND[ev.kind], dY, islands))
     return schedule
 
 
@@ -839,9 +850,10 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     LEL's motor-stall and protection machines (`_Engine.step_machines`;
     their discrete states live in the engine as plain values), and
     records.  The record writes each step's row of the result but for
-    v_mag, v_ang and motor_mode: it keeps the bus voltages of up to
-    RECORD_BLOCK rows and fills those three per block, before a motor
-    trip or restart, at the horizon and on every collapse.
+    v_mag and v_ang: it keeps the bus voltages of up to RECORD_BLOCK rows
+    and fills those two per block, at the horizon and on every collapse.
+    motor_mode starts with every motor running; a motor stall trip or
+    restart writes it into the rows from its own on.
 
     The step's chord factorization `lu` is a local held across steps.
     It is dropped by a switching event (the network changed) and at the
@@ -852,10 +864,10 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     The step's last residual is evaluated at the accepted state, so its
     derivatives and LEL currents (the engine's `kept`) serve the record
     and the next step's start derivatives f0 without a second device
-    evaluation.  A motor stall trip or restart, and a network re-solve,
-    change them, so each drops `kept` and the next use evaluates afresh.
-    The same jumps drop the voltage history: the next step predicts its
-    voltages unchanged, so no extrapolation spans a jump.
+    evaluation.  A network re-solve and a motor stall trip or restart
+    change them, so both jumps drop `kept` (the next use evaluates
+    afresh) and the voltage history (the next step predicts its voltages
+    unchanged, so no extrapolation spans a jump).
 
     Raises SimulationCollapse (with the truncated result attached) on
     Newton failure, a non-finite step residual, a failed network re-solve,
@@ -881,24 +893,22 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
                     gen_omega=np.empty((T, ng)), gen_delta=np.empty((T, ng)),
                     lel_p=np.empty((T, K)), lel_q=np.empty((T, K)),
                     lel_kappa=np.empty((T, K)), lel_mode=np.empty((T, K), dtype=int),
-                    motor_mode=np.empty((T, K), dtype=int), events=[],
+                    motor_mode=np.zeros((T, K), dtype=int), events=[],
                     bus_ids=[b.id for b in case.buses],
                     gen_buses=[g.bus for g in case.generators], lel_ids=eng.lel_ids,
                     lel_kappa_full=np.array([p.prot.kappa_full for p in eng.params]))
     log = res.events
-    # the bus voltages of the rows from `filled` on, whose v_mag, v_ang
-    # and motor_mode are not yet written
+    # the bus voltages of the rows from `filled` on, whose v_mag and
+    # v_ang are not yet written
     v_rows = np.empty((min(RECORD_BLOCK, T), n), dtype=complex)
     filled = 0
 
-    def fill(upto, running):
-        """Write v_mag, v_ang and motor_mode of the held rows up to upto,
-        whose motors ran as running."""
+    def fill(upto):
+        """Write v_mag and v_ang of the held rows up to upto."""
         nonlocal filled
         rows = v_rows[:upto - filled]
         res.v_mag[filled:upto] = np.abs(rows)
         res.v_ang[filled:upto] = np.angle(rows)
-        res.motor_mode[filled:upto] = ~running
         filled = upto
 
     def record(i, t):
@@ -912,10 +922,10 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         res.lel_kappa[i] = eng.kappa
         res.lel_mode[i] = eng.prot_ord
         if i + 1 - filled == len(v_rows):
-            fill(i + 1, eng.running)
+            fill(i + 1)
 
     def collapse(reason, step, t, upto, residual=0.0):
-        fill(upto, eng.running)
+        fill(upto)
         partial = replace(res, collapsed=True, collapse_reason=reason,
                           **{f: getattr(res, f)[:upto] for f in _SERIES})
         return SimulationCollapse(reason, step, t, residual, partial)
@@ -947,8 +957,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
             if not ok:
                 raise collapse("network_solve", step, t, step + 1, math.inf)
             z[ov:] = V.view(float)
-            eng.kept = None
-            v_last = None
+            eng.kept = v_last = None
         if lu_age >= JACOBIAN_MAX_AGE:
             lu = None
 
@@ -974,14 +983,10 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         delta, omega, em, V = eng.unpack(z)
         t_new = t + dt
 
-        # a restarted motor writes its states into z through the em view;
-        # a trip or a restart drops `kept` and so the voltage history, and
-        # ends the rows that share motor_mode
-        running = eng.running
-        eng.step_machines(V, omega, em, dt, t_new, log)
-        if eng.running is not running:
-            v_last = None
-            fill(step + 1, running)
+        # a restarted motor writes its states into z through the em view
+        if eng.step_machines(V, omega, em, dt, t_new, log):
+            res.motor_mode[step + 1:] = ~eng.running
+            eng.kept = v_last = None
 
         record(step + 1, t_new)
 
@@ -994,7 +999,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         else:
             spread_since = None
 
-    fill(T, eng.running)
+    fill(T)
     return res
 
 

@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass, fields
 
 from lelsim.errors import InvalidArgument, ValidationError
-from lelsim.protection import ProtectionParams, parse_kv_document, read_fields
+from lelsim.protection import (ProtectionParams, parse_kv_document, read_fields,
+                               reject_unknown_keys)
 from lelsim.thermal_aux import AuxParams, CoolingParams
 from lelsim.workload import WorkloadParams
 
@@ -112,6 +113,10 @@ def parse_lel_params(document: str) -> LelParams:
         raise ValidationError(f"schema_version: {exc}") from exc
     if version != EXCHANGE_SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version}")
+    keys = {prefix: {f"{prefix}.{f.name}": f.name for f in fields(cls)}
+            for prefix, cls in _BLOCKS.items()}
+    reject_unknown_keys(kv, {"schema_version", "archetype"}.union(*keys.values()),
+                        "parameter-exchange file")
     if "archetype" not in kv:
         raise ValidationError("parameter-exchange file missing archetype")
     try:
@@ -119,6 +124,5 @@ def parse_lel_params(document: str) -> LelParams:
     except ValueError as exc:
         raise ValidationError(f"unknown archetype {kv['archetype']!r}") from exc
     return LelParams(archetype=archetype, **{
-        prefix: read_fields(kv, {f"{prefix}.{f.name}": f.name for f in fields(cls)},
-                            cls, "parameter-exchange file")
+        prefix: read_fields(kv, keys[prefix], cls, "parameter-exchange file")
         for prefix, cls in _BLOCKS.items()})

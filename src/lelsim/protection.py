@@ -158,20 +158,30 @@ def _tick_violation(kappa, kept, violation_timer, stable_timer, since_trip_timer
 
 
 def parse_kv_document(text: str) -> dict[str, str]:
-    """Flat key = value (or key: value) structured text; '#' starts a comment."""
-    out = {}
+    """Flat key = value (or key: value) structured text; '#' starts a
+    comment.  A key given twice is rejected naming both lines."""
+    out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         for sep in ("=", ":"):
             if sep in line:
-                key, val = line.split(sep, 1)
-                out[key.strip()] = val.strip()
+                key, val = (part.strip() for part in line.split(sep, 1))
                 break
         else:
             raise ValidationError(f"line {lineno}: expected 'key = value'")
+        if key in out:
+            raise ValidationError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
+        out[key], lines[key] = val, lineno
     return out
+
+
+def reject_unknown_keys(kv: dict[str, str], known, form: str) -> None:
+    """A ValidationError naming every key of kv outside known."""
+    unknown = [key for key in kv if key not in known]
+    if unknown:
+        raise ValidationError(f"{form} has unknown key(s) {', '.join(unknown)}")
 
 
 def read_fields(kv: dict[str, str], keys: dict[str, str], cls, form: str):
@@ -192,8 +202,9 @@ def read_fields(kv: dict[str, str], keys: dict[str, str], cls, form: str):
 
 def load_protection_disclosure(document: str) -> ProtectionParams:
     """Parse a standardized disclosure form into validated ProtectionParams."""
-    return read_fields(parse_kv_document(document), _FIELD_MAP, ProtectionParams,
-                       "disclosure form")
+    kv = parse_kv_document(document)
+    reject_unknown_keys(kv, _FIELD_MAP, "disclosure form")
+    return read_fields(kv, _FIELD_MAP, ProtectionParams, "disclosure form")
 
 
 def dump_protection_disclosure(params: ProtectionParams) -> str:

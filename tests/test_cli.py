@@ -268,6 +268,22 @@ class TestParamsFile:
                     "--params", str(params), "--out", str(tmp_path / "c.csv")]) == 1
         assert not (tmp_path / "c.csv").exists()
 
+    def test_motor_without_equilibrium_exits_2(self, tmp_path, capsys):
+        # stator and rotor reactances of 1 pu leave the motor no slip that
+        # carries its load torque along the excitation ride
+        from lelsim.lel import Archetype, archetype_defaults, dump_lel_params
+
+        doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
+        params = tmp_path / "weak.txt"
+        params.write_text(doc.replace("cool.X_s = 0.1", "cool.X_s = 1.0")
+                          .replace("cool.X_r = 0.1", "cool.X_r = 1.0"))
+        rc = run(["simulate-load", "--params", str(params), "--model", "cooling",
+                  "--horizon", "60", "--dt", "1", "--out", str(tmp_path / "w.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("numerical failure: torque 0.8000 pu above pull-out at |V|=")
+        assert not (tmp_path / "w.csv").exists()
+
 
 TWO_BUS = ("[SYSTEM]\ns_base,100.0\nf_base,60.0\n"
            "[BUS]\n1,slack,1.00,0,0\n2,pq,1.00,100,25\n"
@@ -280,9 +296,11 @@ class TestMalformedInput:
 
     @staticmethod
     def assert_error_exit(rc, capsys):
+        """Checks the exit and returns the error output."""
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize("old,new", [
         ("2,pq,1.00,100,25", "2,pq,1.0,fifty,10"),
@@ -312,9 +330,11 @@ class TestMalformedInput:
         ("1,2,0.01,0.10,0.02", "1,2,0.01,0.10,0.02,-1.0", "branch 1-2: tap must be >= 0"),
         ("1,2,0.01,0.10,0.02", "1,2,0.01,0.10,0.02\n2,2,0.01,0.10,0.5",
          "branch 2-2: both ends at one bus"),
+        ("s_base,100.0", "s_base,100.0\ns_base,50", "[SYSTEM] key 's_base' given more than once"),
     ], ids=["f_base_negative", "s_base_zero", "system_key_typo", "unknown_section",
             "H_negative", "H_zero", "xd_p_negative", "xd_p_zero", "D_negative",
-            "gen_v_set_zero", "slack_v_set_negative", "tap_negative", "self_loop_branch"])
+            "gen_v_set_zero", "slack_v_set_negative", "tap_negative", "self_loop_branch",
+            "system_key_twice"])
     def test_impossible_case_data(self, tmp_path, capsys, old, new, named):
         text = importlib.resources.files("lelsim.data").joinpath("toy2.case").read_text()
         assert old in text
@@ -334,17 +354,26 @@ class TestMalformedInput:
         self.assert_error_exit(rc, capsys)
         assert not (tmp_path / "rob.csv").exists()
 
-    @pytest.mark.parametrize("key,bad", [("schema_version", "one"), ("work.p_base", "twenty")])
-    def test_malformed_params_file(self, tmp_path, capsys, key, bad):
+    # the datacenter dump with the value of key replaced by bad, or with
+    # the line bad appended where key is None
+    @pytest.mark.parametrize("key,bad,named", [
+        ("schema_version", "one", "schema_version: "),
+        ("work.p_base", "twenty", "work.p_base: "),
+        (None, "work.mu_eta = 0.9", "key 'work.mu_eta' repeats line 6"),
+        (None, "work.bogus = 3", "unknown key(s) work.bogus"),
+    ], ids=["schema_version-one", "work.p_base-twenty", "repeated_key", "unknown_key"])
+    def test_malformed_params_file(self, tmp_path, capsys, key, bad, named):
         from lelsim.lel import Archetype, archetype_defaults, dump_lel_params
 
         doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
+        lines = [f"{key} = {bad}" if line.startswith(f"{key} ") else line
+                 for line in doc.splitlines()]
         params = tmp_path / "p.lel"
-        params.write_text("\n".join(f"{key} = {bad}" if line.startswith(key + " ") else line
-                                    for line in doc.splitlines()))
+        params.write_text("\n".join(lines if key else lines + [bad]))
         rc = run(["simulate-load", "--model", "workload", "--horizon", "60",
                   "--params", str(params), "--out", str(tmp_path / "w.csv")])
-        self.assert_error_exit(rc, capsys)
+        assert named in self.assert_error_exit(rc, capsys)
+        assert not (tmp_path / "w.csv").exists()
 
     def test_output_path_that_is_a_directory(self, tmp_path, capsys):
         rc = run(["simulate-load", "--horizon", "10", "--out", str(tmp_path)])
@@ -364,8 +393,9 @@ class TestMalformedInput:
                   "--bound", "foo=0:1", "--out", str(tmp_path / "cal.txt")])
         self.assert_error_exit(rc, capsys)
 
-    @pytest.mark.parametrize("inits", [["mu_eta=0.5", "foo=1"], ["mu_eta=0.5", "tau_eta=5"]],
-                             ids=["unknown_name", "name_outside_bounds"])
+    @pytest.mark.parametrize("inits", [["mu_eta=0.5", "foo=1"], ["mu_eta=0.5", "tau_eta=5"],
+                                       ["mu_eta=0.5", "mu_eta=0.6"]],
+                             ids=["unknown_name", "name_outside_bounds", "name_twice"])
     def test_init_outside_bounds_fails_before_training(self, workload_csv, tmp_path,
                                                        capsys, monkeypatch, inits):
         from lelsim import calibration
@@ -409,6 +439,28 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: bad {flag} list") and "Traceback" not in err
+
+    # the arguments of each rejected run, before its output option
+    @pytest.mark.parametrize("argv,message", [
+        (["grid-sim", "toy9", "--k", "2", "--horizon", "1"],
+         "--fault-bus is required unless --no-events"),
+        (["grid-sim", "toy9", "--k", "2", "--fault-bus", "5", "--t-fault", "0.5",
+          "--duration", "0", "--horizon", "1"],
+         "clear_fault at t=0.5 is at the step of its fault at t=0.5"),
+        (["calibrate", "{short}", "--bound", "mu_eta=0.2:0.9"], "data trace too short: 10 < 20"),
+        (["calibrate", "{trace}", "--bound", "mu_eta=0.2:0.9", "--bound", "mu_eta=0.3:0.31",
+          "--mode", "mse", "--max-evals", "5"], "bound 'mu_eta' given more than once"),
+    ], ids=["no_fault_bus", "zero_length_fault", "trace_too_short", "bound_twice"])
+    def test_rejected_run_names_the_fault(self, workload_csv, tmp_path, capsys, argv,
+                                          message):
+        short = tmp_path / "short.csv"
+        short.write_text("t,p\n" + "".join(f"{i}.0,1.0\n" for i in range(10)))
+        out = (["--out-prefix", str(tmp_path / "g")] if argv[0] == "grid-sim"
+               else ["--out", str(tmp_path / "cal.txt")])
+        capsys.readouterr()
+        rc = run([arg.format(short=short, trace=workload_csv) for arg in argv] + out)
+        assert message in self.assert_error_exit(rc, capsys)
+        assert not any(tmp_path.glob("g_*")) and not (tmp_path / "cal.txt").exists()
 
     def test_clear_before_its_fault_rejected(self, tmp_path, capsys):
         # a negative duration puts the clear before the fault it clears

@@ -180,6 +180,27 @@ class TestSchedule:
         with pytest.raises(InvalidArgument, match=r"clear_fault at t=0\.[345]: no fault"):
             make_schedule(case, events, SimConfig(dt=0.01, horizon=2.0))
 
+    @pytest.mark.parametrize("duration", [0.0, 1e-9], ids=["zero", "within_rounding"])
+    def test_clear_at_the_step_of_its_fault_rejected(self, duration):
+        # the network would never see the fault
+        with pytest.raises(InvalidArgument, match=r"clear_fault at t=0\.50*1? is at the "
+                                                  r"step of its fault at t=0\.5,"):
+            make_schedule(bundled_case("toy9"), fault_events(5, 0.5, duration),
+                          SimConfig(dt=0.01, horizon=1.0))
+
+    def test_clear_at_the_step_of_a_second_equal_fault_clears_the_first(self):
+        # in time order: faults at 0.2 and 0.3, then clears at 0.3 and 0.5
+        case, cfg = bundled_case("toy9"), SimConfig(dt=0.01, horizon=1.0)
+        events = fault_events(5, 0.3, 0.2) + fault_events(5, 0.2, 0.1)
+        sched = make_schedule(case, events, cfg)
+        assert [sw[0] for step in (20, 30, 50) for sw in sched[step]] == [
+            "fault_applied", "fault_applied", "fault_cleared", "fault_cleared"]
+
+    def test_unknown_event_kind_rejected(self):
+        with pytest.raises(InvalidArgument, match="unknown event kind 'reclose'"):
+            make_schedule(bundled_case("toy9"), [Event(time=0.1, kind="reclose", bus=5)],
+                          SimConfig(dt=0.01, horizon=1.0))
+
     def test_each_clear_removes_one_fault(self):
         # two equal faults on one bus need two clears; a clear names a missing
         # bus before it is matched
@@ -494,6 +515,20 @@ class TestRegimeFlags:
         assert frequency_overshoot(result) == pytest.approx(1e-3)
         assert regime_flags(result)["mass_disconnection"]
 
+    def test_retrip_after_a_ramp_starts_is_a_shed(self):
+        # the LEL at bus 8 starts its ramp at 2.615 s, when the second
+        # fault comes; it leaves its band on the next step and trips again
+        # at kappa_min, so kappa does not fall, but the trip is a shed
+        case = place_lels(bundled_case("toy9"), 3, seed=1)
+        events = fault_events(8, 0.5, 0.1, -8j) + fault_events(8, 2.615, 0.3, -8j)
+        result = run_simulation(case, events, SimConfig(dt=0.005, horizon=6.0, seed=0))
+        bus8 = [(e.time, e.kind) for e in result.events if e.lel_id == 8]
+        assert [kind for _, kind in bus8[:3]] == ["shed", "ramp_start", "shed"]
+        assert [t for t, _ in bus8[:3]] == pytest.approx([0.61, 2.615, 2.725])
+        mode = result.lel_mode[:, result.lel_index[8]]
+        assert mode[round(2.72 / 0.005)] == ProtectionMode.VIOLATION_TIMING
+        assert regime_flags(result)["mass_disconnection"]
+
 
 # SimResult's per-sample arrays, one row per recorded sample
 SERIES = ("time", "v_mag", "v_ang", "gen_omega", "gen_delta", "lel_p", "lel_q",
@@ -566,17 +601,22 @@ class TestCollapseReasons:
         assert [e.kind for e in exc.partial.events] == ["fault_applied"]
 
     def test_every_trip_into_shed_is_logged(self, monkeypatch):
-        # RAMPING -> SHED in one step (a trip delay of at most dt) is a
-        # second trip; RECOVERY_WAIT -> SHED keeps kappa and is not a trip
+        # a trip is a step into SHED from any mode that held load:
+        # RAMPING -> SHED in one step (a trip delay of at most dt), and
+        # VIOLATION_TIMING -> SHED at kappa_min after a ramp started, where
+        # kappa does not fall.  RECOVERY_WAIT -> SHED is not a trip.  With
+        # kappa_min = kappa_max = 1 a trip sheds nothing, yet it and the
+        # reconnection that ends its ramp are logged; a violation cleared
+        # before the trip delay resets to CONNECTED without a reconnection
         P = ProtectionMode
-        script = iter([ProtectionState(P.SHED, 0.25), ProtectionState(P.RAMPING, 0.3),
-                       ProtectionState(P.SHED, 0.25), ProtectionState(P.RECOVERY_WAIT, 0.25),
-                       ProtectionState(P.SHED, 0.25)])
-
-        def scripted(*state_ok_dt_params):
-            state = ProtectionState(*state_ok_dt_params[:5])
-            return astuple(next(script, state))
-
+        rows = [([(P.SHED, 0.25), (P.RAMPING, 0.3), (P.SHED, 0.25),
+                  (P.RECOVERY_WAIT, 0.25), (P.SHED, 0.25)],
+                 ["shed", "ramp_start", "shed"], [0.01, 0.02, 0.03]),
+                ([(P.SHED, 0.25), (P.RAMPING, 0.25), (P.VIOLATION_TIMING, 0.25),
+                  (P.SHED, 0.25)], ["shed", "ramp_start", "shed"], [0.01, 0.02, 0.04]),
+                ([(P.VIOLATION_TIMING, 1.0, 0.01), (P.CONNECTED,), (P.SHED, 1.0),
+                  (P.RAMPING, 1.0), (P.CONNECTED,)],
+                 ["shed", "ramp_start", "reconnected"], [0.03, 0.04, 0.05])]
         # a frequency reference off nominal keeps the LEL out of band, so
         # the engine never skips its machines and calls the transition
         # from the first step on
@@ -584,16 +624,25 @@ class TestCollapseReasons:
         lel = case.lels[0]
         prot = replace(lel.params.prot, omega_ref=1.5)
         case = case.with_lels((replace(lel, params=replace(lel.params, prot=prot)),))
-        monkeypatch.setattr("lelsim.grid.protection_transition", scripted)
-        result = run_simulation(case, [], SimConfig(dt=0.01, horizon=0.1))
-        assert [e.kind for e in result.events] == ["shed", "ramp_start", "shed"]
-        assert [e.time for e in result.events] == pytest.approx([0.01, 0.02, 0.03])
-        assert regime_flags(result)["staggered_interaction"]
+        for states, kinds, times in rows:
+            script = iter([ProtectionState(*fields) for fields in states])
+
+            def scripted(*state_ok_dt_params):
+                state = ProtectionState(*state_ok_dt_params[:5])
+                return astuple(next(script, state))
+
+            monkeypatch.setattr("lelsim.grid.protection_transition", scripted)
+            result = run_simulation(case, [], SimConfig(dt=0.01, horizon=0.1))
+            assert [e.kind for e in result.events] == kinds
+            assert [e.time for e in result.events] == pytest.approx(times)
+            # a shed after a ramp start
+            assert regime_flags(result)["staggered_interaction"] is (kinds[2] == "shed")
 
     @pytest.mark.parametrize("where", ["block_last_row", "inside_block"])
     def test_partial_fills_voltages_and_motor_modes(self, monkeypatch, where):
-        """run_simulation writes v_mag, v_ang and motor_mode per block of
-        rows; a collapse must write the rows its block still held."""
+        """run_simulation writes v_mag and v_ang per block of rows, and
+        motor_mode from a motor trip's row on; a collapse must write the
+        rows its block still held."""
         # a -4j sag at toy2's LEL bus trips the motor at 0.45 s; T_cool
         # keeps it off past the horizon
         case = bundled_case("toy2")
@@ -602,8 +651,11 @@ class TestCollapseReasons:
         full = run_simulation(case, events, cfg)
         trips = [e.time for e in full.events if e.kind.startswith("motor")]
         assert trips == pytest.approx([0.45])
-        # the trip ends a block: the next one starts at the trip's row
-        last = round(trips[0] / cfg.dt) + RECORD_BLOCK - 1
+        trip_row = round(trips[0] / cfg.dt)
+        assert not full.motor_mode[:trip_row].any() and full.motor_mode[trip_row:].all()
+        # the first block holds rows 0 to RECORD_BLOCK - 1, the trip's among them
+        last = RECORD_BLOCK - 1
+        assert trip_row < last
         collapse_step = {"block_last_row": last, "inside_block": last + 100}[where]
         assert collapse_step < round(cfg.horizon / cfg.dt)
 

@@ -2,6 +2,7 @@
 of the parameter-exchange file."""
 
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -394,6 +395,21 @@ class TestParameterExchange:
                  for line in doc.splitlines()]
         with pytest.raises((InvalidArgument, ValidationError), match="must be finite"):
             parse_lel_params("\n".join(lines))
+
+    # the datacenter dump without the lines that start with `dropped`,
+    # then `appended`
+    @pytest.mark.parametrize("dropped,appended,message", [
+        ("schema_version", "", "parameter-exchange file missing schema_version"),
+        ("archetype", "", "parameter-exchange file missing archetype"),
+        (None, "work.mu_eta = 0.9", "key 'work.mu_eta' repeats line 6"),
+        (None, "work.bogus = 3", "parameter-exchange file has unknown key(s) work.bogus"),
+    ], ids=["no_schema_version", "no_archetype", "repeated_key", "unknown_key"])
+    def test_malformed_exchange_file_rejected(self, dropped, appended, message):
+        doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
+        lines = [line for line in doc.splitlines()
+                 if dropped is None or not line.startswith(dropped)]
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_lel_params("\n".join(lines + [appended]))
 
     def test_unknown_archetype_rejected(self):
         doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))

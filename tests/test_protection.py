@@ -1,5 +1,7 @@
 """Unit tests for the protection state machine and the disclosure form."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,14 @@ class TestDisclosureForm:
                             if not line.startswith("r_kappa"))
         with pytest.raises(ValidationError, match="^disclosure form missing r_kappa$"):
             load_protection_disclosure(trimmed)
+
+    # lines appended to a full ten-line form
+    @pytest.mark.parametrize("appended,message", [
+        ("kappa_min 0.3", "line 11: expected 'key = value'"),
+        ("kappa_min = 0.3", "line 11: key 'kappa_min' repeats line 8"),
+        ("bogus = 1\nt_reclose: 2", "disclosure form has unknown key(s) bogus, t_reclose"),
+    ], ids=["no_separator", "repeated_key", "unknown_keys"])
+    def test_malformed_form_rejected(self, appended, message):
+        doc = dump_protection_disclosure(make_params()) + appended
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_protection_disclosure(doc)

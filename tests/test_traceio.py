@@ -1,14 +1,29 @@
 """Unit tests for the trace CSV reader."""
 
 import io
+import re
 
 import pytest
 
 from lelsim.errors import InvalidArgument, ValidationError
-from lelsim.traceio import read_trace, step_count
+from lelsim.traceio import Trace, read_trace, step_count
 
 
 class TestReadTrace:
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty trace file"),
+        ("time,p\n0.0,1.0\n1.0,2.0\n", "first column of a trace file must be 't'"),
+        ("t\n0.0\n1.0\n", "no data channels"),
+        ("t,p\n0.0,1.0\n1.0\n", "row 3: expected 2 fields, got 1"),
+        ("t,p\n0.0,1.0\n1.0,high\n", "row 3: could not convert"),
+        ("t,p\n0.0,1.0\n1.0,2.0\n1.0,3.0\n", "row 4: time column not strictly increasing"),
+        ("t,p\n0.0,1.0\n1.0,2.0\n2.5,3.0\n", "row 4: non-uniform sample period"),
+    ], ids=["empty", "first_column_not_t", "no_channels", "field_count", "non_number",
+            "time_not_increasing", "non_uniform"])
+    def test_rejects_a_malformed_file_naming_the_fault(self, text, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            read_trace(io.StringIO(text))
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_value_with_row(self, value):
         text = f"t,p\n0.0,1.0\n1.0,{value}\n2.0,3.0\n"
@@ -42,3 +57,14 @@ class TestStepCount:
     def test_rejects_horizon_not_above_dt(self, horizon, dt):
         with pytest.raises(InvalidArgument, match="need finite horizon > dt > 0"):
             step_count(horizon, dt)
+
+
+class TestTrace:
+    @pytest.mark.parametrize("period,channels,message", [
+        (0.0, {"p": [1.0]}, "sample_period must be > 0"),
+        (1.0, {}, "at least one channel"),
+        (1.0, {"p": [1.0, 2.0], "q": [1.0]}, "same length"),
+    ], ids=["zero_period", "no_channels", "unequal_lengths"])
+    def test_rejects_an_impossible_trace(self, period, channels, message):
+        with pytest.raises(InvalidArgument, match=message):
+            Trace(sample_period=period, channels=channels)

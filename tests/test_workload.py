@@ -12,6 +12,7 @@ from lelsim.workload import (
     WorkloadState,
     linear_recurrence,
     ou_step,
+    poisson_log_likelihood,
     simulate_workload,
     workload_power,
 )
@@ -278,3 +279,29 @@ class TestStationaryMean:
         # OU autocorrelation inflates the naive standard error
         se = etas.std() * math.sqrt(2 * params.tau_eta / n)
         assert abs(etas.mean() - target) < 4 * se
+
+
+class TestPoissonLogLikelihood:
+    @pytest.mark.parametrize("n,horizon,lam", [(0, 100.0, 0.02), (3, 100.0, 0.02),
+                                               (7, 3600.0, 0.0005)])
+    def test_equals_the_poisson_pmf(self, n, horizon, lam):
+        mean = lam * horizon
+        pmf = math.exp(-mean) * mean ** n / math.factorial(n)
+        assert poisson_log_likelihood(n, horizon, lam) == pytest.approx(math.log(pmf),
+                                                                          rel=1e-12)
+
+    def test_peaks_at_the_observed_rate(self):
+        # d/d lam (n log(lam T) - lam T) vanishes at lam = n / T
+        rates = [0.01, 0.03, 0.05]
+        values = [poisson_log_likelihood(3, 100.0, lam) for lam in rates]
+        assert values[1] > values[0] and values[1] > values[2]
+
+    @pytest.mark.parametrize("n,horizon,lam,message", [
+        (-1, 100.0, 0.02, "event_count must be a nonnegative integer"),
+        (1.5, 100.0, 0.02, "event_count must be a nonnegative integer"),
+        (3, 0.0, 0.02, "horizon must be > 0"),
+        (3, 100.0, 0.0, "lambda must be > 0"),
+    ], ids=["negative_count", "fractional_count", "zero_horizon", "zero_rate"])
+    def test_rejects_impossible_arguments(self, n, horizon, lam, message):
+        with pytest.raises(InvalidArgument, match=message):
+            poisson_log_likelihood(n, horizon, lam)
