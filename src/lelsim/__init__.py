@@ -6,20 +6,8 @@ machine, contrastive pattern features, pattern-consistent calibration,
 and a multi-machine transient grid simulator.
 """
 
-from lelsim.errors import (
-    InvalidArgument,
-    NoEquilibrium,
-    SimulationCollapse,
-    UndefinedMetric,
-    ValidationError,
-)
+from lelsim.errors import InvalidArgument, NoEquilibrium, SimulationCollapse
 
-__all__ = [
-    "InvalidArgument",
-    "NoEquilibrium",
-    "SimulationCollapse",
-    "UndefinedMetric",
-    "ValidationError",
-]
+__all__ = ["InvalidArgument", "NoEquilibrium", "SimulationCollapse"]
 
 __version__ = "0.1.0"

@@ -277,13 +277,13 @@ def calibrate(theta_init: dict, data_trace: Trace,
                       "xatol": 1e-8, "fatol": 1e-12})
 
     theta_star = from_unconstrained(best["u"], cfg.bounds)
-    # the pattern distances, which an MSE run does not have.  theta_star is
-    # the best evaluated point, so its distance is best["f"]; theta_init is
-    # evaluated again because the logit round trip moves it
+    # the pattern distances, which an MSE run does not have: the search's
+    # first evaluation is vertex 0, theta_init after the logit round trip,
+    # and theta_star is the best evaluated point
     if encoder is None:
         initial = final = math.nan
     else:
-        initial, final = objective(theta_init), best["f"]
+        initial, final = trace_vals[0], best["f"]
     return CalibrationResult(theta_star=theta_star, objective_trace=trace_vals,
                              final_pattern_distance=final,
                              initial_pattern_distance=initial,

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from lelsim.errors import ValidationError
+from lelsim.errors import InvalidArgument
 from lelsim.lel import Archetype, LelParams, archetype_defaults
 
 DEFAULT_SHARES = (0.6, 0.3, 0.1)
@@ -101,60 +101,63 @@ class GridCase:
 
 def validate_case(case: GridCase) -> None:
     if not (case.s_base > 0 and case.f_base > 0):
-        raise ValidationError(f"need s_base > 0 and f_base > 0, got {case.s_base} "
+        raise InvalidArgument(f"need s_base > 0 and f_base > 0, got {case.s_base} "
                               f"and {case.f_base}")
     ids = [b.id for b in case.buses]
     if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate bus ids")
+        raise InvalidArgument("duplicate bus ids")
     idset = set(ids)
     slacks = [b for b in case.buses if b.type == "slack"]
     if len(slacks) != 1:
-        raise ValidationError(f"case must have exactly one slack bus, found {len(slacks)}")
+        raise InvalidArgument(f"case must have exactly one slack bus, found {len(slacks)}")
     for b in case.buses:
         if b.type not in ("slack", "pv", "pq"):
-            raise ValidationError(f"bus {b.id}: unknown type {b.type!r}")
+            raise InvalidArgument(f"bus {b.id}: unknown type {b.type!r}")
         if b.type != "pq" and not b.v_set > 0:
-            raise ValidationError(f"bus {b.id}: v_set must be > 0")
+            raise InvalidArgument(f"bus {b.id}: v_set must be > 0")
     for br in case.branches:
         if br.from_bus not in idset or br.to_bus not in idset:
-            raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: unknown bus")
+            raise InvalidArgument(f"branch {br.from_bus}-{br.to_bus}: unknown bus")
         if br.from_bus == br.to_bus:
-            raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: both ends at one bus")
+            raise InvalidArgument(f"branch {br.from_bus}-{br.to_bus}: both ends at one bus")
         if br.r == 0 and br.x == 0:
-            raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: zero impedance")
+            raise InvalidArgument(f"branch {br.from_bus}-{br.to_bus}: zero impedance")
         if not br.tap >= 0:
-            raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: tap must be >= 0 "
+            raise InvalidArgument(f"branch {br.from_bus}-{br.to_bus}: tap must be >= 0 "
                                   f"(0 means 1), got {br.tap}")
     by_id = {b.id: b for b in case.buses}
     gen_buses = [g.bus for g in case.generators]
     if len(set(gen_buses)) != len(gen_buses):
-        raise ValidationError("at most one generator per bus")
+        raise InvalidArgument("at most one generator per bus")
     for g in case.generators:
         if g.bus not in idset:
-            raise ValidationError(f"generator at unknown bus {g.bus}")
+            raise InvalidArgument(f"generator at unknown bus {g.bus}")
         if by_id[g.bus].type not in ("pv", "slack"):
-            raise ValidationError(f"generator bus {g.bus} must be PV or slack")
+            raise InvalidArgument(f"generator bus {g.bus} must be PV or slack")
         for need, ok in (("H > 0", g.H > 0), ("xd_p > 0", g.xd_p > 0),
                          ("D >= 0", g.D >= 0), ("v_set > 0", g.v_set > 0)):
             if not ok:
-                raise ValidationError(f"generator at bus {g.bus}: need {need}")
+                raise InvalidArgument(f"generator at bus {g.bus}: need {need}")
+        if g.v_set != by_id[g.bus].v_set:
+            raise InvalidArgument(f"generator at bus {g.bus}: v_set {g.v_set} differs "
+                                  f"from the bus v_set {by_id[g.bus].v_set}")
     pv_or_slack = {b.id for b in case.buses if b.type in ("pv", "slack")}
     if pv_or_slack - set(gen_buses):
-        raise ValidationError("every PV/slack bus needs a generator")
+        raise InvalidArgument("every PV/slack bus needs a generator")
     lel_buses = [p.bus for p in case.lels]
     if len(set(lel_buses)) != len(lel_buses):
-        raise ValidationError("at most one LEL per bus")
+        raise InvalidArgument("at most one LEL per bus")
     for p in case.lels:
         if p.bus not in idset:
-            raise ValidationError(f"LEL at unknown bus {p.bus}")
+            raise InvalidArgument(f"LEL at unknown bus {p.bus}")
         if by_id[p.bus].type != "pq":
-            raise ValidationError(f"LEL bus {p.bus} must be PQ")
+            raise InvalidArgument(f"LEL bus {p.bus} must be PQ")
         if abs(sum(p.shares) - 1.0) > 1e-9 or min(p.shares) < 0:
-            raise ValidationError(f"LEL bus {p.bus}: shares must be >= 0 and sum to 1")
+            raise InvalidArgument(f"LEL bus {p.bus}: shares must be >= 0 and sum to 1")
     labels = bus_islands(case, case.branches)
     if labels.max() > 0:
         missing = [ids[k] for k in np.flatnonzero(labels != labels[0])]
-        raise ValidationError(f"disconnected bus(es): {missing}")
+        raise InvalidArgument(f"disconnected bus(es): {missing}")
 
 
 def bus_islands(case: GridCase, branches) -> np.ndarray:
@@ -177,7 +180,7 @@ def _non_finite(tok: str) -> bool:
 
 def _system(row) -> tuple[str, float]:
     if row[0] not in ("s_base", "f_base"):
-        raise ValueError(f"unknown key {row[0]!r}")
+        raise InvalidArgument(f"unknown key {row[0]!r}")
     return row[0], float(row[1])
 
 
@@ -206,17 +209,17 @@ def _lel(row) -> LelPlacement:
 def _rows(sections, section: str, sizes: tuple, build) -> list:
     """build(row) for every row of a section.  A row whose field count is
     not in sizes, or one that build rejects (a field that is not a number,
-    an unknown archetype), raises ValidationError naming its line,
+    an unknown archetype), raises InvalidArgument naming its line,
     section and row."""
     out = []
     for lineno, row in sections.get(section, []):
         where = f"line {lineno}: [{section}] row {row}"
         if len(row) not in sizes:
-            raise ValidationError(f"{where} needs {' or '.join(map(str, sizes))} fields")
+            raise InvalidArgument(f"{where} needs {' or '.join(map(str, sizes))} fields")
         try:
             out.append(build(row))
         except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+            raise InvalidArgument(f"{where}: {exc}") from exc
     return out
 
 
@@ -231,27 +234,27 @@ def load_case(text: str, name: str = "") -> GridCase:
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].upper()
             if current not in ("SYSTEM", "BUS", "BRANCH", "GEN", "LEL"):
-                raise ValidationError(f"line {lineno}: unknown section {line}")
+                raise InvalidArgument(f"line {lineno}: unknown section {line}")
             sections.setdefault(current, [])
             continue
         if current is None:
-            raise ValidationError(f"line {lineno}: data before any section header")
+            raise InvalidArgument(f"line {lineno}: data before any section header")
         row = [tok.strip() for tok in line.split(",")]
         bad = [tok for tok in row if _non_finite(tok)]
         if bad:
-            raise ValidationError(
+            raise InvalidArgument(
                 f"line {lineno}: [{current}] row {row} has non-finite {bad[0]!r}")
         sections[current].append((lineno, row))
 
     for required in ("BUS", "GEN"):
         if required not in sections or not sections[required]:
-            raise ValidationError(f"case is missing a [{required}] section")
+            raise InvalidArgument(f"case is missing a [{required}] section")
 
     system = {}
     for (lineno, _), (key, value) in zip(sections.get("SYSTEM", []),
                                          _rows(sections, "SYSTEM", (2,), _system)):
         if key in system:
-            raise ValidationError(f"line {lineno}: [SYSTEM] key {key!r} given more than once")
+            raise InvalidArgument(f"line {lineno}: [SYSTEM] key {key!r} given more than once")
         system[key] = value
     s_base = system.get("s_base", 100.0)
     f_base = system.get("f_base", 60.0)
@@ -269,5 +272,5 @@ def bundled_case(name: str) -> GridCase:
     try:
         text = ref.read_text()
     except FileNotFoundError as exc:
-        raise ValidationError(f"no bundled case named {name!r}") from exc
+        raise InvalidArgument(f"no bundled case named {name!r}") from exc
     return load_case(text, name=name)

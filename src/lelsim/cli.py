@@ -3,9 +3,10 @@ metric reports, and the sweep experiment drivers.
 
 All outputs are plain CSV or structured text so that identical arguments
 and seeds reproduce byte-identical files.  Exit codes: 0 success, 1
-validation error (bad arguments or malformed inputs), 2 numerical
-failure (non-convergence or simulated collapse; a collapse still writes
-the partial simulation result).
+bad input (InvalidArgument or OSError: bad arguments, malformed or
+missing files, a power flow that does not converge), 2 numerical
+failure (a motor without an equilibrium, or a simulated collapse; a
+collapse still writes the partial simulation result).
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from lelsim.calibration import (
     simulate_subsystem,
 )
 from lelsim.cases import bundled_case, load_case
-from lelsim.errors import (
-    InvalidArgument,
-    NoEquilibrium,
-    SimulationCollapse,
-    UndefinedMetric,
-    ValidationError,
-)
+from lelsim.errors import InvalidArgument, NoEquilibrium, SimulationCollapse
 from lelsim.grid import (
     SimConfig,
     events_to_csv,
@@ -100,6 +95,18 @@ def _int_list(text: str, flag: str) -> list[int]:
     except ValueError as exc:
         raise InvalidArgument(f"bad {flag} list {text!r}, expected "
                               "comma-separated integers") from exc
+
+
+def _seed(text: str) -> int:
+    """The type of every --seed: numpy's generators take only
+    non-negative integers, so a negative seed is a usage error."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _write_table(path, lines) -> None:
@@ -279,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--window-length", type=int, default=5)
         sp.add_argument("--epochs", type=int, default=60)
         sp.add_argument("--repeats", type=int, default=2)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
         sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("simulate-load", help="generate a load subsystem trace")
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", default="workload", choices=list(SUBSYSTEMS))
     sp.add_argument("--horizon", type=float, default=3600.0)
     sp.add_argument("--dt", type=float, default=1.0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_simulate_load)
 
@@ -310,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-events", action="store_true")
     sp.add_argument("--dt", type=float, default=0.005)
     sp.add_argument("--horizon", type=float, default=20.0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out-prefix", required=True)
     sp.set_defaults(func=cmd_grid_sim)
 
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--dt", type=float, default=0.005)
     sp.add_argument("--horizon", type=float, default=20.0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_sweep_k)
 
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", default="16,64,256",
                     help="comma-separated embedding dimensions")
     sp.add_argument("--epochs", type=int, default=60)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_sweep_tcl)
 
@@ -359,10 +366,10 @@ def cli_dispatch(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (InvalidArgument, ValidationError, UndefinedMetric, OSError, KeyError) as exc:
+    except (InvalidArgument, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NoEquilibrium, SimulationCollapse, FloatingPointError) as exc:
+    except (NoEquilibrium, SimulationCollapse) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -1,32 +1,26 @@
-"""Exception types shared across the package, and the finite-value
-check on parameter dataclasses that raises them."""
+"""Exception types shared across the package: InvalidArgument for bad
+input (CLI exit 1), NoEquilibrium and SimulationCollapse for numerical
+failures (exit 2); and the finite-value check on parameter dataclasses."""
 
 import math
 from dataclasses import fields
 
 
 class InvalidArgument(ValueError):
-    """An argument violates an operation's precondition."""
+    """Bad input: an argument, parameter set or parsed file violates its
+    preconditions or invariants.  The CLI exits 1 on it."""
 
 
-class ValidationError(ValueError):
-    """A parsed document or parameter set violates its invariants."""
-
-
-def require_finite(params, error=InvalidArgument) -> None:
-    """Raise `error` naming the first field of the parameter dataclass
-    that is NaN or infinite."""
+def require_finite(params) -> None:
+    """Raise InvalidArgument naming the first field of the parameter
+    dataclass that is NaN or infinite."""
     for f in fields(params):
         if not math.isfinite(getattr(params, f.name)):
-            raise error(f"{f.name} must be finite")
+            raise InvalidArgument(f"{f.name} must be finite")
 
 
 class NoEquilibrium(RuntimeError):
     """No steady-state operating point exists for the requested conditions."""
-
-
-class UndefinedMetric(ValueError):
-    """A metric is mathematically undefined on the given inputs."""
 
 
 class SimulationCollapse(RuntimeError):

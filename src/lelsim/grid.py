@@ -43,11 +43,7 @@ from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
 from lelsim.cases import GridCase, LelPlacement, bus_islands
-from lelsim.errors import (
-    InvalidArgument,
-    SimulationCollapse,
-    ValidationError,
-)
+from lelsim.errors import InvalidArgument, SimulationCollapse
 from lelsim.lel import Archetype, LelParams, archetype_defaults
 from lelsim.metrics import clear_time, frequency_overshoot, reconnection_delay, voltage_nadir
 from lelsim.protection import ProtectionMode, ProtectionState, protection_transition
@@ -230,9 +226,6 @@ def power_flow(case: GridCase) -> np.ndarray:
     p_spec = np.array([-b.p_load for b in case.buses]) / case.s_base
     q_spec = np.array([-b.q_load for b in case.buses]) / case.s_base
     vset = np.ones(n)
-    for b in case.buses:
-        if b.type in ("pv", "slack"):
-            vset[idx[b.id]] = b.v_set
     for g in case.generators:
         k = idx[g.bus]
         if types[k] != 0:
@@ -272,7 +265,7 @@ def power_flow(case: GridCase) -> np.ndarray:
 
     x, rmax, _ = newton(mismatch, jacobian, np.concatenate([va[ang_idx], vm[pq]]), None, 0)
     if not rmax < NEWTON_TOL:
-        raise ValidationError(
+        raise InvalidArgument(
             f"power flow did not converge in {NEWTON_MAX_ITER} iterations "
             f"(final mismatch {rmax:.3e} pu)")
     return voltages(x)
@@ -1009,10 +1002,8 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
 
 def eligible_lel_buses(case: GridCase) -> list[int]:
     taken = {p.bus for p in case.lels}
-    gen_buses = {g.bus for g in case.generators}
     return sorted(b.id for b in case.buses
-                  if b.type == "pq" and b.p_load > 0
-                  and b.id not in taken and b.id not in gen_buses)
+                  if b.type == "pq" and b.p_load > 0 and b.id not in taken)
 
 
 def place_lels(case: GridCase, k: int, seed: int) -> GridCase:
@@ -1146,9 +1137,8 @@ def result_to_csv(result: SimResult) -> str:
     cols += [f"omega_gen{b}" for b in result.gen_buses]
     cols += [f"kappa_lel{b}" for b in result.lel_ids]
     cols += [f"p_lel{b}" for b in result.lel_ids]
-    data = np.column_stack([result.time, result.v_mag, result.gen_omega] +
-                           ([result.lel_kappa, result.lel_p] if len(result.lel_ids)
-                            else []))
+    data = np.column_stack([result.time, result.v_mag, result.gen_omega,
+                            result.lel_kappa, result.lel_p])
     lines = [",".join(cols)] + [",".join(repr(float(x)) for x in row) for row in data]
     return "\n".join(lines) + "\n"
 

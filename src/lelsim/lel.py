@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields
 
-from lelsim.errors import InvalidArgument, ValidationError
+from lelsim.errors import InvalidArgument
 from lelsim.protection import (ProtectionParams, parse_kv_document, read_fields,
                                reject_unknown_keys)
 from lelsim.thermal_aux import AuxParams, CoolingParams
@@ -106,23 +106,23 @@ def parse_lel_params(document: str) -> LelParams:
     """Parse a parameter-exchange document into a validated LelParams."""
     kv = parse_kv_document(document)
     if "schema_version" not in kv:
-        raise ValidationError("parameter-exchange file missing schema_version")
+        raise InvalidArgument("parameter-exchange file missing schema_version")
     try:
         version = int(kv["schema_version"])
     except ValueError as exc:
-        raise ValidationError(f"schema_version: {exc}") from exc
+        raise InvalidArgument(f"schema_version: {exc}") from exc
     if version != EXCHANGE_SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema_version {version}")
+        raise InvalidArgument(f"unsupported schema_version {version}")
     keys = {prefix: {f"{prefix}.{f.name}": f.name for f in fields(cls)}
             for prefix, cls in _BLOCKS.items()}
     reject_unknown_keys(kv, {"schema_version", "archetype"}.union(*keys.values()),
                         "parameter-exchange file")
     if "archetype" not in kv:
-        raise ValidationError("parameter-exchange file missing archetype")
+        raise InvalidArgument("parameter-exchange file missing archetype")
     try:
         archetype = Archetype(kv["archetype"])
     except ValueError as exc:
-        raise ValidationError(f"unknown archetype {kv['archetype']!r}") from exc
+        raise InvalidArgument(f"unknown archetype {kv['archetype']!r}") from exc
     return LelParams(archetype=archetype, **{
         prefix: read_fields(kv, keys[prefix], cls, "parameter-exchange file")
         for prefix, cls in _BLOCKS.items()})

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lelsim.errors import InvalidArgument, UndefinedMetric
+from lelsim.errors import InvalidArgument
 
 MAX_LAG_FRAC = 0.25
 
@@ -64,7 +64,7 @@ def dtw_distance(a, b, normalize: bool = True) -> float:
 def max_cross_correlation(a, b) -> float:
     """Max Pearson correlation of overlapping segments over lags.
 
-    Lags range over |l| <= MAX_LAG_FRAC * len; raises UndefinedMetric on a
+    Lags range over |l| <= MAX_LAG_FRAC * len; raises InvalidArgument on a
     zero-variance overlap of either input.
     """
     a = np.asarray(a, dtype=float)
@@ -91,7 +91,7 @@ def max_cross_correlation(a, b) -> float:
         best = max(best, r)
         defined = True
     if not defined:
-        raise UndefinedMetric("constant series: cross-correlation undefined")
+        raise InvalidArgument("constant series: cross-correlation undefined")
     return min(1.0, max(-1.0, best))
 
 

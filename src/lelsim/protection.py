@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from lelsim.errors import InvalidArgument, ValidationError, require_finite
+from lelsim.errors import InvalidArgument, require_finite
 
 
 class ProtectionMode(enum.IntEnum):
@@ -49,16 +49,16 @@ class ProtectionParams:
     r_kappa: float        # 1/s restoration ramp rate
 
     def __post_init__(self):
-        require_finite(self, ValidationError)
+        require_finite(self)
         if not (0 < self.kappa_min <= self.kappa_max <= 1):
-            raise ValidationError("need 0 < kappa_min <= kappa_max <= 1")
+            raise InvalidArgument("need 0 < kappa_min <= kappa_max <= 1")
         for name in ("t_delay_trip", "t_wait_recon", "t_delay_recon"):
             if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+                raise InvalidArgument(f"{name} must be >= 0")
         if self.dV <= 0 or self.dOmega <= 0:
-            raise ValidationError("dV and dOmega must be > 0")
+            raise InvalidArgument("dV and dOmega must be > 0")
         if self.r_kappa <= 0:
-            raise ValidationError("r_kappa must be > 0")
+            raise InvalidArgument("r_kappa must be > 0")
 
     @property
     def kappa_full(self) -> float:
@@ -170,33 +170,33 @@ def parse_kv_document(text: str) -> dict[str, str]:
                 key, val = (part.strip() for part in line.split(sep, 1))
                 break
         else:
-            raise ValidationError(f"line {lineno}: expected 'key = value'")
+            raise InvalidArgument(f"line {lineno}: expected 'key = value'")
         if key in out:
-            raise ValidationError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
+            raise InvalidArgument(f"line {lineno}: key {key!r} repeats line {lines[key]}")
         out[key], lines[key] = val, lineno
     return out
 
 
 def reject_unknown_keys(kv: dict[str, str], known, form: str) -> None:
-    """A ValidationError naming every key of kv outside known."""
+    """An InvalidArgument naming every key of kv outside known."""
     unknown = [key for key in kv if key not in known]
     if unknown:
-        raise ValidationError(f"{form} has unknown key(s) {', '.join(unknown)}")
+        raise InvalidArgument(f"{form} has unknown key(s) {', '.join(unknown)}")
 
 
 def read_fields(kv: dict[str, str], keys: dict[str, str], cls, form: str):
     """cls built from the float values in kv of keys, which maps each key
-    of the form to the field of cls it holds.  A ValidationError names
+    of the form to the field of cls it holds.  An InvalidArgument names
     every missing key, or else the first value that is not a number."""
     missing = [key for key in keys if key not in kv]
     if missing:
-        raise ValidationError(f"{form} missing {', '.join(missing)}")
+        raise InvalidArgument(f"{form} missing {', '.join(missing)}")
     values = {}
     for key, name in keys.items():
         try:
             values[name] = float(kv[key])
         except ValueError as exc:
-            raise ValidationError(f"{key}: {exc}") from exc
+            raise InvalidArgument(f"{key}: {exc}") from exc
     return cls(**values)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lelsim.errors import InvalidArgument, ValidationError
+from lelsim.errors import InvalidArgument
 
 # Relative jitter allowed in the time column before it is rejected
 # as non-uniform.
@@ -69,7 +69,7 @@ def read_trace(path_or_file) -> Trace:
 
     It needs at least two data rows, and the time column must be strictly
     increasing and uniform within relative jitter 1e-9.  Raises
-    ValidationError naming the offending row or channel.
+    InvalidArgument naming the offending row or channel.
     """
     if hasattr(path_or_file, "read"):
         rows = list(csv.reader(path_or_file))
@@ -77,40 +77,40 @@ def read_trace(path_or_file) -> Trace:
         with open(path_or_file, newline="") as fh:
             rows = list(csv.reader(fh))
     if not rows:
-        raise ValidationError("empty trace file")
+        raise InvalidArgument("empty trace file")
     header = [h.strip() for h in rows[0]]
     if not header or header[0] != "t":
-        raise ValidationError("first column of a trace file must be 't'")
+        raise InvalidArgument("first column of a trace file must be 't'")
     names = header[1:]
     if not names:
-        raise ValidationError("trace file has no data channels")
+        raise InvalidArgument("trace file has no data channels")
     for j, name in enumerate(names):
         if name in names[:j]:
-            raise ValidationError(f"channel {name!r} appears more than once in the header")
+            raise InvalidArgument(f"channel {name!r} appears more than once in the header")
 
     data = np.empty((len(rows) - 1, len(header)), dtype=float)
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise ValidationError(f"row {i}: expected {len(header)} fields, got {len(row)}")
+            raise InvalidArgument(f"row {i}: expected {len(header)} fields, got {len(row)}")
         try:
             data[i - 2] = [float(x) for x in row]
         except ValueError as exc:
-            raise ValidationError(f"row {i}: {exc}") from exc
+            raise InvalidArgument(f"row {i}: {exc}") from exc
     if not np.isfinite(data).all():
         bad = int(np.argwhere(~np.isfinite(data))[0, 0]) + 2
-        raise ValidationError(f"row {bad}: non-finite value")
+        raise InvalidArgument(f"row {bad}: non-finite value")
     t = data[:, 0]
     if len(t) < 2:
-        raise ValidationError(f"trace file has {len(t)} data row(s); a sample "
+        raise InvalidArgument(f"trace file has {len(t)} data row(s); a sample "
                               "period needs at least 2")
     steps = np.diff(t)
     if (steps <= 0).any():
         bad = int(np.argmax(steps <= 0)) + 3
-        raise ValidationError(f"row {bad}: time column not strictly increasing")
+        raise InvalidArgument(f"row {bad}: time column not strictly increasing")
     dt = float(steps[0])
     if np.abs(steps - dt).max() > _MAX_REL_JITTER * max(abs(t[-1]), dt):
         bad = int(np.argmax(np.abs(steps - dt))) + 3
-        raise ValidationError(f"row {bad}: non-uniform sample period")
+        raise InvalidArgument(f"row {bad}: non-uniform sample period")
     channels = {name: data[:, j + 1].copy() for j, name in enumerate(names)}
     return Trace(sample_period=dt, channels=channels)
 

@@ -244,6 +244,30 @@ class TestCalibrate:
         with pytest.raises(InvalidArgument):
             calibrate({"mu_eta": 0.95, "sigma_xi": 0.5}, data, cfg)
 
+    def test_one_simulation_per_evaluation(self, monkeypatch):
+        # the initial distance is the search's first evaluation, at
+        # theta_init after the logit round trip, not an extra simulation
+        thetas = []
+
+        def counting(theta, encoder, cfg):
+            thetas.append(theta)
+            return model_pattern(theta, encoder, cfg)
+
+        monkeypatch.setattr(calibration, "model_pattern", counting)
+        cfg = make_cfg(max_evals=12)
+        data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
+        init = {"mu_eta": 0.42, "sigma_xi": 0.77}
+        result = calibrate(init, data, cfg)
+        assert len(thetas) == result.n_evals == 12
+        start = from_unconstrained(to_unconstrained(init, BOUNDS), BOUNDS)
+        assert thetas[0] == start
+        windows = segment_windows(data.first_channel(), cfg.window_length)
+        data_pattern = pattern_vector(encode_windows(result.encoder, windows))
+        assert result.initial_pattern_distance == calibration_objective(
+            start, data_pattern, result.encoder, cfg)
+        assert result.initial_pattern_distance == pytest.approx(calibration_objective(
+            init, data_pattern, result.encoder, cfg), rel=1e-12)
+
     def test_mse_mode_skips_encoder(self):
         cfg = make_cfg(mode=ObjectiveMode.MSE, max_evals=10)
         data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)

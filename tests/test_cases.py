@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lelsim.cases import bundled_case, load_case, validate_case
-from lelsim.errors import ValidationError
+from lelsim.errors import InvalidArgument
 from lelsim.grid import build_ybus
 
 MINIMAL = """\
@@ -34,16 +34,16 @@ class TestLoadCase:
     def test_missing_gen_section_rejected(self):
         text = "\n".join(line for line in MINIMAL.splitlines()
                          if line not in ("[GEN]", "1,5.0,50.0,0.2,0,1.04"))
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgument):
             load_case(text)
 
     def test_branch_to_unknown_bus_rejected(self):
         text = MINIMAL.replace("1,2,0.01,0.1,0.02", "1,7,0.01,0.1,0.02")
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgument):
             load_case(text)
 
     def test_data_before_header_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgument):
             load_case("1,slack,1.04,0,0\n[BUS]\n")
 
     @pytest.mark.parametrize("old,new,where", [
@@ -53,7 +53,7 @@ class TestLoadCase:
         ("s_base,100.0", "s_base,NaN", "[SYSTEM]"),
     ], ids=["branch_nan", "bus_inf", "gen_overflow", "system_nan"])
     def test_non_finite_number_rejected_naming_section_and_row(self, old, new, where):
-        with pytest.raises(ValidationError,
+        with pytest.raises(InvalidArgument,
                            match=rf"line \d+: {re.escape(where)} row .*non-finite"):
             load_case(MINIMAL.replace(old, new))
 
@@ -63,7 +63,7 @@ class TestLoadCase:
         ("[GEN]", "[LEL]\n2,steelmill\n[GEN]", "[LEL]"),
     ], ids=["non_numeric_field", "system_row_without_value", "unknown_archetype"])
     def test_malformed_row_rejected_naming_section_and_row(self, old, new, where):
-        with pytest.raises(ValidationError, match=rf"line \d+: {re.escape(where)} row \["):
+        with pytest.raises(InvalidArgument, match=rf"line \d+: {re.escape(where)} row \["):
             load_case(MINIMAL.replace(old, new))
 
     @pytest.mark.parametrize("old,new,named", [
@@ -90,7 +90,7 @@ class TestLoadCase:
             "lel_at_slack_bus", "shares_not_summing_to_one", "negative_share",
             "disconnected_bus"])
     def test_impossible_case_rejected_naming_the_problem(self, old, new, named):
-        with pytest.raises(ValidationError, match=re.escape(named)):
+        with pytest.raises(InvalidArgument, match=re.escape(named)):
             load_case(MINIMAL.replace(old, new))
 
     def test_zero_tap_means_nominal(self):
@@ -99,7 +99,7 @@ class TestLoadCase:
         assert np.array_equal(build_ybus(zero), build_ybus(nominal))
 
     def test_negative_tap_rejected_naming_the_branch(self):
-        with pytest.raises(ValidationError, match="branch 1-2: tap must be >= 0"):
+        with pytest.raises(InvalidArgument, match="branch 1-2: tap must be >= 0"):
             load_case(MINIMAL.replace("1,2,0.01,0.1,0.02", "1,2,0.01,0.1,0.02,-0.5"))
 
     def test_zero_damping_allowed(self):
@@ -127,7 +127,7 @@ class TestBundledCases:
         validate_case(case)
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgument):
             bundled_case("toy99")
 
     def test_ieee39_has_ten_generators(self):

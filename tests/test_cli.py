@@ -331,10 +331,12 @@ class TestMalformedInput:
         ("1,2,0.01,0.10,0.02", "1,2,0.01,0.10,0.02\n2,2,0.01,0.10,0.5",
          "branch 2-2: both ends at one bus"),
         ("s_base,100.0", "s_base,100.0\ns_base,50", "[SYSTEM] key 's_base' given more than once"),
+        ("1,5.0,100.0,0.20,0,1.00", "1,5.0,100.0,0.20,0,1.05",
+         "generator at bus 1: v_set 1.05 differs from the bus v_set 1.0"),
     ], ids=["f_base_negative", "s_base_zero", "system_key_typo", "unknown_section",
             "H_negative", "H_zero", "xd_p_negative", "xd_p_zero", "D_negative",
             "gen_v_set_zero", "slack_v_set_negative", "tap_negative", "self_loop_branch",
-            "system_key_twice"])
+            "system_key_twice", "gen_v_set_differs_from_bus"])
     def test_impossible_case_data(self, tmp_path, capsys, old, new, named):
         text = importlib.resources.files("lelsim.data").joinpath("toy2.case").read_text()
         assert old in text
@@ -345,6 +347,27 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error: ") and named in err
         assert not (tmp_path / "x_result.csv").exists()
+
+    # every subcommand with a --seed, and the other arguments it needs
+    @pytest.mark.parametrize("argv", [
+        ["simulate-load", "--horizon", "10"],
+        ["grid-sim", "toy2", "--no-events", "--horizon", "0.05"],
+        ["sweep-k", "toy9", "--k", "2", "--trials", "1", "--horizon", "0.05"],
+        ["calibrate", "{trace}", "--bound", "mu_eta=0.3:0.8", "--max-evals", "2"],
+        ["robustness", "{trace}", "--bound", "mu_eta=0.3:0.8", "--inits", "1",
+         "--max-evals", "2"],
+        ["sweep-tcl", "{trace}", "--L", "5", "--d", "4", "--epochs", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_rejected(self, workload_csv, tmp_path, capsys, argv):
+        out = (["--out-prefix", str(tmp_path / "g")] if argv[0] == "grid-sim"
+               else ["--out", str(tmp_path / "out.csv")])
+        capsys.readouterr()
+        rc = run([arg.format(trace=workload_csv) for arg in argv] + ["--seed", "-1"] + out)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "argument --seed: must be a non-negative integer, got -1" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.glob("g_*")) and not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("inits", ["0", "-1"])
     def test_robustness_without_inits_rejected(self, workload_csv, tmp_path, capsys, inits):

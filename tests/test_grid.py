@@ -14,7 +14,7 @@ from scipy.optimize import fsolve
 
 from lelsim import grid
 from lelsim.cases import LelPlacement, bundled_case, load_case
-from lelsim.errors import InvalidArgument, SimulationCollapse, ValidationError
+from lelsim.errors import InvalidArgument, SimulationCollapse
 from lelsim.lel import Archetype, archetype_defaults
 from lelsim.grid import (
     FAULT_ADMITTANCE,
@@ -108,7 +108,7 @@ class TestPowerFlow:
         case = load_case("[SYSTEM]\ns_base,100.0\nf_base,60.0\n"
                          "[BUS]\n1,slack,1.0,0,0\n2,pq,1.0,10000,0\n"
                          "[BRANCH]\n1,2,0.01,0.1,0\n[GEN]\n1,5.0,1.0,0.2,0,1.0\n")
-        with pytest.raises(ValidationError, match=r"power flow did not converge in 20 "
+        with pytest.raises(InvalidArgument, match=r"power flow did not converge in 20 "
                            r"iterations \(final mismatch \d\.\d{3}e[+-]\d+ pu\)"):
             power_flow(case)
 

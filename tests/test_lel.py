@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lelsim.cases import bundled_case
-from lelsim.errors import InvalidArgument, ValidationError
+from lelsim.errors import InvalidArgument
 from lelsim.grid import (
     V_FLOOR,
     Event,
@@ -367,13 +367,13 @@ class TestParameterExchange:
         doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
         trimmed = "\n".join(line for line in doc.splitlines()
                             if not line.startswith("work.mu_eta"))
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgument):
             parse_lel_params(trimmed)
 
     def test_wrong_schema_version_rejected(self):
         doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
         doc = doc.replace("schema_version = 1", "schema_version = 99")
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgument):
             parse_lel_params(doc)
 
     @pytest.mark.parametrize("key,bad", [("schema_version", "one"), ("work.p_base", "twenty")])
@@ -381,7 +381,7 @@ class TestParameterExchange:
         doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
         lines = [f"{key} = {bad}" if line.startswith(key + " ") else line
                  for line in doc.splitlines()]
-        with pytest.raises(ValidationError, match=f"^{key}: "):
+        with pytest.raises(InvalidArgument, match=f"^{key}: "):
             parse_lel_params("\n".join(lines))
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -393,7 +393,7 @@ class TestParameterExchange:
         doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
         lines = [f"{key} = {bad}" if line.startswith(key + " ") else line
                  for line in doc.splitlines()]
-        with pytest.raises((InvalidArgument, ValidationError), match="must be finite"):
+        with pytest.raises(InvalidArgument, match="must be finite"):
             parse_lel_params("\n".join(lines))
 
     # the datacenter dump without the lines that start with `dropped`,
@@ -408,13 +408,13 @@ class TestParameterExchange:
         doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
         lines = [line for line in doc.splitlines()
                  if dropped is None or not line.startswith(dropped)]
-        with pytest.raises(ValidationError, match=re.escape(message)):
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
             parse_lel_params("\n".join(lines + [appended]))
 
     def test_unknown_archetype_rejected(self):
         doc = dump_lel_params(archetype_defaults(Archetype.DATACENTER))
         doc = doc.replace("archetype = datacenter", "archetype = widget")
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgument):
             parse_lel_params(doc)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lelsim.errors import InvalidArgument, UndefinedMetric
+from lelsim.errors import InvalidArgument
 from lelsim.grid import EventRecord, SimResult
 from lelsim.metrics import (
     cosine_similarity,
@@ -117,7 +117,7 @@ class TestMaxCrossCorrelation:
         assert max_cross_correlation(x[:80], x[10:90]) == pytest.approx(1.0)
 
     def test_constant_series_undefined(self):
-        with pytest.raises(UndefinedMetric):
+        with pytest.raises(InvalidArgument):
             max_cross_correlation(np.ones(20), np.arange(20.0))
 
     def test_bounded(self):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from lelsim.errors import InvalidArgument, ValidationError
+from lelsim.errors import InvalidArgument
 from lelsim.protection import (
     ProtectionMode,
     ProtectionParams,
@@ -36,15 +36,15 @@ def run_sequence(params, samples, dt):
 
 class TestValidation:
     def test_rejects_bad_kappa_ordering(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgument):
             make_params(kappa_min=0.9, kappa_max=0.5)
 
     def test_rejects_negative_timer(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgument):
             make_params(t_delay_trip=-1.0)
 
     def test_rejects_nonpositive_band(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidArgument):
             make_params(dV=0.0)
 
     def test_rejects_nonpositive_dt(self):
@@ -157,7 +157,7 @@ class TestDisclosureForm:
         doc = dump_protection_disclosure(make_params())
         trimmed = "\n".join(line for line in doc.splitlines()
                             if not line.startswith("r_kappa"))
-        with pytest.raises(ValidationError, match="^disclosure form missing r_kappa$"):
+        with pytest.raises(InvalidArgument, match="^disclosure form missing r_kappa$"):
             load_protection_disclosure(trimmed)
 
     # lines appended to a full ten-line form
@@ -168,5 +168,5 @@ class TestDisclosureForm:
     ], ids=["no_separator", "repeated_key", "unknown_keys"])
     def test_malformed_form_rejected(self, appended, message):
         doc = dump_protection_disclosure(make_params()) + appended
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
             load_protection_disclosure(doc)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from lelsim.errors import InvalidArgument, ValidationError
+from lelsim.errors import InvalidArgument
 from lelsim.traceio import Trace, read_trace, step_count
 
 
@@ -21,24 +21,24 @@ class TestReadTrace:
     ], ids=["empty", "first_column_not_t", "no_channels", "field_count", "non_number",
             "time_not_increasing", "non_uniform"])
     def test_rejects_a_malformed_file_naming_the_fault(self, text, message):
-        with pytest.raises(ValidationError, match=re.escape(message)):
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
             read_trace(io.StringIO(text))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_value_with_row(self, value):
         text = f"t,p\n0.0,1.0\n1.0,{value}\n2.0,3.0\n"
-        with pytest.raises(ValidationError, match="row 3: non-finite"):
+        with pytest.raises(InvalidArgument, match="row 3: non-finite"):
             read_trace(io.StringIO(text))
 
     def test_rejects_a_repeated_channel_naming_it(self):
         text = "t,q,p,p\n0.0,1.0,5.0,2.0\n1.0,1.0,6.0,3.0\n"
-        with pytest.raises(ValidationError, match="channel 'p' appears more than once"):
+        with pytest.raises(InvalidArgument, match="channel 'p' appears more than once"):
             read_trace(io.StringIO(text))
 
     @pytest.mark.parametrize("text,rows", [("t,p\n", 0), ("t,p\n0.0,1.0\n", 1)],
                              ids=["header_only", "one_row"])
     def test_rejects_fewer_than_two_rows_naming_the_count(self, text, rows):
-        with pytest.raises(ValidationError, match=f"has {rows} data row"):
+        with pytest.raises(InvalidArgument, match=f"has {rows} data row"):
             read_trace(io.StringIO(text))
 
     def test_two_rows_give_the_sample_period(self):
