@@ -83,7 +83,6 @@ class GridCase:
     lels: tuple[LelPlacement, ...] = ()
     s_base: float = 100.0
     f_base: float = 60.0
-    name: str = ""
 
     def __post_init__(self):
         validate_case(self)
@@ -223,7 +222,7 @@ def _rows(sections, section: str, sizes: tuple, build) -> list:
     return out
 
 
-def load_case(text: str, name: str = "") -> GridCase:
+def load_case(text: str) -> GridCase:
     """Parse the text of a sectioned-CSV case document."""
     sections: dict[str, list[tuple[int, list[str]]]] = {}
     current = None
@@ -263,7 +262,7 @@ def load_case(text: str, name: str = "") -> GridCase:
     gens = _rows(sections, "GEN", (6,), _generator)
     lels = _rows(sections, "LEL", (2, 5), _lel)
     return GridCase(buses=tuple(buses), branches=tuple(branches), generators=tuple(gens),
-                    lels=tuple(lels), s_base=s_base, f_base=f_base, name=name)
+                    lels=tuple(lels), s_base=s_base, f_base=f_base)
 
 
 def bundled_case(name: str) -> GridCase:
@@ -273,4 +272,4 @@ def bundled_case(name: str) -> GridCase:
         text = ref.read_text()
     except FileNotFoundError as exc:
         raise InvalidArgument(f"no bundled case named {name!r}") from exc
-    return load_case(text, name=name)
+    return load_case(text)

@@ -64,7 +64,7 @@ def _load_grid_case(name_or_path: str):
     if name_or_path in ("toy2", "toy9", "ieee39"):
         return bundled_case(name_or_path)
     with open(name_or_path) as fh:
-        return load_case(fh.read(), name=name_or_path)
+        return load_case(fh.read())
 
 
 def _parse_specs(pairs, kind: str, form: str, value) -> dict:

@@ -4,13 +4,19 @@ A violation of the voltage or frequency band must persist for
 t_delay_trip before the retained-load fraction kappa steps down to
 kappa_min.  Restoration requires the bus to sit in-band continuously
 for t_wait_recon and at least t_delay_recon to have elapsed since the
-trip, after which kappa ramps back at rate r_kappa.
+trip, after which kappa ramps back at rate r_kappa.  A violation during
+the ramp holds kappa while it is timed, and the ramp resumes if it
+clears before the trip delay.
+
+Each timer runs only in the modes that read it and is held at 0 in every
+other: the violation timer in VIOLATION_TIMING, the dwell and since-trip
+timers while the load is shed (SHED and RECOVERY_WAIT).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from lelsim.errors import InvalidArgument, require_finite
 
@@ -70,9 +76,10 @@ class ProtectionParams:
 class ProtectionState:
     mode: ProtectionMode = ProtectionMode.CONNECTED
     kappa: float = 1.0
-    violation_timer: float = 0.0
-    stable_timer: float = 0.0
-    since_trip_timer: float = 0.0
+    # each timer is read in the modes named and is 0 in every other mode
+    violation_timer: float = 0.0   # s out of band: VIOLATION_TIMING
+    stable_timer: float = 0.0      # s in band since shed: SHED, RECOVERY_WAIT
+    since_trip_timer: float = 0.0  # s since the trip: SHED, RECOVERY_WAIT
 
 
 def in_band(v_mag: float, omega: float, params: ProtectionParams) -> bool:
@@ -97,8 +104,7 @@ def protection_step(state: ProtectionState, v_mag: float, omega: float,
         state.since_trip_timer, in_band(v_mag, omega, params), dt, params))
 
 
-# ProtectionState()'s fields: connected, nothing timed
-_RESET = (ProtectionMode.CONNECTED, 1.0, 0.0, 0.0, 0.0)
+_RESET = astuple(ProtectionState())
 
 
 def protection_transition(mode: ProtectionMode, kappa: float, violation_timer: float,
@@ -106,55 +112,35 @@ def protection_transition(mode: ProtectionMode, kappa: float, violation_timer: f
                           dt: float, params: ProtectionParams) -> tuple:
     """One step of the machine on plain values: ProtectionState's fields
     in order, whether the bus is in band, and dt > 0.  Returns the five
-    fields after the step.  CONNECTED and in band returns them unchanged;
-    the grid engine skips the call then."""
-    if mode is ProtectionMode.CONNECTED:
-        if ok:
-            return mode, kappa, violation_timer, stable_timer, since_trip_timer
-        return _tick_violation(kappa, 1.0, violation_timer, stable_timer,
-                               since_trip_timer, dt, params)
-
-    if mode is ProtectionMode.VIOLATION_TIMING:
+    fields after the step, each timer 0 outside the modes that read it.
+    CONNECTED and in band returns the reset state, which is then its
+    input; the grid engine skips the call."""
+    P = ProtectionMode
+    if mode is P.SHED or mode is P.RECOVERY_WAIT:
+        since = since_trip_timer + dt
         if not ok:
-            return _tick_violation(kappa, kappa, violation_timer, stable_timer,
-                                   since_trip_timer, dt, params)
-        # violation cleared before the trip delay: full reset
-        if kappa >= 1.0:
-            return _RESET
-        # re-violation during ramping was being timed; resume ramping
-        return ProtectionMode.RAMPING, kappa, 0.0, stable_timer, since_trip_timer + dt
+            # a violation resets the dwell clock; no re-trip needed, load is shed
+            return P.SHED, kappa, 0.0, 0.0, since
+        stable = stable_timer + dt
+        if stable >= params.t_wait_recon and since >= params.t_delay_recon:
+            return P.RAMPING, kappa, 0.0, 0.0, 0.0
+        return P.RECOVERY_WAIT, kappa, 0.0, stable, since
 
-    if mode is ProtectionMode.RAMPING:
-        if not ok:
-            # hold kappa and time the new violation; may trip this step
-            return _tick_violation(kappa, kappa, violation_timer, 0.0,
-                                   since_trip_timer, dt, params)
-        kappa = min(kappa + params.r_kappa * dt, params.kappa_full)
-        if kappa >= 1.0:
-            return _RESET  # fully reconnected
-        # a kappa_max below unity caps the ramp: kappa then holds at the cap
-        return mode, kappa, violation_timer, stable_timer, since_trip_timer + dt
-
-    # SHED or RECOVERY_WAIT
-    since = since_trip_timer + dt
     if not ok:
-        # a violation resets the dwell clock; no re-trip needed, load is shed
-        return ProtectionMode.SHED, kappa, violation_timer, 0.0, since
-    stable = stable_timer + dt
-    if stable >= params.t_wait_recon and since >= params.t_delay_recon:
-        return ProtectionMode.RAMPING, kappa, violation_timer, stable, since
-    return ProtectionMode.RECOVERY_WAIT, kappa, violation_timer, stable, since
+        # time the violation holding kappa; shed once it lasts t_delay_trip
+        timer = violation_timer + dt
+        if timer >= params.t_delay_trip:
+            return P.SHED, params.kappa_min, 0.0, 0.0, 0.0
+        return P.VIOLATION_TIMING, kappa, timer, 0.0, 0.0
 
-
-def _tick_violation(kappa, kept, violation_timer, stable_timer, since_trip_timer,
-                    dt, params):
-    """A step out of band from retention kappa: shed once the violation
-    has lasted t_delay_trip, else time it holding retention kept."""
-    timer = violation_timer + dt
-    if timer >= params.t_delay_trip:
-        return ProtectionMode.SHED, params.kappa_min, 0.0, 0.0, 0.0
-    since = since_trip_timer + dt if kappa < 1.0 else 0.0
-    return ProtectionMode.VIOLATION_TIMING, kept, timer, stable_timer, since
+    if mode is P.RAMPING:
+        kappa = min(kappa + params.r_kappa * dt, params.kappa_full)
+    if kappa >= 1.0:
+        return _RESET  # connected, or fully reconnected
+    # a violation that cleared before the trip delay resumes the ramp on
+    # the next step; a kappa_max below unity caps the ramp, and kappa then
+    # holds at the cap
+    return P.RAMPING, kappa, 0.0, 0.0, 0.0
 
 
 def parse_kv_document(text: str) -> dict[str, str]:

@@ -45,7 +45,6 @@ class Encoder:
     b1: np.ndarray  # (h,)
     W2: np.ndarray  # (d, h)
     b2: np.ndarray  # (d,)
-    window_length: int
     loss_history: list = field(default_factory=list)
 
     @property
@@ -173,13 +172,11 @@ def loss_and_gradients(encoder: Encoder, X1: np.ndarray, X2: np.ndarray,
     return loss, grads
 
 
-def init_encoder(in_dim: int, h: int, d: int, rng: np.random.Generator,
-                 window_length: int) -> Encoder:
+def init_encoder(in_dim: int, h: int, d: int, rng: np.random.Generator) -> Encoder:
     """Glorot-scaled random initialization."""
     W1 = rng.normal(0.0, np.sqrt(2.0 / (in_dim + h)), size=(h, in_dim))
     W2 = rng.normal(0.0, np.sqrt(2.0 / (h + d)), size=(d, h))
-    return Encoder(W1=W1, b1=np.zeros(h), W2=W2, b2=np.zeros(d),
-                   window_length=window_length)
+    return Encoder(W1=W1, b1=np.zeros(h), W2=W2, b2=np.zeros(d))
 
 
 def train_encoder(X: np.ndarray, cfg: TrainConfig, seed: int) -> Encoder:
@@ -194,7 +191,7 @@ def train_encoder(X: np.ndarray, cfg: TrainConfig, seed: int) -> Encoder:
                               "(no negatives otherwise)")
     rng = np.random.default_rng(seed)
     n, L = X.shape
-    encoder = init_encoder(L, cfg.h, cfg.d, rng, window_length=L)
+    encoder = init_encoder(L, cfg.h, cfg.d, rng)
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)

@@ -277,15 +277,17 @@ def stall_transition(running: bool, stall_timer: float, recovery_timer: float,
     its stall and recovery timers and pinned torque, the terminal phasor
     and dt > 0.  Returns (running, stall_timer, recovery_timer, fresh),
     fresh being the equilibrium MotorState on a restart and None on any
-    other step.  Running with |v| >= V_stall and a zero stall timer
-    returns the state unchanged; the grid engine skips the call then."""
+    other step.  The stall timer is 0 while tripped and the recovery
+    timer 0 while running.  Running with |v| >= V_stall and a zero stall
+    timer returns the state unchanged; the grid engine skips the call
+    then."""
     if running:
         if abs(v) < params.V_stall:
             stall_timer += dt
             if stall_timer >= params.tau_stall:
                 return False, 0.0, params.T_cool, None
-            return True, stall_timer, recovery_timer, None
-        return True, 0.0, recovery_timer, None
+            return True, stall_timer, 0.0, None
+        return True, 0.0, 0.0, None
     # tripped: count down the recovery interval
     recovery_timer -= dt
     if recovery_timer <= 0.0:
@@ -293,9 +295,9 @@ def stall_transition(running: bool, stall_timer: float, recovery_timer: float,
             fresh = init_for_torque(t_mech, v, params)
         except NoEquilibrium:
             # voltage still too low to restart; retry next step
-            return False, stall_timer, dt, None
-        return True, fresh.stall_timer, fresh.recovery_timer, fresh
-    return False, stall_timer, recovery_timer, None
+            return False, 0.0, dt, None
+        return True, 0.0, 0.0, fresh
+    return False, 0.0, recovery_timer, None
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ def test_criterion_01_ou_stationary_mean():
 def test_criterion_02_encoder_gradient_check():
     t0 = time.monotonic()
     rng = np.random.default_rng(12345)
-    encoder = init_encoder(5, 8, 4, rng, window_length=5)
+    encoder = init_encoder(5, 8, 4, rng)
     X1 = rng.standard_normal((8, 5))
     X2 = X1 + 0.05 * rng.standard_normal((8, 5))
     _, grads = loss_and_gradients(encoder, X1, X2, temperature=0.1)

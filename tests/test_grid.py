@@ -238,6 +238,16 @@ class TestSchedule:
         assert np.array_equal(Y + ring[1], Y - _stamp(case, tripped))
         assert [sw[2] for sw in (fault, clear, ring, radial)] == [False, False, False, True]
 
+    def test_events_at_the_first_and_the_last_step_are_applied(self):
+        # sums of dt = 1/64 are exact: t = 0 is step 0, horizon - dt step 31
+        case, cfg = bundled_case("toy9"), SimConfig(dt=1 / 64, horizon=0.5)
+        events = fault_events(5, 0.0, 0.125, -8j) + [
+            Event(time=0.5 - 1 / 64, kind="fault", bus=7, admittance=-8j)]
+        assert list(make_schedule(case, events, cfg)) == [0, 8, 31]
+        result = run_simulation(case, events, cfg)
+        assert [(e.time, e.kind) for e in result.events] == [
+            (0.0, "fault_applied"), (0.125, "fault_cleared"), (0.484375, "fault_applied")]
+
     def test_event_past_horizon_rejected(self, monkeypatch):
         def integration_started(*args):
             raise AssertionError("integration started")
@@ -484,6 +494,30 @@ class TestPlacement:
         assert a_events == b_events
 
 
+def hand_made_result(lel_events, omega_after=1.001, kappa_end=1.0, kappa_full=1.0,
+                     collapsed=False):
+    """A SimResult of three LELs (ids 10, 11, 12) sampled every 1/64 s
+    for 1 s: a fault from 0.125 s cleared at 0.25 s, then the LEL events
+    (time, id, kind) in time order.  The generator runs at omega_after
+    after the clearing and at 1 up to it; each LEL's kappa is its full
+    target kappa_full but at the last sample, where it is kappa_end (one
+    value, or one per LEL)."""
+    T = 65
+    t = np.arange(T) / 64
+    omega = np.where(t > 0.25, omega_after, 1.0)[:, None]
+    kappa = np.full((T, 3), kappa_full)
+    kappa[-1] = kappa_end
+    events = ([EventRecord(0.125, None, "fault_applied"),
+               EventRecord(0.25, None, "fault_cleared")]
+              + [EventRecord(*event) for event in lel_events])
+    return SimResult(time=t, v_mag=np.ones((T, 1)), v_ang=np.zeros((T, 1)),
+                     gen_omega=omega, gen_delta=np.zeros((T, 1)), lel_p=kappa,
+                     lel_q=0 * kappa, lel_kappa=kappa, lel_mode=0 * kappa,
+                     motor_mode=0 * kappa, events=events, bus_ids=[1], gen_buses=[1],
+                     lel_ids=[10, 11, 12], lel_kappa_full=np.full(3, kappa_full),
+                     collapsed=collapsed)
+
+
 class TestRegimeFlags:
     def test_flag_keys_and_types(self):
         case = deterministic_lels(place_lels(bundled_case("toy9"), 2, seed=1))
@@ -514,6 +548,56 @@ class TestRegimeFlags:
         assert clear_time(result) == 0.2
         assert frequency_overshoot(result) == pytest.approx(1e-3)
         assert regime_flags(result)["mass_disconnection"]
+
+    # the detectors on hand-made results, on both sides of each threshold;
+    # shed spans 0.1875 and 0.25 s are exact in floats, and so is 0.45 -
+    # 0.25 == 0.2, the window itself
+    @pytest.mark.parametrize("sheds,omega_after,expected", [
+        ((0.5, 0.5625, 0.6875), 1.001, True),
+        ((0.25, 0.35, 0.45), 1.001, True),
+        ((0.5, 0.625, 0.75), 1.001, False),
+        ((0.5, 0.5625), 1.001, False),
+        ((0.5, 0.5625, 0.6875), 1.0, False),
+        ((0.5, 0.5625, 0.6875), 1.0 + 1e-4, False),
+        ((0.5, 0.5625, 0.6875), 1.0 + 2e-4, True),
+    ], ids=["span_0.1875", "span_0.2", "span_0.25", "two_sheds", "flat_omega",
+            "omega_at_threshold", "omega_above_threshold"])
+    def test_mass_disconnection_needs_close_sheds_and_a_fast_generator(
+            self, sheds, omega_after, expected):
+        result = hand_made_result([(t, 10 + i, "shed") for i, t in enumerate(sheds)],
+                                  omega_after=omega_after)
+        assert regime_flags(result)["mass_disconnection"] is expected
+
+    def test_generator_fast_only_at_the_clearing_sample_is_not_mass_disconnection(self):
+        result = hand_made_result([(t, 10 + i, "shed") for i, t in
+                                   enumerate((0.5, 0.5625, 0.6875))], omega_after=1.0)
+        result.gen_omega[result.time == 0.25] = 1.001
+        assert not regime_flags(result)["mass_disconnection"]
+
+    @pytest.mark.parametrize("t_shed,expected", [(0.25, False), (0.5, False),
+                                                 (0.515625, True)],
+                             ids=["before_ramp", "with_ramp", "after_ramp"])
+    def test_staggered_needs_a_shed_after_a_ramp_start(self, t_shed, expected):
+        events = [(0.125, 10, "shed"), (0.5, 10, "ramp_start"), (t_shed, 11, "shed")]
+        assert regime_flags(hand_made_result(events))["staggered_interaction"] is expected
+
+    @pytest.mark.parametrize("kappa_end,expected", [
+        (0.75, False), (0.75 - 1e-9, False), (0.75 - 2e-9, True)],
+        ids=["full", "within_tolerance", "below"])
+    def test_delayed_needs_a_shed_lel_below_its_full_target(self, kappa_end, expected):
+        # LEL 11 never shed and ends low too: it does not count
+        result = hand_made_result([(0.5, 10, "shed")], kappa_end=[kappa_end, 0.2, 0.75],
+                                  kappa_full=0.75)
+        assert regime_flags(result)["delayed_or_collapse"] is expected
+
+    @pytest.mark.parametrize("events,collapsed,expected", [
+        ([], False, dict(ride_through=True, delayed_or_collapse=False)),
+        ([], True, dict(ride_through=False, delayed_or_collapse=True)),
+        ([(0.5, 10, "shed")], False, dict(ride_through=False, delayed_or_collapse=False)),
+    ], ids=["quiet", "collapsed", "shed"])
+    def test_ride_through_needs_no_shed_and_no_collapse(self, events, collapsed, expected):
+        flags = regime_flags(hand_made_result(events, collapsed=collapsed))
+        assert {key: flags[key] for key in expected} == expected
 
     def test_retrip_after_a_ramp_starts_is_a_shed(self):
         # the LEL at bus 8 starts its ramp at 2.615 s, when the second

@@ -493,6 +493,35 @@ class TestTimerInvariants:
                 else:
                     assert state[1] == 1.0
 
+    @settings(max_examples=50, deadline=None)
+    @given(params=protection_params(), tau=preset_or_drawn("tau_stall"),
+           t_cool=preset_or_drawn("T_cool"), dt=_DT,
+           runs=st.lists(st.tuples(st.booleans(), st.sampled_from([1.0, 0.4, 0.0]),
+                                   st.integers(1, 300)), max_size=12))
+    @example(params=_PRESETS[0].prot, tau=0.5, t_cool=1.0, dt=0.05,
+             runs=[(False, 0.4, 100), (True, 1.0, 300), (False, 0.0, 100),
+                   (True, 1.0, 300)])
+    def test_each_timer_is_zero_outside_the_modes_that_read_it(self, params, tau, t_cool,
+                                                               dt, runs):
+        """In every state each machine reaches from its reset state: the
+        violation timer is 0 outside VIOLATION_TIMING, the dwell and
+        since-trip timers outside SHED and RECOVERY_WAIT, the stall timer
+        while tripped and the recovery timer while running.  Each run is
+        (in band, |v| in pu, steps); 0.4 pu is below V_stall."""
+        P = ProtectionMode
+        cool = replace(_PRESETS[0].cool, tau_stall=tau, T_cool=t_cool)
+        t_mech = motor_init(cool.load_factor, 1.0, cool).t_mech
+        prot, motor = astuple(ProtectionState()), (True, 0.0, 0.0)
+        for ok, v, length in runs:
+            for _ in range(length):
+                prot = protection_transition(*prot, ok, dt, params)
+                if prot[0] is not P.VIOLATION_TIMING:
+                    assert prot[2] == 0.0
+                if prot[0] not in (P.SHED, P.RECOVERY_WAIT):
+                    assert prot[3] == prot[4] == 0.0
+                motor = stall_transition(*motor, t_mech, v, dt, cool)[:3]
+                assert motor[2 if motor[0] else 1] == 0.0
+
     @settings(max_examples=100, deadline=None)
     @given(delay=preset_or_drawn("tau_stall"), dt=_DT)
     @example(delay=2.0, dt=0.005)

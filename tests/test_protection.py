@@ -1,6 +1,7 @@
 """Unit tests for the protection state machine and the disclosure form."""
 
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lelsim.protection import (
     in_band,
     load_protection_disclosure,
     protection_step,
+    protection_transition,
 )
 
 
@@ -35,17 +37,21 @@ def run_sequence(params, samples, dt):
 
 
 class TestValidation:
-    def test_rejects_bad_kappa_ordering(self):
-        with pytest.raises(InvalidArgument):
-            make_params(kappa_min=0.9, kappa_max=0.5)
+    @pytest.mark.parametrize("overrides", [
+        dict(kappa_min=0.9, kappa_max=0.5), dict(kappa_min=0.0),
+    ], ids=["min_above_max", "min_zero"])
+    def test_rejects_bad_kappa_ordering(self, overrides):
+        with pytest.raises(InvalidArgument, match="kappa_min"):
+            make_params(**overrides)
 
     def test_rejects_negative_timer(self):
         with pytest.raises(InvalidArgument):
             make_params(t_delay_trip=-1.0)
 
-    def test_rejects_nonpositive_band(self):
-        with pytest.raises(InvalidArgument):
-            make_params(dV=0.0)
+    @pytest.mark.parametrize("name", ["dV", "dOmega", "r_kappa"])
+    def test_rejects_nonpositive_band_or_ramp_rate(self, name):
+        with pytest.raises(InvalidArgument, match=name):
+            make_params(**{name: 0.0})
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(InvalidArgument):
@@ -132,6 +138,37 @@ class TestTripAndRecovery:
         a = run_sequence(params, samples, dt=0.01)
         b = run_sequence(params, samples, dt=0.01)
         assert a == b
+
+
+# sums of this step are exact, so each delay below ends on a whole step
+DT = 1 / 64
+
+
+def steps_to(params, ok, state, mode):
+    """The number of steps, in band or not as ok says, that take state
+    into mode (at most 100)."""
+    for n in range(1, 101):
+        state = protection_transition(*state, ok, DT, params)
+        if state[0] is mode:
+            return n, state
+    raise AssertionError(f"{mode.name} not reached")
+
+
+class TestExactBoundaries:
+    def test_sheds_on_the_step_that_ends_the_trip_delay(self):
+        params = make_params(t_delay_trip=0.0625)
+        assert steps_to(params, False, astuple(ProtectionState()),
+                        ProtectionMode.SHED)[0] == 4
+
+    # in band from the step after the trip, so both clocks count alike
+    @pytest.mark.parametrize("wait,since", [(0.25, 0.125), (0.0625, 0.25)],
+                             ids=["dwell_gate", "since_trip_gate"])
+    def test_ramps_on_the_step_that_ends_the_longer_recovery_delay(self, wait, since):
+        params = make_params(t_delay_trip=0.0, t_wait_recon=wait, t_delay_recon=since)
+        _, shed = steps_to(params, False, astuple(ProtectionState()), ProtectionMode.SHED)
+        n, ramping = steps_to(params, True, shed, ProtectionMode.RAMPING)
+        assert n == 16
+        assert ramping == (ProtectionMode.RAMPING, params.kappa_min, 0.0, 0.0, 0.0)
 
 
 class TestRetention:

@@ -74,13 +74,13 @@ class TestSegmentation:
 class TestEncoder:
     def test_encode_deterministic(self):
         rng = np.random.default_rng(0)
-        enc = init_encoder(5, 8, 4, rng, window_length=5)
+        enc = init_encoder(5, 8, 4, rng)
         X = np.arange(5.0)[None, :]
         assert np.array_equal(encode_windows(enc, X), encode_windows(enc, X))
 
     def test_encode_windows_matches_single(self):
         rng = np.random.default_rng(1)
-        enc = init_encoder(5, 8, 4, rng, window_length=5)
+        enc = init_encoder(5, 8, 4, rng)
         X = segment_windows(np.sin(np.arange(30.0)), 5)
         Z = encode_windows(enc, X)
         assert Z.shape == (X.shape[0], 4)
@@ -89,7 +89,7 @@ class TestEncoder:
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(2)
-        enc = init_encoder(5, 8, 4, rng, window_length=5)
+        enc = init_encoder(5, 8, 4, rng)
         with pytest.raises(InvalidArgument):
             encode_windows(enc, np.arange(7.0)[None, :])
         with pytest.raises(InvalidArgument):
@@ -97,7 +97,7 @@ class TestEncoder:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
-        enc = init_encoder(5, 8, 4, rng, window_length=5)
+        enc = init_encoder(5, 8, 4, rng)
         X1 = rng.standard_normal((6, 5))
         X2 = X1 + 0.05 * rng.standard_normal((6, 5))
         loss, grads = loss_and_gradients(enc, X1, X2, temperature=0.2)
@@ -125,7 +125,7 @@ class TestTraining:
         # compare contrastive loss of trained vs untrained weights on a
         # fixed augmented batch
         X1, X2 = augment(X[:16], np.random.default_rng(100))
-        raw = init_encoder(5, cfg.h, 8, np.random.default_rng(0), window_length=5)
+        raw = init_encoder(5, cfg.h, 8, np.random.default_rng(0))
         loss_raw, _ = loss_and_gradients(raw, X1, X2, TEMPERATURE)
         loss_trained, _ = loss_and_gradients(enc, X1, X2, TEMPERATURE)
         assert loss_trained < loss_raw
@@ -235,7 +235,7 @@ def reference_loss_and_gradients(enc, X1, X2, temperature):
 
 
 def random_encoder(rng, L, h, d):
-    enc = init_encoder(L, h, d, rng, window_length=L)
+    enc = init_encoder(L, h, d, rng)
     return replace(enc, b1=rng.standard_normal(h), b2=rng.standard_normal(d))
 
 

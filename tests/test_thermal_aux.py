@@ -26,6 +26,7 @@ from lelsim.thermal_aux import (
     aux_power,
     init_for_torque,
     motor_init,
+    stall_transition,
     stall_update,
 )
 
@@ -417,6 +418,25 @@ class TestStall:
         motor = motor_init(0.6, 1.0, params)
         with pytest.raises(InvalidArgument):
             stall_update(motor, 1.0, 0.0, params)
+
+    def test_no_timing_at_exactly_the_stall_voltage(self):
+        params = make_cooling()
+        t_mech = motor_init(0.6, 1.0, params).t_mech
+        for stall_timer in (0.0, 0.03125):
+            assert stall_transition(True, stall_timer, 0.0, t_mech, params.V_stall,
+                                    1 / 64, params) == (True, 0.0, 0.0, None)
+
+    def test_trips_and_restarts_on_the_steps_that_end_each_delay(self):
+        # sums of dt = 1/64 are exact, so each delay ends on a whole step
+        params = make_cooling(tau_stall=0.25, T_cool=0.125)
+        t_mech = motor_init(0.6, 1.0, params).t_mech
+        state, running = (True, 0.0, 0.0), []
+        for v in [0.4] * 16 + [1.0] * 8:
+            *state, fresh = stall_transition(*state, t_mech, v, 1 / 64, params)
+            running.append(state[0])
+        # tripped on the 16th step under V_stall, restarted 8 steps later
+        assert running == [True] * 15 + [False] * 8 + [True]
+        assert state == [True, 0.0, 0.0] and fresh is not None
 
 
 class TestAux:
