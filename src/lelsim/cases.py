@@ -30,13 +30,15 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, csgraph_from_dense, dijkstra
 
 from lelsim.errors import InvalidArgument
 from lelsim.lel import Archetype, LelParams, archetype_defaults
 
 DEFAULT_SHARES = (0.6, 0.3, 0.1)
+_DATA = importlib.resources.files("lelsim.data")
+# the bundled test systems: one per lelsim/data/*.case file
+BUNDLED_CASES = tuple(sorted(f.name[:-5] for f in _DATA.iterdir() if f.name.endswith(".case")))
 
 
 @dataclass(frozen=True)
@@ -159,15 +161,32 @@ def validate_case(case: GridCase) -> None:
         raise InvalidArgument(f"disconnected bus(es): {missing}")
 
 
+def _bus_graph(case: GridCase, branches):
+    """The buses joined by the given branches, as a symmetric sparse
+    graph whose edge between two buses weighs the smallest series
+    |r + jx| of the parallel branches between them."""
+    idx = case.bus_index()
+    W = np.full((case.n_bus, case.n_bus), np.inf)
+    for br in branches:
+        f, t = idx[br.from_bus], idx[br.to_bus]
+        W[f, t] = W[t, f] = min(W[f, t], abs(complex(br.r, br.x)))
+    return csgraph_from_dense(W, null_value=np.inf)
+
+
 def bus_islands(case: GridCase, branches) -> np.ndarray:
     """Island label (0, 1, ...) of every bus, in case order, over the
     given branches."""
+    return connected_components(_bus_graph(case, branches), directed=False)[1]
+
+
+def nearest_generator(case: GridCase) -> np.ndarray:
+    """Per-bus index (into case.generators) of the electrically nearest
+    machine by minimum series-|Z| path; an exact tie goes to the lower
+    index."""
     idx = case.bus_index()
-    ends = np.array([(idx[br.from_bus], idx[br.to_bus]) for br in branches],
-                    dtype=int).reshape(-1, 2)
-    graph = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
-                       shape=(case.n_bus, case.n_bus))
-    return connected_components(graph, directed=False)[1]
+    dist = dijkstra(_bus_graph(case, case.branches), directed=False,
+                    indices=[idx[g.bus] for g in case.generators])
+    return np.argmin(dist, axis=0)
 
 
 def _non_finite(tok: str) -> bool:
@@ -266,10 +285,7 @@ def load_case(text: str) -> GridCase:
 
 
 def bundled_case(name: str) -> GridCase:
-    """Load one of the bundled fixtures: ieee39, toy9, toy2."""
-    ref = importlib.resources.files("lelsim.data").joinpath(f"{name}.case")
-    try:
-        text = ref.read_text()
-    except FileNotFoundError as exc:
-        raise InvalidArgument(f"no bundled case named {name!r}") from exc
-    return load_case(text)
+    """Load one of the BUNDLED_CASES by name."""
+    if name not in BUNDLED_CASES:
+        raise InvalidArgument(f"no bundled case named {name!r}")
+    return load_case(_DATA.joinpath(f"{name}.case").read_text())

@@ -26,7 +26,7 @@ from lelsim.calibration import (
     model_pattern,
     simulate_subsystem,
 )
-from lelsim.cases import bundled_case, load_case
+from lelsim.cases import BUNDLED_CASES, bundled_case, load_case
 from lelsim.errors import InvalidArgument, NoEquilibrium, SimulationCollapse
 from lelsim.grid import (
     SimConfig,
@@ -61,7 +61,7 @@ def _subsystem_params(params, subsystem: str):
 
 
 def _load_grid_case(name_or_path: str):
-    if name_or_path in ("toy2", "toy9", "ieee39"):
+    if name_or_path in BUNDLED_CASES:
         return bundled_case(name_or_path)
     with open(name_or_path) as fh:
         return load_case(fh.read())
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("grid-sim", help="run a transient grid scenario")
-    sp.add_argument("case", help="bundled case name (toy2, toy9, ieee39) "
+    sp.add_argument("case", help=f"bundled case name ({', '.join(BUNDLED_CASES)}) "
                     "or a case file path")
     sp.add_argument("--k", type=int, default=0,
                     help="number of LEL sites added to the case's own")

@@ -42,11 +42,12 @@ import numpy as np
 from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
-from lelsim.cases import GridCase, LelPlacement, bus_islands
+from lelsim.cases import GridCase, LelPlacement, bus_islands, nearest_generator
 from lelsim.errors import InvalidArgument, SimulationCollapse
 from lelsim.lel import Archetype, LelParams, archetype_defaults
-from lelsim.metrics import clear_time, frequency_overshoot, reconnection_delay, voltage_nadir
-from lelsim.protection import ProtectionMode, ProtectionState, protection_transition
+from lelsim.metrics import (KAPPA_FULL_TOL, clear_time, frequency_overshoot,
+                             reconnection_delay, voltage_nadir)
+from lelsim.protection import ProtectionMode, ProtectionState, in_band, protection_transition
 from lelsim.thermal_aux import (OMEGA_SYNC, MotorMode, aux_power, motor_init,
                                 stall_transition)
 from lelsim.traceio import off_grid, step_count
@@ -77,10 +78,10 @@ ANGLE_SPREAD_LIMIT = math.pi
 ANGLE_SPREAD_HOLD = 1.0
 
 # steps whose bus voltages run_simulation holds before it writes their
-# |V| and angles, and whose workload draws it folds at once.  Measured on
-# the benchmark's grid_fault workload (2-core host): writing |V|, the
-# angle, motor_mode and the w0 fold every step cost 3.7 % in call_s, and
-# holding the whole horizon's complex voltages instead of one block
+# |V| and angles.  Measured on the benchmark's grid_fault workload (2-core
+# host): writing |V| and the angle every step (with motor_mode and the
+# workload fold, both since moved out of the step) cost 3.7 % in call_s,
+# and holding the whole horizon's complex voltages instead of one block
 # raised peak RSS by 3.9 MB.
 RECORD_BLOCK = 256
 
@@ -271,26 +272,6 @@ def power_flow(case: GridCase) -> np.ndarray:
     return voltages(x)
 
 
-def nearest_generator(case: GridCase) -> np.ndarray:
-    """Per-bus index (into case.generators) of the electrically nearest
-    machine by minimum series-|Z| path."""
-    from scipy.sparse import lil_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    idx = case.bus_index()
-    n = case.n_bus
-    W = lil_matrix((n, n))
-    for br in case.branches:
-        w = abs(complex(br.r, br.x))
-        f, t = idx[br.from_bus], idx[br.to_bus]
-        if W[f, t] == 0 or W[f, t] > w:
-            W[f, t] = w
-            W[t, f] = w
-    gen_idx = [idx[g.bus] for g in case.generators]
-    dist = dijkstra(W.tocsr(), directed=False, indices=gen_idx)
-    return np.argmin(dist, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # dynamic initialization
 # ---------------------------------------------------------------------------
@@ -414,9 +395,6 @@ class _Engine:
         self.prot = [astuple(ProtectionState())] * len(motors)
         self.motor = [(m.mode is MotorMode.RUNNING, m.stall_timer, m.recovery_timer)
                       for m in motors]
-        # in_band's limits and V_stall per LEL, for step_machines' skip tests
-        self.limits = [(p.prot.V_ref, p.prot.dV, p.prot.omega_ref, p.prot.dOmega,
-                        p.cool.V_stall) for p in self.params]
 
         ng = self.ng = len(gens)
         K = self.K = len(self.params)
@@ -484,7 +462,7 @@ class _Engine:
 
     def work_term(self, p):
         """The constant-power term w0 = zip0 + p / s_base of workload draws
-        p (MW), one row (K,) or a block of rows."""
+        p (MW), one row (K,) or one row per step."""
         return self.zip0 + p / self.s_base
 
     # -- device functions -------------------------------------------------
@@ -690,10 +668,10 @@ class _Engine:
 
         Each machine is skipped where its transition would return its
         input: a motor RUNNING at |v| >= V_stall with a zero stall timer,
-        a protection CONNECTED and in band.  So a settled LEL costs a few
-        float compares.  A restart writes the motor's equilibrium into em,
-        and a stall trip or a restart changes `running`; the caller drops
-        `kept`, whose currents they change.
+        a protection CONNECTED and `in_band`.  So a settled LEL costs one
+        band test and a few float compares.  A restart writes the motor's
+        equilibrium into em, and a stall trip or a restart changes
+        `running`; the caller drops `kept`, whose currents they change.
 
         The protection events follow the modes: `shed` when the mode
         becomes SHED from any mode but RECOVERY_WAIT (whose load is
@@ -702,12 +680,11 @@ class _Engine:
         P = ProtectionMode
         switched = False
         Vl = V[self.lbus]
-        for k, (v, v_mag, w, prev, motor, (v_ref, dv, w_ref, dw, v_stall)) in enumerate(zip(
+        for k, (v, v_mag, w, prev, motor, params) in enumerate(zip(
                 Vl.tolist(), np.abs(Vl).tolist(), omega[self.near].tolist(), self.prot,
-                self.motor, self.limits)):
-            ok = abs(v_mag - v_ref) <= dv and abs(w - w_ref) <= dw
-            if not (motor[0] and motor[1] == 0.0 and abs(v) >= v_stall):
-                params = self.params[k]
+                self.motor, self.params)):
+            ok = in_band(v_mag, w, params.prot)
+            if not (motor[0] and motor[1] == 0.0 and abs(v) >= params.cool.V_stall):
                 running, stall, recovery, fresh = stall_transition(
                     *motor, self.tmech[k], v, dt, params.cool)
                 self.motor[k] = running, stall, recovery
@@ -721,7 +698,7 @@ class _Engine:
             if ok and prev[0] is P.CONNECTED:
                 continue
 
-            prot = self.prot[k] = protection_transition(*prev, ok, dt, self.params[k].prot)
+            prot = self.prot[k] = protection_transition(*prev, ok, dt, params.prot)
             mode, was = prot[0], prev[0]
             self.kappa[k] = prot[1]
             if mode is not was:
@@ -876,10 +853,12 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
 
     z = eng.pack(eng.delta0, np.ones(ng), eng.em0, V0)
     # each LEL's workload power over the horizon, held constant across
-    # each step; it does not depend on the grid state
+    # each step, folded into its constant-power term once; it does not
+    # depend on the grid state
     p_path = np.empty((n_steps, K))
     for k, params in enumerate(eng.params):
         p_path[:, k] = workload_path(params.work, n_steps, dt, (cfg.seed, k))
+    w0_path = eng.work_term(p_path)
 
     T = n_steps + 1
     res = SimResult(time=np.empty(T), v_mag=np.empty((T, n)), v_ang=np.empty((T, n)),
@@ -935,10 +914,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
 
     for step in range(n_steps):
         t = step * dt
-        j = step % RECORD_BLOCK
-        if j == 0:
-            w0_rows = eng.work_term(p_path[step:step + RECORD_BLOCK])
-        eng.w0 = w0_rows[j]
+        eng.w0 = w0_path[step]
         if step in schedule:
             lu = None
             for kind, dY, islands in schedule[step]:
@@ -1080,7 +1056,7 @@ def regime_flags(result: SimResult) -> dict[str, bool]:
     if not never and len(result.time):
         # an LEL that tripped and ends below its full reconnection target
         k = [result.lel_index[lid] for _, lid in sheds]
-        never = bool(np.any(result.lel_kappa[-1, k] < result.lel_kappa_full[k] - 1e-9))
+        never = bool(np.any(result.lel_kappa[-1, k] < result.lel_kappa_full[k] - KAPPA_FULL_TOL))
 
     return {"ride_through": ride_through, "mass_disconnection": mass,
             "staggered_interaction": staggered, "delayed_or_collapse": never}

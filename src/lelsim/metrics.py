@@ -9,6 +9,8 @@ import numpy as np
 from lelsim.errors import InvalidArgument
 
 MAX_LAG_FRAC = 0.25
+# a kappa this close below its full reconnection target counts as back at it
+KAPPA_FULL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ def reconnection_delay(result, lel: int):
         raise InvalidArgument(f"unknown LEL id {lel}")
     k = result.lel_index[lel]
     kappa = result.lel_kappa[:, k]
-    target = result.lel_kappa_full[k] - 1e-12
+    target = result.lel_kappa_full[k] - KAPPA_FULL_TOL
     t_clear = clear_time(result) or 0.0
     low = (kappa < target) & (result.time > t_clear)
     if not low.any():

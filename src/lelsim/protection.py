@@ -83,6 +83,9 @@ class ProtectionState:
 
 
 def in_band(v_mag: float, omega: float, params: ProtectionParams) -> bool:
+    """Whether |V| and the speed lie within their bands around V_ref and
+    omega_ref.  The one band test: `protection_step` and the grid engine's
+    per-LEL machines both call it."""
     return (abs(v_mag - params.V_ref) <= params.dV
             and abs(omega - params.omega_ref) <= params.dOmega)
 

@@ -16,6 +16,17 @@ from lelsim.cases import bundled_case  # noqa: E402
 from lelsim.grid import init_dynamics, power_flow  # noqa: E402
 
 
+# acceptance criteria 3-7, the calibration and grid studies that take
+# most of the suite's time; `pytest -m "not slow"` runs the rest
+SLOW_CRITERIA = tuple(f"test_criterion_0{n}_" for n in range(3, 8))
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.name.startswith(SLOW_CRITERIA):
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture
 def toy2_engine():
     """Build the grid engine for toy2 (one LEL, at bus 2) at its t=0

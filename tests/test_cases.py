@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from lelsim.cases import bundled_case, load_case, validate_case
+from lelsim.cases import (BUNDLED_CASES, bundled_case, bus_islands, load_case,
+                          nearest_generator, validate_case)
 from lelsim.errors import InvalidArgument
 from lelsim.grid import build_ybus
 
@@ -130,6 +131,11 @@ class TestBundledCases:
         with pytest.raises(InvalidArgument):
             bundled_case("toy99")
 
+    def test_every_data_file_is_a_bundled_case(self):
+        assert {"toy2", "toy9", "ieee39"} <= set(BUNDLED_CASES)
+        for name in BUNDLED_CASES:
+            validate_case(bundled_case(name))
+
     def test_ieee39_has_ten_generators(self):
         assert len(bundled_case("ieee39").generators) == 10
 
@@ -138,3 +144,41 @@ class TestBundledCases:
         bare = case.with_lels(())
         assert bare.lels == ()
         assert bare.buses == case.buses
+
+
+# bus 3 hangs off the slack bus 1 by two parallel branches, of |r + jx|
+# 0.5 and 0.1, and off bus 2 by one of 0.3; bus 4 lies 0.1 from both
+# machines.  The GEN rows list bus 2's machine first, so it is index 0
+PARALLEL = """\
+[BUS]
+1,slack,1.0,0,0
+2,pv,1.0,0,0
+3,pq,1.0,10,0
+4,pq,1.0,10,0
+[BRANCH]
+{parallel}
+2,3,0,0.3,0
+1,4,0,0.1,0
+2,4,0,0.1,0
+[GEN]
+2,5.0,50.0,0.2,10,1.0
+1,5.0,50.0,0.2,0,1.0
+"""
+PARALLEL_PAIR = ("1,3,0.3,0.4,0", "1,3,0.06,0.08,0")
+
+
+class TestBusGraph:
+    @pytest.mark.parametrize("order", [1, -1], ids=["small_last", "small_first"])
+    def test_nearest_generator_takes_the_smaller_parallel_impedance(self, order):
+        case = load_case(PARALLEL.format(parallel="\n".join(PARALLEL_PAIR[::order])))
+        # bus 3 reaches bus 1's machine over 0.1 < 0.3; bus 4's exact tie
+        # goes to the lower generator index, bus 2's machine
+        assert nearest_generator(case).tolist() == [1, 0, 1, 0]
+
+    def test_islands_over_the_given_branches(self):
+        case = load_case(PARALLEL.format(parallel="\n".join(PARALLEL_PAIR)))
+        assert bus_islands(case, case.branches).tolist() == [0, 0, 0, 0]
+        live = [br for br in case.branches if 3 not in (br.from_bus, br.to_bus)]
+        assert bus_islands(case, live).tolist() == [0, 0, 1, 0]
+        # one parallel copy keeps bus 3 on
+        assert bus_islands(case, case.branches[1:]).tolist() == [0, 0, 0, 0]

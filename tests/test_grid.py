@@ -42,7 +42,7 @@ from lelsim.grid import (
     run_simulation,
     sample_scenario,
 )
-from lelsim.metrics import clear_time, frequency_overshoot
+from lelsim.metrics import clear_time, frequency_overshoot, reconnection_delay
 from lelsim.protection import ProtectionMode, ProtectionState, in_band, protection_step
 from lelsim.thermal_aux import MotorMode, MotorState, aux_power, stall_update
 from lelsim.workload import WorkloadState, ou_step, workload_power
@@ -589,6 +589,18 @@ class TestRegimeFlags:
         result = hand_made_result([(0.5, 10, "shed")], kappa_end=[kappa_end, 0.2, 0.75],
                                   kappa_full=0.75)
         assert regime_flags(result)["delayed_or_collapse"] is expected
+
+    @pytest.mark.parametrize("below,back", [(5e-10, True), (2e-9, False)],
+                             ids=["within_tolerance", "below"])
+    def test_flag_and_delay_agree_on_full_reconnection(self, below, back):
+        # LEL 10 sheds at 0.5 s, sits at kappa_min and ends `below` under
+        # its full target; the flag and the metric read one tolerance
+        result = hand_made_result([(0.5, 10, "shed")], kappa_full=0.75)
+        kappa = result.lel_kappa[:, 0]
+        kappa[result.time >= 0.5] = 0.2
+        kappa[-1] = 0.75 - below
+        assert regime_flags(result)["delayed_or_collapse"] is not back
+        assert reconnection_delay(result, 10) == (0.75 if back else "never")
 
     @pytest.mark.parametrize("events,collapsed,expected", [
         ([], False, dict(ride_through=True, delayed_or_collapse=False)),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lelsim.errors import InvalidArgument
 from lelsim.grid import EventRecord, SimResult
 from lelsim.metrics import (
+    KAPPA_FULL_TOL,
     cosine_similarity,
     dtw_distance,
     frequency_overshoot,
@@ -213,8 +214,15 @@ class TestSeverityMetrics:
 
     @pytest.mark.parametrize("kappa_full", [1.0, 0.8])
     def test_delay_zero_for_an_lel_that_never_tripped(self, kappa_full):
-        result = sim_result(kappa=[kappa_full] * 9, kappa_full=kappa_full, t_clear=0.75)
-        assert reconnection_delay(result, 7) == 0.0
+        # at its target, or KAPPA_FULL_TOL below it
+        for kappa in (kappa_full, kappa_full - KAPPA_FULL_TOL):
+            result = sim_result(kappa=[kappa] * 9, kappa_full=kappa_full, t_clear=0.75)
+            assert reconnection_delay(result, 7) == 0.0
+
+    def test_delay_reads_only_the_samples_after_the_clearing(self):
+        # kappa is low up to the clearing sample at 0.75 s and full after it
+        kappa = [0.0] * 4 + [1.0] * 5
+        assert reconnection_delay(sim_result(kappa=kappa, t_clear=0.75), 7) == 0.0
 
     @pytest.mark.parametrize("kappa_full", [1.0, 0.8])
     def test_delay_never_for_an_lel_below_target_at_the_horizon(self, kappa_full):
@@ -224,10 +232,12 @@ class TestSeverityMetrics:
 
     @pytest.mark.parametrize("kappa_full", [1.0, 0.8])
     def test_delay_to_the_first_return_to_target(self, kappa_full):
-        # trips at 1.0 s, reaches the target at 1.75 s, 1.0 s after clearing
-        kappa = [kappa_full] * 4 + [0.0, 0.3, 0.6, kappa_full, kappa_full]
-        result = sim_result(kappa=kappa, kappa_full=kappa_full, t_clear=0.75)
-        assert reconnection_delay(result, 7) == 1.0
+        # trips at 1.0 s, is back at the target, or KAPPA_FULL_TOL below
+        # it, at 1.75 s, 1.0 s after clearing
+        for back in (kappa_full, kappa_full - KAPPA_FULL_TOL):
+            kappa = [kappa_full] * 4 + [0.0, 0.3, 0.6, back, back]
+            result = sim_result(kappa=kappa, kappa_full=kappa_full, t_clear=0.75)
+            assert reconnection_delay(result, 7) == 1.0
 
     def test_delay_counted_from_zero_without_a_clearing(self):
         kappa = [1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0]
