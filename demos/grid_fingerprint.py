@@ -26,9 +26,11 @@ and, per run, the largest difference from the saved runs (over the
 samples both have) in bus voltage magnitude |V| (pu), bus voltage angle
 theta (rad), generator speed omega (pu) and LEL power lel_p (MW), and
 whether the event logs and the collapse outcomes (reason, step and time)
-are equal.  Angles are absolute: a change in the system's mean frequency
-turns every angle alike, so |dtheta| can exceed what the relative angles
-show.  It exits 1 when an event log or a collapse outcome differs.
+are equal; where two event logs differ only in their times (same order,
+LEL ids and kinds), it prints the largest event-time shift.  Angles are
+absolute: a change in the system's mean frequency turns every angle
+alike, so |dtheta| can exceed what the relative angles show.  It exits 1
+when an event log or a collapse outcome differs, in its times only too.
 
 Usage, from the root of a checkout:
 
@@ -133,15 +135,21 @@ def deviations(res, outcome, saved) -> tuple[str, bool]:
     # angles wrapped to (-pi, pi]
     d_ang = np.angle(np.exp(1j * (res.v_ang[:T] - saved["v_ang"][:T])))
     now, then = outcome_log(res, outcome), json.loads(str(saved["log"]))
-    same = {key: now[key] == then[key] for key in ("events", "outcome")}
+    verdict = {key: "equal" if now[key] == then[key] else "DIFFER"
+               for key in ("events", "outcome")}
+    # an event is [time, lel_id, kind]
+    if verdict["events"] != "equal" and (
+            [e[1:] for e in now["events"]] == [e[1:] for e in then["events"]]):
+        shift = max(abs(a[0] - b[0]) for a, b in zip(now["events"], then["events"]))
+        verdict["events"] += f" (times only, by up to {shift:.1e} s)"
     lengths = "" if len(res.time) == len(saved["time"]) else (
         f"  samples {len(saved['time'])} -> {len(res.time)}")
     return (f"|d|V|| {largest(res.v_mag, saved['v_mag']):.2e}  |dtheta| "
             f"{np.max(np.abs(d_ang), initial=0.0):.2e}  |domega| "
             f"{largest(res.gen_omega, saved['gen_omega']):.2e}  |dlel_p| "
             f"{largest(res.lel_p, saved['lel_p']):.2e}"
-            + "".join(f"  {key} {'equal' if eq else 'DIFFER'}" for key, eq in same.items())
-            + lengths), all(same.values())
+            + "".join(f"  {key} {text}" for key, text in verdict.items())
+            + lengths), all(text == "equal" for text in verdict.values())
 
 
 def main():

@@ -48,8 +48,7 @@ from lelsim.lel import Archetype, LelParams, archetype_defaults
 from lelsim.metrics import (KAPPA_FULL_TOL, clear_time, frequency_overshoot,
                              reconnection_delay, voltage_nadir)
 from lelsim.protection import ProtectionMode, ProtectionState, in_band, protection_transition
-from lelsim.thermal_aux import (OMEGA_SYNC, MotorMode, aux_power, motor_init,
-                                stall_transition)
+from lelsim.thermal_aux import OMEGA_SYNC, aux_power, motor_init, stall_transition
 from lelsim.traceio import off_grid, step_count
 from lelsim.workload import workload_path, workload_power
 # Not called: the engine steps the LELs' machines through the plain-value
@@ -121,7 +120,7 @@ class EventRecord:
 
 @dataclass
 class SimResult:
-    time: np.ndarray              # (T,)
+    time: np.ndarray              # (T,) row k at k * dt
     v_mag: np.ndarray             # (T, n)
     v_ang: np.ndarray             # (T, n)
     gen_omega: np.ndarray         # (T, ng)
@@ -393,8 +392,7 @@ class _Engine:
         motors = [motor_init(p.cool.load_factor, V[b], p.cool)
                   for p, b in zip(self.params, self.lbus)]
         self.prot = [astuple(ProtectionState())] * len(motors)
-        self.motor = [(m.mode is MotorMode.RUNNING, m.stall_timer, m.recovery_timer)
-                      for m in motors]
+        self.motor = [(m.running, m.stall_timer, m.recovery_timer) for m in motors]
 
         ng = self.ng = len(gens)
         K = self.K = len(self.params)
@@ -667,7 +665,7 @@ class _Engine:
         time t into log; returns whether a motor stalled or restarted.
 
         Each machine is skipped where its transition would return its
-        input: a motor RUNNING at |v| >= V_stall with a zero stall timer,
+        input: a running motor at |v| >= V_stall with a zero stall timer,
         a protection CONNECTED and `in_band`.  So a settled LEL costs one
         band test and a few float compares.  A restart writes the motor's
         equilibrium into em, and a stall trip or a restart changes
@@ -819,9 +817,13 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     CHORD_MAX_ITER chord updates on the flat state vector, steps each
     LEL's motor-stall and protection machines (`_Engine.step_machines`;
     their discrete states live in the engine as plain values), and
-    records.  The record writes each step's row of the result but for
-    v_mag and v_ang: it keeps the bus voltages of up to RECORD_BLOCK rows
-    and fills those two per block, at the horizon and on every collapse.
+    records.  One clock: row k of `time` is k * dt, and a step's events,
+    collapse and angle-spread hold read its start step * dt or its end
+    (step + 1) * dt, each one rounding of a product (a Python float);
+    no time is a running sum of dt.  The record writes each step's row of
+    the result but for time, v_mag and v_ang: it keeps the bus voltages
+    of up to RECORD_BLOCK rows and fills those two per block, at the
+    horizon and on every collapse.
     motor_mode starts with every motor running; a motor stall trip or
     restart writes it into the rows from its own on.
 
@@ -848,7 +850,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     V0 = power_flow(case)
     eng = init_dynamics(case, V0)
     n, ng, K, ov = eng.n, eng.ng, eng.K, eng.ov
-    dt = cfg.dt
+    dt = float(cfg.dt)   # so every logged time is a Python float
     n_steps = step_count(cfg.horizon, dt)
 
     z = eng.pack(eng.delta0, np.ones(ng), eng.em0, V0)
@@ -861,7 +863,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     w0_path = eng.work_term(p_path)
 
     T = n_steps + 1
-    res = SimResult(time=np.empty(T), v_mag=np.empty((T, n)), v_ang=np.empty((T, n)),
+    res = SimResult(time=np.arange(T) * dt, v_mag=np.empty((T, n)), v_ang=np.empty((T, n)),
                     gen_omega=np.empty((T, ng)), gen_delta=np.empty((T, ng)),
                     lel_p=np.empty((T, K)), lel_q=np.empty((T, K)),
                     lel_kappa=np.empty((T, K)), lel_mode=np.empty((T, K), dtype=int),
@@ -883,8 +885,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
         res.v_ang[filled:upto] = np.angle(rows)
         filled = upto
 
-    def record(i, t):
-        res.time[i] = t
+    def record(i):
         v_rows[i - filled] = V
         res.gen_omega[i] = omega
         res.gen_delta[i] = delta
@@ -904,7 +905,7 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
 
     spread_since = None
     delta, omega, em, V = eng.unpack(z)
-    record(0, 0.0)
+    record(0)
     # the bus voltages at the start of the previous step, None when that
     # step's solution is no base for a prediction (set wherever `kept` is
     # dropped); the step's chord factorization and the number of steps
@@ -913,7 +914,8 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
     lu, lu_age = None, 0
 
     for step in range(n_steps):
-        t = step * dt
+        # the step's start and end times, each one rounding of k * dt
+        t, t_new = step * dt, (step + 1) * dt
         eng.w0 = w0_path[step]
         if step in schedule:
             lu = None
@@ -946,21 +948,20 @@ def run_simulation(case: GridCase, events, cfg: SimConfig) -> SimResult:
             lu, lu_age = held, 0
         if not rmax < NEWTON_TOL:
             reason = "newton" if math.isfinite(rmax) else "non_finite"
-            raise collapse(reason, step, t + dt, step + 1, float(rmax))
+            raise collapse(reason, step, t_new, step + 1, float(rmax))
         lu_age += 1
 
         delta, omega, em, V = eng.unpack(z)
-        t_new = t + dt
 
         # a restarted motor writes its states into z through the em view
         if eng.step_machines(V, omega, em, dt, t_new, log):
             res.motor_mode[step + 1:] = ~eng.running
             eng.kept = v_last = None
 
-        record(step + 1, t_new)
+        record(step + 1)
 
         # sustained angle separation counts as collapse
-        if ng > 1 and max(d := delta.tolist()) - min(d) > ANGLE_SPREAD_LIMIT:
+        if max(d := delta.tolist()) - min(d) > ANGLE_SPREAD_LIMIT:
             if spread_since is None:
                 spread_since = t_new
             elif t_new - spread_since >= ANGLE_SPREAD_HOLD:

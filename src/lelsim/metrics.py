@@ -76,12 +76,10 @@ def max_cross_correlation(a, b) -> float:
     n = min(len(a), len(b))
     max_lag = int(MAX_LAG_FRAC * n)
     best = -np.inf
-    defined = False
     for lag in range(-max_lag, max_lag + 1):
-        if lag >= 0:
-            xa, xb = a[lag:lag + n - lag], b[:n - lag]
-        else:
-            xa, xb = a[:n + lag], b[-lag:n]
+        # a leads b by lag samples: a's first i and b's first j are cut
+        i, j = max(lag, 0), max(-lag, 0)
+        xa, xb = a[i:n - j], b[j:n - i]
         sa, sb = xa.std(), xb.std()
         if sa == 0 or sb == 0:
             continue
@@ -91,8 +89,7 @@ def max_cross_correlation(a, b) -> float:
         else:
             r = float(np.corrcoef(xa, xb)[0, 1])
         best = max(best, r)
-        defined = True
-    if not defined:
+    if best == -np.inf:
         raise InvalidArgument("constant series: cross-correlation undefined")
     return min(1.0, max(-1.0, best))
 

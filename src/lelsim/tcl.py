@@ -219,9 +219,5 @@ def pattern_vector(embeddings: np.ndarray) -> np.ndarray:
     Z = np.asarray(embeddings, dtype=float)
     if Z.ndim != 2 or Z.shape[0] < 1:
         raise InvalidArgument("embeddings must be a nonempty N x d array")
-    mean = Z.mean(axis=0)
-    D = Z - mean
-    D *= D
-    var = D.mean(axis=0)
-    return np.concatenate([mean, var])
+    return np.concatenate([Z.mean(axis=0), Z.var(axis=0)])
 

@@ -28,7 +28,6 @@ Newton's method safeguarded with bisection.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -47,11 +46,6 @@ OMEGA_SYNC = 2 * math.pi * 60.0
 # would need about 60 from the widest bracket.
 _RTSAFE_TOL = 1e-14
 _RTSAFE_ITER = 100
-
-
-class MotorMode(enum.Enum):
-    RUNNING = "running"
-    STALL_TRIPPED = "stall_tripped"
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ class MotorState:
     eq_p: float
     slip: float
     stall_timer: float = 0.0
-    mode: MotorMode = MotorMode.RUNNING
+    running: bool = True
     recovery_timer: float = 0.0
     t_mech: float = 0.0  # pu mechanical torque pinned at initialization
 
@@ -254,21 +248,19 @@ def stall_update(state: MotorState, v: complex, dt: float,
                  params: CoolingParams) -> MotorState:
     """Advance the stall/recovery state machine by dt at terminal phasor v.
 
-    RUNNING: undervoltage accumulates stall_timer (reset when voltage
+    Running: undervoltage accumulates stall_timer (reset when voltage
     recovers); at tau_stall the block trips and stays off for T_cool.
-    STALL_TRIPPED: counts down, then reconnects at the equilibrium for
-    the present terminal voltage, in its frame.  A thin wrapper over
+    Tripped: counts down, then reconnects at the equilibrium for the
+    present terminal voltage, in its frame.  A thin wrapper over
     `stall_transition`.
     """
     if dt <= 0:
         raise InvalidArgument("dt must be > 0")
     running, stall, recovery, fresh = stall_transition(
-        state.mode is MotorMode.RUNNING, state.stall_timer, state.recovery_timer,
-        state.t_mech, v, dt, params)
+        state.running, state.stall_timer, state.recovery_timer, state.t_mech, v, dt, params)
     if fresh is not None:
         return fresh
-    return replace(state, mode=MotorMode.RUNNING if running else MotorMode.STALL_TRIPPED,
-                   stall_timer=stall, recovery_timer=recovery)
+    return replace(state, running=running, stall_timer=stall, recovery_timer=recovery)
 
 
 def stall_transition(running: bool, stall_timer: float, recovery_timer: float,

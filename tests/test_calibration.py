@@ -86,6 +86,11 @@ class TestTransform:
             for k, (lo, hi) in BOUNDS.items():
                 assert lo <= theta[k] <= hi
 
+    def test_theta_on_a_bound_maps_to_a_finite_u(self):
+        # p = (theta - lo) / (hi - lo) is held inside [_EPS, 1 - _EPS]
+        u = to_unconstrained({"mu_eta": 0.3, "sigma_xi": 0.9}, BOUNDS)
+        assert u == pytest.approx([-np.log(1e9 - 1), np.log(1e9 - 1)], rel=1e-6)
+
     @pytest.mark.parametrize("lo,hi", [(0.3, 0.9), (0.15, 0.45)])
     def test_saturated_u_maps_to_the_upper_bound(self, lo, hi):
         # lo + (hi - lo) rounds above hi in these boxes
@@ -137,6 +142,22 @@ class TestObjectives:
         short = simulate_workload(TRUE, cfg.horizon / 2, cfg.dt, seed=99)
         with pytest.raises(InvalidArgument):
             mse_objective({"mu_eta": 0.5, "sigma_xi": 0.5}, short, cfg)
+
+    def test_theta_on_its_bounds_accepted(self):
+        cfg = make_cfg()
+        data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=99)
+        assert np.isfinite(mse_objective({"mu_eta": 0.3, "sigma_xi": 0.9}, data, cfg))
+        assert np.isfinite(mse_objective({"mu_eta": 0.8, "sigma_xi": 0.3}, data, cfg))
+
+    def test_model_pattern_is_the_mean_over_repeats(self):
+        cfg = make_cfg(n_repeats=2)
+        enc = trained_encoder(cfg, simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=99))
+        theta = {"mu_eta": 0.5, "sigma_xi": 0.5}
+        patterns = [pattern_vector(encode_windows(enc, segment_windows(
+            calibration._simulate_theta(theta, cfg, rep).first_channel(), cfg.window_length)))
+            for rep in range(2)]
+        assert np.allclose(model_pattern(theta, enc, cfg), (patterns[0] + patterns[1]) / 2,
+                           rtol=1e-12, atol=0)
 
     def test_mse_of_matching_seed_is_zero(self):
         cfg = make_cfg()
@@ -192,6 +213,14 @@ class TestSubsystemSimulators:
         trace = simulate_subsystem(params, "aux", 600.0, 1.0, seed=0)
         p = trace.first_channel()
         assert p.std() > 0.0
+
+    def test_voltage_ride_is_a_clipped_first_order_filter_of_seeded_noise(self):
+        e = np.random.default_rng([5, 0xE0]).standard_normal(400)
+        x, ride = 0.0, []
+        for ek in e:
+            x = 0.98 * x + 0.02 * ek
+            ride.append(min(1.05, max(0.85, 0.95 + 0.6 * x)))
+        assert np.allclose(_voltage_excitation(400, 5), ride, rtol=0, atol=1e-12)
 
     def test_seeded_reproducibility(self):
         a = simulate_subsystem(TRUE, "workload", 100.0, 1.0, seed=4)
@@ -267,6 +296,42 @@ class TestCalibrate:
             start, data_pattern, result.encoder, cfg)
         assert result.initial_pattern_distance == pytest.approx(calibration_objective(
             init, data_pattern, result.encoder, cfg), rel=1e-12)
+
+    def test_data_of_four_windows_accepted_and_shorter_rejected(self):
+        cfg = make_cfg(mode=ObjectiveMode.MSE, max_evals=3, horizon=20.0)
+        data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
+        assert calibrate({"mu_eta": 0.4, "sigma_xi": 0.4}, data, cfg).n_evals == 3
+        short = Trace(sample_period=1.0, channels={"p": data.first_channel()[:19]})
+        with pytest.raises(InvalidArgument, match="data trace too short: 19 < 20"):
+            calibrate({"mu_eta": 0.4, "sigma_xi": 0.4}, short, cfg)
+
+    def test_search_starts_from_a_seeded_simplex_around_the_start(self, monkeypatch):
+        thetas = []
+
+        def recording(theta, data_trace, cfg):
+            thetas.append(theta)
+            return mse_objective(theta, data_trace, cfg)
+
+        monkeypatch.setattr(calibration, "mse_objective", recording)
+        cfg = make_cfg(mode=ObjectiveMode.MSE, max_evals=5)
+        data = simulate_workload(TRUE, cfg.horizon, cfg.dt, seed=42)
+        init = {"mu_eta": 0.42, "sigma_xi": 0.77}
+        calibrate(init, data, cfg)
+        u = to_unconstrained(init, BOUNDS)
+        rng = np.random.default_rng(cfg.optimizer_seed)
+        vertices = [u] + [u + 0.5 * rng.standard_normal(2) for _ in range(2)]
+        assert thetas[:3] == [from_unconstrained(v, BOUNDS) for v in vertices]
+
+    def test_flat_objective_keeps_the_start(self):
+        # the ZIP block's active power does not depend on beta_aux
+        aux = archetype_defaults(Archetype.DATACENTER).aux
+        cfg = make_cfg(base_params=aux, subsystem="aux", bounds={"beta_aux": (0.1, 0.5)},
+                       mode=ObjectiveMode.MSE, max_evals=8, horizon=60.0)
+        data = simulate_subsystem(aux, "aux", cfg.horizon, cfg.dt, cfg.sim_seed)
+        result = calibrate({"beta_aux": 0.2}, data, cfg)
+        assert len(set(result.objective_trace)) == 1
+        assert result.theta_star == from_unconstrained(
+            to_unconstrained({"beta_aux": 0.2}, cfg.bounds), cfg.bounds)
 
     def test_mse_mode_skips_encoder(self):
         cfg = make_cfg(mode=ObjectiveMode.MSE, max_evals=10)

@@ -42,9 +42,9 @@ from lelsim.grid import (
     run_simulation,
     sample_scenario,
 )
-from lelsim.metrics import clear_time, frequency_overshoot, reconnection_delay
+from lelsim.metrics import clear_time, frequency_overshoot, reconnection_delay, voltage_nadir
 from lelsim.protection import ProtectionMode, ProtectionState, in_band, protection_step
-from lelsim.thermal_aux import MotorMode, MotorState, aux_power, stall_update
+from lelsim.thermal_aux import MotorState, aux_power, stall_update
 from lelsim.workload import WorkloadState, ou_step, workload_power
 
 
@@ -61,13 +61,14 @@ def deterministic_lels(case):
 class TestYbus:
     def test_hand_computed_two_bus(self):
         case = bundled_case("toy2")
-        br = case.branches[0]
-        Y = build_ybus(case)
-        y = 1.0 / complex(br.r, br.x)
-        assert Y[0, 1] == pytest.approx(-y / br.tap)
-        assert Y[1, 0] == pytest.approx(-y / br.tap)
-        assert Y[0, 0] == pytest.approx((y + 1j * br.b_shunt / 2) / br.tap**2)
-        assert Y[1, 1] == pytest.approx(y + 1j * br.b_shunt / 2)
+        # the bundled tap is nominal, so an off-nominal one as well
+        for br in (case.branches[0], replace(case.branches[0], tap=1.1)):
+            Y = build_ybus(replace(case, branches=(br,)))
+            y = 1.0 / complex(br.r, br.x)
+            assert Y[0, 1] == pytest.approx(-y / br.tap)
+            assert Y[1, 0] == pytest.approx(-y / br.tap)
+            assert Y[0, 0] == pytest.approx((y + 1j * br.b_shunt / 2) / br.tap**2)
+            assert Y[1, 1] == pytest.approx(y + 1j * br.b_shunt / 2)
 
     def test_symmetric_without_taps(self):
         case = bundled_case("toy9")
@@ -111,6 +112,25 @@ class TestPowerFlow:
         with pytest.raises(InvalidArgument, match=r"power flow did not converge in 20 "
                            r"iterations \(final mismatch \d\.\d{3}e[+-]\d+ pu\)"):
             power_flow(case)
+
+    @pytest.mark.parametrize("name", ["toy9", "ieee39"])
+    def test_jacobian_equals_central_differences_of_the_mismatch(self, monkeypatch, name):
+        calls = []
+        newton = grid.newton
+
+        def spy(residual, jacobian, z, lu, n_chord):
+            calls.append((residual, jacobian, z.copy()))
+            return newton(residual, jacobian, z, lu, n_chord)
+
+        monkeypatch.setattr(grid, "newton", spy)
+        power_flow(bundled_case(name))
+        (mismatch, jacobian, x0), = calls
+        # off the flat start, so no PQ magnitude is 1
+        x = x0 + 0.05 * np.random.default_rng(5).standard_normal(len(x0))
+        h = 1e-6
+        fd = np.column_stack([(mismatch(x + h * e) - mismatch(x - h * e)) / (2 * h)
+                              for e in np.eye(len(x))])
+        assert np.allclose(jacobian(x), fd, rtol=1e-6, atol=1e-6)
 
     def test_matches_independent_fsolve_oracle(self):
         # independent oracle: solve the mismatch equations with scipy
@@ -399,6 +419,50 @@ class TestNoEventInvariance:
         assert not result.events
 
 
+class TestOneClock:
+    """Row k of a run's time, and every time its step k logs, is the one
+    rounding of k * dt; no time is a running sum of dt."""
+
+    @staticmethod
+    def run(dt=0.005):
+        case = place_lels(bundled_case("toy9"), 3, seed=1)
+        return run_simulation(case, fault_events(7, 0.5, 0.08, -8j),
+                              SimConfig(dt=dt, horizon=1.0, seed=0))
+
+    def test_rows_and_events_on_k_dt(self):
+        res = self.run(np.float64(0.005))
+        assert np.array_equal(res.time, np.arange(len(res.time)) * 0.005)
+        for e in res.events:
+            # a Python float, also from a NumPy dt, so events_to_csv
+            # writes its repr as a number
+            assert type(e.time) is float
+            assert e.time == round(e.time / 0.005) * 0.005
+
+    def test_event_csv_reads_back_as_the_log(self):
+        case = place_lels(bundled_case("toy9"), 3, seed=1)
+        res = run_simulation(case, fault_events(7, 0.5, 0.1, -8j),
+                             SimConfig(dt=np.float64(0.005), horizon=3.0, seed=0))
+        # network events without an LEL id and LEL events with one
+        assert {e.lel_id is None for e in res.events} == {True, False}
+        rows = [line.split(",") for line in events_to_csv(res).splitlines()[1:]]
+        assert [(float(t), int(k) if k else None, kind) for t, k, kind in rows] == [
+            (e.time, e.lel_id, e.kind) for e in res.events]
+
+    def test_post_clearing_metrics_leave_out_the_clearing_row(self):
+        # the clearing applies at step 116, so row 116 is the last
+        # fault-on sample; a running sum of 116 steps of 5 ms lands one
+        # ulp above 116 * 0.005, after the clearing's time
+        res = self.run()
+        assert clear_time(res) == 116 * 0.005
+        b = res.bus_index[7]
+        nadir, overshoot = voltage_nadir(res, 7), frequency_overshoot(res)
+        assert nadir == res.v_mag[117:, b].min()
+        assert overshoot == np.abs(res.gen_omega[117:] - 1.0).max()
+        # row 116 would set both
+        assert res.v_mag[116, b] < nadir
+        assert np.abs(res.gen_omega[116] - 1.0).max() > overshoot
+
+
 class TestDeterminism:
     def test_identical_seeds_bitwise_equal(self):
         case = place_lels(bundled_case("toy9"), 2, seed=3)
@@ -657,6 +721,8 @@ class TestCollapseReasons:
         monkeypatch.setattr(_Engine, "residual", no_root)
         exc = self.collapse()
         assert exc.reason == "newton" and exc.step == 0
+        # the step's end time
+        assert exc.time == (exc.step + 1) * 0.01
         assert str(exc).startswith("Newton failed to converge")
         assert f"residual {exc.residual:.3e}" in str(exc)
 
@@ -1158,15 +1224,14 @@ class TestLelMachines:
         motors = [MotorState(ed_p=e[k].real, eq_p=e[k].imag, slip=slip[k],
                              t_mech=eng.tmech[k]) for k in range(eng.K)]
         V, t, log = V0.copy(), 0.0, []
-        modes_seen = set()
+        modes_seen, running_seen = set(), set()
         for scales, angle, w, dt in samples:
             V[eng.lbus] = np.array(scales) * np.abs(V0[eng.lbus]) * np.exp(1j * angle)
             Vl = V[eng.lbus]
             for k, (v, v_mag) in enumerate(zip(Vl.tolist(), np.abs(Vl).tolist())):
                 params, was = eng.params[k], (prot[k], motors[k])
                 # the conditions on which the engine skips each machine
-                skip_motor = (motors[k].mode is MotorMode.RUNNING
-                              and motors[k].stall_timer == 0.0
+                skip_motor = (motors[k].running and motors[k].stall_timer == 0.0
                               and abs(v) >= params.cool.V_stall)
                 skip_prot = (prot[k].mode is ProtectionMode.CONNECTED
                              and in_band(v_mag, w, params.prot))
@@ -1179,19 +1244,33 @@ class TestLelMachines:
             t += dt
             eng.step_machines(V, np.full(eng.ng, w), em, dt, t, log)
             for k, (p, m) in enumerate(zip(prot, motors)):
-                running = m.mode is MotorMode.RUNNING
                 assert ProtectionState(*eng.prot[k]) == p
                 assert (eng.kappa[k], eng.prot_ord[k]) == (p.kappa, p.mode)
-                assert eng.motor[k] == (running, m.stall_timer, m.recovery_timer)
-                assert eng.running[k] == running
+                assert eng.motor[k] == (m.running, m.stall_timer, m.recovery_timer)
+                assert eng.running[k] == m.running
                 assert (slip[k], e[k]) == (m.slip, complex(m.ed_p, m.eq_p))
-                modes_seen |= {p.mode, m.mode}
+                modes_seen.add(p.mode)
+                running_seen.add(m.running)
         if samples == _FULL_CYCLE:
-            assert modes_seen == set(ProtectionMode) | set(MotorMode)
+            assert (modes_seen, running_seen) == (set(ProtectionMode), {True, False})
             assert {"motor_restart", "reconnected"} <= {r.kind for r in log}
 
 
 class TestEngineOracles:
+    @pytest.mark.parametrize("name", ["toy9", "ieee39"])
+    def test_without_lels_the_engine_adds_load_and_machine_admittances(self, name):
+        # the compensation shunts take up only the power-flow tolerance; a
+        # machine EMF off its power-flow current would show in them
+        case = bundled_case(name)
+        V = power_flow(case)
+        eng = init_dynamics(case, V)
+        idx = case.bus_index()
+        S = np.array([complex(b.p_load, b.q_load) for b in case.buses]) / eng.s_base
+        expected = build_ybus(case) + np.diag(np.conj(S) / np.abs(V) ** 2)
+        for g in case.generators:
+            expected[idx[g.bus], idx[g.bus]] += 1.0 / (1j * g.xd_p)
+        assert np.allclose(eng.Y, expected, rtol=0, atol=1e-8)
+
     def test_workload_power_matches_ou_step_loop(self, monkeypatch):
         case = noisy_toy9()
         cfg = SimConfig(dt=0.01, horizon=1.0, seed=11)

@@ -145,6 +145,13 @@ class TestDemandShares:
         with pytest.raises(InvalidArgument, match="bus 2 has no demand"):
             run_simulation(replace(case, buses=buses), [], SimConfig(dt=0.01, horizon=0.05))
 
+    def test_zero_workload_share_on_a_workload_drawing_nothing_is_carried(self):
+        params = archetype_defaults(Archetype.DATACENTER)
+        work = replace(params.work, p_base=0.0, p_full=0.0)
+        case = self.with_lel(params=replace(params, work=work), shares=(0.0, 0.9, 0.1))
+        result = run_simulation(case, [], SimConfig(dt=0.01, horizon=0.05))
+        assert result.lel_p[0, 0] == pytest.approx(100.0, rel=1e-6)
+
     @pytest.mark.parametrize("shares", [(0.0, 0.9, 0.1), (0.9, 0.1, 0.0)])
     def test_zero_workload_or_aux_share_is_carried(self, shares):
         result = run_simulation(self.with_lel(shares=shares), [],

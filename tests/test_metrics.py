@@ -105,6 +105,21 @@ class TestCosine:
         with pytest.raises(InvalidArgument):
             cosine_similarity(np.ones(3), np.ones(4))
 
+    def test_vectors_at_45_degrees(self):
+        assert cosine_similarity([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 / np.sqrt(2))
+
+
+def reference_xcorr(a, b):
+    """Max Pearson correlation of the pairs (a[t + lag], b[t]), t and
+    t + lag both below the shorter length n, over |lag| <= n / 4."""
+    n = min(len(a), len(b))
+    max_lag = int(0.25 * n)
+    best = -np.inf
+    for lag in range(-max_lag, max_lag + 1):
+        t = np.array([t for t in range(n) if 0 <= t + lag < n])
+        best = max(best, np.corrcoef(a[t + lag], b[t])[0, 1])
+    return best
+
 
 class TestMaxCrossCorrelation:
     def test_identity(self):
@@ -126,6 +141,30 @@ class TestMaxCrossCorrelation:
         for _ in range(10):
             a, b = rng.standard_normal(20), rng.standard_normal(20)
             assert -1.0 <= max_cross_correlation(a, b) <= 1.0
+
+    @pytest.mark.parametrize("short", [3, 2])
+    def test_series_shorter_than_four_rejected(self, short):
+        x = np.arange(10.0) % 3
+        for a, b in ((x[:short], x), (x, x[:short])):
+            with pytest.raises(InvalidArgument, match="length >= 4"):
+                max_cross_correlation(a, b)
+
+    def test_series_of_four_accepted(self):
+        assert max_cross_correlation([0.0, 1.0, 0.0, 2.0], [0.0, 1.0, 0.0, 2.0]) == 1.0
+
+    @pytest.mark.parametrize("la, lb", [(30, 41), (41, 30), (36, 36)])
+    def test_unequal_lengths_use_the_first_samples_of_the_longer(self, la, lb):
+        rng = np.random.default_rng(la * lb)
+        a, b = rng.standard_normal(la), rng.standard_normal(lb)
+        assert max_cross_correlation(a, b) == pytest.approx(reference_xcorr(a, b),
+                                                            rel=1e-12)
+
+    @pytest.mark.parametrize("lead", [True, False])
+    def test_best_overlap_at_the_largest_lag_is_found(self, lead):
+        # n = 40 allows |lag| <= 10; b is a shifted 10 samples either way
+        x = np.random.default_rng(12).standard_normal(50)
+        a, b = (x[:40], x[10:]) if lead else (x[10:], x[:40])
+        assert max_cross_correlation(a, b) == 1.0
 
 
 class TestZNormalize:

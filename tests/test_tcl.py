@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 from lelsim import tcl
 from lelsim.errors import InvalidArgument
 from lelsim.tcl import (
+    BATCH,
     NOISE_FRAC,
     SCALE_RANGE,
+    STEP_SIZE,
     TEMPERATURE,
     TrainConfig,
     _forward,
+    _loss_and_embedding_grads,
     augment,
     encode_windows,
     init_encoder,
@@ -114,6 +117,26 @@ class TestEncoder:
             fd = (lp - lm) / (2 * eps)
             assert grads[name][idx] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
+    def test_init_is_glorot_scaled(self):
+        enc = init_encoder(40, 60, 20, np.random.default_rng(4))
+        assert enc.W1.shape == (60, 40) and enc.W2.shape == (20, 60)
+        assert enc.W1.std() == pytest.approx(np.sqrt(2.0 / (40 + 60)), rel=0.1)
+        assert enc.W2.std() == pytest.approx(np.sqrt(2.0 / (60 + 20)), rel=0.1)
+        assert not enc.b1.any() and not enc.b2.any()
+
+    def test_contrastive_loss_rejects_bad_input(self):
+        z = np.random.default_rng(6).standard_normal((3, 4))
+        with pytest.raises(InvalidArgument, match="temperature"):
+            _loss_and_embedding_grads(z, z, 0.0)
+        with pytest.raises(InvalidArgument, match="equal-shape"):
+            _loss_and_embedding_grads(z, z[:2], TEMPERATURE)
+
+    def test_contrastive_loss_of_one_pair_is_zero(self):
+        z = np.array([[1.0, 2.0, 3.0]])
+        loss, dz1, dz2 = _loss_and_embedding_grads(z, 2 * z, TEMPERATURE)
+        assert loss == 0.0
+        assert not dz1.any() and not dz2.any()
+
 
 class TestTraining:
     def test_training_reduces_loss(self):
@@ -129,6 +152,46 @@ class TestTraining:
         loss_raw, _ = loss_and_gradients(raw, X1, X2, TEMPERATURE)
         loss_trained, _ = loss_and_gradients(enc, X1, X2, TEMPERATURE)
         assert loss_trained < loss_raw
+
+    @pytest.mark.parametrize("n", [66, 65])
+    def test_training_is_plain_sgd_over_shuffled_batches(self, n):
+        """train_encoder written out: per epoch one permutation of the
+        rows; per batch of BATCH rows (a last batch of one row is
+        skipped) one step of STEP_SIZE / batch size along the gradient;
+        the history holds each epoch's mean over batches of loss / batch
+        size.  n = 66 leaves a last batch of two rows, n = 65 of one."""
+        X = np.random.default_rng(7).standard_normal((n, 5))
+        cfg = TrainConfig(d=4, epochs=2)
+        rng = np.random.default_rng(9)
+        enc = init_encoder(5, cfg.h, cfg.d, rng)
+        history = []
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            losses = []
+            for idx in (order[s:s + BATCH] for s in range(0, n, BATCH)):
+                if len(idx) == 1:
+                    continue
+                X1, X2 = augment(X[idx], rng)
+                loss, grads = loss_and_gradients(enc, X1, X2, TEMPERATURE)
+                enc = replace(enc, **{k: getattr(enc, k) - STEP_SIZE / len(idx) * g
+                                      for k, g in grads.items()})
+                losses.append(loss / len(idx))
+            history.append(np.mean(losses))
+        trained = train_encoder(X, cfg, seed=9)
+        for name in ("W1", "b1", "W2", "b2"):
+            assert np.allclose(getattr(trained, name), getattr(enc, name),
+                               rtol=1e-12, atol=1e-15)
+        assert trained.loss_history == pytest.approx(history, rel=1e-12)
+
+    @pytest.mark.parametrize("X", [np.ones((1, 5)), np.arange(5.0)])
+    def test_training_needs_two_windows(self, X):
+        with pytest.raises(InvalidArgument, match="N >= 2"):
+            train_encoder(X, TrainConfig(d=4, epochs=1), seed=0)
+
+    def test_training_on_two_windows(self):
+        enc = train_encoder(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 2.0]]),
+                            TrainConfig(d=4, epochs=1), seed=0)
+        assert len(enc.loss_history) == 1 and enc.loss_history[0] > 0
 
     def test_training_deterministic_given_seed(self):
         x = np.sin(0.3 * np.arange(100))
@@ -195,6 +258,17 @@ class TestAugment:
             s_hi = np.min((view + tol) / X, axis=1)
             assert np.all(s_lo <= s_hi)
             assert np.all((s_hi >= lo) & (s_lo <= hi))
+
+    def test_noise_is_noise_frac_of_each_row_std(self):
+        # rows whose stds differ 100-fold; augment's draws replayed
+        X = np.arange(1.0, 11.0).reshape(2, 5) * np.array([[1.0], [100.0]])
+        rng = np.random.default_rng(3)
+        views = augment(X, np.random.default_rng(3))
+        sd = X.std(axis=1, keepdims=True)
+        for view in views:
+            s = rng.uniform(*SCALE_RANGE, size=(2, 1))
+            normals = rng.standard_normal(X.shape)
+            assert np.allclose(view, s * X + normals * NOISE_FRAC * sd, rtol=1e-14, atol=0)
 
 
 def reference_forward(enc, X):

@@ -9,19 +9,20 @@ equilibrium quartic as a companion-matrix eigenvalue.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from lelsim import thermal_aux
 from lelsim.errors import InvalidArgument, NoEquilibrium
 from lelsim.thermal_aux import (
     OMEGA_SYNC,
     AuxParams,
     CoolingParams,
-    MotorMode,
     _equilibrium,
     aux_power,
     init_for_torque,
@@ -99,7 +100,8 @@ def companion_equilibrium(target, v, params, power):
     d = np.array([r * r + x0 * x0, 2 * r * c, c * c + 2 * r * r + 2 * xp * x0,
                   2 * r * c, r * r + xp * xp])
     num = np.array([r, c, 2 * r, c, r]) if power else np.array([0.0, c, 0.0, c, 0.0])
-    coef = target[..., None] * d - (np.abs(v) ** 2)[..., None] * num
+    # |v|^2 as _equilibrium forms it, so both solve the same quartic
+    coef = target[..., None] * d - np.square(np.abs(v))[..., None] * num
     lead = coef[..., 0]
     comp = np.zeros(target.shape + (4, 4))
     comp[..., 0, :] = -coef[..., 1:] / np.where(lead > 0, lead, 1.0)[..., None]
@@ -279,8 +281,10 @@ class TestClosedFormEquilibrium:
     def test_power_below_no_load_raises(self):
         params = make_cooling()
         no_load = curve(0.0, 1.0, params, power=True)
-        with pytest.raises(NoEquilibrium, match="below its zero-slip value"):
-            motor_init(0.5 * no_load, 1.0, params)
+        # zero power is a valid target, and below the no-load power too
+        for target in (0.5 * no_load, 0.0):
+            with pytest.raises(NoEquilibrium, match="below its zero-slip value"):
+                motor_init(target, 1.0, params)
 
     def test_zero_voltage_has_no_torque_equilibrium(self):
         with pytest.raises(NoEquilibrium):
@@ -293,6 +297,18 @@ class TestClosedFormEquilibrium:
     def test_non_finite_voltage_is_rejected(self):
         with pytest.raises(InvalidArgument, match="voltage"):
             motor_init(0.6, math.inf, make_cooling())
+
+    @pytest.mark.parametrize("power", [False, True])
+    @pytest.mark.parametrize("target", [0.3, 0.8])
+    def test_a_ride_converges_within_eight_steps(self, monkeypatch, target, power):
+        # the start at the linearisation and the Newton steps reach the
+        # root in three to six steps; bisection would need about 60
+        v = np.linspace(0.85, 1.05, 600) * np.exp(0.3j)
+        params = make_cooling()
+        slip, _, _ = _equilibrium(target, v, params, power)
+        monkeypatch.setattr(thermal_aux, "_RTSAFE_ITER", 8)
+        fast, _, _ = _equilibrium(target, v, params, power)
+        assert np.allclose(fast, slip, rtol=1e-12, atol=0)
 
     def test_non_finite_ride_sample_is_named(self):
         v = np.linspace(0.9, 1.0, 8)
@@ -322,6 +338,10 @@ class TestCompanionOracle:
     @given(params=cooling_params, v_mag=st.floats(0.3, 1.2),
            angle=st.floats(-math.pi, math.pi), frac=st.floats(-0.5, 1.5),
            power=st.booleans())
+    # at the zero-slip target the quartic's constant term is one rounding
+    # unit, so |v|^2 formed two ways gave two different quartics
+    @example(params=make_cooling(R_s=0.0625, X_s=0.25, X_m=2.0, R_r=0.0625, X_r=0.25),
+             v_mag=0.9005672308748038, angle=1.0, frac=0.0, power=True)
     def test_agrees_from_below_zero_slip_to_above_pull_out(self, params, v_mag, angle,
                                                            frac, power):
         v = v_mag * np.exp(1j * angle)
@@ -354,7 +374,7 @@ class TestStall:
         motor = motor_init(0.6, 1.0, params)
         for _ in range(int(params.tau_stall / 0.01) + 2):
             motor = stall_update(motor, 0.4, 0.01, params)
-        assert motor.mode is MotorMode.STALL_TRIPPED
+        assert not motor.running
 
     def test_brief_dip_resets_timer(self):
         params = make_cooling()
@@ -362,7 +382,7 @@ class TestStall:
         motor = stall_update(motor, 0.4, params.tau_stall * 0.5, params)
         assert motor.stall_timer > 0.0
         motor = stall_update(motor, 1.0, 0.01, params)
-        assert motor.mode is MotorMode.RUNNING
+        assert motor.running
         assert motor.stall_timer == 0.0
 
     def test_restart_after_cooldown_restores_equilibrium(self, toy2_engine):
@@ -371,10 +391,10 @@ class TestStall:
         t_mech = motor.t_mech
         for _ in range(int(params.tau_stall / 0.01) + 2):
             motor = stall_update(motor, 0.4, 0.01, params)
-        assert motor.mode is MotorMode.STALL_TRIPPED
+        assert not motor.running
         for _ in range(int(params.T_cool / 0.01) + 2):
             motor = stall_update(motor, 1.0, 0.01, params)
-        assert motor.mode is MotorMode.RUNNING
+        assert motor.running
         assert motor.t_mech == pytest.approx(t_mech)
         d, _, _ = engine_motor(toy2_engine, params, motor)
         assert np.max(np.abs(d)) < 1e-7
@@ -387,7 +407,7 @@ class TestStall:
         # cooldown expires but 0.4 pu cannot carry the pinned torque
         for _ in range(50):
             motor = stall_update(motor, 0.4, 0.01, params)
-        assert motor.mode is MotorMode.STALL_TRIPPED
+        assert not motor.running
 
     def test_restart_at_zero_voltage_is_retried(self):
         params = make_cooling(T_cool=0.02)
@@ -396,10 +416,10 @@ class TestStall:
             motor = stall_update(motor, 0.0, 0.01, params)
         for _ in range(5):
             motor = stall_update(motor, 0.0, 0.01, params)
-        assert motor.mode is MotorMode.STALL_TRIPPED
+        assert not motor.running
         assert motor.recovery_timer == 0.01
         motor = stall_update(motor, 1.0, 0.01, params)
-        assert motor.mode is MotorMode.RUNNING
+        assert motor.running
 
     def test_restart_lands_in_the_frame_of_the_bus(self, toy2_engine):
         params = make_cooling(T_cool=0.05)
@@ -409,7 +429,7 @@ class TestStall:
             motor = stall_update(motor, 0.4 * v, 0.01, params)
         for _ in range(int(params.T_cool / 0.01) + 2):
             motor = stall_update(motor, v, 0.01, params)
-        assert motor.mode is MotorMode.RUNNING
+        assert motor.running
         d, _, _ = engine_motor(toy2_engine, params, motor, v)
         assert np.max(np.abs(d)) < 1e-7
 
@@ -454,6 +474,9 @@ class TestAux:
         p, q = aux_power(0.5, params)
         assert p == pytest.approx(0.25)
         assert q == pytest.approx(0.3 * 0.25)
+        # the ratio to the reference voltage V0 is what counts
+        p, q = aux_power(1.0, replace(params, V0=2.0))
+        assert p == pytest.approx(0.25)
 
     def test_pure_constant_power_voltage_independent(self):
         params = make_aux(alpha_Z=0.0, alpha_I=0.0, alpha_P=1.0)
@@ -461,6 +484,11 @@ class TestAux:
             p, q = aux_power(v, params)
             assert p == pytest.approx(1.0)
             assert q == pytest.approx(0.3)
+
+    def test_zero_voltage_leaves_the_constant_power_part(self):
+        p, q = aux_power(0.0, make_aux())
+        assert p == pytest.approx(0.3)
+        assert q == pytest.approx(0.3 * 0.3)
 
     def test_rejects_negative_voltage(self):
         with pytest.raises(InvalidArgument):

@@ -90,6 +90,14 @@ class TestValidation:
             ou_step(WorkloadState(0.5), make_params(lambda_burst=0.4), 2.0,
                     np.random.default_rng(0))
 
+    def test_path_accepts_a_burst_chance_of_one_half_per_step(self):
+        path = workload.workload_path(make_params(lambda_burst=0.25), 8, 2.0, 0)
+        assert path.shape == (8,)
+
+    def test_path_rejects_a_burst_chance_above_one_half_per_step(self):
+        with pytest.raises(InvalidArgument, match="lambda_burst"):
+            workload.workload_path(make_params(lambda_burst=0.2501), 8, 2.0, 0)
+
 
 class TestOuStep:
     def test_deterministic_given_rng_state(self):
