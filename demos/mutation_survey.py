@@ -13,7 +13,13 @@ function's body gives one mutant, which changes that one site:
 
 Each mutant is written into a temporary copy of `src/`, where only the
 operator's text changes, so line numbers stay.  Then pytest runs with
-`-x` on the named tests against that copy.  A mutant is killed when
+`-x` on the named tests in that temporary directory, beside a snapshot of
+what the tests read, taken when the survey starts: `tests/`,
+`pyproject.toml` (warnings are errors), `README.md`, `demos/` and
+`perfbench/tracer.py`.  So a test edited during a survey does not judge
+the mutants, and each run starts with an empty Hypothesis database: a
+failing draw one mutant stores is not replayed on the next, and the
+checkout's `.hypothesis/` is not written.  A mutant is killed when
 pytest fails or runs five times as long as on the unmutated copy (at
 least 60 s), and survives when every test passes.  The unmutated copy
 must pass first.  One line per mutant, then the kill rate per function;
@@ -23,7 +29,8 @@ Mutation testing is DeMillo, Lipton and Sayward (1978), "Hints on test
 data selection", IEEE Computer 11(4).
 
 Usage, from the root of a checkout (stdlib only; pytest must be
-installed); tests are pytest arguments, files or node ids:
+installed); tests are pytest arguments, files or node ids relative to
+the root:
 
     python demos/mutation_survey.py grid:regime_flags \\
         --tests tests/test_grid.py tests/test_metrics.py
@@ -46,6 +53,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lelsim"
+# what the tests read besides the package, copied beside it
+SNAPSHOT = ("tests", "pyproject.toml", "README.md", "demos", "perfbench/tracer.py")
 
 # each operator, its source text and the operator it is swapped for
 _COMPARE = {ast.Lt: ("<", ast.LtE), ast.LtE: ("<=", ast.Lt),
@@ -133,14 +142,28 @@ def mutate(source: bytes, spans) -> bytes:
     return source
 
 
-def run_tests(src: Path, tests, timeout: float) -> str:
-    """"passed", "failed" or "timeout" of pytest -x on tests, importing
-    lelsim from src."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+def snapshot(tmp: Path):
+    """Copy src/ and SNAPSHOT from the checkout into tmp."""
+    ignore = shutil.ignore_patterns("__pycache__")
+    for name in ("src",) + SNAPSHOT:
+        path, copy = ROOT / name, tmp / name
+        if path.is_dir():
+            shutil.copytree(path, copy, ignore=ignore)
+        else:
+            copy.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(path, copy)
+
+
+def run_tests(tmp: Path, tests, timeout: float) -> str:
+    """"passed", "failed" or "timeout" of pytest -x on tests in the
+    snapshot tmp, importing lelsim from tmp/src, with an empty Hypothesis
+    database."""
+    shutil.rmtree(tmp / ".hypothesis", ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q",
                                "-p", "no:cacheprovider", *tests],
-                              cwd=ROOT, env=env, timeout=timeout,
+                              cwd=tmp, env=env, timeout=timeout,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -166,19 +189,19 @@ def main():
             plan.append((target, path, source, line, what, mutate(source, spans)))
 
     with tempfile.TemporaryDirectory(prefix="mutation_survey_") as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        tmp = Path(tmp)
+        snapshot(tmp)
         t0 = time.monotonic()
-        if run_tests(src, args.tests, None) != "passed":
+        if run_tests(tmp, args.tests, None) != "passed":
             raise SystemExit("the tests fail on the unmutated source")
         timeout = max(60.0, 5 * (time.monotonic() - t0))
         print(f"unmutated run passed in {time.monotonic() - t0:.1f} s; "
               f"{len(plan)} mutants, time limit {timeout:.0f} s", flush=True)
         totals = {target: [0, 0] for target in args.targets}
         for target, path, source, line, what, mutant in plan:
-            copy = src / "lelsim" / path.name
+            copy = tmp / "src" / "lelsim" / path.name
             copy.write_bytes(mutant)
-            outcome = run_tests(src, args.tests, timeout)
+            outcome = run_tests(tmp, args.tests, timeout)
             copy.write_bytes(source)
             killed = outcome != "passed"
             totals[target][0] += killed

@@ -50,7 +50,7 @@ from lelsim.traceio import read_trace, write_trace
 
 
 def _load_lel_params(args):
-    if getattr(args, "params", None):
+    if args.params:
         with open(args.params) as fh:
             return parse_lel_params(fh.read())
     return archetype_defaults(Archetype[args.archetype.upper()])

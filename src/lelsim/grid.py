@@ -2,9 +2,11 @@
 
 Generators are classical second-order machines (constant EMF behind the
 transient reactance, swing equation with damping that emulates aggregate
-primary frequency response).  Non-LEL loads become constant admittances
-at the power-flow solution; LELs inject currents from their workload,
-motor, and ZIP subsystems scaled by the protection retention factor.
+primary frequency response).  One shunt per bus, fixed at the power-flow
+solution so that t=0 balances exactly, holds what no device model
+carries: a non-LEL load's constant admittance and a machine's Norton
+admittance.  LELs inject currents from their workload, motor, and ZIP
+subsystems scaled by the protection retention factor.
 The workload and ZIP draw constant power W = P - jQ through one current
 law, I = W(m) V / m^2 with m = max(|V|, V_FLOOR): W / conj(V) above the
 floor and the floor's admittance, W(V_FLOOR) V / V_FLOOR^2, below it.
@@ -277,7 +279,7 @@ def power_flow(case: GridCase) -> np.ndarray:
 
 def _scaled_lel_params(placement: LelPlacement, p_mw: float, v_mag: float) -> LelParams:
     """Rescale an archetype bundle so the LEL draws p_mw at voltage v_mag
-    (the engine's compensation shunts keep the t=0 Q balance exact).
+    (the engine's balance shunts keep the t=0 Q balance exact).
 
     Raises InvalidArgument when the bus has no demand or a block cannot
     carry its share: the cooling motor always draws power, so its share
@@ -327,7 +329,7 @@ _I_DIR = np.array([-1, -1j, 0, 1, 1j])[:, None]
 
 class _Engine:
     """Parameters and discrete states of the whole grid: classical
-    machines, the network with its load and compensation shunts, and K
+    machines, the network with its balance shunts, and K
     LELs (per-LEL constants of the device laws plus, per LEL, the scaled
     bundle, nearest generator and bus id).
 
@@ -358,8 +360,8 @@ class _Engine:
     they were evaluated at: a network re-solve or a motor switch."""
 
     def __init__(self, case: GridCase, V: np.ndarray):
-        """Build the t=0 equilibrium: machine EMFs, load admittances, and
-        LEL subsystem states, such that every time derivative vanishes."""
+        """Build the t=0 equilibrium: machine EMFs, LEL subsystem states
+        and the balance shunts, such that every time derivative vanishes."""
         idx = case.bus_index()
         n = self.n = case.n_bus
         self.s_base = case.s_base
@@ -434,14 +436,11 @@ class _Engine:
         self.prot_ord = np.array([p[0] for p in self.prot], dtype=int)
         self.kept = None
 
-        # non-LEL loads become constant admittances; fold generator Nortons
-        other = np.ones(n, dtype=bool)
-        other[self.lbus] = False
-        Y[other, other] += np.conj(S_load[other]) / np.abs(V[other]) ** 2
-        Y[self.gbus, self.gbus] += self.yg
-        # compensation shunts absorb the residual injection (power-flow
-        # tolerance plus the LEL reactive allocation) so t=0 is exact
         self.Y = Y
+        # one shunt per bus, -I_mis / V, balances t=0 exactly: it is a
+        # non-LEL load's constant admittance, adds a machine's Norton
+        # admittance 1/(j xd'), and takes up the power-flow tolerance and
+        # the LEL reactive allocation
         I_mis = self.current_mismatch(V, self.E * np.exp(1j * self.delta0),
                                       self.lel_currents(V[self.lbus], self.em0))
         Y[np.arange(n), np.arange(n)] += -I_mis / V

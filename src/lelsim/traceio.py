@@ -64,18 +64,15 @@ class Trace:
         return next(iter(self.channels.values()))
 
 
-def read_trace(path_or_file) -> Trace:
-    """Read a trace CSV with header ``t,<channel>,...``.
+def read_trace(path) -> Trace:
+    """Read the trace CSV at path, with header ``t,<channel>,...``.
 
     It needs at least two data rows, and the time column must be strictly
     increasing and uniform within relative jitter 1e-9.  Raises
     InvalidArgument naming the offending row or channel.
     """
-    if hasattr(path_or_file, "read"):
-        rows = list(csv.reader(path_or_file))
-    else:
-        with open(path_or_file, newline="") as fh:
-            rows = list(csv.reader(fh))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise InvalidArgument("empty trace file")
     header = [h.strip() for h in rows[0]]

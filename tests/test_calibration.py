@@ -66,6 +66,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgument):
             make_cfg(subsystem="hvac")
 
+    def test_rejects_no_repeats(self):
+        with pytest.raises(InvalidArgument, match="n_repeats must be >= 1"):
+            make_cfg(n_repeats=0)
+
     def test_rejects_bound_on_unknown_parameter(self):
         with pytest.raises(InvalidArgument, match="unknown workload parameter.*: foo"):
             make_cfg(bounds={"mu_eta": (0.3, 0.8), "foo": (0.0, 1.0)})
@@ -175,6 +179,10 @@ class TestSubsystemSimulators:
         assert len(simulate_subsystem(params, subsystem, 4.3, 0.1, seed=0)) == 43
         with pytest.raises(InvalidArgument, match="not a whole number of steps"):
             simulate_subsystem(params, subsystem, 4.35, 0.1, seed=0)
+
+    def test_rejects_an_unknown_subsystem(self):
+        with pytest.raises(InvalidArgument, match="unknown subsystem 'hvac'"):
+            simulate_subsystem(TRUE, "hvac", 10.0, 1.0, seed=0)
 
     def test_cooling_trace_positive_power(self):
         params = archetype_defaults(Archetype.DATACENTER).cool

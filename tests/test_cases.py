@@ -47,6 +47,13 @@ class TestLoadCase:
         with pytest.raises(InvalidArgument):
             load_case("1,slack,1.04,0,0\n[BUS]\n")
 
+    def test_a_header_needs_both_brackets(self):
+        # a line with one bracket is a data row, not a section header
+        with pytest.raises(InvalidArgument, match="^line 1: data before any section header$"):
+            load_case("[BUS\n" + MINIMAL)
+        with pytest.raises(InvalidArgument, match=re.escape("line 4: [BUS] row ['BUS]']")):
+            load_case(MINIMAL.replace("[BUS]", "[BUS]\nBUS]"))
+
     @pytest.mark.parametrize("old,new,where", [
         ("1,2,0.01,0.1,0.02", "1,2,0.01,nan,0.02", "[BRANCH]"),
         ("2,pq,1.0,50,20", "2,pq,1.0,inf,20", "[BUS]"),
@@ -85,11 +92,14 @@ class TestLoadCase:
         (GEN, GEN + "\n[LEL]\n2,datacenter,1.2,-0.3,0.1",
          "LEL bus 2: shares must be >= 0 and sum to 1"),
         ("2,pq,1.0,50,20", "2,pq,1.0,50,20\n3,pq,1.0,10,5", "disconnected bus(es): [3]"),
+        ("s_base,100.0", "s_base,0", "need s_base > 0 and f_base > 0, got 0.0 and 60.0"),
+        ("s_base,100.0", "s_base,100.0\nf_base,0", "need s_base > 0 and f_base > 0"),
+        ("1,slack,1.04,0,0", "1,slack,0,0,0", "bus 1: v_set must be > 0"),
     ], ids=["duplicate_bus", "no_slack", "two_slacks", "unknown_bus_type", "zero_impedance",
             "two_generators_on_one_bus", "generator_at_unknown_bus", "generator_at_pq_bus",
             "pv_bus_without_generator", "two_lels_on_one_bus", "lel_at_unknown_bus",
             "lel_at_slack_bus", "shares_not_summing_to_one", "negative_share",
-            "disconnected_bus"])
+            "disconnected_bus", "zero_s_base", "zero_f_base", "zero_slack_voltage"])
     def test_impossible_case_rejected_naming_the_problem(self, old, new, named):
         with pytest.raises(InvalidArgument, match=re.escape(named)):
             load_case(MINIMAL.replace(old, new))

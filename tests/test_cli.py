@@ -369,6 +369,15 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert not any(tmp_path.glob("g_*")) and not (tmp_path / "out.csv").exists()
 
+    def test_non_integer_seed_rejected(self, tmp_path, capsys):
+        capsys.readouterr()
+        rc = run(["simulate-load", "--horizon", "10", "--seed", "abc",
+                  "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "argument --seed: invalid int value: 'abc'" in err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("inits", ["0", "-1"])
     def test_robustness_without_inits_rejected(self, workload_csv, tmp_path, capsys, inits):
         capsys.readouterr()

@@ -544,6 +544,51 @@ class TestPlacement:
         with pytest.raises(InvalidArgument, match="n_trials"):
             penetration_sweep(bundled_case("toy9"), [1], 0, cfg)
 
+    def sweep_oracle(self, case, k, trials, cfg, base_seed):
+        """(nadir, overshoot, reconnection) of direct runs of the sweep's
+        bolted fault at 0.5 s, one per trial."""
+        out = []
+        for trial in trials:
+            seed = base_seed + 1000 * trial
+            bus = pick_fault_bus(case, seed)
+            try:
+                res = run_simulation(place_lels(case, k, seed), fault_events(bus, 0.5),
+                                     replace(cfg, seed=seed))
+            except SimulationCollapse as exc:
+                res = exc.partial
+            if res.collapsed:
+                out.append((0.0, 1.0, cfg.horizon))
+                continue
+            delays = [reconnection_delay(res, lid) for lid in res.lel_ids]
+            out.append((voltage_nadir(res, bus), frequency_overshoot(res),
+                        max(cfg.horizon if d == "never" else d for d in delays)))
+        return out
+
+    def test_sweep_rows_are_medians_of_direct_runs(self):
+        case, cfg = bundled_case("toy9"), SimConfig(dt=0.01, horizon=2.0, seed=0)
+        rows = penetration_sweep(case, (1, 2), 2, cfg, base_seed=3, t_fault=0.5)
+        assert [row["k"] for row in rows] == [1, 2]
+        for row in rows:
+            runs = self.sweep_oracle(case, row["k"], (0, 1), cfg, base_seed=3)
+            assert row["nadir_median"] == np.median([r[0] for r in runs])
+            assert row["overshoot_median"] == np.median([r[1] for r in runs])
+            assert row["reconnection_median"] == np.median([r[2] for r in runs])
+        # at k=2, trial 0 never reconnects and trial 1 collapses
+        never, collapsed = self.sweep_oracle(case, 2, (0, 1), cfg, base_seed=3)
+        assert never[0] > 0.0 and never[2] == 2.0
+        assert collapsed == (0.0, 1.0, 2.0)
+
+    def test_sweep_counts_never_as_the_horizon_and_takes_one_trial(self):
+        case, cfg = bundled_case("toy9"), SimConfig(dt=0.01, horizon=2.0, seed=0)
+        seed = 1000
+        bus = pick_fault_bus(case, seed)
+        res = run_simulation(place_lels(case, 1, seed), fault_events(bus, 0.5),
+                             replace(cfg, seed=seed))
+        assert not res.collapsed and reconnection_delay(res, res.lel_ids[0]) == "never"
+        [row] = penetration_sweep(case, [1], 1, cfg, base_seed=seed, t_fault=0.5)
+        assert row["reconnection_median"] == 2.0
+        assert row["nadir_median"] == voltage_nadir(res, bus)
+
     def test_pick_fault_bus_serves_load(self):
         case = bundled_case("ieee39")
         loads = {b.id for b in case.buses if b.p_load > 0 and b.type == "pq"}

@@ -77,6 +77,10 @@ class TestArchetypes:
         assert eng.prot[0][0] is ProtectionMode.CONNECTED
         assert eng.motor[0][0] and eng.running[0]      # the motor runs
 
+    def test_rejects_a_name_in_place_of_an_archetype(self):
+        with pytest.raises(InvalidArgument, match="unknown archetype: 'datacenter'"):
+            archetype_defaults("datacenter")
+
     def test_presets_differ(self):
         dc = archetype_defaults(Archetype.DATACENTER)
         cm = archetype_defaults(Archetype.CRYPTO_MINING)

@@ -197,6 +197,12 @@ class TestDisclosureForm:
         with pytest.raises(InvalidArgument, match="^disclosure form missing r_kappa$"):
             load_protection_disclosure(trimmed)
 
+    def test_blank_and_comment_lines_are_skipped_but_counted(self):
+        doc = "# disclosure\n\n" + dump_protection_disclosure(make_params()) + "   # end\n\n"
+        assert load_protection_disclosure(doc) == make_params()
+        with pytest.raises(InvalidArgument, match="^line 15: expected 'key = value'$"):
+            load_protection_disclosure(doc + "kappa_min 0.3")
+
     # lines appended to a full ten-line form
     @pytest.mark.parametrize("appended,message", [
         ("kappa_min 0.3", "line 11: expected 'key = value'"),

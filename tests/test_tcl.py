@@ -55,6 +55,10 @@ class TestSegmentation:
         with pytest.raises(InvalidArgument):
             segment_windows(np.arange(3.0), 5)
 
+    def test_rejects_a_window_shorter_than_two(self):
+        with pytest.raises(InvalidArgument, match="L must be >= 2"):
+            segment_windows(np.arange(10.0), 1)
+
     def test_rejects_multidimensional_series(self):
         with pytest.raises(InvalidArgument, match="1-D"):
             segment_windows(np.zeros((12, 2)), 4)
@@ -139,6 +143,12 @@ class TestEncoder:
 
 
 class TestTraining:
+    def test_loss_rejects_a_zero_embedding(self):
+        z = np.ones((4, 3))
+        z[2] = 0.0
+        with pytest.raises(InvalidArgument, match="zero-norm embedding in contrastive loss"):
+            _loss_and_embedding_grads(z, np.ones((4, 3)), TEMPERATURE)
+
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(5)
         x = np.sin(0.3 * np.arange(300)) + 0.1 * rng.standard_normal(300)

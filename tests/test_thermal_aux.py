@@ -23,6 +23,7 @@ from lelsim.thermal_aux import (
     OMEGA_SYNC,
     AuxParams,
     CoolingParams,
+    MotorState,
     _equilibrium,
     aux_power,
     init_for_torque,
@@ -179,6 +180,27 @@ class TestCoolingValidation:
         with pytest.raises(InvalidArgument):
             make_cooling(V_stall=1.2)
 
+    @pytest.mark.parametrize("name", ["tau_stall", "T_cool"])
+    def test_rejects_a_negative_timer(self, name):
+        with pytest.raises(InvalidArgument, match="timers must be >= 0"):
+            make_cooling(**{name: -0.1})
+
+
+class TestMotorStateValidation:
+    @pytest.mark.parametrize("slip", [-0.01, 1.01])
+    def test_rejects_a_slip_outside_the_unit_interval(self, slip):
+        with pytest.raises(InvalidArgument, match=r"slip must lie in \[0, 1\]"):
+            MotorState(ed_p=0.0, eq_p=0.9, slip=slip)
+
+    @pytest.mark.parametrize("name", ["stall_timer", "recovery_timer"])
+    def test_rejects_a_negative_timer(self, name):
+        with pytest.raises(InvalidArgument, match="timers must be >= 0"):
+            MotorState(ed_p=0.0, eq_p=0.9, slip=0.02, **{name: -0.1})
+
+    def test_motor_init_rejects_a_negative_target(self):
+        with pytest.raises(InvalidArgument, match="p_target must be >= 0"):
+            motor_init(-0.1, 1.0 + 0j, make_cooling())
+
 
 class TestMotorEquilibrium:
     def test_init_zeroes_derivatives(self, toy2_engine):
@@ -213,6 +235,24 @@ class TestMotorEquilibrium:
         params = make_cooling()
         _, _, q = engine_motor(toy2_engine, params, motor_init(0.6, 1.0, params))
         assert q > 0.0
+
+
+class TestSlipAcceleration:
+    def test_slip_row_is_the_torque_balance_over_twice_the_inertia(self, toy2_engine):
+        # off equilibrium, so the torque balance is far from zero
+        eng = toy2_engine()
+        cool = eng.params[0].cool
+        em = np.empty(3)
+        slip, e = eng.motor_states(em)
+        slip[0], e[0] = 0.07, 0.75 + 0.35j
+        v = 0.92 - 0.08j
+        f, _ = eng.motor_f(em, np.array([v]))
+        x_trans = cool.X_s + cool.X_m * cool.X_r / (cool.X_m + cool.X_r)
+        i = (v - e[0]) / complex(cool.R_s, x_trans)
+        t_e = (np.conj(e[0]) * i).real
+        expected = (eng.tmech[0] - t_e) / (2 * cool.H_m)
+        assert abs(expected) > 0.1
+        assert eng.motor_states(f)[0][0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestClosedFormEquilibrium:
@@ -463,6 +503,15 @@ class TestAux:
     def test_zip_fractions_must_sum_to_one(self):
         with pytest.raises(InvalidArgument):
             make_aux(alpha_Z=0.9)
+
+    def test_rejects_a_negative_reference_power(self):
+        with pytest.raises(InvalidArgument, match="p_aux0 must be >= 0"):
+            make_aux(p_aux0=-1.0)
+
+    @pytest.mark.parametrize("v0", [0.0, -1.0])
+    def test_rejects_a_nonpositive_reference_voltage(self, v0):
+        with pytest.raises(InvalidArgument, match="V0 must be > 0"):
+            make_aux(V0=v0)
 
     def test_nominal_voltage_returns_nominal_power(self):
         p, q = aux_power(1.0, make_aux())

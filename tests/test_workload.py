@@ -76,6 +76,11 @@ class TestValidation:
         with pytest.raises(InvalidArgument):
             make_params(mu_eta=1.2)
 
+    @pytest.mark.parametrize("name", ["sigma_xi", "lambda_burst", "lnA_sigma"])
+    def test_rejects_a_negative_intensity(self, name):
+        with pytest.raises(InvalidArgument, match=f"{name} must be >= 0"):
+            make_params(**{name: -0.1})
+
     def test_rejects_eta_outside_unit_interval(self):
         with pytest.raises(InvalidArgument):
             WorkloadState(eta=-0.1)
